@@ -5,19 +5,22 @@ All scores are kept in the log domain; the per-document normality measure
 length, a strictly monotone transform that leaves thresholds and
 precision-recall curves unaffected.
 
-The predictive state carries the behaviour belief for the *upcoming*
-document, i.e. p(z_next | history).  Scoring a document multiplies in its
-emission, normalises (the normaliser is exactly the document likelihood)
-and propagates one step through the transition matrix.
+There is one scorer.  The predictive state holds S parameter samples and
+carries, per sample, the behaviour belief for the *upcoming* document, i.e.
+p(z_next | history, sample).  Scoring a document multiplies in its
+emission, normalises (the normaliser is exactly the per-sample document
+likelihood) and propagates one step through that sample's transition
+matrix; the reported likelihood is the mean over samples.  Plug-in scoring
+with a point estimate is the case S = 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import inference
+from .inference import _lse
 from .model import Corpus, Document, ModelParams
 
 #: Documents shorter than this are not evaluated and count as normal.
@@ -26,9 +29,13 @@ MIN_SCORABLE_WORDS = 20
 
 @dataclass
 class PredictiveState:
-    """Belief over the next document's behaviour given the history."""
+    """Parameter samples and each sample's belief over the next document's
+    behaviour given the history."""
 
-    behaviour_belief: np.ndarray
+    log_mix: list[np.ndarray]  # S arrays (num_words, num_behaviours)
+    xi: np.ndarray  # (S, Z, Z); xi[s, z_new, z_old]
+    pi: np.ndarray  # (S, Z)
+    behaviour_belief: np.ndarray  # (S, Z)
     last_doc_index: int = 0
 
 
@@ -41,37 +48,37 @@ class ScoredDocument:
     log_lik: float
     score: float | None
     evaluated: bool = True
-    word_log_liks: np.ndarray | None = None
 
 
-def init_state(params: ModelParams, last_filtered: np.ndarray | None = None,
+def init_state(samples: list[ModelParams], last_filtered: np.ndarray | None = None,
                ) -> PredictiveState:
-    """Initial predictive state for a test stream.
+    """Initial predictive state for a test stream scored under ``samples``.
 
-    Default: the initial behaviour distribution, as if the stream restarted.
-    With ``last_filtered`` (the filtered belief of the last training
-    document), the belief is that vector propagated one step through the
-    transition matrix, which makes test scoring the exact continuation of
-    the training stream.
+    Default: each sample's initial behaviour distribution, as if the stream
+    restarted.  With ``last_filtered`` (the filtered belief of the last
+    training document), each sample's belief is that vector propagated one
+    step through its transition matrix, which makes test scoring the exact
+    continuation of the training stream.
     """
+    xi = np.stack([p.xi for p in samples])
+    pi = np.stack([p.pi for p in samples])
     if last_filtered is None:
-        belief = params.pi.copy()
+        belief = pi.copy()
     else:
-        belief = params.xi @ np.asarray(last_filtered, dtype=float)
-        belief = belief / belief.sum()
-    return PredictiveState(behaviour_belief=belief, last_doc_index=0)
+        belief = xi @ np.asarray(last_filtered, dtype=float)
+        belief /= belief.sum(axis=1, keepdims=True)
+    # One array per sample, not one stacked (S, X, Z) block: small arrays reuse
+    # heap memory a long-running process already holds, while a block of 20 MB
+    # (100 samples at paper scale) needs fresh pages and raises its peak RSS.
+    log_mix = [inference.word_mixture_logs(p) for p in samples]
+    return PredictiveState(log_mix=log_mix, xi=xi, pi=pi, behaviour_belief=belief)
 
 
 def filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray:
     """Filtered behaviour posterior after the last training document."""
-    msgs = inference.messages(params, corpus)
-    la = msgs.log_alpha[:, -1]
-    b = np.exp(la - logsumexp(la))
+    la = inference.forward(params, corpus)[:, -1]
+    b = np.exp(la - _lse(la, axis=0))
     return b / b.sum()
-
-
-def _doc_emission_logs(doc: Document, log_mix: np.ndarray) -> np.ndarray:
-    return log_mix[doc.words].sum(axis=0)
 
 
 def normalise_score(log_lik: float, length: int) -> float:
@@ -81,35 +88,29 @@ def normalise_score(log_lik: float, length: int) -> float:
     return log_lik - np.log(length)
 
 
-def score_plugin(state: PredictiveState, doc: Document, params: ModelParams,
-                 log_mix: np.ndarray | None = None,
-                 min_words: int = MIN_SCORABLE_WORDS,
-                 ) -> tuple[ScoredDocument, PredictiveState]:
-    """Score one document against point-estimate parameters.
+def score(state: PredictiveState, doc: Document, min_words: int = MIN_SCORABLE_WORDS,
+          ) -> tuple[ScoredDocument, PredictiveState]:
+    """Score one document and advance the state by it.
 
-    The document log likelihood mixes the per-behaviour emission over the
-    current belief; the recursive Bayes update divides by that same
-    likelihood and propagates through the transition matrix.  Documents
-    shorter than ``min_words`` still update the state but are flagged as
-    not evaluated (normal by default).
+    Per sample, the document log likelihood mixes the per-behaviour emission
+    over that sample's belief; the recursive Bayes update divides by that
+    same likelihood and propagates through the sample's transition matrix.
+    A sample under which the document is impossible restarts from its own
+    initial distribution.  The reported log likelihood is the log mean of
+    the per-sample likelihoods.  Documents shorter than ``min_words`` still
+    update the state but are flagged as not evaluated (normal by default).
     """
-    if log_mix is None:
-        log_mix = inference.word_mixture_logs(params)
-    loge = _doc_emission_logs(doc, log_mix)
-    with np.errstate(divide="ignore"):
-        log_belief = np.log(state.behaviour_belief)
-    joint = loge + log_belief
-    log_lik = float(logsumexp(joint))
-
-    if np.isfinite(log_lik):
-        filtered = np.exp(joint - log_lik)
-        belief = params.xi @ filtered
-        belief = belief / belief.sum()
-    else:
-        # Impossible document: reset the stream to the initial distribution.
-        belief = params.pi.copy()
-    new_state = PredictiveState(behaviour_belief=belief,
-                                last_doc_index=state.last_doc_index + 1)
+    loge = np.array([lm[doc.words].sum(axis=0) for lm in state.log_mix])  # (S, Z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        joint = loge + np.log(state.behaviour_belief)
+        per_sample = _lse(joint, axis=1)  # (S,)
+        filtered = np.exp(joint - per_sample[:, None])
+        belief = np.einsum("sij,sj->si", state.xi, filtered)
+        belief /= belief.sum(axis=1, keepdims=True)
+    belief = np.where(np.isfinite(per_sample)[:, None], belief, state.pi)
+    log_lik = float(_lse(per_sample, axis=0) - np.log(len(per_sample)))
+    new_state = replace(state, behaviour_belief=belief,
+                        last_doc_index=state.last_doc_index + 1)
 
     n = len(doc)
     evaluated = n >= min_words
@@ -123,62 +124,14 @@ def score_plugin(state: PredictiveState, doc: Document, params: ModelParams,
     return scored, new_state
 
 
-def score_mc(states: list[PredictiveState], doc: Document,
-             samples: list[ModelParams],
-             log_mixes: list[np.ndarray] | None = None,
-             min_words: int = MIN_SCORABLE_WORDS,
-             ) -> tuple[ScoredDocument, list[PredictiveState]]:
-    """Monte Carlo score: average the predictive likelihood over parameter
-    samples, each tracking its own history state."""
-    if not samples:
-        raise ValueError("at least one parameter sample is required")
-    if len(states) != len(samples):
-        raise ValueError("one predictive state per sample is required")
-    if log_mixes is None:
-        log_mixes = [inference.word_mixture_logs(p) for p in samples]
-    per_sample = []
-    new_states = []
-    for st, params, lm in zip(states, samples, log_mixes):
-        scored, new_st = score_plugin(st, doc, params, log_mix=lm, min_words=min_words)
-        per_sample.append(scored.log_lik)
-        new_states.append(new_st)
-    log_lik = float(logsumexp(per_sample) - np.log(len(samples)))
-    n = len(doc)
-    evaluated = n >= min_words
-    scored = ScoredDocument(
-        index=new_states[0].last_doc_index,
-        length=n,
-        log_lik=log_lik,
-        score=normalise_score(log_lik, n) if evaluated else None,
-        evaluated=evaluated,
-    )
-    return scored, new_states
-
-
-def word_log_liks(state: PredictiveState, doc: Document,
-                  params_or_samples, mode: str = "plugin",
-                  states: list[PredictiveState] | None = None) -> np.ndarray:
-    """Per-token log marginal likelihoods under the current belief.
-
-    ``mode="plugin"`` uses a single parameter set; ``mode="mc"`` averages
-    over samples, each with its own state (pass ``states``).
-    """
-    if mode == "plugin":
-        params = params_or_samples
-        log_mix = inference.word_mixture_logs(params)
-        with np.errstate(divide="ignore"):
-            log_belief = np.log(state.behaviour_belief)
-        return logsumexp(log_mix[doc.words] + log_belief[None, :], axis=1)
-    if mode == "mc":
-        samples = params_or_samples
-        if states is None or len(states) != len(samples):
-            raise ValueError("mc mode needs one predictive state per sample")
-        per = np.stack([
-            word_log_liks(st, doc, p, mode="plugin")
-            for st, p in zip(states, samples)
-        ])
-        return logsumexp(per, axis=0) - np.log(len(samples))
-    raise ValueError(f"unknown mode {mode!r}")
+def word_log_liks(state: PredictiveState, doc: Document) -> np.ndarray:
+    """Per-token log marginal likelihoods under the current beliefs,
+    averaged over the state's samples."""
+    with np.errstate(divide="ignore"):
+        log_belief = np.log(state.behaviour_belief)
+    tokens = np.array([lm[doc.words] for lm in state.log_mix])  # (S, N, Z)
+    per_sample = _lse(tokens + log_belief[:, None, :], axis=2)
+    return _lse(per_sample, axis=0) - np.log(len(per_sample))
 
 
 def localise(word_lls: np.ndarray, doc: Document, layout, top_n: int,

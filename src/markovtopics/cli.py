@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import anomaly, em, gibbs, inference, metrics, serialize, vb
+from . import anomaly, em, gibbs, metrics, serialize, vb
 from .generate import generate
 from .ingest import FrameLayout, build_corpus
 from .model import (
@@ -29,10 +29,27 @@ from .model import (
 )
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
+
+
 def _spec_args(parser):
-    parser.add_argument("--num-words", type=int, required=True)
-    parser.add_argument("--num-topics", type=int, required=True)
-    parser.add_argument("--num-behaviours", type=int, required=True)
+    parser.add_argument("--num-words", type=_positive, required=True)
+    parser.add_argument("--num-topics", type=_positive, required=True)
+    parser.add_argument("--num-behaviours", type=_positive, required=True)
 
 
 def _spec_from(args) -> ModelSpec:
@@ -53,7 +70,11 @@ def _apply_config(argv, parser):
         unknown = set(config) - valid
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
-        parser.set_defaults(**config)
+        # argparse applies an argument's type only to string defaults; as
+        # strings, config values pass the same conversion and checks as flags.
+        typed = {a.dest for a in parser._actions if a.type is not None}
+        parser.set_defaults(**{k: str(v) if k in typed and v is not None else v
+                               for k, v in config.items()})
         for action in parser._actions:
             if action.dest in config:
                 action.required = False
@@ -65,8 +86,8 @@ def cmd_generate(argv):
     parser.add_argument("--config")
     _spec_args(parser)
     parser.add_argument("--prior", choices=["1", "H", "H+1"], default="1")
-    parser.add_argument("--docs", type=int, required=True)
-    parser.add_argument("--doc-length", type=int, required=True)
+    parser.add_argument("--docs", type=_positive, required=True)
+    parser.add_argument("--doc-length", type=_positive, required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-corpus", required=True)
     parser.add_argument("--out-truth")
@@ -90,7 +111,7 @@ def cmd_featurize(argv):
     parser.add_argument("--cell", type=int, default=8)
     parser.add_argument("--fps", type=float, required=True)
     parser.add_argument("--clip-seconds", type=float, default=1.0)
-    parser.add_argument("--min-words", type=int, default=20)
+    parser.add_argument("--min-words", type=_non_negative, default=20)
     parser.add_argument("--out-corpus", required=True)
     parser.add_argument("--out-map", required=True)
     args = _apply_config(argv, parser)
@@ -129,14 +150,14 @@ def cmd_train(argv):
     _spec_args(parser)
     parser.add_argument("--algo", choices=["em", "vb", "gs"], required=True)
     parser.add_argument("--prior", choices=["1", "H", "H+1"], default="1")
-    parser.add_argument("--iterations", type=int, default=100)
+    parser.add_argument("--iterations", type=_positive, default=100)
     parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--burn-in", type=int, default=500)
-    parser.add_argument("--spacing", type=int, default=100)
-    parser.add_argument("--samples", type=int, default=5)
+    parser.add_argument("--burn-in", type=_non_negative, default=500)
+    parser.add_argument("--spacing", type=_non_negative, default=100)
+    parser.add_argument("--samples", type=_positive, default=5)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--runs", type=int, default=1)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--runs", type=_positive, default=1)
+    parser.add_argument("--jobs", type=_positive, default=1)
     parser.add_argument("--out", required=True)
     args = _apply_config(argv, parser)
     spec = _spec_from(args)
@@ -178,46 +199,36 @@ def _run_path(base: str, seed: int) -> str:
     return str(p.with_name(f"{p.stem}.seed{seed}{p.suffix}"))
 
 
-def _score_stream(model: serialize.LoadedModel, test_corpus, mode, mc_samples,
-                  seed, init, train_corpus, min_words):
-    params = model.params
+def _initial_state(model: serialize.LoadedModel, samples, init, train_corpus):
+    """Predictive state over ``samples``; ``--init propagate`` continues from
+    the point estimate's filtered belief after the training stream."""
+    last = None
     if init == "propagate":
         if train_corpus is None:
             raise DataError("--init propagate requires --train-corpus")
-        last = anomaly.filtered_belief(params, train_corpus)
-    else:
-        last = None
+        last = anomaly.filtered_belief(model.params, train_corpus)
+    return anomaly.init_state(samples, last_filtered=last)
 
+
+def _score_stream(model: serialize.LoadedModel, test_corpus, mode, mc_samples,
+                  seed, init, train_corpus, min_words):
+    # Plug-in scoring is Monte Carlo with the point estimate as the only
+    # sample.  Monte Carlo samples come from the VB posterior or the stored
+    # GS count samples; plain EM models carry neither.
     if mode == "plugin":
-        state = anomaly.init_state(params, last_filtered=last)
-        log_mix = inference.word_mixture_logs(params)
-        scored = []
-        t0 = time.perf_counter()
-        for doc in test_corpus.documents:
-            rec, state = anomaly.score_plugin(state, doc, params, log_mix=log_mix,
-                                              min_words=min_words)
-            scored.append(rec)
-        elapsed = time.perf_counter() - t0
-        return scored, elapsed
-
-    # Monte Carlo mode: samples from the VB posterior, or the stored GS
-    # count samples.  Plain EM models carry neither.
-    if model.posterior is not None:
+        samples = [model.params]
+    elif model.posterior is not None:
         samples = vb.sample_posterior(model.posterior, mc_samples, seed)
     elif model.count_samples is not None:
-        samples = model.sample_params()
-        if mc_samples < len(samples):
-            samples = samples[:mc_samples]
+        samples = model.sample_params()[:mc_samples]
     else:
         raise DataError("mc scoring requires a model with a posterior or samples "
                         "(train with vb or gs)")
-    states = [anomaly.init_state(p, last_filtered=last) for p in samples]
-    log_mixes = [inference.word_mixture_logs(p) for p in samples]
+    state = _initial_state(model, samples, init, train_corpus)
     scored = []
     t0 = time.perf_counter()
     for doc in test_corpus.documents:
-        rec, states = anomaly.score_mc(states, doc, samples, log_mixes=log_mixes,
-                                       min_words=min_words)
+        rec, state = anomaly.score(state, doc, min_words)
         scored.append(rec)
     elapsed = time.perf_counter() - t0
     return scored, elapsed
@@ -229,11 +240,11 @@ def cmd_score(argv):
     parser.add_argument("--model", required=True)
     parser.add_argument("--corpus", required=True)
     parser.add_argument("--mode", choices=["plugin", "mc"], default="plugin")
-    parser.add_argument("--mc-samples", type=int, default=100)
+    parser.add_argument("--mc-samples", type=_positive, default=100)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--init", choices=["restart", "propagate"], default="propagate")
     parser.add_argument("--train-corpus")
-    parser.add_argument("--min-words", type=int, default=20)
+    parser.add_argument("--min-words", type=_non_negative, default=20)
     parser.add_argument("--out", required=True)
     args = _apply_config(argv, parser)
     model = serialize.load_model(args.model)
@@ -258,7 +269,7 @@ def cmd_localise(argv):
     parser.add_argument("--frame-w", type=int, required=True)
     parser.add_argument("--frame-h", type=int, required=True)
     parser.add_argument("--cell", type=int, default=8)
-    parser.add_argument("--top-n", type=int, default=10)
+    parser.add_argument("--top-n", type=_positive, default=10)
     parser.add_argument("--init", choices=["restart", "propagate"], default="restart")
     parser.add_argument("--train-corpus")
     parser.add_argument("--out", required=True)
@@ -269,21 +280,15 @@ def cmd_localise(argv):
         raise DataError(f"layout vocabulary {layout.vocabulary_size} does not match "
                         f"model vocabulary {model.spec.num_words}")
     test_corpus = serialize.read_corpus(args.corpus, model.spec)
-    params = model.params
-    if args.init == "propagate":
-        if not args.train_corpus:
-            raise DataError("--init propagate requires --train-corpus")
-        train_corpus = serialize.read_corpus(args.train_corpus, model.spec)
-        state = anomaly.init_state(params, anomaly.filtered_belief(params, train_corpus))
-    else:
-        state = anomaly.init_state(params)
-    log_mix = inference.word_mixture_logs(params)
+    train_corpus = (serialize.read_corpus(args.train_corpus, model.spec)
+                    if args.train_corpus else None)
+    state = _initial_state(model, [model.params], args.init, train_corpus)
     lines = []
     for doc in test_corpus.documents:
-        wll = anomaly.word_log_liks(state, doc, params)
+        wll = anomaly.word_log_liks(state, doc)
         triples = anomaly.localise(wll, doc, layout, args.top_n)
         lines.append(json.dumps({"index": doc.timestamp, "tokens": triples}))
-        _, state = anomaly.score_plugin(state, doc, params, log_mix=log_mix)
+        _, state = anomaly.score(state, doc)
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"localised {len(lines)} documents to {args.out}")
     return 0

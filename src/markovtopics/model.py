@@ -137,14 +137,20 @@ def validate_params(params: ModelParams, spec: ModelSpec | None = None) -> list[
     if violations:
         return violations
 
+    # Every comparison with NaN is false, so the range checks alone would
+    # pass NaN entries.
     for name, mat in (("phi", phi), ("theta", theta), ("xi", xi)):
-        if np.any(mat < 0) or np.any(mat > 1):
+        if not np.all(np.isfinite(mat)):
+            violations.append(f"entry-range: {name} has non-finite entries")
+        elif np.any(mat < 0) or np.any(mat > 1):
             violations.append(f"entry-range: {name} has entries outside [0, 1]")
         sums = mat.sum(axis=0)
         bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_TOL)
         for j in bad:
             violations.append(f"column-sum: {name} column {j} sums to {sums[j]!r}")
-    if np.any(pi < 0) or np.any(pi > 1):
+    if not np.all(np.isfinite(pi)):
+        violations.append("entry-range: pi has non-finite entries")
+    elif np.any(pi < 0) or np.any(pi > 1):
         violations.append("entry-range: pi has entries outside [0, 1]")
     if abs(pi.sum() - 1.0) > PROB_TOL:
         violations.append(f"column-sum: pi sums to {pi.sum()!r}")

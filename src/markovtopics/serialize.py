@@ -22,6 +22,7 @@ from .model import (
     ModelParams,
     ModelSpec,
     SufficientCounts,
+    validate_params,
 )
 from .vb import PosteriorHyperparams
 
@@ -80,8 +81,24 @@ def save_model(path, spec: ModelSpec, hyper: Hyperparams, params: ModelParams,
     Path(path).write_text(json.dumps(doc))
 
 
+def _checked_matrix(section: str, name: str, obj: dict, spec: ModelSpec,
+                    positive: bool) -> np.ndarray:
+    """A posterior or count-sample matrix, checked for its shape under
+    ``spec``, finiteness and sign (> 0 when ``positive``, else >= 0)."""
+    X, Y, Z = spec.num_words, spec.num_topics, spec.num_behaviours
+    shape = {"beta_t": (X, Y), "alpha_t": (Y, Z), "eta_t": (Z,), "gamma_t": (Z, Z),
+             "n_xy": (X, Y), "n_yz": (Y, Z), "n_zz": (Z, Z), "n_z1": (Z,)}[name]
+    mat = _matrix_from_json(obj)
+    if mat.shape != shape:
+        raise DataError(f"model {section} {name} has shape {mat.shape}, expected {shape}")
+    if not np.all(np.isfinite(mat)) or np.any(mat <= 0 if positive else mat < 0):
+        raise DataError(f"model {section} {name} must be finite and "
+                        f"{'> 0' if positive else '>= 0'}")
+    return mat
+
+
 class LoadedModel:
-    """A parsed model file."""
+    """A parsed and validated model file; a corrupt one raises DataError."""
 
     def __init__(self, doc: dict):
         if doc.get("format_version") != FORMAT_VERSION:
@@ -92,21 +109,23 @@ class LoadedModel:
         h = doc["hyperparams"]
         self.hyper = Hyperparams(**{k: np.asarray(v, dtype=float) for k, v in h.items()})
         self.params = _params_from_json(doc["params"])
+        violations = validate_params(self.params, self.spec)
+        if violations:
+            raise DataError(f"invalid model parameters: {'; '.join(violations[:3])}")
         self.metadata = doc.get("metadata", {})
         self.posterior = None
         if "posterior" in doc:
             p = doc["posterior"]
             self.posterior = PosteriorHyperparams(
-                **{name: _matrix_from_json(p[name])
+                **{name: _checked_matrix("posterior", name, p[name], self.spec, positive=True)
                    for name in ("beta_t", "alpha_t", "eta_t", "gamma_t")})
         self.count_samples = None
         if "samples" in doc:
             self.count_samples = [
                 SufficientCounts(
-                    n_xy=_matrix_from_json(c["n_xy"]),
-                    n_yz=_matrix_from_json(c["n_yz"]),
-                    n_zz=_matrix_from_json(c["n_zz"]),
-                    n_z1=_matrix_from_json(c["n_z1"]),
+                    **{name: _checked_matrix("count sample", name, c[name], self.spec,
+                                             positive=False)
+                       for name in ("n_xy", "n_yz", "n_zz", "n_z1")},
                     mode="integer",
                 )
                 for c in doc["samples"]
@@ -124,7 +143,10 @@ def load_model(path) -> LoadedModel:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    return LoadedModel(doc)
+    try:
+        return LoadedModel(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"model file {path} is malformed: {exc!r}") from exc
 
 
 def write_corpus(path, corpus: Corpus) -> None:

@@ -83,21 +83,24 @@ def point_estimates(post: PosteriorHyperparams) -> ModelParams:
     )
 
 
+def _dirichlet_columns(rng: np.random.Generator, post: np.ndarray) -> np.ndarray:
+    """One Dirichlet draw per column of ``post``: independent gammas with
+    the column's parameters as shapes, normalised down the column."""
+    draw = rng.standard_gamma(post)
+    draw /= draw.sum(axis=0, keepdims=True)
+    return draw
+
+
 def sample_posterior(post: PosteriorHyperparams, num_samples: int,
                      seed: int) -> list[ModelParams]:
-    """Draw parameter sets column-wise from the posterior Dirichlets."""
+    """Draw parameter sets column-wise from the posterior Dirichlets, one
+    sample at a time: never an (S, X, Y) block, which would raise peak memory."""
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(num_samples):
-        phi = np.column_stack([rng.dirichlet(post.beta_t[:, y])
-                               for y in range(post.beta_t.shape[1])])
-        theta = np.column_stack([rng.dirichlet(post.alpha_t[:, z])
-                                 for z in range(post.alpha_t.shape[1])])
-        xi = np.column_stack([rng.dirichlet(post.gamma_t[:, z])
-                              for z in range(post.gamma_t.shape[1])])
-        pi = rng.dirichlet(post.eta_t)
-        samples.append(ModelParams(phi=phi, theta=theta, xi=xi, pi=pi))
-    return samples
+    return [ModelParams(phi=_dirichlet_columns(rng, post.beta_t),
+                        theta=_dirichlet_columns(rng, post.alpha_t),
+                        xi=_dirichlet_columns(rng, post.gamma_t),
+                        pi=_dirichlet_columns(rng, post.eta_t))
+            for _ in range(num_samples)]
 
 
 def vb_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,

@@ -233,11 +233,10 @@ def _make_anomaly_setup():
 
 
 def _plugin_scores(params, corpus):
-    state = anomaly.init_state(params)
-    log_mix = inference.word_mixture_logs(params)
+    state = anomaly.init_state([params])
     out = []
     for doc in corpus.documents:
-        rec, state = anomaly.score_plugin(state, doc, params, log_mix=log_mix)
+        rec, state = anomaly.score(state, doc)
         out.append(rec)
     return out
 
@@ -256,11 +255,10 @@ def test_anomaly_detection_and_mc_agreement():
     post, vb_params, _ = vb.vb_fit(train_corpus, h, spec, seed=0, max_iters=30)
     plugin = _plugin_scores(vb_params, test_corpus)
     samples = vb.sample_posterior(post, 100, seed=9)
-    states = [anomaly.init_state(p) for p in samples]
-    log_mixes = [inference.word_mixture_logs(p) for p in samples]
+    state = anomaly.init_state(samples)
     gap = 0.0
     for i, doc in enumerate(test_corpus.documents):
-        rec, states = anomaly.score_mc(states, doc, samples, log_mixes=log_mixes)
+        rec, state = anomaly.score(state, doc)
         gap = max(gap, abs(rec.log_lik - plugin[i].log_lik) / len(doc))
     ok = auc >= 0.90 and gap <= 0.05
     _line("anomaly detection analogue", ok,
@@ -289,10 +287,10 @@ def test_chain_rule_consistency():
         joint = inference.log_marginal_likelihood(inference.messages(params, both))
         train_ll = inference.log_marginal_likelihood(inference.messages(params, train))
         state = anomaly.init_state(
-            params, last_filtered=anomaly.filtered_belief(params, train))
+            [params], last_filtered=anomaly.filtered_belief(params, train))
         total = 0.0
         for doc in test_docs:
-            rec, state = anomaly.score_plugin(state, doc, params, min_words=0)
+            rec, state = anomaly.score(state, doc, min_words=0)
             total += rec.log_lik
         worst = max(worst, abs((joint - train_ll) - total))
     _line("chain-rule consistency", worst <= 1e-8,
@@ -322,7 +320,7 @@ def test_localisation_recall():
     n_abnormal = 20
     top_n = 9  # 45% of the abnormal words are retrievable
     recalls = []
-    state = anomaly.init_state(params)
+    state = anomaly.init_state([params])
     for event in range(10):
         normal = generate.generate_from(truth, 1, [60], seed=100 + event)
         words = list(normal.corpus.documents[0].words)
@@ -335,7 +333,7 @@ def test_localisation_recall():
             merged.append(int(rng.integers(10, 20)) if i in truth_positions
                           else next(it))
         doc = Document(words=np.asarray(merged, dtype=np.int64), timestamp=1)
-        wll = anomaly.word_log_liks(state, doc, params)
+        wll = anomaly.word_log_liks(state, doc)
         detected = [tok[0] for tok in anomaly.localise(wll, doc, layout, top_n)]
         recalls.append(metrics.localisation_recall(detected, truth_positions,
                                                    top_n))
@@ -352,20 +350,18 @@ def test_scoring_throughput():
     rng = np.random.default_rng(0)
     docs = [Document(words=rng.integers(0, 6480, size=100), timestamp=t + 1)
             for t in range(50)]
-    log_mix = inference.word_mixture_logs(params)
-    state = anomaly.init_state(params)
+    state = anomaly.init_state([params])
     t0 = time.perf_counter()
     for doc in docs:
-        _, state = anomaly.score_plugin(state, doc, params, log_mix=log_mix)
+        _, state = anomaly.score(state, doc)
     plugin_ms = (time.perf_counter() - t0) / len(docs) * 1000
 
     samples = [random_init(spec, make_prior("1", spec), s) for s in range(100)]
-    log_mixes = [inference.word_mixture_logs(p) for p in samples]
-    states = [anomaly.init_state(p) for p in samples]
+    state = anomaly.init_state(samples)
     mc_docs = docs[:10]
     t0 = time.perf_counter()
     for doc in mc_docs:
-        _, states = anomaly.score_mc(states, doc, samples, log_mixes=log_mixes)
+        _, state = anomaly.score(state, doc)
     mc_ms = (time.perf_counter() - t0) / len(mc_docs) * 1000
     ok = plugin_ms < 10.0 and mc_ms < 500.0
     _line("scoring throughput", ok,

@@ -21,27 +21,27 @@ def _uniform_params(X, Y, Z):
     )
 
 
-def _score_stream(params, corpus, min_words=0):
-    state = anomaly.init_state(params)
-    out = []
+def _score_stream(samples, corpus, min_words=0, last_filtered=None):
+    state = anomaly.init_state(samples, last_filtered=last_filtered)
+    out, states = [], []
     for doc in corpus.documents:
-        scored, state = anomaly.score_plugin(state, doc, params,
-                                             min_words=min_words)
+        scored, state = anomaly.score(state, doc, min_words=min_words)
         out.append(scored)
-    return out, state
+        states.append(state)
+    return out, states
 
 
 class TestInitState:
     def test_default_is_initial_distribution(self):
         p = _uniform_params(2, 1, 3)
-        st = anomaly.init_state(p)
+        st = anomaly.init_state([p])
         assert np.allclose(st.behaviour_belief, 1 / 3)
 
     def test_propagated_belief(self):
         xi = np.array([[0.9, 0.2], [0.1, 0.8]])
         p = ModelParams(phi=np.full((2, 1), 0.5), theta=np.ones((1, 2)),
                         xi=xi, pi=np.array([0.5, 0.5]))
-        st = anomaly.init_state(p, last_filtered=np.array([1.0, 0.0]))
+        st = anomaly.init_state([p], last_filtered=np.array([1.0, 0.0]))
         assert np.allclose(st.behaviour_belief, xi[:, 0])
 
 
@@ -60,8 +60,8 @@ class TestScorePlugin:
         X = 4
         p = _uniform_params(X, 1, 2)
         doc = Document(words=np.array([0, 1, 2]), timestamp=1)
-        st = anomaly.init_state(p)
-        scored, _ = anomaly.score_plugin(st, doc, p, min_words=0)
+        st = anomaly.init_state([p])
+        scored, _ = anomaly.score(st, doc, min_words=0)
         assert np.isclose(scored.log_lik, 3 * np.log(1 / X), atol=1e-12)
         assert np.isclose(scored.score, 3 * np.log(1 / X) - np.log(3), atol=1e-12)
 
@@ -71,7 +71,7 @@ class TestScorePlugin:
         from _oracles import enum_marginal_and_posteriors
         for _ in range(15):
             spec, p, corpus = random_instance(rng)
-            scored, _ = _score_stream(p, corpus)
+            scored, _ = _score_stream([p], corpus)
             total = sum(s.log_lik for s in scored)
             oracle = enum_marginal_and_posteriors(p, corpus)
             assert np.isclose(total, np.log(oracle["marginal"]), atol=1e-10)
@@ -79,7 +79,7 @@ class TestScorePlugin:
     def test_chain_rule_against_forward(self, rng):
         for _ in range(10):
             spec, p, corpus = random_instance(rng)
-            scored, _ = _score_stream(p, corpus)
+            scored, _ = _score_stream([p], corpus)
             total = sum(s.log_lik for s in scored)
             msgs = inference.messages(p, corpus)
             assert np.isclose(total, inference.log_marginal_likelihood(msgs),
@@ -91,9 +91,9 @@ class TestScorePlugin:
         xi = np.array([[0.9, 0.1], [0.1, 0.9]])
         p = ModelParams(phi=phi, theta=np.eye(2), xi=xi,
                         pi=np.array([0.5, 0.5]))
-        st = anomaly.init_state(p)
+        st = anomaly.init_state([p])
         doc = Document(words=np.array([0]), timestamp=1)
-        scored, st = anomaly.score_plugin(st, doc, p, min_words=0)
+        scored, st = anomaly.score(st, doc, min_words=0)
         # Likelihood 0.5, filtered belief (1, 0), propagated (0.9, 0.1).
         assert np.isclose(scored.log_lik, np.log(0.5), atol=1e-12)
         assert np.allclose(st.behaviour_belief, [0.9, 0.1], atol=1e-12)
@@ -102,24 +102,24 @@ class TestScorePlugin:
         phi = np.array([[1.0], [0.0]])
         p = ModelParams(phi=phi, theta=np.ones((1, 1)), xi=np.ones((1, 1)),
                         pi=np.array([1.0]))
-        st = anomaly.init_state(p)
+        st = anomaly.init_state([p])
         doc = Document(words=np.array([1]), timestamp=1)
-        scored, st = anomaly.score_plugin(st, doc, p, min_words=0)
+        scored, st = anomaly.score(st, doc, min_words=0)
         assert scored.log_lik == -np.inf
         assert np.allclose(st.behaviour_belief, p.pi)
 
     def test_short_document_not_evaluated(self):
         p = _uniform_params(3, 1, 1)
         doc = Document(words=np.array([0] * 19), timestamp=1)
-        st = anomaly.init_state(p)
-        scored, _ = anomaly.score_plugin(st, doc, p)
+        st = anomaly.init_state([p])
+        scored, _ = anomaly.score(st, doc)
         assert not scored.evaluated and scored.score is None
 
     def test_twenty_words_evaluated(self):
         p = _uniform_params(3, 1, 1)
         doc = Document(words=np.array([0] * 20), timestamp=1)
-        st = anomaly.init_state(p)
-        scored, _ = anomaly.score_plugin(st, doc, p)
+        st = anomaly.init_state([p])
+        scored, _ = anomaly.score(st, doc)
         assert scored.evaluated and scored.score is not None
 
     def test_short_document_still_updates_state(self):
@@ -127,9 +127,9 @@ class TestScorePlugin:
         p = ModelParams(phi=phi, theta=np.eye(2),
                         xi=np.array([[0.9, 0.1], [0.1, 0.9]]),
                         pi=np.array([0.5, 0.5]))
-        st = anomaly.init_state(p)
+        st = anomaly.init_state([p])
         doc = Document(words=np.array([0]), timestamp=1)
-        _, st = anomaly.score_plugin(st, doc, p)
+        _, st = anomaly.score(st, doc)
         assert np.allclose(st.behaviour_belief, [0.9, 0.1])
 
 
@@ -137,10 +137,8 @@ class TestScoreMc:
     def test_identical_samples_reduce_to_plugin(self, rng):
         spec, p, corpus = random_instance(rng)
         doc = corpus.documents[0]
-        sts = [anomaly.init_state(p) for _ in range(4)]
-        mc, _ = anomaly.score_mc(sts, doc, [p] * 4, min_words=0)
-        plug, _ = anomaly.score_plugin(anomaly.init_state(p), doc, p,
-                                       min_words=0)
+        mc, _ = anomaly.score(anomaly.init_state([p] * 4), doc, min_words=0)
+        plug, _ = anomaly.score(anomaly.init_state([p]), doc, min_words=0)
         assert np.isclose(mc.log_lik, plug.log_lik, atol=1e-12)
 
     def test_average_of_two_point_masses(self):
@@ -151,8 +149,7 @@ class TestScoreMc:
         pb = ModelParams(phi=np.array([[0.0], [1.0]]), theta=np.ones((1, 1)),
                          xi=np.ones((1, 1)), pi=np.array([1.0]))
         doc = Document(words=np.array([0]), timestamp=1)
-        sts = [anomaly.init_state(pa), anomaly.init_state(pb)]
-        scored, _ = anomaly.score_mc(sts, doc, [pa, pb], min_words=0)
+        scored, _ = anomaly.score(anomaly.init_state([pa, pb]), doc, min_words=0)
         assert np.isclose(scored.log_lik, np.log(0.5), atol=1e-12)
 
     def test_bounded_by_sample_extremes(self, rng):
@@ -162,29 +159,48 @@ class TestScoreMc:
         doc = Document(words=np.array([0, 1, 2]), timestamp=1)
         per = []
         for p in samples:
-            scored, _ = anomaly.score_plugin(anomaly.init_state(p), doc, p,
-                                             min_words=0)
+            scored, _ = anomaly.score(anomaly.init_state([p]), doc, min_words=0)
             per.append(scored.log_lik)
-        sts = [anomaly.init_state(p) for p in samples]
-        mc, _ = anomaly.score_mc(sts, doc, samples, min_words=0)
+        mc, _ = anomaly.score(anomaly.init_state(samples), doc, min_words=0)
         assert min(per) - 1e-12 <= mc.log_lik <= max(per) + 1e-12
 
     def test_states_tracked_per_sample(self, rng):
         spec = ModelSpec(3, 2, 2)
         h = make_prior("1", spec)
         samples = [random_init(spec, h, s) for s in range(3)]
-        sts = [anomaly.init_state(p) for p in samples]
         doc = Document(words=np.array([0, 2]), timestamp=1)
-        _, new_sts = anomaly.score_mc(sts, doc, samples, min_words=0)
-        assert len(new_sts) == 3
-        beliefs = [tuple(s.behaviour_belief) for s in new_sts]
+        _, new_st = anomaly.score(anomaly.init_state(samples), doc, min_words=0)
+        assert new_st.behaviour_belief.shape == (3, 2)
+        beliefs = [tuple(b) for b in new_st.behaviour_belief]
         assert len(set(beliefs)) == 3
 
-    def test_state_count_mismatch_rejected(self):
-        p = _uniform_params(2, 1, 1)
-        doc = Document(words=np.array([0]), timestamp=1)
-        with pytest.raises(ValueError):
-            anomaly.score_mc([anomaly.init_state(p)], doc, [p, p])
+    def test_matches_independent_single_sample_streams(self):
+        # Sample 1 gives word 2 probability zero, so document 3 is
+        # impossible under it alone: only its belief restarts from its pi.
+        spec = ModelSpec(3, 2, 2)
+        h = make_prior("1", spec)
+        samples = [random_init(spec, h, s) for s in range(3)]
+        phi = samples[1].phi.copy()
+        phi[2] = 0.0
+        samples[1] = ModelParams(phi=phi / phi.sum(axis=0), theta=samples[1].theta,
+                                 xi=samples[1].xi, pi=samples[1].pi)
+        corpus = corpus_from_lists([[0, 1, 0], [1, 1], [0, 2, 1], [0, 0, 1, 1],
+                                    [1, 0], [0, 1, 1]], spec)
+        last = np.array([0.3, 0.7])
+        stacked, states = _score_stream(samples, corpus, last_filtered=last)
+        single = [_score_stream([p], corpus, last_filtered=last) for p in samples]
+        for t in range(len(corpus)):
+            per = np.array([recs[t].log_lik for recs, _ in single])
+            assert np.isfinite(per).sum() == (2 if t == 2 else 3)
+            expected = logsumexp(per) - np.log(len(samples))
+            assert np.isclose(stacked[t].log_lik, expected, rtol=1e-12, atol=1e-12)
+            for s, (_, sts) in enumerate(single):
+                assert np.allclose(states[t].behaviour_belief[s], sts[t].behaviour_belief[0],
+                                   rtol=1e-12, atol=1e-12)
+        after = states[2].behaviour_belief
+        assert np.array_equal(after[1], samples[1].pi)
+        assert not np.allclose(after[0], samples[0].pi)
+        assert not np.allclose(after[2], samples[2].pi)
 
 
 class TestNormaliseScore:
@@ -202,9 +218,9 @@ class TestWordLogLiks:
         theta = np.eye(2)
         p = ModelParams(phi=phi, theta=theta, xi=np.full((2, 2), 0.5),
                         pi=np.array([0.6, 0.4]))
-        st = anomaly.init_state(p)
+        st = anomaly.init_state([p])
         doc = Document(words=np.array([0, 1]), timestamp=1)
-        lls = anomaly.word_log_liks(st, doc, p)
+        lls = anomaly.word_log_liks(st, doc)
         # Token marginal mixes phi over the belief: 0.6*0.7 + 0.4*0.2 = 0.5.
         assert np.isclose(lls[0], np.log(0.5), atol=1e-12)
         assert np.isclose(lls[1], np.log(0.6 * 0.3 + 0.4 * 0.8), atol=1e-12)
@@ -215,15 +231,8 @@ class TestWordLogLiks:
         pb = ModelParams(phi=np.array([[0.5], [0.5]]), theta=np.ones((1, 1)),
                          xi=np.ones((1, 1)), pi=np.array([1.0]))
         doc = Document(words=np.array([0]), timestamp=1)
-        sts = [anomaly.init_state(pa), anomaly.init_state(pb)]
-        lls = anomaly.word_log_liks(None, doc, [pa, pb], mode="mc", states=sts)
+        lls = anomaly.word_log_liks(anomaly.init_state([pa, pb]), doc)
         assert np.isclose(lls[0], np.log(0.75), atol=1e-12)
-
-    def test_unknown_mode(self):
-        p = _uniform_params(2, 1, 1)
-        doc = Document(words=np.array([0]), timestamp=1)
-        with pytest.raises(ValueError):
-            anomaly.word_log_liks(anomaly.init_state(p), doc, p, mode="exact")
 
 
 class TestLocalise:

@@ -216,12 +216,79 @@ class TestExitCodes:
                      "--init", "propagate",
                      "--out", str(tmp_path / "s.jsonl")]) == 3
 
+    def test_corrupt_model_is_data_error(self, tmp_path):
+        train = _generate(tmp_path)
+        model = _train(tmp_path, train)
+        doc = json.loads(model.read_text())
+        doc["params"]["pi"]["data"] = [-0.5, 1.5]
+        model.write_text(json.dumps(doc))
+        scores = tmp_path / "s.jsonl"
+        assert main(["score", "--model", str(model), "--corpus", str(train),
+                     "--train-corpus", str(train), "--out", str(scores)]) == 3
+        assert not scores.exists()
+
     def test_layout_vocabulary_mismatch_is_data_error(self, tmp_path):
         train = _generate(tmp_path)
         model = _train(tmp_path, train)
         assert main(["localise", "--model", str(model), "--corpus", str(train),
                      "--frame-w", "16", "--frame-h", "16",
                      "--out", str(tmp_path / "l.jsonl")]) == 3
+
+
+def _count_flag_argv(tmp_path, command):
+    """Valid arguments for ``command``; the files need not exist because a
+    bad count is rejected while the arguments are parsed."""
+    spec = ["--num-words", "4", "--num-topics", "1", "--num-behaviours", "1"]
+    f = {name: str(tmp_path / name) for name in ("c.txt", "e.csv", "m.json", "o")}
+    frame = ["--frame-w", "16", "--frame-h", "16"]
+    return {
+        "generate": [*spec, "--docs", "1", "--doc-length", "5", "--out-corpus", f["o"]],
+        "featurize": ["--events", f["e.csv"], *frame, "--fps", "25",
+                      "--out-corpus", f["o"], "--out-map", f["m.json"]],
+        "train": ["--corpus", f["c.txt"], *spec, "--algo", "em", "--out", f["o"]],
+        "score": ["--model", f["m.json"], "--corpus", f["c.txt"], "--out", f["o"]],
+        "localise": ["--model", f["m.json"], "--corpus", f["c.txt"], *frame, "--out", f["o"]],
+    }[command]
+
+
+#: Every count flag with its smallest bad value: positive counts reject 0,
+#: non-negative ones reject -1.
+_COUNT_FLAGS = [
+    *[("generate", flag, "0") for flag in ("--num-words", "--num-topics",
+                                           "--num-behaviours", "--docs", "--doc-length")],
+    ("featurize", "--min-words", "-1"),
+    *[("train", flag, "0") for flag in ("--num-words", "--num-topics", "--num-behaviours",
+                                        "--iterations", "--samples", "--runs", "--jobs")],
+    ("train", "--burn-in", "-1"),
+    ("train", "--spacing", "-1"),
+    ("score", "--mc-samples", "0"),
+    ("score", "--min-words", "-1"),
+    ("localise", "--top-n", "0"),
+]
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command,flag,bad", _COUNT_FLAGS)
+    def test_bad_count_is_usage_error(self, tmp_path, capsys, command, flag, bad, source):
+        argv = _count_flag_argv(tmp_path, command)
+        if flag in argv:
+            i = argv.index(flag)
+            del argv[i:i + 2]
+        if source == "flag":
+            argv += [flag, bad]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:].replace("-", "_"): int(bad)}))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as err:
+            main([command, *argv])
+        assert err.value.code == 2
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+    def test_zero_burn_in_accepted(self, tmp_path):
+        train = _generate(tmp_path)
+        _train(tmp_path, train, algo="gs", extra=["--burn-in", "0"])
 
 
 class TestShortDocuments:

@@ -75,6 +75,13 @@ class TestValidateParams:
         report = validate_params(bad)
         assert any(v.startswith("entry-range: phi") for v in report)
 
+    def test_non_finite_entry_violation(self):
+        nan = ModelParams(phi=np.full((2, 2), np.nan), theta=np.full((2, 2), np.nan),
+                          xi=np.full((2, 2), np.nan), pi=np.full(2, np.nan))
+        report = validate_params(nan, ModelSpec(2, 2, 2))
+        assert report == [f"entry-range: {name} has non-finite entries"
+                          for name in ("phi", "theta", "xi", "pi")]
+
     def test_dimension_mismatch_distinct_class(self):
         p = self._valid()
         report = validate_params(p, ModelSpec(3, 2, 2))

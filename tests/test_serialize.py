@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,23 @@ from markovtopics.model import DataError, zero_counts
 @pytest.fixture
 def spec():
     return ModelSpec(4, 2, 2)
+
+
+_NAN = float("nan")
+#: Corruptions of a saved (4, 2, 2) model: the path to a value and its
+#: replacement (None deletes it).
+_CORRUPTIONS = {
+    "params-negative": (("params", "pi", "data"), [-0.5, 1.5]),
+    "params-nan": (("params", "phi", "data"), [_NAN] * 8),
+    "params-shape": (("params", "theta"), {"shape": [2, 1], "data": [0.5, 0.5]}),
+    "params-missing": (("params", "xi"), None),
+    "posterior-shape": (("posterior", "beta_t"), {"shape": [3, 2], "data": [1.0] * 6}),
+    "posterior-nan": (("posterior", "gamma_t", "data"), [_NAN, 1.0, 1.0, 1.0]),
+    "posterior-zero": (("posterior", "eta_t", "data"), [0.0, 1.0]),
+    "samples-shape": (("samples", 0, "n_zz"), {"shape": [4], "data": [0, 0, 0, 0]}),
+    "samples-nan": (("samples", 0, "n_z1", "data"), [_NAN, 1.0]),
+    "samples-negative": (("samples", 0, "n_z1", "data"), [-1.0, 2.0]),
+}
 
 
 class TestModelFiles:
@@ -63,6 +82,29 @@ class TestModelFiles:
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
+        with pytest.raises(DataError):
+            serialize.load_model(path)
+
+    @pytest.mark.parametrize("keys,value", list(_CORRUPTIONS.values()),
+                             ids=list(_CORRUPTIONS))
+    def test_corrupt_model_rejected(self, tmp_path, spec, keys, value):
+        h = make_prior("1", spec)
+        post = vb.vb_m_step(zero_counts(spec), h)
+        ds = generate.generate(spec, h, 5, [3] * 5, seed=0)
+        counts = gibbs_init(ds.corpus, spec, seed=1).counts
+        path = tmp_path / "m.json"
+        serialize.save_model(path, spec, h, vb.point_estimates(post), algorithm="vb",
+                             posterior=post, samples=[counts])
+        serialize.load_model(path)  # the uncorrupted file loads
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        if value is None:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+        path.write_text(json.dumps(doc))
         with pytest.raises(DataError):
             serialize.load_model(path)
 
