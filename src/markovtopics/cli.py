@@ -304,6 +304,8 @@ def cmd_eval(argv):
     parser.add_argument("--out-curve")
     args = _apply_config(argv, parser)
     labels = serialize.read_labels(args.labels)
+    if labels.all() or not labels.any():
+        raise DataError(f"labels file {args.labels} needs at least one 0 and one 1")
     aucs = []
     curve = None
     for path in args.scores:
@@ -311,8 +313,11 @@ def cmd_eval(argv):
         if len(records) != len(labels):
             raise DataError(f"{path} has {len(records)} scores but labels file has "
                             f"{len(labels)}")
-        # Unevaluated documents are normal by default: never flagged.
-        scores = np.asarray([r["score"] if r.get("score") is not None else np.inf
+        # Unevaluated documents are normal by default: never flagged.  An
+        # evaluated one without a score was impossible under the model: the
+        # most anomalous.
+        scores = np.asarray([r["score"] if r.get("score") is not None
+                             else -np.inf if r.get("evaluated") else np.inf
                              for r in records])
         data = metrics.LabelledScores(scores=scores, labels=labels)
         curve = metrics.pr_curve(data)

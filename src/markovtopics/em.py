@@ -1,9 +1,9 @@
 """MAP parameter estimation via expectation-maximisation.
 
-The E-step is the forward-backward engine; the M-step normalizes the
-truncated prior-offset counts column by column.  With all-ones
-hyperparameters the prior offsets cancel and the procedure reduces exactly
-to maximum likelihood.
+The E-step is :func:`inference.e_step`, one forward-backward pass on the
+doc-term matrix; the M-step normalizes the truncated prior-offset counts
+column by column.  With all-ones hyperparameters the prior offsets cancel
+and the procedure reduces exactly to maximum likelihood.
 """
 from __future__ import annotations
 
@@ -12,15 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inference
-from .model import (
-    Corpus,
-    Hyperparams,
-    ModelParams,
-    ModelSpec,
-    NumericalError,
-    SufficientCounts,
-    random_init,
-)
+from .model import Corpus, Hyperparams, ModelParams, ModelSpec, SufficientCounts
 
 
 @dataclass
@@ -89,29 +81,14 @@ def em_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
     impossible under an initialization, up to 5 derived seeds are tried.
     """
     trace = EmTrace()
-    params = None
-    for attempt in range(5):
-        candidate_seed = seed + attempt
-        candidate = random_init(spec, hyper, candidate_seed)
-        msgs = inference.messages(candidate, corpus)
-        if np.isfinite(inference.log_marginal_likelihood(msgs)):
-            params = candidate
-            trace.seed_used = candidate_seed
-            break
-    else:
-        raise NumericalError("corpus impossible under 5 consecutive initializations")
-
-    prior_part = _log_prior_exponents(params, hyper)
+    params, trace.seed_used, log_lik, counts = inference.init_e_step(corpus, hyper, spec, seed)
     for it in range(max_iters):
-        msgs = inference.messages(params, corpus)
-        obj = inference.log_marginal_likelihood(msgs) + prior_part
-        trace.objectives.append(obj)
+        if it:
+            log_lik, counts = inference.e_step(params, corpus)
+        trace.objectives.append(log_lik + _log_prior_exponents(params, hyper))
         trace.iterations = it + 1
         if tol is not None and it >= 1 and abs(trace.objectives[-1] - trace.objectives[-2]) < tol:
             trace.converged = True
             break
-        post = inference.posteriors(params, corpus, msgs)
-        counts = inference.expected_counts(post, corpus)
         params = m_step(counts, hyper)
-        prior_part = _log_prior_exponents(params, hyper)
     return params, trace

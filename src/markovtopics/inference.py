@@ -1,10 +1,17 @@
 """Forward-backward engine for the behaviour chain.
 
-All recursions run in the log domain: the raw products underflow for
-realistic document lengths.  The engine also accepts the sub-stochastic
-"tilde" surrogate parameters used by variational inference; normalization
-by the overall constant absorbs the column deficit, so the returned
-posteriors are proper distributions either way.
+Fits use :func:`e_step`: one scaled forward-backward pass (Rabiner 1989) on
+the corpus's sparse doc-term matrix, which yields the four expected count
+arrays without per-token tensors.  :func:`messages`, :func:`posteriors`,
+:func:`expected_counts` and :func:`infer` are the token-level reference:
+their recursions run in the log domain, where nothing underflows, and the
+oracle tests check them against exhaustive enumeration.  ``e_step`` falls
+back to them when its scaled messages under- or overflow.
+
+The engine also accepts the sub-stochastic "tilde" surrogate parameters used
+by variational inference; normalization by the overall constant absorbs the
+column deficit, so the returned posteriors are proper distributions either
+way.
 """
 from __future__ import annotations
 
@@ -13,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .model import Corpus, ModelParams, NumericalError, SufficientCounts
+from .model import (
+    Corpus,
+    Hyperparams,
+    ModelParams,
+    ModelSpec,
+    NumericalError,
+    SufficientCounts,
+    random_init,
+)
 
 
 def _lse(a: np.ndarray, axis: int) -> np.ndarray:
@@ -65,16 +80,13 @@ def emission_logs(params: ModelParams, corpus: Corpus,
     """Per-document log emission under each behaviour, shape (Z, T).
 
     Entry (z, t) sums the log mixture probability of every token of
-    document t given behaviour z.  A token with zero mixture probability
-    contributes -inf; it is propagated, not clamped.
+    document t given behaviour z: ``(B^T log_mix)^T`` for the doc-term
+    matrix ``B``.  A token with zero mixture probability contributes -inf;
+    it is propagated, not clamped.
     """
     if log_mix is None:
         log_mix = word_mixture_logs(params)
-    T = len(corpus)
-    out = np.empty((params.pi.shape[0], T))
-    for t, doc in enumerate(corpus.documents):
-        out[:, t] = log_mix[doc.words].sum(axis=0)
-    return out
+    return (corpus.doc_term.T @ log_mix).T
 
 
 def forward(params: ModelParams, corpus: Corpus,
@@ -190,3 +202,72 @@ def infer(params: ModelParams, corpus: Corpus):
     msgs = messages(params, corpus)
     post = posteriors(params, corpus, msgs)
     return msgs, post, expected_counts(post, corpus)
+
+
+def e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts]:
+    """Log normalisation constant and expected counts from the doc-term matrix.
+
+    One scaled forward-backward pass runs on the emissions shifted by their
+    per-document maximum; the behaviour posteriors ``gamma`` (Z, T) and the
+    summed pair posteriors come from its messages.  Tokens of one word in
+    one document share a posterior, so with ``C = (B gamma^T) / mix`` the
+    counts are ``n_xy = phi * (C theta^T)`` and ``n_yz = theta * (phi^T C)``.
+
+    The scaled messages can underflow on a possible corpus: a zero scale, or
+    a behaviour whose forward message underflowed to zero while later
+    documents make it probable (its backward message overflows).  Either
+    leaves a non-finite posterior, and the result then comes from the
+    log-domain :func:`infer`, which raises :class:`NumericalError` when the
+    corpus is impossible under the model.
+    """
+    mix = params.phi @ params.theta
+    xi = params.xi
+    with np.errstate(all="ignore"):
+        loge = emission_logs(params, corpus, np.log(mix))
+        shift = loge.max(axis=0)
+        emit = np.exp(loge - shift)
+        Z, T = emit.shape
+        alpha = np.empty((Z, T))
+        scale = np.empty(T)
+        a = params.pi * emit[:, 0]
+        scale[0] = a.sum()
+        alpha[:, 0] = a / scale[0]
+        for t in range(1, T):
+            a = emit[:, t] * (xi @ alpha[:, t - 1])
+            scale[t] = a.sum()
+            alpha[:, t] = a / scale[t]
+        # beta is scaled by the same constants, so alpha * beta is the posterior.
+        emit /= scale
+        xi_t = xi.T
+        beta = np.empty((Z, T))
+        beta[:, T - 1] = 1.0
+        for t in range(T - 2, -1, -1):
+            beta[:, t] = xi_t @ (emit[:, t + 1] * beta[:, t + 1])
+        gamma = alpha * beta
+        n_zz = xi * ((emit[:, 1:] * beta[:, 1:]) @ alpha[:, :-1].T)
+    if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(n_zz))):
+        msgs, _, counts = infer(params, corpus)
+        return msgs.log_K, counts
+    c = np.divide(corpus.doc_term @ gamma.T, mix, out=np.zeros_like(mix), where=mix > 0)
+    counts = SufficientCounts(n_xy=params.phi * (c @ params.theta.T),
+                              n_yz=params.theta * (params.phi.T @ c),
+                              n_zz=n_zz, n_z1=gamma[:, 0].copy(), mode="expected")
+    return float(np.sum(np.log(scale)) + np.sum(shift)), counts
+
+
+def init_e_step(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
+                ) -> tuple[ModelParams, int, float, SufficientCounts]:
+    """First E-step of a fit: on the first of 5 prior draws, seeded ``seed``,
+    ``seed + 1``, ..., under which the corpus is possible.
+
+    Returns the draw, its seed, and its :func:`e_step` result.  Raises
+    :class:`NumericalError` when the corpus is impossible under all five.
+    """
+    for attempt in range(5):
+        params = random_init(spec, hyper, seed + attempt)
+        try:
+            log_lik, counts = e_step(params, corpus)
+        except NumericalError:
+            continue
+        return params, seed + attempt, log_lik, counts
+    raise NumericalError("corpus impossible under 5 consecutive initializations")

@@ -100,8 +100,11 @@ def build_corpus(events: list[MotionEvent], layout: FrameLayout, fps: float,
         if last_frame is not None and ev.frame < last_frame:
             raise DataError(f"events out of frame order at frame {ev.frame}")
         last_frame = ev.frame
-        buckets.setdefault(ev.frame // window, []).append(
-            word_id(layout, ev.cell_x, ev.cell_y, ev.direction))
+        try:
+            word = word_id(layout, ev.cell_x, ev.cell_y, ev.direction)
+        except ValueError as exc:
+            raise DataError(f"event at frame {ev.frame}: {exc}") from exc
+        buckets.setdefault(ev.frame // window, []).append(word)
 
     spec = ModelSpec(num_words=layout.vocabulary_size, num_topics=1, num_behaviours=1)
     docs = []

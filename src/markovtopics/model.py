@@ -8,8 +8,10 @@ Serialized model files record this orientation explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 # Tolerance for probability vectors after normalization.  Double-precision
 # accumulation over <= 1e4 terms stays well inside this.
@@ -208,6 +210,18 @@ class Corpus:
     @property
     def num_tokens(self) -> int:
         return sum(len(d) for d in self.documents)
+
+    @cached_property
+    def doc_term(self) -> scipy.sparse.csr_matrix:
+        """Sparse (num_words, T) matrix of word counts per document, built
+        once.  Tokens are exchangeable within a document, so the emission and
+        the expected counts of a fit depend on the corpus only through it."""
+        lengths = [len(d) for d in self.documents]
+        words = (np.concatenate([d.words for d in self.documents]) if self.documents
+                 else np.zeros(0, dtype=np.int64))
+        docs = np.repeat(np.arange(len(self.documents)), lengths)
+        return scipy.sparse.csr_matrix((np.ones(len(words)), (words, docs)),
+                                       shape=(self.spec.num_words, len(self.documents)))
 
 
 def corpus_from_lists(word_lists, spec: ModelSpec) -> Corpus:

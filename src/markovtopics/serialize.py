@@ -168,6 +168,8 @@ def read_corpus(path, spec: ModelSpec) -> Corpus:
         except ValueError as exc:
             raise DataError(f"non-integer word id at document {t} in {path}") from exc
         docs.append(Document(words=words, timestamp=t))
+    if not docs:
+        raise DataError(f"corpus file {path} holds no documents")
     return Corpus(documents=docs, spec=spec)
 
 
@@ -192,19 +194,25 @@ def read_ground_truth(path) -> dict:
 
 
 def write_scores(path, scored, localisations=None) -> None:
-    """Line-delimited score records: one JSON object per document."""
+    """Line-delimited score records: one JSON object per document.
+
+    A document impossible under the model (log likelihood -inf) gets
+    ``"log_lik": null`` and ``"score": null``; no non-finite number is
+    written.
+    """
     lines = []
     for rec in scored:
+        possible = rec.log_lik != -np.inf
         obj = {
             "index": rec.index,
             "length": rec.length,
-            "log_lik": rec.log_lik,
-            "score": rec.score,
+            "log_lik": rec.log_lik if possible else None,
+            "score": rec.score if possible else None,
             "evaluated": rec.evaluated,
         }
         if localisations is not None and rec.index in localisations:
             obj["localisation"] = localisations[rec.index]
-        lines.append(json.dumps(obj))
+        lines.append(json.dumps(obj, allow_nan=False))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,8 +1,8 @@
 """Variational Bayes inference with factorised parameter posteriors.
 
 Coordinate ascent alternates closed-form Dirichlet posterior updates of the
-parameters with an E-like step that reuses the forward-backward engine on
-the digamma-transformed (sub-stochastic) surrogate parameters.
+parameters with an E-like step, :func:`inference.e_step` on the
+digamma-transformed (sub-stochastic) surrogate parameters.
 """
 from __future__ import annotations
 
@@ -12,15 +12,7 @@ import numpy as np
 from scipy.special import digamma
 
 from . import inference
-from .model import (
-    Corpus,
-    Hyperparams,
-    ModelParams,
-    ModelSpec,
-    NumericalError,
-    SufficientCounts,
-    random_init,
-)
+from .model import Corpus, Hyperparams, ModelParams, ModelSpec, SufficientCounts
 
 
 @dataclass
@@ -113,23 +105,11 @@ def vb_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
     monitored on the max absolute change of the posterior hyperparameters.
     """
     trace = VbTrace()
-    surrogate = None
-    for attempt in range(5):
-        candidate_seed = seed + attempt
-        candidate = random_init(spec, hyper, candidate_seed)
-        msgs = inference.messages(candidate, corpus)
-        if np.isfinite(inference.log_marginal_likelihood(msgs)):
-            surrogate = candidate
-            trace.seed_used = candidate_seed
-            break
-    else:
-        raise NumericalError("corpus impossible under 5 consecutive initializations")
-
+    surrogate, trace.seed_used, _, counts = inference.init_e_step(corpus, hyper, spec, seed)
     post = None
     for it in range(max_iters):
-        msgs = inference.messages(surrogate, corpus)
-        hidden = inference.posteriors(surrogate, corpus, msgs)
-        counts = inference.expected_counts(hidden, corpus)
+        if it:
+            _, counts = inference.e_step(surrogate, corpus)
         new_post = vb_m_step(counts, hyper)
         if post is not None:
             change = max(

@@ -37,8 +37,9 @@ def _rel_close(a, b, rtol):
 
 
 def test_oracle_equivalence_inference_core():
-    """Posteriors, expected counts and log marginal match exhaustive
-    enumeration within 1e-10 relative error on >= 200 random tiny cases."""
+    """Posteriors, expected counts and log marginal, from the token-level
+    path and from the doc-term E-step, match exhaustive enumeration within
+    1e-10 relative error on >= 200 random tiny cases."""
     rng = np.random.default_rng(101)
     cases = 0
     worst = 0.0
@@ -58,6 +59,12 @@ def test_oracle_equivalence_inference_core():
         ok &= _rel_close(counts.n_yz, n_yz, 1e-10)
         ok &= _rel_close(counts.n_zz, n_zz, 1e-10)
         ok &= _rel_close(counts.n_z1, n_z1, 1e-10)
+        log_lik, fast = inference.e_step(params, corpus)
+        ok &= _rel_close(np.exp(log_lik), oracle["marginal"], 1e-10)
+        ok &= _rel_close(fast.n_xy, n_xy, 1e-10)
+        ok &= _rel_close(fast.n_yz, n_yz, 1e-10)
+        ok &= _rel_close(fast.n_zz, n_zz, 1e-10)
+        ok &= _rel_close(fast.n_z1, n_z1, 1e-10)
         if not ok:
             worst += 1
         cases += 1

@@ -235,6 +235,74 @@ class TestExitCodes:
                      "--out", str(tmp_path / "l.jsonl")]) == 3
 
 
+def _empty_corpus(tmp_path):
+    (tmp_path / "empty.txt").write_text("")
+    return ["train", "--corpus", str(tmp_path / "empty.txt"), "--num-words", "4",
+            "--num-topics", "1", "--num-behaviours", "1", "--algo", "em",
+            "--out", str(tmp_path / "m.json")]
+
+
+def _one_class_labels(tmp_path):
+    scores = tmp_path / "s.jsonl"
+    scores.write_text('{"index": 1, "length": 20, "log_lik": -30.0, "score": -33.0, '
+                      '"evaluated": true}\n')
+    (tmp_path / "labels.txt").write_text("0\n")
+    return ["eval", "--scores", str(scores), "--labels", str(tmp_path / "labels.txt")]
+
+
+def _off_grid_cell(tmp_path):
+    # A 16x16 frame has a 2x2 grid of 8-pixel cells: cell_x 2 is off it.
+    (tmp_path / "e.csv").write_text("frame,cell_x,cell_y,dir\n0,2,0,up\n")
+    return ["featurize", "--events", str(tmp_path / "e.csv"), "--frame-w", "16",
+            "--frame-h", "16", "--fps", "25", "--out-corpus", str(tmp_path / "c.txt"),
+            "--out-map", str(tmp_path / "m.json")]
+
+
+class TestDataErrors:
+    @pytest.mark.parametrize("argv", [_empty_corpus, _one_class_labels, _off_grid_cell],
+                             ids=["empty-corpus", "one-class-labels", "off-grid-cell"])
+    def test_exit_code_3_without_traceback(self, tmp_path, capsys, argv):
+        assert main(argv(tmp_path)) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token}")
+
+
+class TestImpossibleDocument:
+    def test_null_record_ranked_most_anomalous(self, tmp_path, capsys):
+        # With the flat prior, EM's MAP estimate gives word 2, unseen in
+        # training, probability 0, so the second test document is impossible.
+        train = tmp_path / "train.txt"
+        train.write_text("0 1 0 1\n1 0 0 1\n0 0 1 1\n")
+        model = tmp_path / "m.json"
+        assert main(["train", "--corpus", str(train), "--num-words", "3", "--num-topics", "1",
+                     "--num-behaviours", "1", "--algo", "em", "--iterations", "3",
+                     "--out", str(model)]) == 0
+        test = tmp_path / "test.txt"
+        test.write_text("0 1 0 1\n0 1 2 1\n1 1 0 0\n")
+        scores = tmp_path / "s.jsonl"
+        assert main(["score", "--model", str(model), "--corpus", str(test), "--init", "restart",
+                     "--min-words", "0", "--out", str(scores)]) == 0
+        records = [json.loads(line, parse_constant=_reject_constant)
+                   for line in scores.read_text().splitlines()]
+        assert records[1] == {"index": 2, "length": 4, "log_lik": None, "score": None,
+                              "evaluated": True}
+        assert all(np.isfinite(r["score"]) for r in (records[0], records[2]))
+
+        # Only the impossible document is abnormal: flagged first, it gives
+        # precision 1 at every recall.  As a normal (+inf) score it would come last.
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n1\n0\n")
+        curve = tmp_path / "pr.csv"
+        capsys.readouterr()
+        assert main(["eval", "--scores", str(scores), "--labels", str(labels),
+                     "--out-curve", str(curve)]) == 0
+        assert "pr_auc=1.0000" in capsys.readouterr().out
+        assert curve.read_text().splitlines()[1] == "1.0,1.0"
+
+
 def _count_flag_argv(tmp_path, command):
     """Valid arguments for ``command``; the files need not exist because a
     bad count is rejected while the arguments are parsed."""

@@ -8,8 +8,8 @@ from markovtopics import (
     make_prior,
     random_init,
 )
-from markovtopics import em, generate, inference
-from markovtopics.model import NumericalError, SufficientCounts, zero_counts
+from markovtopics import em, generate, inference, vb
+from markovtopics.model import ModelParams, NumericalError, SufficientCounts, zero_counts
 
 from conftest import random_instance
 
@@ -170,12 +170,35 @@ class TestEmFit:
 
 
 class TestImpossibleCorpus:
-    def test_reseeds_then_raises(self):
-        # A word index can never be impossible under a Dirichlet draw, so
-        # force impossibility through a degenerate spec is not available;
-        # instead check that em_fit reports the seed it actually used.
+    def test_reseeds_then_raises(self, monkeypatch):
+        # A Dirichlet draw never gives a word zero mass, so the first k draws
+        # of a fit are edited to give word 2, which the corpus uses, none: the
+        # corpus is impossible under them and the fit moves on to seed + k.
+        real_init = inference.random_init
+
+        def impossible_first(k):
+            draws = []
+
+            def init(spec, hyper, seed):
+                draws.append(seed)
+                params = real_init(spec, hyper, seed)
+                if len(draws) > k:
+                    return params
+                phi = params.phi.copy()
+                phi[2] = 0.0
+                return ModelParams(phi=phi / phi.sum(axis=0), theta=params.theta,
+                                   xi=params.xi, pi=params.pi)
+            monkeypatch.setattr(inference, "random_init", init)
+
         spec = ModelSpec(3, 2, 2)
-        ds = generate.generate(spec, make_prior("1", spec), 4, [2] * 4, seed=0)
-        _, trace = em.em_fit(ds.corpus, make_prior("1", spec), spec, seed=17,
-                             max_iters=2)
-        assert trace.seed_used == 17
+        h = make_prior("1", spec)
+        corpus = corpus_from_lists([[0, 1], [2, 0], [1, 1]], spec)
+        fits = [lambda: em.em_fit(corpus, h, spec, seed=17, max_iters=2)[1],
+                lambda: vb.vb_fit(corpus, h, spec, seed=17, max_iters=2)[2]]
+        for fit in fits:
+            for k in range(5):
+                impossible_first(k)
+                assert fit().seed_used == 17 + k
+            impossible_first(5)
+            with pytest.raises(NumericalError):
+                fit()

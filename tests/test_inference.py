@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from markovtopics import (
@@ -9,7 +13,7 @@ from markovtopics import (
     make_prior,
     random_init,
 )
-from markovtopics import inference
+from markovtopics import generate, inference
 from markovtopics.model import NumericalError
 
 from _oracles import enum_expected_counts, enum_marginal_and_posteriors
@@ -224,3 +228,102 @@ class TestLogMarginal:
         msgs = inference.messages(p, corpus)
         assert np.isclose(inference.log_marginal_likelihood(msgs),
                           5 * np.log(1 / X), atol=1e-12)
+
+
+class TestEStep:
+    def test_matches_token_level_reference_mid_size(self):
+        spec = ModelSpec(240, 5, 3)
+        ds = generate.generate(spec, make_prior("H", spec), 320, [100] * 320, seed=4)
+        params = random_init(spec, make_prior("H+1", spec), 9)
+        log_lik, counts = inference.e_step(params, ds.corpus)
+        msgs, _, ref = inference.infer(params, ds.corpus)
+        assert math.isclose(log_lik, msgs.log_K, rel_tol=1e-12)
+        for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+            # Largest absolute difference relative to the largest count.
+            fast, slow = getattr(counts, name), getattr(ref, name)
+            assert np.abs(fast - slow).max() <= 1e-7 * np.abs(slow).max(), name
+
+    def test_zero_scale_falls_back_to_log_domain(self):
+        # Behaviour 1 is the only one that can emit word 2, but after 100
+        # tokens of word 0 its scaled forward message is exactly zero and
+        # identity transitions never revive it: the second scale is zero.
+        params = ModelParams(phi=np.array([[0.9, 1e-9], [0.1, 0.5], [0.0, 0.5 - 1e-9]]),
+                             theta=np.eye(2), xi=np.eye(2), pi=np.array([0.5, 0.5]))
+        corpus = corpus_from_lists([[0] * 100, [2]], ModelSpec(3, 2, 2))
+        log_lik, counts = inference.e_step(params, corpus)
+        msgs, _, ref = inference.infer(params, corpus)
+        assert math.isclose(log_lik, -2073.7, abs_tol=0.05)
+        assert math.isclose(log_lik, msgs.log_K, rel_tol=1e-12)
+        for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+            assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
+
+    def test_overflowed_backward_falls_back_to_log_domain(self):
+        # Document 1 favours behaviour 0 by about e^815, so behaviour 1's
+        # scaled forward message underflows to zero; the later documents
+        # favour behaviour 1 by e^680 each.  Every scale is positive, but the
+        # backward message of behaviour 1 overflows.
+        phi = np.array([[0.9, 1e-3], [1e-3, 0.9], [0.099, 0.099]])
+        params = ModelParams(phi=phi / phi.sum(axis=0), theta=np.eye(2), xi=np.eye(2),
+                             pi=np.array([0.5, 0.5]))
+        corpus = corpus_from_lists([[0] * 120] + [[1] * 100] * 4, ModelSpec(3, 2, 2))
+        log_lik, counts = inference.e_step(params, corpus)
+        msgs, _, ref = inference.infer(params, corpus)
+        assert math.isclose(log_lik, msgs.log_K, rel_tol=1e-12)
+        assert np.allclose(counts.n_z1, [0.0, 1.0])
+        for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+            assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
+
+    def test_impossible_corpus_raises(self):
+        phi = np.array([[1.0], [0.0]])
+        p = ModelParams(phi=phi, theta=np.ones((1, 1)), xi=np.ones((1, 1)),
+                        pi=np.array([1.0]))
+        corpus = corpus_from_lists([[0], [1]], ModelSpec(2, 1, 1))
+        with pytest.raises(NumericalError):
+            inference.e_step(p, corpus)
+
+    def test_zero_mixture_words_get_no_counts(self):
+        # A truncated MAP estimate gives exact zeros; words the corpus never
+        # uses may have zero mixture probability under every behaviour.
+        phi = np.array([[0.5, 0.0], [0.5, 0.4], [0.0, 0.6]])
+        p = ModelParams(phi=phi, theta=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                        xi=np.full((2, 2), 0.5), pi=np.array([0.5, 0.5]))
+        corpus = corpus_from_lists([[0, 1], [1], [0]], ModelSpec(3, 2, 2))
+        _, counts = inference.e_step(p, corpus)
+        _, _, ref = inference.infer(p, corpus)
+        assert np.all(np.isfinite(counts.n_xy)) and np.all(counts.n_xy[2] == 0.0)
+        assert np.allclose(counts.n_xy, ref.n_xy, rtol=1e-12, atol=1e-15)
+        assert np.allclose(counts.n_yz, ref.n_yz, rtol=1e-12, atol=1e-15)
+
+
+@st.composite
+def _tiny_instances(draw):
+    """Random tiny parameters, possibly sub-stochastic like the VB
+    surrogates, with a random corpus."""
+    spec = ModelSpec(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    params = random_init(spec, make_prior(draw(st.sampled_from(["1", "H", "H+1"])), spec),
+                         draw(st.integers(0, 2**32 - 1)))
+    shrink = draw(st.floats(0.5, 1.0))
+    params = ModelParams(phi=params.phi * shrink, theta=params.theta * shrink,
+                         xi=params.xi * shrink, pi=params.pi * shrink)
+    docs = draw(st.lists(st.lists(st.integers(0, spec.num_words - 1), min_size=1, max_size=5),
+                         min_size=1, max_size=6))
+    return params, corpus_from_lists(docs, spec)
+
+
+class TestEStepProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_tiny_instances())
+    def test_mass_and_likelihood(self, instance):
+        params, corpus = instance
+        log_K = inference.messages(params, corpus).log_K
+        if log_K == -np.inf:
+            with pytest.raises(NumericalError):
+                inference.e_step(params, corpus)
+            return
+        log_lik, counts = inference.e_step(params, corpus)
+        n, T = corpus.num_tokens, len(corpus)
+        assert math.isclose(counts.n_xy.sum(), n, rel_tol=1e-10)
+        assert math.isclose(counts.n_yz.sum(), n, rel_tol=1e-10)
+        assert math.isclose(counts.n_zz.sum(), T - 1, rel_tol=1e-10, abs_tol=1e-12)
+        assert math.isclose(counts.n_z1.sum(), 1.0, rel_tol=1e-10)
+        assert math.isclose(log_lik, log_K, rel_tol=1e-10, abs_tol=1e-10)

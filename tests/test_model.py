@@ -139,6 +139,12 @@ class TestCorpus:
         c = corpus_from_lists([[0, 1], [1]], ModelSpec(2, 1, 1))
         assert c.num_tokens == 3 and len(c) == 2
 
+    def test_doc_term_counts_words_per_document(self):
+        c = corpus_from_lists([[0, 2, 0], [1], [2, 2]], ModelSpec(4, 1, 1))
+        assert np.array_equal(c.doc_term.toarray(),
+                              [[2, 0, 0], [0, 1, 0], [1, 0, 2], [0, 0, 0]])
+        assert c.doc_term is c.doc_term
+
 
 class TestHyperparams:
     def test_positive_required(self):
