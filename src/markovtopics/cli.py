@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +45,31 @@ def _int_at_least(minimum: int):
 
 _positive = _int_at_least(1)
 _non_negative = _int_at_least(0)
+
+
+def _positive_real(text):
+    """argparse type: a finite real number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
+def _layout_args(parser):
+    parser.add_argument("--frame-w", type=_positive, required=True)
+    parser.add_argument("--frame-h", type=_positive, required=True)
+    parser.add_argument("--cell", type=_positive, default=8)
+
+
+def _layout_from(args, parser) -> FrameLayout:
+    layout = FrameLayout(frame_w=args.frame_w, frame_h=args.frame_h, cell=args.cell)
+    if layout.vocabulary_size == 0:
+        parser.error(f"--cell {args.cell} leaves no whole cell in a "
+                     f"{args.frame_w}x{args.frame_h} frame")
+    return layout
 
 
 def _spec_args(parser):
@@ -106,16 +132,18 @@ def cmd_featurize(argv):
     parser = argparse.ArgumentParser(prog="markovtopics featurize")
     parser.add_argument("--config")
     parser.add_argument("--events", required=True)
-    parser.add_argument("--frame-w", type=int, required=True)
-    parser.add_argument("--frame-h", type=int, required=True)
-    parser.add_argument("--cell", type=int, default=8)
-    parser.add_argument("--fps", type=float, required=True)
-    parser.add_argument("--clip-seconds", type=float, default=1.0)
+    _layout_args(parser)
+    parser.add_argument("--fps", type=_positive_real, required=True)
+    parser.add_argument("--clip-seconds", type=_positive_real, default=1.0)
     parser.add_argument("--min-words", type=_non_negative, default=20)
     parser.add_argument("--out-corpus", required=True)
     parser.add_argument("--out-map", required=True)
     args = _apply_config(argv, parser)
-    layout = FrameLayout(frame_w=args.frame_w, frame_h=args.frame_h, cell=args.cell)
+    layout = _layout_from(args, parser)
+    frames = args.fps * args.clip_seconds
+    if not (math.isfinite(frames) and frames > 0):
+        parser.error(f"--fps {args.fps} times --clip-seconds {args.clip_seconds} "
+                     "is not a finite positive number of frames")
     events = serialize.read_events(args.events)
     corpus, index_map = build_corpus(events, layout, fps=args.fps,
                                      clip_seconds=args.clip_seconds,
@@ -266,16 +294,14 @@ def cmd_localise(argv):
     parser.add_argument("--config")
     parser.add_argument("--model", required=True)
     parser.add_argument("--corpus", required=True)
-    parser.add_argument("--frame-w", type=int, required=True)
-    parser.add_argument("--frame-h", type=int, required=True)
-    parser.add_argument("--cell", type=int, default=8)
+    _layout_args(parser)
     parser.add_argument("--top-n", type=_positive, default=10)
     parser.add_argument("--init", choices=["restart", "propagate"], default="restart")
     parser.add_argument("--train-corpus")
     parser.add_argument("--out", required=True)
     args = _apply_config(argv, parser)
+    layout = _layout_from(args, parser)
     model = serialize.load_model(args.model)
-    layout = FrameLayout(frame_w=args.frame_w, frame_h=args.frame_h, cell=args.cell)
     if layout.vocabulary_size != model.spec.num_words:
         raise DataError(f"layout vocabulary {layout.vocabulary_size} does not match "
                         f"model vocabulary {model.spec.num_words}")

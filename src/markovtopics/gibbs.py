@@ -12,6 +12,7 @@ observation contributes a term proportional to the prior vector.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ from .model import (
     ModelParams,
     ModelSpec,
     SufficientCounts,
-    zero_counts,
 )
 from .vb import point_estimates, vb_m_step
 
@@ -32,7 +32,8 @@ from .vb import point_estimates, vb_m_step
 class GibbsState:
     """Assignments, their tallies and the chain's RNG."""
 
-    y_assign: list[np.ndarray]
+    y_flat: np.ndarray  # topic of every token, in the order of Corpus.tokens
+    y_assign: list[np.ndarray]  # per-document views into y_flat
     z_assign: np.ndarray
     counts: SufficientCounts
     topic_totals: np.ndarray  # cached column sums of n_xy
@@ -43,25 +44,32 @@ class GibbsState:
 def tally(y_assign, z_assign, corpus: Corpus) -> SufficientCounts:
     """Full recount of the assignments; used for init and audits."""
     spec = corpus.spec
-    counts = zero_counts(spec, mode="integer")
-    for t, doc in enumerate(corpus.documents):
-        np.add.at(counts.n_xy, (doc.words, y_assign[t]), 1)
-        np.add.at(counts.n_yz, (y_assign[t], z_assign[t]), 1)
-    for t in range(1, len(corpus)):
-        counts.n_zz[z_assign[t], z_assign[t - 1]] += 1
-    counts.n_z1[z_assign[0]] += 1
-    return counts
+    Y, Z = spec.num_topics, spec.num_behaviours
+    y = np.concatenate(y_assign).astype(np.int64)
+    z = np.asarray(z_assign, dtype=np.int64)
+    z_tokens = np.repeat(z, np.diff(corpus.offsets))
+    return SufficientCounts(
+        n_xy=np.bincount(corpus.tokens * Y + y, minlength=spec.num_words * Y).reshape(-1, Y),
+        n_yz=np.bincount(y * Z + z_tokens, minlength=Y * Z).reshape(Y, Z),
+        n_zz=np.bincount(z[1:] * Z + z[:-1], minlength=Z * Z).reshape(Z, Z),
+        n_z1=np.bincount(z[:1], minlength=Z),
+        mode="integer")
 
 
 def gibbs_init(corpus: Corpus, spec: ModelSpec, seed: int) -> GibbsState:
-    """Uniform-random assignments with consistent tallies."""
+    """Uniform-random assignments with consistent tallies.
+
+    The topics are drawn one document at a time: a single draw for every
+    token would give a different stream.
+    """
     rng = np.random.default_rng(seed)
-    y_assign = [rng.integers(0, spec.num_topics, size=len(doc))
-                for doc in corpus.documents]
+    y_flat = np.concatenate([rng.integers(0, spec.num_topics, size=len(doc))
+                             for doc in corpus.documents])
+    y_assign = np.split(y_flat, corpus.offsets[1:-1])
     z_assign = rng.integers(0, spec.num_behaviours, size=len(corpus))
     counts = tally(y_assign, z_assign, corpus)
-    return GibbsState(y_assign=y_assign, z_assign=z_assign, counts=counts,
-                      topic_totals=counts.n_xy.sum(axis=0), rng=rng)
+    return GibbsState(y_flat=y_flat, y_assign=y_assign, z_assign=z_assign,
+                      counts=counts, topic_totals=counts.n_xy.sum(axis=0), rng=rng)
 
 
 def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
@@ -127,30 +135,52 @@ def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
 
 
 def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
-    n_xy, n_yz = state.counts.n_xy, state.counts.n_yz
-    totals = state.topic_totals
-    alpha, beta = hyper.alpha, hyper.beta
-    beta_sum = beta.sum()
-    num_topics = n_xy.shape[1]
-    rng = state.rng
+    """Resample every token's topic, in corpus order.
 
-    for t, doc in enumerate(corpus.documents):
-        z_t = int(state.z_assign[t])
-        ys = state.y_assign[t]
-        words = doc.words
-        for i in range(len(words)):
-            x = int(words[i])
-            y_old = int(ys[i])
-            n_xy[x, y_old] -= 1
-            totals[y_old] -= 1
-            n_yz[y_old, z_t] -= 1
-            w = (n_xy[x] + beta[x]) / (totals + beta_sum) * (n_yz[:, z_t] + alpha)
-            cw = np.cumsum(w)
-            k = int(np.searchsorted(cw, rng.random() * cw[-1], side="right").clip(0, num_topics - 1))
-            n_xy[x, k] += 1
-            totals[k] += 1
-            n_yz[k, z_t] += 1
-            ys[i] = k
+    A loop over Python scalars: per token the conditional is
+    ``(n_xy[x, k] + beta_x) / (tot_k + sum(beta)) * (n_yz[k, z] + alpha_k)``,
+    summed as it goes, and the topic is the first whose running sum exceeds
+    ``u * total``.  These are the float64 operations, in the same order, of
+    the per-token numpy conditional the tests keep as the reference, so the
+    chain matches it bit for bit.  The uniforms are drawn in one call, which
+    gives the same stream as one draw per token.
+    """
+    counts = state.counts
+    last = counts.n_xy.shape[1] - 1
+    topics = range(last + 1)
+    n_xy = counts.n_xy.tolist()
+    n_zy = counts.n_yz.T.tolist()
+    totals = state.topic_totals.tolist()
+    alpha = hyper.alpha.tolist()
+    beta = hyper.beta.tolist()
+    beta_sum = float(hyper.beta.sum())
+    words = corpus.tokens.tolist()
+    behaviours = np.repeat(state.z_assign, np.diff(corpus.offsets)).tolist()
+    ys = state.y_flat.tolist()
+    uniforms = state.rng.random(len(ys)).tolist()
+    cw = [0.0] * (last + 1)
+
+    for i in range(len(ys)):
+        x, y_old = words[i], ys[i]
+        row, col = n_xy[x], n_zy[behaviours[i]]
+        row[y_old] -= 1
+        totals[y_old] -= 1
+        col[y_old] -= 1
+        b = beta[x]
+        s = 0.0
+        for k in topics:
+            s += (row[k] + b) / (totals[k] + beta_sum) * (col[k] + alpha[k])
+            cw[k] = s
+        k = min(bisect_right(cw, uniforms[i] * s), last)
+        row[k] += 1
+        totals[k] += 1
+        col[k] += 1
+        ys[i] = k
+
+    counts.n_xy[...] = n_xy
+    counts.n_yz[...] = np.array(n_zy).T
+    state.topic_totals[...] = totals
+    state.y_flat[...] = ys
 
 
 def gibbs_sweep(state: GibbsState, corpus: Corpus, hyper: Hyperparams,

@@ -209,18 +209,30 @@ class Corpus:
 
     @property
     def num_tokens(self) -> int:
-        return sum(len(d) for d in self.documents)
+        return int(self.offsets[-1])
+
+    @cached_property
+    def tokens(self) -> np.ndarray:
+        """Every document's words in one flat int64 array, in corpus order;
+        document ``t`` is ``tokens[offsets[t]:offsets[t + 1]]``."""
+        if not self.documents:
+            return np.zeros(0, dtype=np.int64)
+        return np.concatenate([d.words for d in self.documents])
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(T + 1,) start of each document in :attr:`tokens`, then the total."""
+        lengths = np.fromiter((len(d) for d in self.documents), dtype=np.int64,
+                              count=len(self.documents))
+        return np.concatenate(([0], np.cumsum(lengths)))
 
     @cached_property
     def doc_term(self) -> scipy.sparse.csr_matrix:
         """Sparse (num_words, T) matrix of word counts per document, built
         once.  Tokens are exchangeable within a document, so the emission and
         the expected counts of a fit depend on the corpus only through it."""
-        lengths = [len(d) for d in self.documents]
-        words = (np.concatenate([d.words for d in self.documents]) if self.documents
-                 else np.zeros(0, dtype=np.int64))
-        docs = np.repeat(np.arange(len(self.documents)), lengths)
-        return scipy.sparse.csr_matrix((np.ones(len(words)), (words, docs)),
+        docs = np.repeat(np.arange(len(self.documents)), np.diff(self.offsets))
+        return scipy.sparse.csr_matrix((np.ones(len(self.tokens)), (self.tokens, docs)),
                                        shape=(self.spec.num_words, len(self.documents)))
 
 

@@ -145,3 +145,33 @@ def enum_collapsed_posterior(corpus, hyper):
     probs = {k: math.exp(v - m) for k, v in log_probs.items()}
     norm = sum(probs.values())
     return {k: v / norm for k, v in probs.items()}
+
+
+def vectorised_topic_step(state, corpus, hyper):
+    """The collapsed Gibbs topic step as one numpy conditional per token,
+    drawing one uniform per token: the reference the scalar loop in
+    ``gibbs`` must match bit for bit."""
+    n_xy, n_yz = state.counts.n_xy, state.counts.n_yz
+    totals = state.topic_totals
+    alpha, beta = hyper.alpha, hyper.beta
+    beta_sum = beta.sum()
+    num_topics = n_xy.shape[1]
+    rng = state.rng
+
+    for t, doc in enumerate(corpus.documents):
+        z_t = int(state.z_assign[t])
+        ys = state.y_assign[t]
+        words = doc.words
+        for i in range(len(words)):
+            x = int(words[i])
+            y_old = int(ys[i])
+            n_xy[x, y_old] -= 1
+            totals[y_old] -= 1
+            n_yz[y_old, z_t] -= 1
+            w = (n_xy[x] + beta[x]) / (totals + beta_sum) * (n_yz[:, z_t] + alpha)
+            cw = np.cumsum(w)
+            k = int(np.searchsorted(cw, rng.random() * cw[-1], side="right").clip(0, num_topics - 1))
+            n_xy[x, k] += 1
+            totals[k] += 1
+            n_yz[k, z_t] += 1
+            ys[i] = k

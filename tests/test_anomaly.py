@@ -1,7 +1,11 @@
 import itertools
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from markovtopics import ModelSpec, corpus_from_lists, make_prior, random_init
@@ -272,3 +276,36 @@ class TestLocalise:
         doc = Document(words=np.array([0]), timestamp=1)
         with pytest.raises(ValueError):
             anomaly.localise(np.array([-1.0]), doc, layout, top_n=0)
+
+
+@st.composite
+def _train_test_streams(draw):
+    """Random tiny parameters with a training and a test stream."""
+    spec = ModelSpec(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    params = random_init(spec, make_prior(draw(st.sampled_from(["1", "H", "H+1"])), spec),
+                         draw(st.integers(0, 2**32 - 1)))
+    docs = st.lists(st.lists(st.integers(0, spec.num_words - 1), max_size=5),
+                    min_size=1, max_size=5)
+    return params, draw(docs), draw(docs)
+
+
+class TestChainRuleProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_train_test_streams())
+    def test_plugin_continues_forward(self, streams):
+        # Scoring the test stream from the training stream's filtered belief
+        # gives, summed, log p(train + test) - log p(train).  An empty
+        # document has no length-normalised score, so min_words is 1; its
+        # log-lik still counts.
+        params, train, test = streams
+        spec = params.spec
+        train_corpus = corpus_from_lists(train, spec)
+        log_train = inference.messages(params, train_corpus).log_K
+        assume(np.isfinite(log_train))
+        last = anomaly.filtered_belief(params, train_corpus)
+        scored, _ = _score_stream([params], corpus_from_lists(test, spec), min_words=1,
+                                  last_filtered=last)
+        total = sum(s.log_lik for s in scored)
+        assume(np.isfinite(total))
+        log_both = inference.messages(params, corpus_from_lists(train + test, spec)).log_K
+        assert math.isclose(total, log_both - log_train, rel_tol=1e-10, abs_tol=1e-10)

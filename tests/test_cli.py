@@ -379,3 +379,43 @@ class TestShortDocuments:
                      "--labels", str(labels)]) == 0
         out = capsys.readouterr().out
         assert "pr_auc=" in out
+
+
+#: Bad frame geometry and timing: each row's flags, as given on the command
+#: line (``str``) and in a config file (the number itself).  A 32-px cell
+#: leaves no whole cell in the 16x16 frame; the last two rows are valid
+#: apart but make a clip of no frames or of infinitely many.
+_LAYOUT_FLAGS = [
+    *[(command, {flag: bad}) for command in ("featurize", "localise")
+      for flag, bad in (("--frame-w", 0), ("--frame-h", 0), ("--cell", 0), ("--cell", 32))],
+    *[("featurize", {"--fps": bad}) for bad in (0.0, -1.0, float("nan"), float("inf"))],
+    *[("featurize", {"--clip-seconds": bad}) for bad in (0.0, -1.0)],
+    ("featurize", {"--fps": 1e-200, "--clip-seconds": 1e-200}),
+    ("featurize", {"--fps": 1e200, "--clip-seconds": 1e200}),
+]
+
+
+class TestLayoutFlags:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command,flags", _LAYOUT_FLAGS,
+        ids=[f"{c}-" + "-".join(f"{k}={v}" for k, v in f.items()) for c, f in _LAYOUT_FLAGS])
+    def test_bad_layout_is_usage_error(self, tmp_path, capsys, command, flags, source):
+        argv = _count_flag_argv(tmp_path, command)
+        (tmp_path / "e.csv").write_text("frame,cell_x,cell_y,dir\n0,0,0,up\n")
+        for flag in flags:
+            if flag in argv:
+                i = argv.index(flag)
+                del argv[i:i + 2]
+        if source == "flag":
+            argv += [a for flag, bad in flags.items() for a in (flag, str(bad))]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:].replace("-", "_"): bad
+                                       for flag, bad in flags.items()}))
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit) as err:
+            main([command, *argv])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert all(flag in err_text for flag in flags)

@@ -1,10 +1,34 @@
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from markovtopics import ModelSpec, corpus_from_lists, make_prior
+from markovtopics import Hyperparams, ModelSpec, corpus_from_lists, make_prior
 from markovtopics import generate, gibbs
 from markovtopics.model import validate_params
 
-from _oracles import enum_collapsed_posterior
+from _oracles import enum_collapsed_posterior, vectorised_topic_step
+
+
+def _reference_chain(corpus, hyper, seed, sweeps):
+    """The chain with the vectorised reference as its topic step."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gibbs, "_resample_topics", vectorised_topic_step)
+        state = gibbs.gibbs_init(corpus, corpus.spec, seed)
+        for _ in range(sweeps):
+            gibbs.gibbs_sweep(state, corpus, hyper)
+    return state
+
+
+def _assert_same_chain(a, b):
+    assert np.array_equal(a.z_assign, b.z_assign)
+    assert len(a.y_assign) == len(b.y_assign)
+    for ya, yb in zip(a.y_assign, b.y_assign):
+        assert np.array_equal(ya, yb)
+    for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+        assert np.array_equal(getattr(a.counts, name), getattr(b.counts, name))
+    assert np.array_equal(a.topic_totals, b.topic_totals)
+    assert a.rng.random() == b.rng.random()
 
 
 class TestTally:
@@ -65,6 +89,58 @@ class TestSweep:
         assert np.all(state.z_assign == 0)
 
 
+class TestTopicStep:
+    def test_matches_vectorised_reference_bit_for_bit(self):
+        # Uneven lengths, an empty document and uneven priors; both chains
+        # start from one seeded state.
+        spec = ModelSpec(7, 3, 2)
+        corpus = corpus_from_lists([[0, 1, 2, 3, 4, 5, 6, 0], [], [3], [6, 6, 5, 1],
+                                    [2, 4, 0, 0, 1, 3, 5, 6, 2, 2, 4], [1, 0]], spec)
+        h = Hyperparams(alpha=np.array([0.3, 2.0, 1.1]),
+                        beta=np.array([0.05, 0.5, 1.5, 0.1, 0.7, 0.05, 3.0]),
+                        gamma=np.array([1.2, 0.8]), eta=np.array([3.0, 1.0]))
+        new = gibbs.gibbs_init(corpus, spec, seed=12)
+        for _ in range(5):
+            gibbs.gibbs_sweep(new, corpus, h)
+        _assert_same_chain(_reference_chain(corpus, h, seed=12, sweeps=5), new)
+
+    def test_assignments_are_views_of_one_array(self):
+        spec = ModelSpec(4, 3, 2)
+        corpus = corpus_from_lists([[0, 1], [], [2, 3, 3]], spec)
+        state = gibbs.gibbs_init(corpus, spec, seed=0)
+        gibbs.gibbs_sweep(state, corpus, make_prior("1", spec))
+        assert all(np.shares_memory(y, state.y_flat) for y in state.y_assign if len(y))
+        assert np.array_equal(np.concatenate(state.y_assign), state.y_flat)
+
+
+@st.composite
+def _tiny_chains(draw):
+    """A random tiny corpus (empty documents allowed), prior and seed."""
+    spec = ModelSpec(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    docs = draw(st.lists(st.lists(st.integers(0, spec.num_words - 1), max_size=5),
+                         min_size=1, max_size=6))
+    prior = make_prior(draw(st.sampled_from(["1", "H", "H+1"])), spec)
+    return corpus_from_lists(docs, spec), prior, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSweepProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_tiny_chains())
+    @example((corpus_from_lists([[]], ModelSpec(1, 1, 1)), make_prior("1", ModelSpec(1, 1, 1)), 0))
+    @example((corpus_from_lists([[0, 0], [], [0]], ModelSpec(1, 1, 1)),
+              make_prior("H", ModelSpec(1, 1, 1)), 5))
+    def test_mass_conserved_and_equal_to_reference(self, chain):
+        corpus, h, seed = chain
+        state = gibbs.gibbs_init(corpus, corpus.spec, seed)
+        for _ in range(3):
+            gibbs.gibbs_sweep(state, corpus, h, audit=True)
+        c = state.counts
+        assert c.n_xy.sum() == corpus.num_tokens and c.n_yz.sum() == corpus.num_tokens
+        assert c.n_zz.sum() == len(corpus) - 1 and c.n_z1.sum() == 1
+        assert np.array_equal(state.topic_totals, c.n_xy.sum(axis=0))
+        _assert_same_chain(_reference_chain(corpus, h, seed, sweeps=3), state)
+
+
 class TestPointEstimate:
     def test_hand_arithmetic(self):
         spec = ModelSpec(2, 1, 1)
@@ -111,7 +187,6 @@ class TestStationaryDistribution:
     def test_matches_enumerated_posterior_uneven_prior(self):
         # Asymmetric hyperparameters exercise every prior term in the
         # conditionals, including the initial-behaviour factor.
-        from markovtopics import Hyperparams
         spec = ModelSpec(2, 2, 2)
         corpus = corpus_from_lists([[1], [0]], spec)
         h = Hyperparams(alpha=np.array([2.0, 0.7]), beta=np.array([0.5, 1.5]),

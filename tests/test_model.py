@@ -145,6 +145,16 @@ class TestCorpus:
                               [[2, 0, 0], [0, 1, 0], [1, 0, 2], [0, 0, 0]])
         assert c.doc_term is c.doc_term
 
+    def test_flat_tokens_and_offsets(self):
+        c = corpus_from_lists([[0, 2, 0], [], [1], [2, 2]], ModelSpec(4, 1, 1))
+        assert np.array_equal(c.tokens, [0, 2, 0, 1, 2, 2])
+        assert np.array_equal(c.offsets, [0, 3, 3, 4, 6])
+        assert c.tokens.dtype == np.int64 and c.offsets.dtype == np.int64
+        assert c.num_tokens == 6
+        empty = corpus_from_lists([], ModelSpec(4, 1, 1))
+        assert len(empty.tokens) == 0 and np.array_equal(empty.offsets, [0])
+        assert empty.doc_term.shape == (4, 0)
+
 
 class TestHyperparams:
     def test_positive_required(self):
