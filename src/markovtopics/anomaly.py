@@ -5,13 +5,17 @@ All scores are kept in the log domain; the per-document normality measure
 length, a strictly monotone transform that leaves thresholds and
 precision-recall curves unaffected.
 
-There is one scorer.  The predictive state holds S parameter samples and
-carries, per sample, the behaviour belief for the *upcoming* document, i.e.
-p(z_next | history, sample).  Scoring a document multiplies in its
-emission, normalises (the normaliser is exactly the per-sample document
-likelihood) and propagates one step through that sample's transition
-matrix; the reported likelihood is the mean over samples.  Plug-in scoring
-with a point estimate is the case S = 1.
+There is one scorer, and it takes a whole stream.  The predictive state
+holds S parameter samples and carries, per sample, the behaviour belief for
+the *upcoming* document, i.e. p(z_next | history, sample).  A document's
+emission does not depend on the belief, so every emission under every
+sample comes first, one sparse product with the doc-term matrix per sample.
+One loop over the documents then multiplies each emission into the belief,
+normalises (the normaliser is exactly the per-sample document likelihood)
+and propagates one step through each sample's transition matrix; the
+reported likelihood is the mean over samples.  Plug-in scoring with a point
+estimate is the case S = 1.  Scoring a stream in consecutive chunks gives
+the same result as one call.
 """
 from __future__ import annotations
 
@@ -88,49 +92,78 @@ def normalise_score(log_lik: float, length: int) -> float:
     return log_lik - np.log(length)
 
 
-def score(state: PredictiveState, doc: Document, min_words: int = MIN_SCORABLE_WORDS,
-          ) -> tuple[ScoredDocument, PredictiveState]:
-    """Score one document and advance the state by it.
+def _filter(state: PredictiveState, corpus: Corpus,
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the recursive Bayes update of every sample over ``corpus``.
 
-    Per sample, the document log likelihood mixes the per-behaviour emission
-    over that sample's belief; the recursive Bayes update divides by that
-    same likelihood and propagates through the sample's transition matrix.
-    A sample under which the document is impossible restarts from its own
-    initial distribution.  The reported log likelihood is the log mean of
-    the per-sample likelihoods.  Documents shorter than ``min_words`` still
-    update the state but are flagged as not evaluated (normal by default).
+    Returns each document's log likelihood under each sample (T, S), each
+    sample's log belief before each document (T, S, Z), and the belief for
+    the document after the last one (S, Z).  A sample under which a
+    document is impossible restarts from its own initial distribution.
     """
-    loge = np.array([lm[doc.words].sum(axis=0) for lm in state.log_mix])  # (S, Z)
+    num_samples, num_behaviours = state.behaviour_belief.shape
+    block = np.empty((len(corpus), num_samples, num_behaviours))
+    for s, log_mix in enumerate(state.log_mix):
+        block[:, s, :] = inference.emission_logs(None, corpus, log_mix=log_mix).T
+    per_sample = np.empty((len(corpus), num_samples))
+    xi, pi = state.xi, state.pi
+    belief = state.behaviour_belief
     with np.errstate(divide="ignore", invalid="ignore"):
-        joint = loge + np.log(state.behaviour_belief)
-        per_sample = _lse(joint, axis=1)  # (S,)
-        filtered = np.exp(joint - per_sample[:, None])
-        belief = np.einsum("sij,sj->si", state.xi, filtered)
-        belief /= belief.sum(axis=1, keepdims=True)
-    belief = np.where(np.isfinite(per_sample)[:, None], belief, state.pi)
-    log_lik = float(_lse(per_sample, axis=0) - np.log(len(per_sample)))
-    new_state = replace(state, behaviour_belief=belief,
-                        last_doc_index=state.last_doc_index + 1)
-
-    n = len(doc)
-    evaluated = n >= min_words
-    scored = ScoredDocument(
-        index=new_state.last_doc_index,
-        length=n,
-        log_lik=log_lik,
-        score=normalise_score(log_lik, n) if evaluated else None,
-        evaluated=evaluated,
-    )
-    return scored, new_state
+        for t in range(len(corpus)):
+            log_belief = np.log(belief)
+            joint = block[t] + log_belief
+            # The emission is read once; its slot keeps the log belief.
+            block[t] = log_belief
+            m = joint.max(axis=1, keepdims=True)
+            m[~np.isfinite(m)] = 0.0
+            lik = m[:, 0] + np.log(np.exp(joint - m).sum(axis=1))
+            belief = np.einsum("sij,sj->si", xi, np.exp(joint - lik[:, None]))
+            belief /= belief.sum(axis=1, keepdims=True)
+            impossible = ~np.isfinite(lik)
+            if impossible.any():
+                belief[impossible] = pi[impossible]
+            per_sample[t] = lik
+    return per_sample, block, belief
 
 
-def word_log_liks(state: PredictiveState, doc: Document) -> np.ndarray:
-    """Per-token log marginal likelihoods under the current beliefs,
-    averaged over the state's samples."""
-    with np.errstate(divide="ignore"):
-        log_belief = np.log(state.behaviour_belief)
-    tokens = np.array([lm[doc.words] for lm in state.log_mix])  # (S, N, Z)
-    per_sample = _lse(tokens + log_belief[:, None, :], axis=2)
+def score(state: PredictiveState, corpus: Corpus, min_words: int = MIN_SCORABLE_WORDS,
+          ) -> tuple[list[ScoredDocument], PredictiveState]:
+    """Score the documents of ``corpus`` in order and advance the state past
+    them.
+
+    Record indices continue from ``state.last_doc_index``.  Documents with
+    fewer than ``min_words`` words, and empty documents, still update the
+    state but are flagged as not evaluated (normal by default).
+    """
+    per_sample, _, belief = _filter(state, corpus)
+    log_liks = _lse(per_sample, axis=1) - np.log(per_sample.shape[1])
+    first = state.last_doc_index
+    scored = []
+    for t, (doc, log_lik) in enumerate(zip(corpus.documents, log_liks.tolist())):
+        n = len(doc)
+        evaluated = n >= max(min_words, 1)
+        scored.append(ScoredDocument(
+            index=first + t + 1,
+            length=n,
+            log_lik=log_lik,
+            score=normalise_score(log_lik, n) if evaluated else None,
+            evaluated=evaluated,
+        ))
+    return scored, replace(state, behaviour_belief=belief,
+                           last_doc_index=first + len(corpus))
+
+
+def word_log_liks(state: PredictiveState, corpus: Corpus) -> np.ndarray:
+    """Per-token log marginal likelihoods, aligned with ``corpus.tokens``.
+
+    Each token is scored under the beliefs before its document, as the
+    stream is filtered from ``state``, and averaged over the samples.
+    """
+    _, log_beliefs, _ = _filter(state, corpus)
+    lengths = np.diff(corpus.offsets)
+    per_sample = np.array([
+        _lse(log_mix[corpus.tokens] + np.repeat(log_beliefs[:, s], lengths, axis=0), axis=1)
+        for s, log_mix in enumerate(state.log_mix)])  # (S, N)
     return _lse(per_sample, axis=0) - np.log(len(per_sample))
 
 

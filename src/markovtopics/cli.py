@@ -253,11 +253,11 @@ def _score_stream(model: serialize.LoadedModel, test_corpus, mode, mc_samples,
         raise DataError("mc scoring requires a model with a posterior or samples "
                         "(train with vb or gs)")
     state = _initial_state(model, samples, init, train_corpus)
-    scored = []
+    # The state holds all that scoring reads; the samples' phi and theta
+    # would only keep memory the batched pass can reuse.
+    del samples
     t0 = time.perf_counter()
-    for doc in test_corpus.documents:
-        rec, state = anomaly.score(state, doc, min_words)
-        scored.append(rec)
+    scored, _ = anomaly.score(state, test_corpus, min_words)
     elapsed = time.perf_counter() - t0
     return scored, elapsed
 
@@ -309,12 +309,12 @@ def cmd_localise(argv):
     train_corpus = (serialize.read_corpus(args.train_corpus, model.spec)
                     if args.train_corpus else None)
     state = _initial_state(model, [model.params], args.init, train_corpus)
+    wll = anomaly.word_log_liks(state, test_corpus)
+    offsets = test_corpus.offsets
     lines = []
-    for doc in test_corpus.documents:
-        wll = anomaly.word_log_liks(state, doc)
-        triples = anomaly.localise(wll, doc, layout, args.top_n)
+    for t, doc in enumerate(test_corpus.documents):
+        triples = anomaly.localise(wll[offsets[t]:offsets[t + 1]], doc, layout, args.top_n)
         lines.append(json.dumps({"index": doc.timestamp, "tokens": triples}))
-        _, state = anomaly.score(state, doc)
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"localised {len(lines)} documents to {args.out}")
     return 0

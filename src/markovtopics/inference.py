@@ -75,14 +75,15 @@ def word_mixture_logs(params: ModelParams) -> np.ndarray:
         return np.log(mix)
 
 
-def emission_logs(params: ModelParams, corpus: Corpus,
+def emission_logs(params: ModelParams | None, corpus: Corpus,
                   log_mix: np.ndarray | None = None) -> np.ndarray:
     """Per-document log emission under each behaviour, shape (Z, T).
 
     Entry (z, t) sums the log mixture probability of every token of
     document t given behaviour z: ``(B^T log_mix)^T`` for the doc-term
     matrix ``B``.  A token with zero mixture probability contributes -inf;
-    it is propagated, not clamped.
+    it is propagated, not clamped.  ``params`` is read only when
+    ``log_mix`` is not given.
     """
     if log_mix is None:
         log_mix = word_mixture_logs(params)

@@ -87,9 +87,9 @@ def build_corpus(events: list[MotionEvent], layout: FrameLayout, fps: float,
                  ) -> tuple[Corpus, dict[int, int]]:
     """Group frame-ordered events into fixed-length clip documents.
 
-    Documents shorter than ``min_words`` are dropped; the returned map sends
-    each kept document's 1-based timestamp to its original window index so
-    ground-truth labels stay aligned.
+    Windows without events and documents shorter than ``min_words`` are
+    dropped; the returned map sends each kept document's 1-based timestamp
+    to its original window index so ground-truth labels stay aligned.
     """
     window = math.ceil(fps * clip_seconds)
     if window < 1:
@@ -109,9 +109,8 @@ def build_corpus(events: list[MotionEvent], layout: FrameLayout, fps: float,
     spec = ModelSpec(num_words=layout.vocabulary_size, num_topics=1, num_behaviours=1)
     docs = []
     index_map = {}
-    num_windows = (max(buckets) + 1) if buckets else 0
-    for w in range(num_windows):
-        words = buckets.get(w, [])
+    # Events are in frame order, so the windows that hold any come in order.
+    for w, words in buckets.items():
         if len(words) < min_words:
             continue
         timestamp = len(docs) + 1

@@ -165,8 +165,9 @@ def read_corpus(path, spec: ModelSpec) -> Corpus:
             raise DataError(f"blank line at document position {t} in {path}")
         try:
             words = np.asarray([int(tok) for tok in line.split()], dtype=np.int64)
-        except ValueError as exc:
-            raise DataError(f"non-integer word id at document {t} in {path}") from exc
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"word id at document {t} in {path} is not a 64-bit "
+                            "integer") from exc
         docs.append(Document(words=words, timestamp=t))
     if not docs:
         raise DataError(f"corpus file {path} holds no documents")

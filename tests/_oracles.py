@@ -2,14 +2,20 @@
 
 These are deliberately independent of the library's dynamic-programming
 implementations: exhaustive enumeration over behaviour paths (and, for the
-collapsed sampler, over complete hidden assignments).
+collapsed sampler, over complete hidden assignments).  The per-token Gibbs
+topic step and the per-document scorer are the straightforward versions the
+fast library paths must match.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
+
+from markovtopics.anomaly import ScoredDocument, normalise_score
+from markovtopics.inference import _lse
 
 
 def enum_marginal_and_posteriors(params, corpus):
@@ -175,3 +181,36 @@ def vectorised_topic_step(state, corpus, hyper):
             totals[k] += 1
             n_yz[k, z_t] += 1
             ys[i] = k
+
+
+def score_one_document(state, doc, min_words):
+    """The scorer one document at a time: gather each sample's emission from
+    the document's words, then one Bayes update of every sample's belief.
+    The reference the batched ``anomaly.score`` must match."""
+    loge = np.array([lm[doc.words].sum(axis=0) for lm in state.log_mix])  # (S, Z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        joint = loge + np.log(state.behaviour_belief)
+        per_sample = _lse(joint, axis=1)  # (S,)
+        filtered = np.exp(joint - per_sample[:, None])
+        belief = np.einsum("sij,sj->si", state.xi, filtered)
+        belief /= belief.sum(axis=1, keepdims=True)
+    belief = np.where(np.isfinite(per_sample)[:, None], belief, state.pi)
+    log_lik = float(_lse(per_sample, axis=0) - np.log(len(per_sample)))
+    new_state = dataclasses.replace(state, behaviour_belief=belief,
+                                    last_doc_index=state.last_doc_index + 1)
+    n = len(doc)
+    evaluated = n >= max(min_words, 1)
+    scored = ScoredDocument(index=new_state.last_doc_index, length=n, log_lik=log_lik,
+                            score=normalise_score(log_lik, n) if evaluated else None,
+                            evaluated=evaluated)
+    return scored, new_state
+
+
+def word_log_liks_one_document(state, doc):
+    """Per-token log likelihoods of one document under the state's current
+    beliefs, averaged over the samples."""
+    with np.errstate(divide="ignore"):
+        log_belief = np.log(state.behaviour_belief)
+    tokens = np.array([lm[doc.words] for lm in state.log_mix])  # (S, N, Z)
+    per_sample = _lse(tokens + log_belief[:, None, :], axis=2)
+    return _lse(per_sample, axis=0) - np.log(len(per_sample))

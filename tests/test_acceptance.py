@@ -17,7 +17,7 @@ from markovtopics import (
 )
 from markovtopics import anomaly, em, generate, gibbs, inference, metrics, vb
 from markovtopics.ingest import FrameLayout
-from markovtopics.model import Document, ModelParams, SufficientCounts, zero_counts
+from markovtopics.model import ModelParams, SufficientCounts, zero_counts
 
 from _oracles import (
     enum_collapsed_posterior,
@@ -240,12 +240,8 @@ def _make_anomaly_setup():
 
 
 def _plugin_scores(params, corpus):
-    state = anomaly.init_state([params])
-    out = []
-    for doc in corpus.documents:
-        rec, state = anomaly.score(state, doc)
-        out.append(rec)
-    return out
+    records, _ = anomaly.score(anomaly.init_state([params]), corpus)
+    return records
 
 
 def test_anomaly_detection_and_mc_agreement():
@@ -262,11 +258,10 @@ def test_anomaly_detection_and_mc_agreement():
     post, vb_params, _ = vb.vb_fit(train_corpus, h, spec, seed=0, max_iters=30)
     plugin = _plugin_scores(vb_params, test_corpus)
     samples = vb.sample_posterior(post, 100, seed=9)
-    state = anomaly.init_state(samples)
+    mc, _ = anomaly.score(anomaly.init_state(samples), test_corpus)
     gap = 0.0
-    for i, doc in enumerate(test_corpus.documents):
-        rec, state = anomaly.score(state, doc)
-        gap = max(gap, abs(rec.log_lik - plugin[i].log_lik) / len(doc))
+    for rec, plug, doc in zip(mc, plugin, test_corpus.documents):
+        gap = max(gap, abs(rec.log_lik - plug.log_lik) / len(doc))
     ok = auc >= 0.90 and gap <= 0.05
     _line("anomaly detection analogue", ok,
           f"plug-in PR-AUC {auc:.4f} (>= 0.90), "
@@ -289,16 +284,13 @@ def test_chain_rule_consistency():
                  for _ in range(n_train + n_test)]
         train = corpus_from_lists(lists[:n_train], spec)
         both = corpus_from_lists(lists, spec)
-        test_docs = [Document(words=np.asarray(w, dtype=np.int64), timestamp=i + 1)
-                     for i, w in enumerate(lists[n_train:])]
+        test = corpus_from_lists(lists[n_train:], spec)
         joint = inference.log_marginal_likelihood(inference.messages(params, both))
         train_ll = inference.log_marginal_likelihood(inference.messages(params, train))
         state = anomaly.init_state(
             [params], last_filtered=anomaly.filtered_belief(params, train))
-        total = 0.0
-        for doc in test_docs:
-            rec, state = anomaly.score(state, doc, min_words=0)
-            total += rec.log_lik
+        records, _ = anomaly.score(state, test, min_words=0)
+        total = sum(rec.log_lik for rec in records)
         worst = max(worst, abs((joint - train_ll) - total))
     _line("chain-rule consistency", worst <= 1e-8,
           f"max |joint - train - sum(test)| = {worst:.3e} over 20 cases")
@@ -339,9 +331,9 @@ def test_localisation_recall():
         for i in range(len(words) + n_abnormal):
             merged.append(int(rng.integers(10, 20)) if i in truth_positions
                           else next(it))
-        doc = Document(words=np.asarray(merged, dtype=np.int64), timestamp=1)
-        wll = anomaly.word_log_liks(state, doc)
-        detected = [tok[0] for tok in anomaly.localise(wll, doc, layout, top_n)]
+        clip = corpus_from_lists([merged], spec)
+        wll = anomaly.word_log_liks(state, clip)
+        detected = [tok[0] for tok in anomaly.localise(wll, clip.documents[0], layout, top_n)]
         recalls.append(metrics.localisation_recall(detected, truth_positions,
                                                    top_n))
     mean_recall = float(np.mean(recalls))
@@ -355,20 +347,18 @@ def test_scoring_throughput():
     spec = ModelSpec(6480, 8, 4)
     params = random_init(spec, make_prior("1", spec), 0)
     rng = np.random.default_rng(0)
-    docs = [Document(words=rng.integers(0, 6480, size=100), timestamp=t + 1)
-            for t in range(50)]
+    lists = [rng.integers(0, 6480, size=100) for _ in range(50)]
+    docs = corpus_from_lists(lists, spec)
     state = anomaly.init_state([params])
     t0 = time.perf_counter()
-    for doc in docs:
-        _, state = anomaly.score(state, doc)
+    anomaly.score(state, docs)
     plugin_ms = (time.perf_counter() - t0) / len(docs) * 1000
 
     samples = [random_init(spec, make_prior("1", spec), s) for s in range(100)]
     state = anomaly.init_state(samples)
-    mc_docs = docs[:10]
+    mc_docs = corpus_from_lists(lists[:10], spec)
     t0 = time.perf_counter()
-    for doc in mc_docs:
-        _, state = anomaly.score(state, doc)
+    anomaly.score(state, mc_docs)
     mc_ms = (time.perf_counter() - t0) / len(mc_docs) * 1000
     ok = plugin_ms < 10.0 and mc_ms < 500.0
     _line("scoring throughput", ok,

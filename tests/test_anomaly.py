@@ -13,6 +13,7 @@ from markovtopics import anomaly, inference
 from markovtopics.ingest import FrameLayout
 from markovtopics.model import Document, ModelParams
 
+from _oracles import score_one_document, word_log_liks_one_document
 from conftest import random_instance
 
 
@@ -26,13 +27,25 @@ def _uniform_params(X, Y, Z):
 
 
 def _score_stream(samples, corpus, min_words=0, last_filtered=None):
+    """Score ``corpus`` in one call from a fresh state over ``samples``."""
+    state = anomaly.init_state(samples, last_filtered=last_filtered)
+    return anomaly.score(state, corpus, min_words=min_words)
+
+
+def _score_each(samples, corpus, last_filtered=None):
+    """Score ``corpus`` one document per call; returns the records and the
+    state after each document."""
     state = anomaly.init_state(samples, last_filtered=last_filtered)
     out, states = [], []
     for doc in corpus.documents:
-        scored, state = anomaly.score(state, doc, min_words=min_words)
+        (scored,), state = anomaly.score(state, _one_doc(doc.words, corpus.spec), min_words=0)
         out.append(scored)
         states.append(state)
     return out, states
+
+
+def _one_doc(words, spec):
+    return corpus_from_lists([words], spec)
 
 
 class TestInitState:
@@ -63,9 +76,8 @@ class TestScorePlugin:
     def test_uniform_model_score(self):
         X = 4
         p = _uniform_params(X, 1, 2)
-        doc = Document(words=np.array([0, 1, 2]), timestamp=1)
         st = anomaly.init_state([p])
-        scored, _ = anomaly.score(st, doc, min_words=0)
+        (scored,), _ = anomaly.score(st, _one_doc([0, 1, 2], p.spec), min_words=0)
         assert np.isclose(scored.log_lik, 3 * np.log(1 / X), atol=1e-12)
         assert np.isclose(scored.score, 3 * np.log(1 / X) - np.log(3), atol=1e-12)
 
@@ -96,8 +108,7 @@ class TestScorePlugin:
         p = ModelParams(phi=phi, theta=np.eye(2), xi=xi,
                         pi=np.array([0.5, 0.5]))
         st = anomaly.init_state([p])
-        doc = Document(words=np.array([0]), timestamp=1)
-        scored, st = anomaly.score(st, doc, min_words=0)
+        (scored,), st = anomaly.score(st, _one_doc([0], p.spec), min_words=0)
         # Likelihood 0.5, filtered belief (1, 0), propagated (0.9, 0.1).
         assert np.isclose(scored.log_lik, np.log(0.5), atol=1e-12)
         assert np.allclose(st.behaviour_belief, [0.9, 0.1], atol=1e-12)
@@ -107,24 +118,43 @@ class TestScorePlugin:
         p = ModelParams(phi=phi, theta=np.ones((1, 1)), xi=np.ones((1, 1)),
                         pi=np.array([1.0]))
         st = anomaly.init_state([p])
-        doc = Document(words=np.array([1]), timestamp=1)
-        scored, st = anomaly.score(st, doc, min_words=0)
+        (scored,), st = anomaly.score(st, _one_doc([1], p.spec), min_words=0)
         assert scored.log_lik == -np.inf
         assert np.allclose(st.behaviour_belief, p.pi)
 
     def test_short_document_not_evaluated(self):
         p = _uniform_params(3, 1, 1)
-        doc = Document(words=np.array([0] * 19), timestamp=1)
         st = anomaly.init_state([p])
-        scored, _ = anomaly.score(st, doc)
+        (scored,), _ = anomaly.score(st, _one_doc([0] * 19, p.spec))
         assert not scored.evaluated and scored.score is None
 
     def test_twenty_words_evaluated(self):
         p = _uniform_params(3, 1, 1)
-        doc = Document(words=np.array([0] * 20), timestamp=1)
         st = anomaly.init_state([p])
-        scored, _ = anomaly.score(st, doc)
+        (scored,), _ = anomaly.score(st, _one_doc([0] * 20, p.spec))
         assert scored.evaluated and scored.score is not None
+
+    def test_empty_document_never_evaluated(self):
+        # With min_words 0 an empty document still has no length-normalised
+        # score; it passes the belief on through the transition matrix.
+        p = ModelParams(phi=np.eye(2), theta=np.eye(2),
+                        xi=np.array([[0.9, 0.1], [0.1, 0.9]]),
+                        pi=np.array([0.8, 0.2]))
+        st = anomaly.init_state([p])
+        (empty, after), st = anomaly.score(st, corpus_from_lists([[], [0]], p.spec),
+                                           min_words=0)
+        assert np.isclose(empty.log_lik, 0.0, atol=1e-12)
+        assert not empty.evaluated and empty.score is None
+        assert after.evaluated and after.index == 2
+        assert np.isclose(after.log_lik, np.log(0.9 * 0.8 + 0.1 * 0.2), atol=1e-12)
+
+    def test_empty_stream_leaves_state(self):
+        p = _uniform_params(3, 1, 2)
+        st = anomaly.init_state([p])
+        scored, after = anomaly.score(st, corpus_from_lists([], p.spec))
+        assert scored == [] and after.last_doc_index == 0
+        assert np.array_equal(after.behaviour_belief, st.behaviour_belief)
+        assert anomaly.word_log_liks(st, corpus_from_lists([], p.spec)).shape == (0,)
 
     def test_short_document_still_updates_state(self):
         phi = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -132,17 +162,16 @@ class TestScorePlugin:
                         xi=np.array([[0.9, 0.1], [0.1, 0.9]]),
                         pi=np.array([0.5, 0.5]))
         st = anomaly.init_state([p])
-        doc = Document(words=np.array([0]), timestamp=1)
-        _, st = anomaly.score(st, doc)
+        _, st = anomaly.score(st, _one_doc([0], p.spec))
         assert np.allclose(st.behaviour_belief, [0.9, 0.1])
 
 
 class TestScoreMc:
     def test_identical_samples_reduce_to_plugin(self, rng):
         spec, p, corpus = random_instance(rng)
-        doc = corpus.documents[0]
-        mc, _ = anomaly.score(anomaly.init_state([p] * 4), doc, min_words=0)
-        plug, _ = anomaly.score(anomaly.init_state([p]), doc, min_words=0)
+        doc = _one_doc(corpus.documents[0].words, spec)
+        (mc,), _ = anomaly.score(anomaly.init_state([p] * 4), doc, min_words=0)
+        (plug,), _ = anomaly.score(anomaly.init_state([p]), doc, min_words=0)
         assert np.isclose(mc.log_lik, plug.log_lik, atol=1e-12)
 
     def test_average_of_two_point_masses(self):
@@ -152,27 +181,27 @@ class TestScoreMc:
                          xi=np.ones((1, 1)), pi=np.array([1.0]))
         pb = ModelParams(phi=np.array([[0.0], [1.0]]), theta=np.ones((1, 1)),
                          xi=np.ones((1, 1)), pi=np.array([1.0]))
-        doc = Document(words=np.array([0]), timestamp=1)
-        scored, _ = anomaly.score(anomaly.init_state([pa, pb]), doc, min_words=0)
+        doc = _one_doc([0], pa.spec)
+        (scored,), _ = anomaly.score(anomaly.init_state([pa, pb]), doc, min_words=0)
         assert np.isclose(scored.log_lik, np.log(0.5), atol=1e-12)
 
     def test_bounded_by_sample_extremes(self, rng):
         spec = ModelSpec(3, 2, 2)
         h = make_prior("1", spec)
         samples = [random_init(spec, h, s) for s in range(5)]
-        doc = Document(words=np.array([0, 1, 2]), timestamp=1)
+        doc = _one_doc([0, 1, 2], spec)
         per = []
         for p in samples:
-            scored, _ = anomaly.score(anomaly.init_state([p]), doc, min_words=0)
+            (scored,), _ = anomaly.score(anomaly.init_state([p]), doc, min_words=0)
             per.append(scored.log_lik)
-        mc, _ = anomaly.score(anomaly.init_state(samples), doc, min_words=0)
+        (mc,), _ = anomaly.score(anomaly.init_state(samples), doc, min_words=0)
         assert min(per) - 1e-12 <= mc.log_lik <= max(per) + 1e-12
 
     def test_states_tracked_per_sample(self, rng):
         spec = ModelSpec(3, 2, 2)
         h = make_prior("1", spec)
         samples = [random_init(spec, h, s) for s in range(3)]
-        doc = Document(words=np.array([0, 2]), timestamp=1)
+        doc = _one_doc([0, 2], spec)
         _, new_st = anomaly.score(anomaly.init_state(samples), doc, min_words=0)
         assert new_st.behaviour_belief.shape == (3, 2)
         beliefs = [tuple(b) for b in new_st.behaviour_belief]
@@ -191,8 +220,8 @@ class TestScoreMc:
         corpus = corpus_from_lists([[0, 1, 0], [1, 1], [0, 2, 1], [0, 0, 1, 1],
                                     [1, 0], [0, 1, 1]], spec)
         last = np.array([0.3, 0.7])
-        stacked, states = _score_stream(samples, corpus, last_filtered=last)
-        single = [_score_stream([p], corpus, last_filtered=last) for p in samples]
+        stacked, states = _score_each(samples, corpus, last_filtered=last)
+        single = [_score_each([p], corpus, last_filtered=last) for p in samples]
         for t in range(len(corpus)):
             per = np.array([recs[t].log_lik for recs, _ in single])
             assert np.isfinite(per).sum() == (2 if t == 2 else 3)
@@ -223,8 +252,7 @@ class TestWordLogLiks:
         p = ModelParams(phi=phi, theta=theta, xi=np.full((2, 2), 0.5),
                         pi=np.array([0.6, 0.4]))
         st = anomaly.init_state([p])
-        doc = Document(words=np.array([0, 1]), timestamp=1)
-        lls = anomaly.word_log_liks(st, doc)
+        lls = anomaly.word_log_liks(st, _one_doc([0, 1], p.spec))
         # Token marginal mixes phi over the belief: 0.6*0.7 + 0.4*0.2 = 0.5.
         assert np.isclose(lls[0], np.log(0.5), atol=1e-12)
         assert np.isclose(lls[1], np.log(0.6 * 0.3 + 0.4 * 0.8), atol=1e-12)
@@ -234,8 +262,7 @@ class TestWordLogLiks:
                          xi=np.ones((1, 1)), pi=np.array([1.0]))
         pb = ModelParams(phi=np.array([[0.5], [0.5]]), theta=np.ones((1, 1)),
                          xi=np.ones((1, 1)), pi=np.array([1.0]))
-        doc = Document(words=np.array([0]), timestamp=1)
-        lls = anomaly.word_log_liks(anomaly.init_state([pa, pb]), doc)
+        lls = anomaly.word_log_liks(anomaly.init_state([pa, pb]), _one_doc([0], pa.spec))
         assert np.isclose(lls[0], np.log(0.75), atol=1e-12)
 
 
@@ -309,3 +336,119 @@ class TestChainRuleProperty:
         assume(np.isfinite(total))
         log_both = inference.messages(params, corpus_from_lists(train + test, spec)).log_K
         assert math.isclose(total, log_both - log_train, rel_tol=1e-10, abs_tol=1e-10)
+
+
+def _reference_stream(samples, corpus, min_words, last_filtered=None):
+    """Records, final state and flat per-token log-liks of the per-document
+    reference scorer."""
+    state = anomaly.init_state(samples, last_filtered=last_filtered)
+    records, word_lls = [], [np.zeros(0)]
+    for doc in corpus.documents:
+        word_lls.append(word_log_liks_one_document(state, doc))
+        rec, state = score_one_document(state, doc, min_words)
+        records.append(rec)
+    return records, state, np.concatenate(word_lls)
+
+
+def _assert_matches_reference(samples, corpus, min_words, last_filtered=None):
+    state = anomaly.init_state(samples, last_filtered=last_filtered)
+    records, final = anomaly.score(state, corpus, min_words)
+    word_lls = anomaly.word_log_liks(state, corpus)
+    ref_records, ref_final, ref_word_lls = _reference_stream(samples, corpus, min_words,
+                                                             last_filtered)
+    assert ([(r.index, r.length, r.evaluated) for r in records]
+            == [(r.index, r.length, r.evaluated) for r in ref_records])
+    np.testing.assert_allclose([r.log_lik for r in records],
+                               [r.log_lik for r in ref_records], rtol=1e-12, atol=0)
+    assert [r.score is None for r in records] == [r.score is None for r in ref_records]
+    np.testing.assert_allclose([r.score for r in records if r.score is not None],
+                               [r.score for r in ref_records if r.score is not None],
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(final.behaviour_belief, ref_final.behaviour_belief,
+                               rtol=1e-12, atol=0)
+    assert final.last_doc_index == ref_final.last_doc_index == len(corpus)
+    assert word_lls.shape == (corpus.num_tokens,)
+    np.testing.assert_allclose(word_lls, ref_word_lls, rtol=1e-12, atol=0)
+    return records
+
+
+class TestMatchesPerDocumentReference:
+    @pytest.mark.parametrize("num_samples", [1, 3])
+    def test_random_instances(self, rng, num_samples):
+        for _ in range(25):
+            spec, p, corpus = random_instance(rng, max_docs=6, max_len=5)
+            hyper = make_prior("1", spec)
+            samples = [p] + [random_init(spec, hyper, int(rng.integers(2**31)))
+                             for _ in range(num_samples - 1)]
+            last = rng.dirichlet(np.ones(spec.num_behaviours))
+            _assert_matches_reference(samples, corpus, int(rng.integers(0, 4)), last)
+
+    def test_document_impossible_under_one_sample(self):
+        spec = ModelSpec(3, 2, 2)
+        h = make_prior("1", spec)
+        samples = [random_init(spec, h, s) for s in range(3)]
+        phi = samples[1].phi.copy()
+        phi[2] = 0.0
+        samples[1] = ModelParams(phi=phi / phi.sum(axis=0), theta=samples[1].theta,
+                                 xi=samples[1].xi, pi=samples[1].pi)
+        corpus = corpus_from_lists([[0, 1], [0, 2, 1], [1, 1, 0]], spec)
+        records = _assert_matches_reference(samples, corpus, 0)
+        assert all(np.isfinite(r.log_lik) for r in records)
+
+    def test_document_impossible_under_every_sample(self):
+        p = ModelParams(phi=np.array([[1.0], [0.0]]), theta=np.ones((1, 1)),
+                        xi=np.ones((1, 1)), pi=np.array([1.0]))
+        corpus = corpus_from_lists([[0], [1, 0], [0, 0]], p.spec)
+        records = _assert_matches_reference([p, p], corpus, 1)
+        assert records[1].log_lik == -np.inf and records[1].evaluated
+        assert np.isfinite(records[2].log_lik)
+
+    @pytest.mark.parametrize("min_words", [0, 1, 2, 3])
+    def test_empty_document_and_min_words_boundary(self, min_words):
+        spec = ModelSpec(3, 2, 2)
+        h = make_prior("1", spec)
+        samples = [random_init(spec, h, s) for s in (4, 5, 6)]
+        corpus = corpus_from_lists([[0, 1], [], [2], [0, 1, 2], [1, 2]], spec)
+        for group in (samples[:1], samples):
+            records = _assert_matches_reference(group, corpus, min_words)
+            assert ([r.evaluated for r in records]
+                    == [n >= max(min_words, 1) for n in (2, 0, 1, 3, 2)])
+
+
+@st.composite
+def _stream_and_cuts(draw):
+    """Random tiny samples, a stream that may hold empty documents, and the
+    cut points that split it into consecutive chunks."""
+    spec = ModelSpec(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    hyper = make_prior(draw(st.sampled_from(["1", "H", "H+1"])), spec)
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+    samples = [random_init(spec, hyper, seed) for seed in seeds]
+    docs = draw(st.lists(st.lists(st.integers(0, spec.num_words - 1), max_size=5),
+                         min_size=1, max_size=8))
+    cuts = sorted(draw(st.sets(st.integers(1, len(docs)), max_size=3)) | {len(docs)})
+    return samples, docs, cuts, draw(st.integers(0, 3))
+
+
+class TestChunkingProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_stream_and_cuts())
+    def test_chunks_continue_one_call(self, case):
+        # Scoring consecutive chunks, each from the state the previous one
+        # left, gives the records, per-token log-liks and final state of one
+        # call over the whole stream.
+        samples, docs, cuts, min_words = case
+        spec = samples[0].spec
+        state = anomaly.init_state(samples)
+        whole, whole_state = anomaly.score(state, corpus_from_lists(docs, spec), min_words)
+        whole_lls = anomaly.word_log_liks(state, corpus_from_lists(docs, spec))
+        chunked, chunked_lls, start = [], [], 0
+        for stop in cuts:
+            chunk = corpus_from_lists(docs[start:stop], spec)
+            chunked_lls.append(anomaly.word_log_liks(state, chunk))
+            records, state = anomaly.score(state, chunk, min_words)
+            chunked.extend(records)
+            start = stop
+        assert chunked == whole
+        assert state.last_doc_index == whole_state.last_doc_index == len(docs)
+        assert np.array_equal(state.behaviour_belief, whole_state.behaviour_belief)
+        assert np.array_equal(np.concatenate(chunked_lls), whole_lls)

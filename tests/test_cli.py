@@ -84,6 +84,24 @@ class TestPipeline:
         assert rec["tokens"][0][3] == "up"
 
 
+class TestEmptyWindows:
+    def test_min_words_zero_skips_windows_without_events(self, tmp_path):
+        # At 25 fps, events at frames 0 and 50 fill clip windows 0 and 2;
+        # window 1 has no events and gives no document.
+        events = tmp_path / "events.csv"
+        events.write_text("frame,cell_x,cell_y,dir\n0,0,0,up\n50,1,1,left\n")
+        corpus = tmp_path / "feat.txt"
+        index_map = tmp_path / "map.json"
+        assert main(["featurize", "--events", str(events), "--frame-w", "16",
+                     "--frame-h", "16", "--fps", "25", "--min-words", "0",
+                     "--out-corpus", str(corpus), "--out-map", str(index_map)]) == 0
+        assert [len(line.split()) for line in corpus.read_text().splitlines()] == [1, 1]
+        assert json.loads(index_map.read_text()) == {"1": 0, "2": 2}
+        assert main(["train", "--corpus", str(corpus), "--num-words", "16",
+                     "--num-topics", "1", "--num-behaviours", "1", "--algo", "em",
+                     "--iterations", "2", "--out", str(tmp_path / "m.json")]) == 0
+
+
 class TestDeterminism:
     def test_identical_bytes_across_reruns(self, tmp_path):
         outputs = []
@@ -258,9 +276,18 @@ def _off_grid_cell(tmp_path):
             "--out-map", str(tmp_path / "m.json")]
 
 
+def _overflowing_word_id(tmp_path):
+    (tmp_path / "c.txt").write_text("0 1\n99999999999999999999 0\n")
+    return ["train", "--corpus", str(tmp_path / "c.txt"), "--num-words", "4",
+            "--num-topics", "1", "--num-behaviours", "1", "--algo", "em",
+            "--out", str(tmp_path / "m.json")]
+
+
 class TestDataErrors:
-    @pytest.mark.parametrize("argv", [_empty_corpus, _one_class_labels, _off_grid_cell],
-                             ids=["empty-corpus", "one-class-labels", "off-grid-cell"])
+    @pytest.mark.parametrize("argv", [_empty_corpus, _one_class_labels, _off_grid_cell,
+                                      _overflowing_word_id],
+                             ids=["empty-corpus", "one-class-labels", "off-grid-cell",
+                                  "overflowing-word-id"])
     def test_exit_code_3_without_traceback(self, tmp_path, capsys, argv):
         assert main(argv(tmp_path)) == 3
         assert capsys.readouterr().err.startswith("data error: ")
