@@ -65,12 +65,6 @@ def _log_prior_exponents(params: ModelParams, hyper: Hyperparams) -> float:
     return total
 
 
-def log_map_objective(params: ModelParams, corpus: Corpus, hyper: Hyperparams) -> float:
-    """Log marginal likelihood plus the prior log density up to constants."""
-    msgs = inference.messages(params, corpus)
-    return inference.log_marginal_likelihood(msgs) + _log_prior_exponents(params, hyper)
-
-
 def em_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
            max_iters: int = 100, tol: float | None = None,
            ) -> tuple[ModelParams, EmTrace]:

@@ -132,11 +132,6 @@ def messages(params: ModelParams, corpus: Corpus) -> Messages:
     return Messages(log_alpha=la, log_beta=lb, log_K=log_K, log_emission=loge)
 
 
-def log_marginal_likelihood(msgs: Messages) -> float:
-    """log p(x_{1:T} | params), read off the last forward column."""
-    return float(logsumexp(msgs.log_alpha[:, -1]))
-
-
 def posteriors(params: ModelParams, corpus: Corpus, msgs: Messages) -> Posteriors:
     """The four hidden-variable posteriors, exponentiated from log space.
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Corpus, DataError, Document, ModelSpec
+from .model import Corpus, DataError, ModelSpec, corpus_from_lists
 
 DIRECTIONS = ("up", "left", "down", "right")
-_DIR_INDEX = {d: i for i, d in enumerate(DIRECTIONS)}
+DIRECTION_INDEX = {d: i for i, d in enumerate(DIRECTIONS)}
 
 
 @dataclass(frozen=True)
@@ -43,16 +43,6 @@ class FrameLayout:
         return self.cols * self.rows * self.num_directions
 
 
-@dataclass(frozen=True)
-class MotionEvent:
-    """One moving cell in one frame with its quantised direction."""
-
-    frame: int
-    cell_x: int
-    cell_y: int
-    direction: str
-
-
 def quantise_direction(dx: float, dy: float) -> str:
     """Nearest of the four axis directions by angle.
 
@@ -70,7 +60,7 @@ def word_id(layout: FrameLayout, cell_x: int, cell_y: int, direction: str) -> in
     """Bijective encoding of (cell position, direction) onto [0, |vocab|)."""
     if not (0 <= cell_x < layout.cols and 0 <= cell_y < layout.rows):
         raise ValueError(f"cell ({cell_x}, {cell_y}) outside {layout.cols}x{layout.rows} grid")
-    return (cell_y * layout.cols + cell_x) * layout.num_directions + _DIR_INDEX[direction]
+    return (cell_y * layout.cols + cell_x) * layout.num_directions + DIRECTION_INDEX[direction]
 
 
 def decode_word(layout: FrameLayout, word: int) -> tuple[int, int, str]:
@@ -82,10 +72,11 @@ def decode_word(layout: FrameLayout, word: int) -> tuple[int, int, str]:
     return cell % layout.cols, cell // layout.cols, direction
 
 
-def build_corpus(events: list[MotionEvent], layout: FrameLayout, fps: float,
+def build_corpus(events: np.ndarray, layout: FrameLayout, fps: float,
                  clip_seconds: float = 1.0, min_words: int = 20,
                  ) -> tuple[Corpus, dict[int, int]]:
-    """Group frame-ordered events into fixed-length clip documents.
+    """Group frame-ordered events, the (4, N) int64 columns frame, cell_x,
+    cell_y and direction index, into fixed-length clip documents.
 
     Windows without events and documents shorter than ``min_words`` are
     dropped; the returned map sends each kept document's 1-based timestamp
@@ -94,26 +85,24 @@ def build_corpus(events: list[MotionEvent], layout: FrameLayout, fps: float,
     window = math.ceil(fps * clip_seconds)
     if window < 1:
         raise ValueError("fps * clip_seconds must be at least one frame")
-    last_frame = None
-    buckets: dict[int, list[int]] = {}
-    for ev in events:
-        if last_frame is not None and ev.frame < last_frame:
-            raise DataError(f"events out of frame order at frame {ev.frame}")
-        last_frame = ev.frame
-        try:
-            word = word_id(layout, ev.cell_x, ev.cell_y, ev.direction)
-        except ValueError as exc:
-            raise DataError(f"event at frame {ev.frame}: {exc}") from exc
-        buckets.setdefault(ev.frame // window, []).append(word)
-
+    frame, cx, cy, d = events
+    backward = np.zeros(len(frame), dtype=bool)
+    backward[1:] = frame[1:] < frame[:-1]
+    off_grid = (cx < 0) | (cx >= layout.cols) | (cy < 0) | (cy >= layout.rows)
+    bad = np.flatnonzero(backward | off_grid)
+    if bad.size:
+        k = bad[0]
+        if backward[k]:
+            raise DataError(f"events out of frame order at frame {frame[k]}")
+        raise DataError(f"event at frame {frame[k]}: cell ({cx[k]}, {cy[k]}) outside "
+                        f"{layout.cols}x{layout.rows} grid")
+    words = (cy * layout.cols + cx) * layout.num_directions + d
+    # A window past the int64 range holds all frames >= 0 in window 0, the rest in -1.
+    win = frame // window if window < 2**63 else frame >> 63
+    # Events are in frame order, so each window's events are one run.
+    windows, starts = np.unique(win, return_index=True)
+    kept = np.flatnonzero(np.diff(starts, append=len(win)) >= min_words)
+    runs = np.split(words, starts[1:])
     spec = ModelSpec(num_words=layout.vocabulary_size, num_topics=1, num_behaviours=1)
-    docs = []
-    index_map = {}
-    # Events are in frame order, so the windows that hold any come in order.
-    for w, words in buckets.items():
-        if len(words) < min_words:
-            continue
-        timestamp = len(docs) + 1
-        docs.append(Document(words=np.asarray(words, dtype=np.int64), timestamp=timestamp))
-        index_map[timestamp] = w
-    return Corpus(documents=docs, spec=spec), index_map
+    index_map = dict(enumerate(windows[kept].tolist(), start=1))
+    return corpus_from_lists([runs[k] for k in kept], spec), index_map

@@ -195,14 +195,15 @@ class Corpus:
     spec: ModelSpec
 
     def __post_init__(self):
-        for t, doc in enumerate(self.documents, start=1):
-            if doc.timestamp != t:
-                raise DataError(
-                    f"document timestamps must be contiguous from 1; "
-                    f"position {t} has timestamp {doc.timestamp}"
-                )
-            if len(doc.words) and (doc.words.min() < 0 or doc.words.max() >= self.spec.num_words):
-                raise DataError(f"document {t} contains word ids outside [0, {self.spec.num_words})")
+        stamps = [doc.timestamp for doc in self.documents]
+        if stamps != list(range(1, len(stamps) + 1)):
+            t = next(t for t, s in enumerate(stamps, start=1) if s != t)
+            raise DataError(f"document timestamps must be contiguous from 1; "
+                            f"position {t} has timestamp {stamps[t - 1]}")
+        outside = np.flatnonzero((self.tokens < 0) | (self.tokens >= self.spec.num_words))
+        if outside.size:
+            t = np.searchsorted(self.offsets, outside[0], side="right")
+            raise DataError(f"document {t} contains word ids outside [0, {self.spec.num_words})")
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -215,16 +216,12 @@ class Corpus:
     def tokens(self) -> np.ndarray:
         """Every document's words in one flat int64 array, in corpus order;
         document ``t`` is ``tokens[offsets[t]:offsets[t + 1]]``."""
-        if not self.documents:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate([d.words for d in self.documents])
+        return np.concatenate([np.zeros(0, dtype=np.int64)] + [d.words for d in self.documents])
 
     @cached_property
     def offsets(self) -> np.ndarray:
         """(T + 1,) start of each document in :attr:`tokens`, then the total."""
-        lengths = np.fromiter((len(d) for d in self.documents), dtype=np.int64,
-                              count=len(self.documents))
-        return np.concatenate(([0], np.cumsum(lengths)))
+        return np.cumsum([0] + [len(d) for d in self.documents], dtype=np.int64)
 
     @cached_property
     def doc_term(self) -> scipy.sparse.csr_matrix:
@@ -237,10 +234,18 @@ class Corpus:
 
 
 def corpus_from_lists(word_lists, spec: ModelSpec) -> Corpus:
-    """Build a corpus from plain lists of word ids, assigning timestamps."""
-    docs = [Document(words=np.asarray(w, dtype=np.int64), timestamp=t)
-            for t, w in enumerate(word_lists, start=1)]
-    return Corpus(documents=docs, spec=spec)
+    """Build a corpus from lists of word ids, assigning timestamps.  The
+    documents are views into one flat copy, :attr:`Corpus.tokens`."""
+    words = [np.asarray(w, dtype=np.int64) for w in word_lists]
+    offsets = np.cumsum([0] + [len(w) for w in words], dtype=np.int64)
+    tokens = np.concatenate([offsets[:0]] + words)
+    bounds = offsets.tolist()
+    corpus = object.__new__(Corpus)
+    # Seeded, the cached flat arrays are not rebuilt from the views.
+    vars(corpus).update(tokens=tokens, offsets=offsets)
+    corpus.__init__([Document(words=tokens[a:b], timestamp=t)
+                     for t, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)], spec)
+    return corpus
 
 
 @dataclass

@@ -14,14 +14,15 @@ from pathlib import Path
 import numpy as np
 
 from .gibbs import point_estimate
+from .ingest import DIRECTION_INDEX
 from .model import (
     Corpus,
     DataError,
-    Document,
     Hyperparams,
     ModelParams,
     ModelSpec,
     SufficientCounts,
+    corpus_from_lists,
     validate_params,
 )
 from .vb import PosteriorHyperparams
@@ -150,28 +151,32 @@ def load_model(path) -> LoadedModel:
 
 
 def write_corpus(path, corpus: Corpus) -> None:
-    lines = [" ".join(str(int(w)) for w in doc.words) for doc in corpus.documents]
-    Path(path).write_text("\n".join(lines) + "\n")
+    lengths = np.diff(corpus.offsets)
+    if not lengths.all():  # its line would be blank, which read_corpus rejects
+        raise DataError(f"document {np.argmin(lengths) + 1} is empty; a corpus file cannot hold it")
+    tokens, bounds = corpus.tokens.tolist(), corpus.offsets.tolist()
+    text = list(map(str, range(corpus.spec.num_words)))
+    Path(path).write_text("".join([" ".join([text[w] for w in tokens[a:b]]) + "\n"
+                                   for a, b in zip(bounds, bounds[1:])]))
 
 
 def read_corpus(path, spec: ModelSpec) -> Corpus:
-    text = Path(path).read_text()
-    lines = text.split("\n")
+    lines = Path(path).read_text().split("\n")
     if lines and lines[-1] == "":
         lines = lines[:-1]
     docs = []
     for t, line in enumerate(lines, start=1):
-        if line.strip() == "":
-            raise DataError(f"blank line at document position {t} in {path}")
-        try:
-            words = np.asarray([int(tok) for tok in line.split()], dtype=np.int64)
+        try:  # int() on each token, refusing values beyond int64
+            words = np.array(line.split(), dtype=np.int64)
         except (ValueError, OverflowError) as exc:
             raise DataError(f"word id at document {t} in {path} is not a 64-bit "
                             "integer") from exc
-        docs.append(Document(words=words, timestamp=t))
+        if not words.size:
+            raise DataError(f"blank line at document position {t} in {path}")
+        docs.append(words)
     if not docs:
         raise DataError(f"corpus file {path} holds no documents")
-    return Corpus(documents=docs, spec=spec)
+    return corpus_from_lists(docs, spec)
 
 
 def write_ground_truth(path, dataset) -> None:
@@ -246,23 +251,35 @@ def write_pr_curve(path, curve: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_events(path):
-    """Event CSV: frame,cell_x,cell_y,dir with a header row."""
-    from .ingest import DIRECTIONS, MotionEvent
-
+def read_events(path) -> np.ndarray:
+    """Event CSV with the header row ``frame,cell_x,cell_y,dir``, as a (4, N)
+    int64 array: each event's frame, cell_x, cell_y and direction index (into
+    :data:`ingest.DIRECTIONS`), in file order."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip().lower() != "frame,cell_x,cell_y,dir":
         raise DataError(f"event file {path} must start with header 'frame,cell_x,cell_y,dir'")
-    events = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 4:
-            raise DataError(f"line {i} of {path}: expected 4 comma-separated fields")
-        try:
-            frame, cx, cy = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise DataError(f"line {i} of {path}: non-integer field") from exc
-        if parts[3] not in DIRECTIONS:
-            raise DataError(f"line {i} of {path}: unknown direction {parts[3]!r}")
-        events.append(MotionEvent(frame=frame, cell_x=cx, cell_y=cy, direction=parts[3]))
-    return events
+    try:
+        return _event_columns(lines[1:])
+    except ValueError:  # name the first bad line
+        for i, line in enumerate(lines[1:], start=2):
+            try:
+                _event_columns([line])
+            except ValueError as exc:
+                raise DataError(f"line {i} of {path}: {exc}") from None
+        raise
+
+
+def _event_columns(lines: list[str]) -> np.ndarray:
+    """Parse event lines in one pass; ValueError says what is wrong."""
+    if any(line.count(",") != 3 for line in lines):
+        raise ValueError("expected 4 comma-separated fields")
+    fields = ",".join(lines).split(",") if lines else []
+    try:
+        numbers = np.array([fields[0::4], fields[1::4], fields[2::4]], dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise ValueError("field is not a 64-bit integer") from None
+    try:
+        directions = [DIRECTION_INDEX[d.strip()] for d in fields[3::4]]
+    except KeyError as exc:
+        raise ValueError(f"unknown direction {exc.args[0]!r}") from None
+    return np.vstack((numbers, np.array(directions, dtype=np.int64)))

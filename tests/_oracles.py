@@ -3,8 +3,9 @@
 These are deliberately independent of the library's dynamic-programming
 implementations: exhaustive enumeration over behaviour paths (and, for the
 collapsed sampler, over complete hidden assignments).  The per-token Gibbs
-topic step and the per-document scorer are the straightforward versions the
-fast library paths must match.
+topic step, the per-document scorer, the per-event corpus builder and the
+per-token corpus reader are the straightforward versions the fast library
+paths must match.
 """
 from __future__ import annotations
 
@@ -12,10 +13,17 @@ import dataclasses
 import itertools
 import math
 
-import numpy as np
+from pathlib import Path
 
+import numpy as np
+from scipy.special import logsumexp
+
+from markovtopics import inference
 from markovtopics.anomaly import ScoredDocument, normalise_score
+from markovtopics.em import _log_prior_exponents
 from markovtopics.inference import _lse
+from markovtopics.ingest import DIRECTIONS, word_id
+from markovtopics.model import Corpus, DataError, Document, ModelSpec
 
 
 def enum_marginal_and_posteriors(params, corpus):
@@ -214,3 +222,60 @@ def word_log_liks_one_document(state, doc):
     tokens = np.array([lm[doc.words] for lm in state.log_mix])  # (S, N, Z)
     per_sample = _lse(tokens + log_belief[:, None, :], axis=2)
     return _lse(per_sample, axis=0) - np.log(len(per_sample))
+
+
+def log_marginal_likelihood(msgs):
+    """log p(x_{1:T} | params), read off the last forward column."""
+    return float(logsumexp(msgs.log_alpha[:, -1]))
+
+
+def log_map_objective(params, corpus, hyper):
+    """EM's objective from the token-level messages: log marginal likelihood
+    plus the prior log density up to constants."""
+    return (log_marginal_likelihood(inference.messages(params, corpus))
+            + _log_prior_exponents(params, hyper))
+
+
+def build_corpus_per_event(events, layout, fps, clip_seconds=1.0, min_words=20):
+    """``ingest.build_corpus`` one event at a time: check the frame order and
+    encode each event with ``word_id``, then bucket it by window."""
+    window = math.ceil(fps * clip_seconds)
+    last_frame = None
+    buckets = {}
+    for frame, cx, cy, d in zip(*(np.asarray(c).tolist() for c in events)):
+        if last_frame is not None and frame < last_frame:
+            raise DataError(f"events out of frame order at frame {frame}")
+        last_frame = frame
+        try:
+            word = word_id(layout, cx, cy, DIRECTIONS[d])
+        except ValueError as exc:
+            raise DataError(f"event at frame {frame}: {exc}") from exc
+        buckets.setdefault(frame // window, []).append(word)
+    spec = ModelSpec(num_words=layout.vocabulary_size, num_topics=1, num_behaviours=1)
+    docs, index_map = [], {}
+    for w, words in buckets.items():
+        if len(words) >= min_words:
+            docs.append(Document(words=np.asarray(words, dtype=np.int64),
+                                 timestamp=len(docs) + 1))
+            index_map[len(docs)] = w
+    return Corpus(documents=docs, spec=spec), index_map
+
+
+def read_corpus_per_token(path, spec):
+    """``serialize.read_corpus`` one token at a time with ``int()``."""
+    lines = Path(path).read_text().split("\n")
+    if lines and lines[-1] == "":
+        lines = lines[:-1]
+    docs = []
+    for t, line in enumerate(lines, start=1):
+        if line.strip() == "":
+            raise DataError(f"blank line at document position {t} in {path}")
+        try:
+            words = np.asarray([int(tok) for tok in line.split()], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"word id at document {t} in {path} is not a 64-bit "
+                            "integer") from exc
+        docs.append(Document(words=words, timestamp=t))
+    if not docs:
+        raise DataError(f"corpus file {path} holds no documents")
+    return Corpus(documents=docs, spec=spec)

@@ -23,6 +23,7 @@ from _oracles import (
     enum_collapsed_posterior,
     enum_expected_counts,
     enum_marginal_and_posteriors,
+    log_marginal_likelihood,
 )
 from conftest import random_instance
 
@@ -48,7 +49,7 @@ def test_oracle_equivalence_inference_core():
                                                max_len=3)
         msgs, post, counts = inference.infer(params, corpus)
         oracle = enum_marginal_and_posteriors(params, corpus)
-        ok = _rel_close(np.exp(inference.log_marginal_likelihood(msgs)),
+        ok = _rel_close(np.exp(log_marginal_likelihood(msgs)),
                         oracle["marginal"], 1e-10)
         ok &= _rel_close(post.z1, oracle["z1"], 1e-10)
         ok &= _rel_close(post.pair_zz, oracle["pair_zz"], 1e-10)
@@ -285,8 +286,8 @@ def test_chain_rule_consistency():
         train = corpus_from_lists(lists[:n_train], spec)
         both = corpus_from_lists(lists, spec)
         test = corpus_from_lists(lists[n_train:], spec)
-        joint = inference.log_marginal_likelihood(inference.messages(params, both))
-        train_ll = inference.log_marginal_likelihood(inference.messages(params, train))
+        joint = log_marginal_likelihood(inference.messages(params, both))
+        train_ll = log_marginal_likelihood(inference.messages(params, train))
         state = anomaly.init_state(
             [params], last_filtered=anomaly.filtered_belief(params, train))
         records, _ = anomaly.score(state, test, min_words=0)

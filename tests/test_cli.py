@@ -268,12 +268,36 @@ def _one_class_labels(tmp_path):
     return ["eval", "--scores", str(scores), "--labels", str(tmp_path / "labels.txt")]
 
 
-def _off_grid_cell(tmp_path):
-    # A 16x16 frame has a 2x2 grid of 8-pixel cells: cell_x 2 is off it.
-    (tmp_path / "e.csv").write_text("frame,cell_x,cell_y,dir\n0,2,0,up\n")
+def _featurize(tmp_path, body):
+    (tmp_path / "e.csv").write_text("frame,cell_x,cell_y,dir\n" + body)
     return ["featurize", "--events", str(tmp_path / "e.csv"), "--frame-w", "16",
             "--frame-h", "16", "--fps", "25", "--out-corpus", str(tmp_path / "c.txt"),
             "--out-map", str(tmp_path / "m.json")]
+
+
+def _off_grid_cell(tmp_path):
+    # A 16x16 frame has a 2x2 grid of 8-pixel cells: cell_x 2 is off it.
+    return _featurize(tmp_path, "0,2,0,up\n")
+
+
+def _event_non_integer(tmp_path):
+    return _featurize(tmp_path, "0,0,0,up\n1,a,0,up\n")
+
+
+def _event_three_fields(tmp_path):
+    return _featurize(tmp_path, "0,0,0,up\n1,0,0\n")
+
+
+def _event_overflowing_frame(tmp_path):
+    return _featurize(tmp_path, "0,0,0,up\n99999999999999999999,0,0,up\n")
+
+
+def _event_unknown_direction(tmp_path):
+    return _featurize(tmp_path, "0,0,0,up\n1,0,0,north\n")
+
+
+def _events_out_of_order(tmp_path):
+    return _featurize(tmp_path, "5,0,0,up\n4,0,0,up\n")
 
 
 def _overflowing_word_id(tmp_path):
@@ -285,9 +309,13 @@ def _overflowing_word_id(tmp_path):
 
 class TestDataErrors:
     @pytest.mark.parametrize("argv", [_empty_corpus, _one_class_labels, _off_grid_cell,
-                                      _overflowing_word_id],
+                                      _overflowing_word_id, _event_non_integer,
+                                      _event_three_fields, _event_overflowing_frame,
+                                      _event_unknown_direction, _events_out_of_order],
                              ids=["empty-corpus", "one-class-labels", "off-grid-cell",
-                                  "overflowing-word-id"])
+                                  "overflowing-word-id", "event-non-integer",
+                                  "event-three-fields", "event-overflowing-frame",
+                                  "event-unknown-direction", "events-out-of-order"])
     def test_exit_code_3_without_traceback(self, tmp_path, capsys, argv):
         assert main(argv(tmp_path)) == 3
         assert capsys.readouterr().err.startswith("data error: ")

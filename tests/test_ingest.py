@@ -2,17 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovtopics.ingest import (
     DIRECTIONS,
     FrameLayout,
-    MotionEvent,
     build_corpus,
     decode_word,
     quantise_direction,
     word_id,
 )
 from markovtopics.model import DataError
+
+from _oracles import build_corpus_per_event
+
+
+def events_from(rows):
+    """Event columns, as ``serialize.read_events`` returns them, from
+    (frame, cell_x, cell_y, direction) rows."""
+    return np.array([(f, x, y, DIRECTIONS.index(d)) for f, x, y, d in rows],
+                    dtype=np.int64).reshape(-1, 4).T
 
 
 class TestQuantiseDirection:
@@ -83,8 +93,7 @@ class TestWordIds:
 
 class TestBuildCorpus:
     def _events(self, frames, layout):
-        return [MotionEvent(frame=f, cell_x=0, cell_y=0, direction="up")
-                for f in frames]
+        return events_from((f, 0, 0, "up") for f in frames)
 
     def test_window_size_ceil(self):
         layout = FrameLayout(frame_w=16, frame_h=16)
@@ -103,9 +112,7 @@ class TestBuildCorpus:
 
     def test_short_documents_dropped_with_index_gap(self):
         layout = FrameLayout(frame_w=16, frame_h=16)
-        events = (self._events([0] * 20, layout)
-                  + self._events([30] * 19, layout)
-                  + self._events([60] * 25, layout))
+        events = self._events([0] * 20 + [30] * 19 + [60] * 25, layout)
         corpus, index_map = build_corpus(events, layout, fps=25.0)
         # Window 1 has only 19 words and is dropped; timestamps stay
         # contiguous while the map records the gap.
@@ -115,13 +122,13 @@ class TestBuildCorpus:
 
     def test_out_of_order_frames_rejected(self):
         layout = FrameLayout(frame_w=16, frame_h=16)
-        events = [MotionEvent(5, 0, 0, "up"), MotionEvent(4, 0, 0, "up")]
+        events = events_from([(5, 0, 0, "up"), (4, 0, 0, "up")])
         with pytest.raises(DataError):
             build_corpus(events, layout, fps=25.0)
 
     def test_words_encode_position_and_direction(self):
         layout = FrameLayout(frame_w=16, frame_h=16)
-        events = [MotionEvent(0, 1, 1, "left")] * 20
+        events = events_from([(0, 1, 1, "left")] * 20)
         corpus, _ = build_corpus(events, layout, fps=25.0)
         w = int(corpus.documents[0].words[0])
         assert decode_word(layout, w) == (1, 1, "left")
@@ -129,5 +136,60 @@ class TestBuildCorpus:
 
     def test_empty_event_stream(self):
         layout = FrameLayout(frame_w=16, frame_h=16)
-        corpus, index_map = build_corpus([], layout, fps=25.0)
+        corpus, index_map = build_corpus(events_from([]), layout, fps=25.0)
         assert len(corpus) == 0 and index_map == {}
+
+
+@st.composite
+def _event_streams(draw):
+    """A small grid and a frame-ordered event stream with gaps (empty
+    windows) and runs of any length, sometimes with one out-of-order or
+    off-grid event."""
+    cols, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = draw(st.integers(0, 60))
+    steps = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5, 13]), min_size=n, max_size=n))
+    frame = draw(st.integers(-20, 20)) + np.cumsum(steps, dtype=np.int64)
+    cx = np.array(draw(st.lists(st.integers(0, cols - 1), min_size=n, max_size=n)), dtype=np.int64)
+    cy = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n)), dtype=np.int64)
+    d = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.int64)
+    fault = draw(st.sampled_from([None, None, "order", "cell_x", "cell_y"]))
+    if fault and n > 1:
+        k = draw(st.integers(1, n - 1))
+        if fault == "order":
+            frame[k:] -= draw(st.integers(1, 3)) + frame[k] - frame[k - 1]
+        else:
+            grid = cx if fault == "cell_x" else cy
+            grid[k] = draw(st.sampled_from([-1, cols if fault == "cell_x" else rows]))
+    return FrameLayout(frame_w=8 * cols, frame_h=8 * rows), np.array([frame, cx, cy, d])
+
+
+class TestMatchesPerEventReference:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_event_streams(), st.sampled_from([1.0, 2.5, 4.0, 12.5, 29.97]),
+           st.sampled_from([0.25, 1.0, 1.5]), st.integers(0, 6))
+    def test_same_corpus_and_index_map(self, stream, fps, clip_seconds, min_words):
+        layout, events = stream
+        try:
+            expected, expected_map = build_corpus_per_event(events, layout, fps,
+                                                            clip_seconds, min_words)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                build_corpus(events, layout, fps, clip_seconds, min_words)
+            assert str(err.value) == str(exc)
+            return
+        corpus, index_map = build_corpus(events, layout, fps, clip_seconds, min_words)
+        assert index_map == expected_map
+        assert corpus.spec == expected.spec
+        assert [d.words.tolist() for d in corpus.documents] == \
+            [d.words.tolist() for d in expected.documents]
+        assert [d.timestamp for d in corpus.documents] == list(range(1, len(corpus) + 1))
+
+    def test_window_beyond_int64_range(self):
+        # Every non-negative frame falls in window 0, every negative one in -1.
+        layout = FrameLayout(frame_w=16, frame_h=16)
+        events = events_from([(-5, 0, 0, "up"), (0, 1, 0, "up"), (2**62, 0, 1, "down")])
+        corpus, index_map = build_corpus(events, layout, fps=1e300, min_words=1)
+        expected, expected_map = build_corpus_per_event(events, layout, 1e300, min_words=1)
+        assert index_map == expected_map == {1: -1, 2: 0}
+        assert [d.words.tolist() for d in corpus.documents] == \
+            [d.words.tolist() for d in expected.documents]

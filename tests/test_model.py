@@ -135,6 +135,16 @@ class TestCorpus:
         with pytest.raises(DataError):
             corpus_from_lists([[0, 2]], spec)
 
+    def test_word_range_error_names_document(self):
+        # The empty second document starts where the third does.
+        with pytest.raises(DataError, match="document 3 contains word ids outside"):
+            corpus_from_lists([[0, 1], [], [-1, 1], [5]], ModelSpec(2, 1, 1))
+
+    def test_documents_are_views_into_tokens(self):
+        c = corpus_from_lists([[0, 2, 0], [], [1]], ModelSpec(4, 1, 1))
+        assert all(np.shares_memory(d.words, c.tokens) for d in c.documents if len(d))
+        assert [d.words.tolist() for d in c.documents] == [[0, 2, 0], [], [1]]
+
     def test_token_count(self):
         c = corpus_from_lists([[0, 1], [1]], ModelSpec(2, 1, 1))
         assert c.num_tokens == 3 and len(c) == 2

@@ -2,12 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovtopics import ModelSpec, corpus_from_lists, make_prior, random_init
 from markovtopics import generate, serialize, vb
 from markovtopics.anomaly import ScoredDocument
 from markovtopics.gibbs import gibbs_init
+from markovtopics.ingest import DIRECTIONS
 from markovtopics.model import DataError, zero_counts
+
+from _oracles import read_corpus_per_token
 
 
 @pytest.fixture
@@ -138,6 +143,61 @@ class TestCorpusFiles:
         with pytest.raises(DataError):
             serialize.read_corpus(path, spec)
 
+    def test_empty_document_refused_on_write(self, tmp_path, spec):
+        # Its line would be blank, which read_corpus rejects.
+        path = tmp_path / "c.txt"
+        with pytest.raises(DataError, match="document 2 is empty"):
+            serialize.write_corpus(path, corpus_from_lists([[0, 1], [], [2]], spec))
+        assert not path.exists()
+
+    def test_empty_corpus_written_as_empty_file(self, tmp_path, spec):
+        path = tmp_path / "c.txt"
+        serialize.write_corpus(path, corpus_from_lists([], spec))
+        assert path.read_text() == ""
+        with pytest.raises(DataError, match="holds no documents"):
+            serialize.read_corpus(path, spec)
+
+
+_SPEC = ModelSpec(12, 1, 1)
+#: Corpus-file text: ids in and out of the vocabulary, signs, underscores,
+#: non-digits, ids beyond int64 and blank lines.
+_TOKENS = st.one_of(st.integers(0, 11).map(str), st.integers(-3, 30).map(str),
+                    st.sampled_from(["+3", "0_1", "007", "x", "1.0", str(2**63),
+                                     str(-2**63), "99999999999999999999"]))
+_LINES = st.lists(st.lists(_TOKENS, max_size=5).map(" ".join), max_size=5)
+
+
+class TestCorpusFileProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.integers(0, _SPEC.num_words - 1), min_size=1, max_size=8),
+                    min_size=1, max_size=8))
+    def test_write_then_read_gives_the_corpus_back(self, tmp_path_factory, docs):
+        path = tmp_path_factory.mktemp("corpus") / "c.txt"
+        corpus = corpus_from_lists(docs, _SPEC)
+        serialize.write_corpus(path, corpus)
+        back = serialize.read_corpus(path, _SPEC)
+        assert [d.words.tolist() for d in back.documents] == docs
+        assert [d.timestamp for d in back.documents] == list(range(1, len(docs) + 1))
+        assert np.array_equal(back.tokens, corpus.tokens)
+        assert np.array_equal(back.offsets, corpus.offsets)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_LINES, st.booleans())
+    def test_read_matches_per_token_reference(self, tmp_path_factory, lines, final_newline):
+        path = tmp_path_factory.mktemp("corpus") / "c.txt"
+        path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+        try:
+            expected = read_corpus_per_token(path, _SPEC)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                serialize.read_corpus(path, _SPEC)
+            assert str(err.value) == str(exc)
+            return
+        back = serialize.read_corpus(path, _SPEC)
+        assert len(back) == len(expected)
+        for a, b in zip(back.documents, expected.documents):
+            assert np.array_equal(a.words, b.words) and a.timestamp == b.timestamp
+
 
 class TestGroundTruthFiles:
     def test_round_trip(self, tmp_path, spec):
@@ -200,10 +260,10 @@ class TestEventFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("frame,cell_x,cell_y,dir\n0,1,2,up\n3,0,0,right\n")
-        events = serialize.read_events(path)
-        assert len(events) == 2
-        assert events[0].frame == 0 and events[0].direction == "up"
-        assert events[1].cell_x == 0 and events[1].direction == "right"
+        frame, cell_x, cell_y, direction = serialize.read_events(path)
+        assert len(frame) == 2
+        assert frame[0] == 0 and DIRECTIONS[direction[0]] == "up"
+        assert cell_x[1] == 0 and DIRECTIONS[direction[1]] == "right"
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -215,4 +275,36 @@ class TestEventFiles:
         path = tmp_path / "e.csv"
         path.write_text("frame,cell_x,cell_y,dir\n0,1,2,north\n")
         with pytest.raises(DataError):
+            serialize.read_events(path)
+
+    def test_header_only_gives_no_events(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("frame,cell_x,cell_y,dir\n")
+        events = serialize.read_events(path)
+        assert events.shape == (4, 0) and events.dtype == np.int64
+
+    def test_whitespace_around_fields_accepted(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("frame,cell_x,cell_y,dir\n 7 ,+1, 2,  down \n")
+        assert serialize.read_events(path).tolist() == [[7], [1], [2], [2]]
+
+    @pytest.mark.parametrize("body,message", [
+        ("0,1,2,up\n0,1\n", "line 3 of .*: expected 4 comma-separated fields"),
+        ("0,1,2,up\n0,1,2,up,\n", "line 3 of .*: expected 4 comma-separated fields"),
+        ("0,1,2,up\n\n0,1,2,up\n", "line 3 of .*: expected 4 comma-separated fields"),
+        ("0,1,2,up\n0,x,2,up\n", "line 3 of .*: field is not a 64-bit integer"),
+        ("0,1,2,up\n0,1,2.0,up\n", "line 3 of .*: field is not a 64-bit integer"),
+        ("0,1,2,up\n99999999999999999999,0,0,up\n", "line 3 of .*: field is not a 64-bit"),
+        ("0,1,2,Up\n", "line 2 of .*: unknown direction 'Up'"),
+        # The first bad line in file order is named, whatever its fault.
+        ("0,1,2,north\n0,x,2,up\n0,1\n", "line 2 of .*: unknown direction 'north'"),
+        ("0,1,2,up\n0,x,2,up\n0,1\n", "line 3 of .*: field is not a 64-bit integer"),
+        # Within a line, integer fields are checked before the direction.
+        ("0,x,2,north\n", "line 2 of .*: field is not a 64-bit integer"),
+    ], ids=["short-line", "long-line", "blank-line", "non-integer", "decimal", "overflow",
+            "direction-case", "first-direction", "first-non-integer", "integers-first"])
+    def test_error_names_first_bad_line(self, tmp_path, body, message):
+        path = tmp_path / "e.csv"
+        path.write_text("frame,cell_x,cell_y,dir\n" + body)
+        with pytest.raises(DataError, match=message):
             serialize.read_events(path)
