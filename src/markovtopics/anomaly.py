@@ -19,12 +19,14 @@ the same result as one call.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import inference
 from .inference import _lse
+from .ingest import decode_word
 from .model import Corpus, Document, ModelParams
 
 #: Documents shorter than this are not evaluated and count as normal.
@@ -54,7 +56,7 @@ class ScoredDocument:
     evaluated: bool = True
 
 
-def init_state(samples: list[ModelParams], last_filtered: np.ndarray | None = None,
+def init_state(samples: Iterable[ModelParams], last_filtered: np.ndarray | None = None,
                ) -> PredictiveState:
     """Initial predictive state for a test stream scored under ``samples``.
 
@@ -63,18 +65,23 @@ def init_state(samples: list[ModelParams], last_filtered: np.ndarray | None = No
     training document), each sample's belief is that vector propagated one
     step through its transition matrix, which makes test scoring the exact
     continuation of the training stream.
+
+    ``samples`` is read once, and each sample is dropped before the next is
+    requested, so the state holds no ``phi``: only S (X, Z) word mixture
+    logs, kept as one array per sample so a process can reuse its heap.
     """
-    xi = np.stack([p.xi for p in samples])
-    pi = np.stack([p.pi for p in samples])
+    xi, pi, log_mix = [], [], []
+    for p in samples:
+        xi.append(p.xi)
+        pi.append(p.pi)
+        log_mix.append(inference.word_mixture_logs(p))
+        del p
+    xi, pi = np.stack(xi), np.stack(pi)
     if last_filtered is None:
         belief = pi.copy()
     else:
         belief = xi @ np.asarray(last_filtered, dtype=float)
         belief /= belief.sum(axis=1, keepdims=True)
-    # One array per sample, not one stacked (S, X, Z) block: small arrays reuse
-    # heap memory a long-running process already holds, while a block of 20 MB
-    # (100 samples at paper scale) needs fresh pages and raises its peak RSS.
-    log_mix = [inference.word_mixture_logs(p) for p in samples]
     return PredictiveState(log_mix=log_mix, xi=xi, pi=pi, behaviour_belief=belief)
 
 
@@ -175,14 +182,8 @@ def localise(word_lls: np.ndarray, doc: Document, layout, top_n: int,
     ascending likelihood; ties keep token order.  ``top_n`` larger than the
     document clamps.
     """
-    from .ingest import decode_word  # local import to avoid a cycle
-
     if top_n <= 0:
         raise ValueError("top_n must be positive")
     top_n = min(top_n, len(doc))
     order = np.argsort(word_lls, kind="stable")[:top_n]
-    out = []
-    for i in order:
-        cx, cy, direction = decode_word(layout, int(doc.words[i]))
-        out.append((int(i), cx, cy, direction))
-    return out
+    return [(int(i), *decode_word(layout, int(doc.words[i]))) for i in order]

@@ -9,6 +9,7 @@ configuration, seeds included.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -242,24 +243,21 @@ def _score_stream(model: serialize.LoadedModel, test_corpus, mode, mc_samples,
                   seed, init, train_corpus, min_words):
     # Plug-in scoring is Monte Carlo with the point estimate as the only
     # sample.  Monte Carlo samples come from the VB posterior or the stored
-    # GS count samples; plain EM models carry neither.
+    # GS count samples (at most as many as were stored); plain EM models
+    # carry neither.  Samples stream into the state one at a time.
+    t0 = time.perf_counter()
     if mode == "plugin":
         samples = [model.params]
     elif model.posterior is not None:
         samples = vb.sample_posterior(model.posterior, mc_samples, seed)
     elif model.count_samples is not None:
-        samples = model.sample_params()[:mc_samples]
+        samples = itertools.islice(model.sample_params(), mc_samples)
     else:
         raise DataError("mc scoring requires a model with a posterior or samples "
                         "(train with vb or gs)")
     state = _initial_state(model, samples, init, train_corpus)
-    # The state holds all that scoring reads; the samples' phi and theta
-    # would only keep memory the batched pass can reuse.
-    del samples
-    t0 = time.perf_counter()
     scored, _ = anomaly.score(state, test_corpus, min_words)
-    elapsed = time.perf_counter() - t0
-    return scored, elapsed
+    return scored, len(state.pi), time.perf_counter() - t0
 
 
 def cmd_score(argv):
@@ -279,13 +277,13 @@ def cmd_score(argv):
     test_corpus = serialize.read_corpus(args.corpus, model.spec)
     train_corpus = (serialize.read_corpus(args.train_corpus, model.spec)
                     if args.train_corpus else None)
-    scored, elapsed = _score_stream(model, test_corpus, args.mode, args.mc_samples,
-                                    args.seed, args.init, train_corpus,
-                                    args.min_words)
+    scored, num_samples, elapsed = _score_stream(
+        model, test_corpus, args.mode, args.mc_samples, args.seed, args.init,
+        train_corpus, args.min_words)
     serialize.write_scores(args.out, scored)
     per_doc = elapsed / max(len(scored), 1)
-    print(f"scored {len(scored)} documents in {elapsed:.3f}s "
-          f"({per_doc * 1000:.3f} ms/document)")
+    print(f"scored {len(scored)} documents under {num_samples} parameter sample(s) "
+          f"in {elapsed:.3f}s ({per_doc * 1000:.3f} ms/document)")
     return 0
 
 

@@ -28,7 +28,6 @@ class FrameLayout:
     frame_w: int
     frame_h: int
     cell: int = 8
-    num_directions: int = 4
 
     @property
     def cols(self) -> int:
@@ -40,7 +39,7 @@ class FrameLayout:
 
     @property
     def vocabulary_size(self) -> int:
-        return self.cols * self.rows * self.num_directions
+        return self.cols * self.rows * len(DIRECTIONS)
 
 
 def quantise_direction(dx: float, dy: float) -> str:
@@ -60,16 +59,15 @@ def word_id(layout: FrameLayout, cell_x: int, cell_y: int, direction: str) -> in
     """Bijective encoding of (cell position, direction) onto [0, |vocab|)."""
     if not (0 <= cell_x < layout.cols and 0 <= cell_y < layout.rows):
         raise ValueError(f"cell ({cell_x}, {cell_y}) outside {layout.cols}x{layout.rows} grid")
-    return (cell_y * layout.cols + cell_x) * layout.num_directions + DIRECTION_INDEX[direction]
+    return (cell_y * layout.cols + cell_x) * len(DIRECTIONS) + DIRECTION_INDEX[direction]
 
 
 def decode_word(layout: FrameLayout, word: int) -> tuple[int, int, str]:
     """Inverse of :func:`word_id`."""
     if not (0 <= word < layout.vocabulary_size):
         raise ValueError(f"word id {word} outside vocabulary of {layout.vocabulary_size}")
-    direction = DIRECTIONS[word % layout.num_directions]
-    cell = word // layout.num_directions
-    return cell % layout.cols, cell // layout.cols, direction
+    cell, direction = divmod(word, len(DIRECTIONS))
+    return cell % layout.cols, cell // layout.cols, DIRECTIONS[direction]
 
 
 def build_corpus(events: np.ndarray, layout: FrameLayout, fps: float,
@@ -96,7 +94,7 @@ def build_corpus(events: np.ndarray, layout: FrameLayout, fps: float,
             raise DataError(f"events out of frame order at frame {frame[k]}")
         raise DataError(f"event at frame {frame[k]}: cell ({cx[k]}, {cy[k]}) outside "
                         f"{layout.cols}x{layout.rows} grid")
-    words = (cy * layout.cols + cx) * layout.num_directions + d
+    words = (cy * layout.cols + cx) * len(DIRECTIONS) + d
     # A window past the int64 range holds all frames >= 0 in window 0, the rest in -1.
     win = frame // window if window < 2**63 else frame >> 63
     # Events are in frame order, so each window's events are one run.

@@ -9,6 +9,7 @@ word ids; blank lines are forbidden.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -132,11 +133,11 @@ class LoadedModel:
                 for c in doc["samples"]
             ]
 
-    def sample_params(self) -> list[ModelParams] | None:
-        """Per-sample point estimates from stored GS count samples."""
+    def sample_params(self) -> Iterator[ModelParams] | None:
+        """Per-sample point estimates from stored GS count samples, made lazily."""
         if self.count_samples is None:
             return None
-        return [point_estimate(c, self.hyper) for c in self.count_samples]
+        return (point_estimate(c, self.hyper) for c in self.count_samples)
 
 
 def load_model(path) -> LoadedModel:

@@ -6,6 +6,7 @@ digamma-transformed (sub-stochastic) surrogate parameters.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,15 +85,15 @@ def _dirichlet_columns(rng: np.random.Generator, post: np.ndarray) -> np.ndarray
 
 
 def sample_posterior(post: PosteriorHyperparams, num_samples: int,
-                     seed: int) -> list[ModelParams]:
-    """Draw parameter sets column-wise from the posterior Dirichlets, one
-    sample at a time: never an (S, X, Y) block, which would raise peak memory."""
+                     seed: int) -> Iterator[ModelParams]:
+    """Yield parameter sets drawn column-wise from the posterior Dirichlets,
+    each when it is requested, so a consumer need hold only one at a time."""
     rng = np.random.default_rng(seed)
-    return [ModelParams(phi=_dirichlet_columns(rng, post.beta_t),
-                        theta=_dirichlet_columns(rng, post.alpha_t),
-                        xi=_dirichlet_columns(rng, post.gamma_t),
-                        pi=_dirichlet_columns(rng, post.eta_t))
-            for _ in range(num_samples)]
+    for _ in range(num_samples):
+        yield ModelParams(phi=_dirichlet_columns(rng, post.beta_t),
+                          theta=_dirichlet_columns(rng, post.alpha_t),
+                          xi=_dirichlet_columns(rng, post.gamma_t),
+                          pi=_dirichlet_columns(rng, post.eta_t))
 
 
 def vb_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,

@@ -3,9 +3,9 @@
 These are deliberately independent of the library's dynamic-programming
 implementations: exhaustive enumeration over behaviour paths (and, for the
 collapsed sampler, over complete hidden assignments).  The per-token Gibbs
-topic step, the per-document scorer, the per-event corpus builder and the
-per-token corpus reader are the straightforward versions the fast library
-paths must match.
+topic step, the per-document scorer, the per-event corpus builder, the
+per-token corpus reader and the list-building posterior sampler are the
+straightforward versions the fast library paths must match.
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from markovtopics.anomaly import ScoredDocument, normalise_score
 from markovtopics.em import _log_prior_exponents
 from markovtopics.inference import _lse
 from markovtopics.ingest import DIRECTIONS, word_id
-from markovtopics.model import Corpus, DataError, Document, ModelSpec
+from markovtopics.model import Corpus, DataError, Document, ModelParams, ModelSpec
+from markovtopics.vb import _dirichlet_columns
 
 
 def enum_marginal_and_posteriors(params, corpus):
@@ -222,6 +223,17 @@ def word_log_liks_one_document(state, doc):
     tokens = np.array([lm[doc.words] for lm in state.log_mix])  # (S, N, Z)
     per_sample = _lse(tokens + log_belief[:, None, :], axis=2)
     return _lse(per_sample, axis=0) - np.log(len(per_sample))
+
+
+def sample_posterior_list(post, num_samples, seed):
+    """All ``num_samples`` posterior draws at once, as a list: the same
+    gamma calls in the same order as the library's sample generator."""
+    rng = np.random.default_rng(seed)
+    return [ModelParams(phi=_dirichlet_columns(rng, post.beta_t),
+                        theta=_dirichlet_columns(rng, post.alpha_t),
+                        xi=_dirichlet_columns(rng, post.gamma_t),
+                        pi=_dirichlet_columns(rng, post.eta_t))
+            for _ in range(num_samples)]
 
 
 def log_marginal_likelihood(msgs):

@@ -5,6 +5,7 @@ on failure) and then asserts, so the summary and the pytest verdict agree.
 """
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -364,6 +365,25 @@ def test_scoring_throughput():
     ok = plugin_ms < 10.0 and mc_ms < 500.0
     _line("scoring throughput", ok,
           f"plug-in {plugin_ms:.2f} ms/doc (< 10), MC-100 {mc_ms:.1f} ms/doc (< 500)")
+
+
+def test_mc_state_memory():
+    """Building a 100-sample Monte Carlo state at full surveillance
+    dimensions holds the samples' (X, Z) word mixture logs, 19.8 MB, plus a
+    few (X, Y) matrices: its allocation peak stays under 25 MB."""
+    spec = ModelSpec(6480, 8, 4)
+    rng = np.random.default_rng(5)
+    counts = zero_counts(spec)
+    counts.n_xy += rng.integers(0, 30, size=counts.n_xy.shape)
+    post = vb.vb_m_step(counts, make_prior("1", spec))
+    tracemalloc.start()
+    try:
+        state = anomaly.init_state(vb.sample_posterior(post, 100, seed=1))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    ok = len(state.log_mix) == 100 and peak_mb < 25.0
+    _line("MC state memory", ok, f"100-sample state peak {peak_mb:.1f} MB (< 25)")
 
 
 def test_metric_correctness():

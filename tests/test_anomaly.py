@@ -1,6 +1,7 @@
 import itertools
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from markovtopics import ModelSpec, corpus_from_lists, make_prior, random_init
-from markovtopics import anomaly, inference
+from markovtopics import anomaly, inference, vb
 from markovtopics.ingest import FrameLayout
-from markovtopics.model import Document, ModelParams
+from markovtopics.model import Document, ModelParams, zero_counts
 
 from _oracles import log_marginal_likelihood, score_one_document, word_log_liks_one_document
 from conftest import random_instance
@@ -60,6 +61,44 @@ class TestInitState:
                         xi=xi, pi=np.array([0.5, 0.5]))
         st = anomaly.init_state([p], last_filtered=np.array([1.0, 0.0]))
         assert np.allclose(st.behaviour_belief, xi[:, 0])
+
+
+class TestStreamedSamples:
+    @staticmethod
+    def _posterior(rng):
+        spec = ModelSpec(9, 3, 2)
+        post = vb.vb_m_step(zero_counts(spec), make_prior("1", spec))
+        post.beta_t += rng.random(post.beta_t.shape)
+        return post
+
+    def test_generator_matches_list(self, rng):
+        post = self._posterior(rng)
+        last = np.array([0.3, 0.7])
+        streamed = anomaly.init_state(vb.sample_posterior(post, 5, seed=2), last_filtered=last)
+        listed = anomaly.init_state(list(vb.sample_posterior(post, 5, seed=2)),
+                                    last_filtered=last)
+        assert len(streamed.log_mix) == len(listed.log_mix) == 5
+        for a, b in zip(streamed.log_mix, listed.log_mix):
+            assert np.array_equal(a, b)
+        assert np.array_equal(streamed.xi, listed.xi)
+        assert np.array_equal(streamed.pi, listed.pi)
+        assert np.array_equal(streamed.behaviour_belief, listed.behaviour_belief)
+
+    def test_each_sample_freed_before_next_draw(self, rng):
+        # init_state keeps what scoring reads of a sample and lets the sample
+        # go, so S draws never hold S phi matrices at once.
+        refs, alive = [], []
+
+        def watched(samples):
+            for p in samples:
+                refs.append(weakref.ref(p.phi))
+                yield p
+                del p
+                alive.append(refs[-1]() is not None)
+
+        anomaly.init_state(watched(vb.sample_posterior(self._posterior(rng), 4, seed=0)))
+        assert len(refs) == 4
+        assert alive == [False] * 4
 
 
 class TestFilteredBelief:

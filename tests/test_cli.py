@@ -1,9 +1,11 @@
 import json
+import re
+import time
 
 import numpy as np
 import pytest
 
-from markovtopics import serialize
+from markovtopics import serialize, vb
 from markovtopics.cli import main
 
 
@@ -100,6 +102,49 @@ class TestEmptyWindows:
         assert main(["train", "--corpus", str(corpus), "--num-words", "16",
                      "--num-topics", "1", "--num-behaviours", "1", "--algo", "em",
                      "--iterations", "2", "--out", str(tmp_path / "m.json")]) == 0
+
+
+class TestScoreSummary:
+    def _score(self, tmp_path, capsys, model, test, *extra):
+        assert main(["score", "--model", str(model), "--corpus", str(test),
+                     "--init", "restart", "--out", str(tmp_path / "s.jsonl"),
+                     *extra]) == 0
+        return capsys.readouterr().out
+
+    def test_reports_samples_used(self, tmp_path, capsys):
+        train = _generate(tmp_path)
+        test = _generate(tmp_path, docs=4, seed=1, name="test.txt")
+        gs = _train(tmp_path, train, algo="gs", name="gs.json")
+        vb_model = _train(tmp_path, train, algo="vb", name="vb.json")
+        capsys.readouterr()
+        # The GS model stores two count samples: --mc-samples asks for more
+        # than there are, and the summary says how many were used.
+        assert "under 2 parameter sample(s)" in self._score(
+            tmp_path, capsys, gs, test, "--mode", "mc")
+        assert "under 1 parameter sample(s)" in self._score(
+            tmp_path, capsys, gs, test, "--mode", "mc", "--mc-samples", "1")
+        assert "under 7 parameter sample(s)" in self._score(
+            tmp_path, capsys, vb_model, test, "--mode", "mc", "--mc-samples", "7")
+        assert "under 1 parameter sample(s)" in self._score(
+            tmp_path, capsys, vb_model, test)
+
+    def test_time_covers_sampling(self, tmp_path, capsys, monkeypatch):
+        train = _generate(tmp_path)
+        test = _generate(tmp_path, docs=4, seed=1, name="test.txt")
+        model = _train(tmp_path, train, algo="vb")
+        capsys.readouterr()
+        draw = vb.sample_posterior
+
+        def slow_draws(*args):
+            for p in draw(*args):
+                time.sleep(0.05)
+                yield p
+
+        monkeypatch.setattr(vb, "sample_posterior", slow_draws)
+        out = self._score(tmp_path, capsys, model, test, "--mode", "mc",
+                          "--mc-samples", "4")
+        elapsed = float(re.search(r" in ([0-9.]+)s ", out).group(1))
+        assert elapsed >= 0.2
 
 
 class TestDeterminism:

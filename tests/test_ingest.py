@@ -65,6 +65,13 @@ class TestLayout:
         layout = FrameLayout(frame_w=20, frame_h=17, cell=8)
         assert layout.cols == 2 and layout.rows == 2
 
+    def test_direction_count_is_not_a_parameter(self):
+        # The event grammar knows the four DIRECTIONS only; a layout with any
+        # other count would size a vocabulary decode_word cannot read.
+        with pytest.raises(TypeError):
+            FrameLayout(frame_w=16, frame_h=16, num_directions=8)
+        assert FrameLayout(frame_w=16, frame_h=16).vocabulary_size == 2 * 2 * len(DIRECTIONS)
+
 
 class TestWordIds:
     def test_round_trip_bijection(self):

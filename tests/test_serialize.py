@@ -74,7 +74,7 @@ class TestModelFiles:
         loaded = serialize.load_model(path)
         assert len(loaded.count_samples) == 2
         assert np.allclose(loaded.count_samples[0].n_xy, state.counts.n_xy)
-        derived = loaded.sample_params()
+        derived = list(loaded.sample_params())
         assert len(derived) == 2
         assert np.allclose(derived[0].phi, p.phi)
 

@@ -10,6 +10,7 @@ from markovtopics import (
 from markovtopics import em, generate, inference, vb
 from markovtopics.model import SufficientCounts, validate_params, zero_counts
 
+from _oracles import sample_posterior_list
 from conftest import random_instance
 
 
@@ -119,6 +120,19 @@ class TestSamplePosterior:
         b = vb.sample_posterior(post, 3, seed=4)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.phi, pb.phi)
+
+    def test_generator_matches_list_of_draws(self, rng):
+        # The generator makes the same gamma calls in the same order as the
+        # list-building reference, so the MC RNG stream does not move.
+        spec = ModelSpec(7, 3, 2)
+        post = vb.vb_m_step(zero_counts(spec), make_prior("1", spec))
+        post.beta_t += rng.random(post.beta_t.shape)
+        got = list(vb.sample_posterior(post, 6, seed=11))
+        want = sample_posterior_list(post, 6, seed=11)
+        assert len(got) == len(want) == 6
+        for g, w in zip(got, want):
+            for name in ("phi", "theta", "xi", "pi"):
+                assert np.array_equal(getattr(g, name), getattr(w, name))
 
     def test_concentrated_posterior_mean(self):
         # Dirichlet(5000, 5000) column: samples average to 0.5 tightly.
