@@ -16,6 +16,13 @@ and propagates one step through each sample's transition matrix; the
 reported likelihood is the mean over samples.  Plug-in scoring with a point
 estimate is the case S = 1.  Scoring a stream in consecutive chunks gives
 the same result as one call.
+
+The scorer's update stays in the log domain, operation for operation the
+per-document reference it is tested against at 1e-12 relative error: log
+likelihoods within rounding of 0 (a one-word vocabulary) meet that bound no
+other way.  The training stream that a scored stream continues needs only
+its last filtered posterior, and :func:`filtered_belief` runs it through
+the cheaper scaled recursion, with the same restarts.
 """
 from __future__ import annotations
 
@@ -31,6 +38,8 @@ from .model import Corpus, Document, ModelParams
 
 #: Documents shorter than this are not evaluated and count as normal.
 MIN_SCORABLE_WORDS = 20
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -85,11 +94,40 @@ def init_state(samples: Iterable[ModelParams], last_filtered: np.ndarray | None 
     return PredictiveState(log_mix=log_mix, xi=xi, pi=pi, behaviour_belief=belief)
 
 
-def filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray:
-    """Filtered behaviour posterior after the last training document."""
-    la = inference.forward(params, corpus)[:, -1]
-    b = np.exp(la - _lse(la, axis=0))
-    return b / b.sum()
+def filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | None:
+    """Filtered behaviour posterior after the last training document, or
+    None when the stream restarts after it: that document is impossible
+    under ``params``, or there is none.
+
+    The training stream is filtered from ``params.pi`` as :func:`score`
+    filters a stream: a document impossible under the belief before it
+    restarts the belief from ``params.pi``.  The recursion is the scaled
+    forward pass (Rabiner 1989) on the emissions, exponentiated once after
+    shifting each document's emission logs by their maximum.  An update
+    whose normaliser is zero or subnormal (the shifted emissions underflowed
+    under the belief) is redone in the log domain.
+    """
+    log_emit = inference.emission_logs(params, corpus).T  # (T, Z)
+    shift = log_emit.max(axis=1, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    emit = np.exp(log_emit - shift)
+    xi, pi = params.xi, params.pi
+    belief, post = pi, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(len(corpus)):
+            a = emit[t] * belief
+            c = a.sum()
+            if c >= _TINY:
+                post = a / c
+            else:
+                joint = log_emit[t] + np.log(belief)
+                log_lik = _lse(joint, axis=0)
+                if log_lik == -np.inf:
+                    belief, post = pi, None
+                    continue
+                post = np.exp(joint - log_lik)
+            belief = xi @ post
+    return post
 
 
 def normalise_score(log_lik: float, length: int) -> float:
@@ -122,14 +160,15 @@ def _filter(state: PredictiveState, corpus: Corpus,
             # The emission is read once; its slot keeps the log belief.
             block[t] = log_belief
             m = joint.max(axis=1, keepdims=True)
-            m[~np.isfinite(m)] = 0.0
-            lik = m[:, 0] + np.log(np.exp(joint - m).sum(axis=1))
-            belief = np.einsum("sij,sj->si", xi, np.exp(joint - lik[:, None]))
+            # NaN for a sample under whose belief the document is impossible.
+            lik = m + np.log(np.exp(joint - m).sum(axis=1, keepdims=True))
+            belief = np.einsum("sij,sj->si", xi, np.exp(joint - lik))
             belief /= belief.sum(axis=1, keepdims=True)
-            impossible = ~np.isfinite(lik)
-            if impossible.any():
+            per_sample[t] = lik[:, 0]
+            if not np.isfinite(lik).all():
+                impossible = np.isnan(per_sample[t])
+                per_sample[t, impossible] = -np.inf
                 belief[impossible] = pi[impossible]
-            per_sample[t] = lik
     return per_sample, block, belief
 
 

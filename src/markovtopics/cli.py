@@ -157,19 +157,24 @@ def cmd_featurize(argv):
 
 
 def _train_one(task):
+    """Fit one model; returns its parameters, what scoring reads besides
+    them, and the metadata that says how the fit ran."""
     (algo, corpus, hyper, spec, seed, iters, tol, burn_in, spacing, samples) = task
     if algo == "em":
         params, trace = em.em_fit(corpus, hyper, spec, seed, max_iters=iters, tol=tol)
-        return {"params": params, "objective": trace.objectives[-1],
-                "iterations": trace.iterations}
+        return {"params": params, "metadata": {
+            "iterations": trace.iterations, "final_objective": trace.objectives[-1],
+            "seed_used": trace.seed_used, "converged": trace.converged}}
     if algo == "vb":
         post, params, trace = vb.vb_fit(corpus, hyper, spec, seed, max_iters=iters, tol=tol)
-        return {"params": params, "posterior": post, "iterations": trace.iterations}
+        return {"params": params, "posterior": post, "metadata": {
+            "iterations": trace.iterations, "seed_used": trace.seed_used,
+            "converged": trace.converged}}
     count_samples, _, pooled = gibbs.gs_fit(corpus, hyper, spec, seed,
                                             burn_in=burn_in, num_samples=samples,
                                             spacing=spacing)
-    return {"params": pooled, "count_samples": count_samples,
-            "iterations": burn_in + (samples - 1) * spacing}
+    return {"params": pooled, "count_samples": count_samples, "metadata": {
+        "iterations": burn_in + (samples - 1) * spacing, "seed_used": seed}}
 
 
 def cmd_train(argv):
@@ -206,9 +211,7 @@ def cmd_train(argv):
     for seed, result in zip(seeds, results):
         path = args.out if args.runs == 1 else _run_path(args.out, seed)
         metadata = {"seed": seed, "prior": args.prior, "algorithm": args.algo,
-                    "iterations": result["iterations"]}
-        if "objective" in result:
-            metadata["final_objective"] = result["objective"]
+                    **result["metadata"]}
         serialize.save_model(
             path, spec, hyper, result["params"], algorithm=args.algo,
             posterior=result.get("posterior"),
@@ -229,8 +232,9 @@ def _run_path(base: str, seed: int) -> str:
 
 
 def _initial_state(model: serialize.LoadedModel, samples, init, train_corpus):
-    """Predictive state over ``samples``; ``--init propagate`` continues from
-    the point estimate's filtered belief after the training stream."""
+    """Predictive state over ``samples``; ``--init propagate`` continues the
+    training stream as the point estimate filters it (an impossible last
+    training document restarts each sample from its ``pi``)."""
     last = None
     if init == "propagate":
         if train_corpus is None:

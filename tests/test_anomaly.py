@@ -101,6 +101,21 @@ class TestStreamedSamples:
         assert alive == [False] * 4
 
 
+def _underflow_params():
+    """xi = I and pi = (1, 0), so behaviour 0 is the only reachable one.
+    Twenty copies of word 1 are 786 nats less likely under it than under
+    behaviour 1: its emission, shifted by the maximum, underflows to 0."""
+    phi = np.array([[1.0 - math.exp(-40.0), 0.5], [math.exp(-40.0), 0.5]])
+    return ModelParams(phi=phi, theta=np.eye(2), xi=np.eye(2), pi=np.array([1.0, 0.0]))
+
+
+def _with_impossible_word(p):
+    """``p`` with word 0 given probability 0 under every topic."""
+    phi = p.phi.copy()
+    phi[0] = 0.0
+    return ModelParams(phi=phi / phi.sum(axis=0), theta=p.theta, xi=p.xi, pi=p.pi)
+
+
 class TestFilteredBelief:
     def test_matches_forward_column(self, rng):
         spec, p, corpus = random_instance(rng)
@@ -109,6 +124,27 @@ class TestFilteredBelief:
         expected = np.exp(msgs.log_alpha[:, -1] - logsumexp(msgs.log_alpha[:, -1]))
         assert np.allclose(b, expected, atol=1e-12)
         assert np.isclose(b.sum(), 1.0, atol=1e-12)
+
+    def test_underflow_redone_in_log_domain(self):
+        p = _underflow_params()
+        corpus = corpus_from_lists([[0, 1], [1] * 20], p.spec)
+        _, ref_state, _ = _reference_stream([p], corpus, 0)
+        # xi = I: the filtered posterior is the next document's belief.
+        np.testing.assert_allclose(anomaly.filtered_belief(p, corpus),
+                                   ref_state.behaviour_belief[0], rtol=1e-12, atol=0)
+
+    def test_impossible_document_restarts(self):
+        spec = ModelSpec(3, 2, 2)
+        p = _with_impossible_word(random_init(spec, make_prior("1", spec), 5))
+        tail = [[1, 2], [2, 2, 1]]
+        after = anomaly.filtered_belief(p, corpus_from_lists([[1], [0, 1]] + tail, spec))
+        assert np.array_equal(after, anomaly.filtered_belief(p, corpus_from_lists(tail, spec)))
+
+    def test_none_when_stream_restarts_after_it(self):
+        spec = ModelSpec(3, 2, 2)
+        p = _with_impossible_word(random_init(spec, make_prior("1", spec), 5))
+        assert anomaly.filtered_belief(p, corpus_from_lists([[1, 2], [2, 0]], spec)) is None
+        assert anomaly.filtered_belief(p, corpus_from_lists([], spec)) is None
 
 
 class TestScorePlugin:
@@ -377,6 +413,37 @@ class TestChainRuleProperty:
         assert math.isclose(total, log_both - log_train, rel_tol=1e-10, abs_tol=1e-10)
 
 
+@st.composite
+def _streams_with_impossible_documents(draw):
+    """Random tiny parameters, some with a word every topic gives
+    probability 0, and a training and a test stream that may use it."""
+    params, train, test = draw(_train_test_streams())
+    if params.spec.num_words > 1 and draw(st.booleans()):
+        params = _with_impossible_word(params)
+    return params, train, test
+
+
+class TestPropagationProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_streams_with_impossible_documents())
+    def test_propagated_records_are_the_tail_of_one_call(self, streams):
+        # --init propagate continues the training stream as the scorer
+        # filters it, impossible training documents included.
+        params, train, test = streams
+        spec = params.spec
+        last = anomaly.filtered_belief(params, corpus_from_lists(train, spec))
+        continued, state = _score_stream([params], corpus_from_lists(test, spec), 1, last)
+        whole, whole_state = _score_stream([params], corpus_from_lists(train + test, spec), 1)
+        tail = whole[len(train):]
+        assert [(r.length, r.evaluated) for r in continued] == [(r.length, r.evaluated)
+                                                                 for r in tail]
+        for got, want in zip(continued, tail):
+            assert (got.log_lik == want.log_lik == -np.inf
+                    or math.isclose(got.log_lik, want.log_lik, rel_tol=1e-10, abs_tol=1e-10))
+        np.testing.assert_allclose(state.behaviour_belief, whole_state.behaviour_belief,
+                                   rtol=1e-10, atol=1e-10)
+
+
 def _reference_stream(samples, corpus, min_words, last_filtered=None):
     """Records, final state and flat per-token log-liks of the per-document
     reference scorer."""
@@ -433,6 +500,15 @@ class TestMatchesPerDocumentReference:
         corpus = corpus_from_lists([[0, 1], [0, 2, 1], [1, 1, 0]], spec)
         records = _assert_matches_reference(samples, corpus, 0)
         assert all(np.isfinite(r.log_lik) for r in records)
+
+    def test_emission_underflow(self):
+        # Scaled by the maximum over behaviours, the long document's emission
+        # under the only reachable behaviour is exp(-786) = 0.
+        p = _underflow_params()
+        corpus = corpus_from_lists([[0, 1], [1] * 20, [0]], p.spec)
+        records = _assert_matches_reference([p], corpus, 0)
+        assert all(np.isfinite(r.log_lik) for r in records)
+        assert math.isclose(records[1].log_lik, -800.0, rel_tol=1e-9)
 
     def test_document_impossible_under_every_sample(self):
         p = ModelParams(phi=np.array([[1.0], [0.0]]), theta=np.ones((1, 1)),

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from markovtopics import serialize, vb
+from markovtopics import inference, serialize, vb
 from markovtopics.cli import main
 
 
@@ -401,6 +401,75 @@ class TestImpossibleDocument:
                      "--out-curve", str(curve)]) == 0
         assert "pr_auc=1.0000" in capsys.readouterr().out
         assert curve.read_text().splitlines()[1] == "1.0,1.0"
+
+
+def _train_without_word(tmp_path, num_words):
+    """EM estimate under the flat prior from a corpus of words 0 and 1 only:
+    every other word has probability 0, so a document holding one is
+    impossible."""
+    train = tmp_path / "train.txt"
+    train.write_text("0 1 0 1\n1 0 1 0\n0 0 1 1\n")
+    model = tmp_path / "m.json"
+    assert main(["train", "--corpus", str(train), "--num-words", str(num_words),
+                 "--num-topics", "2", "--num-behaviours", "2", "--algo", "em",
+                 "--prior", "1", "--iterations", "5", "--out", str(model)]) == 0
+    return model
+
+
+class TestImpossibleHistory:
+    # --init propagate continues the training stream as it would be scored:
+    # an impossible last training document restarts the belief from pi.
+
+    def test_score_continues_after_impossible_history(self, tmp_path):
+        model = _train_without_word(tmp_path, 3)
+        history = tmp_path / "history.txt"
+        history.write_text("0 1 2 1\n")
+        test = tmp_path / "test.txt"
+        test.write_text("0 1 0 1\n1 1 0 0\n")
+        propagated, restarted = tmp_path / "p.jsonl", tmp_path / "r.jsonl"
+        common = ["score", "--model", str(model), "--corpus", str(test), "--min-words", "0"]
+        assert main([*common, "--train-corpus", str(history), "--out", str(propagated)]) == 0
+        assert main([*common, "--init", "restart", "--out", str(restarted)]) == 0
+        records = [json.loads(line, parse_constant=_reject_constant)
+                   for line in propagated.read_text().splitlines()]
+        assert all(np.isfinite(r["score"]) for r in records)
+        assert propagated.read_text() == restarted.read_text()
+
+    def test_localise_ranks_impossible_word_first(self, tmp_path):
+        model = _train_without_word(tmp_path, 4)
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("0 1 3 1\n")
+        out = tmp_path / "loc.jsonl"
+        # One 8-px cell: vocabulary 4.
+        assert main(["localise", "--model", str(model), "--corpus", str(corpus),
+                     "--frame-w", "8", "--frame-h", "8", "--top-n", "4", "--init", "propagate",
+                     "--train-corpus", str(corpus), "--out", str(out)]) == 0
+        (record,) = [json.loads(line) for line in out.read_text().splitlines()]
+        assert record["tokens"][0][0] == 2
+
+
+class TestTrainMetadata:
+    @pytest.mark.parametrize("algo", ["em", "vb"])
+    def test_seed_used_after_rejected_draw(self, tmp_path, monkeypatch, algo):
+        e_step = inference.e_step
+        calls = []
+
+        def reject_first(params, corpus):
+            calls.append(1)
+            if len(calls) == 1:
+                raise inference.NumericalError("first draw rejected")
+            return e_step(params, corpus)
+
+        monkeypatch.setattr(inference, "e_step", reject_first)
+        model = _train(tmp_path, _generate(tmp_path), algo=algo, extra=["--seed", "7"])
+        metadata = serialize.load_model(model).metadata
+        assert metadata["seed"] == 7 and metadata["seed_used"] == 8
+        assert isinstance(metadata["converged"], bool)
+
+    def test_gibbs_records_its_seed(self, tmp_path):
+        model = _train(tmp_path, _generate(tmp_path), algo="gs", extra=["--seed", "7"])
+        metadata = serialize.load_model(model).metadata
+        assert metadata["seed"] == metadata["seed_used"] == 7
 
 
 def _count_flag_argv(tmp_path, command):
