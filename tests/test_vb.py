@@ -7,9 +7,10 @@ from markovtopics import (
     corpus_from_lists,
     make_prior,
 )
-from markovtopics import em, generate, inference, vb
+from markovtopics import em, generate, vb
 from markovtopics.model import SufficientCounts, validate_params, zero_counts
 
+import _oracles
 from _oracles import sample_posterior_list
 from conftest import random_instance
 
@@ -36,7 +37,7 @@ class TestVbMStep:
 
     def test_count_conservation(self, rng):
         spec, params, corpus = random_instance(rng)
-        _, _, counts = inference.infer(params, corpus)
+        _, _, counts = _oracles.infer(params, corpus)
         h = make_prior("1", spec)
         post = vb.vb_m_step(counts, h)
         expected_mass = corpus.num_tokens + spec.num_words * spec.num_topics
@@ -46,7 +47,7 @@ class TestVbMStep:
 class TestTildeParams:
     def test_sub_stochastic(self, rng):
         spec, params, corpus = random_instance(rng)
-        _, _, counts = inference.infer(params, corpus)
+        _, _, counts = _oracles.infer(params, corpus)
         post = vb.vb_m_step(counts, make_prior("1", spec))
         tilde = vb.tilde_params(post)
         assert np.all(tilde.phi.sum(axis=0) <= 1.0 + 1e-12)
@@ -85,7 +86,7 @@ class TestTildeParams:
 class TestPointEstimates:
     def test_normalised(self, rng):
         spec, params, corpus = random_instance(rng)
-        _, _, counts = inference.infer(params, corpus)
+        _, _, counts = _oracles.infer(params, corpus)
         est = vb.point_estimates(vb.vb_m_step(counts, make_prior("1", spec)))
         assert validate_params(est, spec) == []
 
@@ -94,7 +95,7 @@ class TestPointEstimates:
         # with every hyperparameter raised by one.
         for _ in range(10):
             spec, params, corpus = random_instance(rng)
-            _, _, counts = inference.infer(params, corpus)
+            _, _, counts = _oracles.infer(params, corpus)
             h = make_prior("1", spec)
             shifted = Hyperparams(alpha=h.alpha + 1.0, beta=h.beta + 1.0,
                                   gamma=h.gamma + 1.0, eta=h.eta + 1.0)
