@@ -48,13 +48,21 @@ _positive = _int_at_least(1)
 _non_negative = _int_at_least(0)
 
 
-def _positive_real(text):
-    """argparse type: a finite real number above zero."""
+def _finite_real(text):
+    """argparse type: a finite real number."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _positive_real(text):
+    """argparse type: a finite real number above zero."""
+    value = _finite_real(text)
+    if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
     return value
 
@@ -194,6 +202,9 @@ def cmd_train(argv):
     parser.add_argument("--jobs", type=_positive, default=1)
     parser.add_argument("--out", required=True)
     args = _apply_config(argv, parser)
+    if args.algo == "gs" and args.samples > 1 and args.spacing == 0:
+        parser.error(f"--algo gs with --samples {args.samples} needs --spacing >= 1: "
+                     "with --spacing 0 every stored count sample is the same")
     spec = _spec_from(args)
     hyper = make_prior(args.prior, spec)
     corpus = serialize.read_corpus(args.corpus, spec)
@@ -328,7 +339,7 @@ def cmd_eval(argv):
     parser.add_argument("--scores", action="append", required=True,
                         help="score file; repeat for multi-run aggregation")
     parser.add_argument("--labels", required=True)
-    parser.add_argument("--threshold", type=float)
+    parser.add_argument("--threshold", type=_finite_real)
     parser.add_argument("--out-curve")
     args = _apply_config(argv, parser)
     labels = serialize.read_labels(args.labels)

@@ -11,11 +11,11 @@ import numpy as np
 
 from .model import (
     Corpus,
-    Document,
     Hyperparams,
     ModelParams,
     ModelSpec,
     PROB_TOL,
+    corpus_from_lists,
 )
 
 # Sub-stream labels for the splittable seeded RNG.  Parameter draws and token
@@ -54,6 +54,12 @@ def generate_from(params: ModelParams, num_docs: int, doc_lengths: list[int],
     The behaviour of document 1 is drawn from ``pi``, later behaviours from
     the transition column of the previous behaviour; each token draws a topic
     from the behaviour's topic column and a word from the topic's word column.
+
+    Per document one call draws ``1 + 2n`` uniforms: the behaviour's, then
+    the ``n`` topic uniforms, then the ``n`` word uniforms, which is the
+    stream of a draw per variable in that order.  Behaviours and topics are
+    picked as the chain goes; the words of the whole corpus are picked after
+    it, with one search per topic over that topic's tokens.
     """
     if len(doc_lengths) != num_docs:
         raise ValueError("doc_lengths must have num_docs entries")
@@ -62,34 +68,34 @@ def generate_from(params: ModelParams, num_docs: int, doc_lengths: list[int],
     spec = params.spec
     rng = _stream(seed, "tokens")
 
-    # Precomputed cumulative columns: token sampling dominates the cost.
     cum_pi = np.cumsum(params.pi)
     cum_xi = np.cumsum(params.xi, axis=0)
     cum_theta = np.cumsum(params.theta, axis=0)
     cum_phi = np.cumsum(params.phi, axis=0)
 
-    docs = []
-    topics = []
+    bounds = np.cumsum([0, *doc_lengths]).tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    topics = np.empty(bounds[-1], dtype=np.int64)
+    u_word = np.empty(bounds[-1])
     behaviours = np.empty(num_docs, dtype=np.int64)
-    z = None
-    for t in range(num_docs):
-        if t == 0:
-            z = int(np.searchsorted(cum_pi, rng.random(), side="right").clip(0, spec.num_behaviours - 1))
-        else:
-            z = int(np.searchsorted(cum_xi[:, z], rng.random(), side="right").clip(0, spec.num_behaviours - 1))
+    cum_z = cum_pi
+    for t, (a, b) in enumerate(spans):
+        u = rng.random(1 + 2 * (b - a))
+        z = int(np.searchsorted(cum_z, u[0], side="right").clip(0, spec.num_behaviours - 1))
         behaviours[t] = z
-        n = doc_lengths[t]
-        u_topic = rng.random(n)
-        y = np.searchsorted(cum_theta[:, z], u_topic, side="right").clip(0, spec.num_topics - 1)
-        u_word = rng.random(n)
-        x = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            x[i] = np.searchsorted(cum_phi[:, y[i]], u_word[i], side="right").clip(0, spec.num_words - 1)
-        docs.append(Document(words=x, timestamp=t + 1))
-        topics.append(np.asarray(y, dtype=np.int64))
-    corpus = Corpus(documents=docs, spec=spec)
+        cum_z = cum_xi[:, z]
+        topics[a:b] = np.searchsorted(cum_theta[:, z], u[1:1 + b - a], side="right")
+        u_word[a:b] = u[1 + b - a:]
+    np.clip(topics, 0, spec.num_topics - 1, out=topics)
+    words = np.empty_like(topics)
+    for y in range(spec.num_topics):
+        at = np.flatnonzero(topics == y)
+        words[at] = np.searchsorted(cum_phi[:, y], u_word[at], side="right")
+    np.clip(words, 0, spec.num_words - 1, out=words)
+    corpus = corpus_from_lists([words[a:b] for a, b in spans], spec)
     return GeneratedDataset(corpus=corpus, true_params=params,
-                            true_topics=topics, true_behaviours=behaviours)
+                            true_topics=[topics[a:b] for a, b in spans],
+                            true_behaviours=behaviours)
 
 
 def generate(spec: ModelSpec, hyper: Hyperparams, num_docs: int,

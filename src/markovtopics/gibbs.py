@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import (
     Corpus,
@@ -72,66 +72,134 @@ def gibbs_init(corpus: Corpus, spec: ModelSpec, seed: int) -> GibbsState:
                       counts=counts, topic_totals=counts.n_xy.sum(axis=0), rng=rng)
 
 
+def _column_total(column, alpha) -> float:
+    """``sum(n_y + alpha_y)`` over topics, added in topic order as numpy's
+    column sum of the (topics, behaviours) array adds its rows."""
+    total = 0.0
+    for n, a in zip(column, alpha):
+        total += n + a
+    return total
+
+
 def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
-    n_yz, n_zz, n_z1 = state.counts.n_yz, state.counts.n_zz, state.counts.n_z1
-    z = state.z_assign
-    alpha, gamma, eta = hyper.alpha, hyper.gamma, hyper.eta
-    num_topics = n_yz.shape[0]
-    num_behaviours = n_yz.shape[1]
+    """Resample every document's behaviour, in time order.
+
+    A loop over Python scalars.  The conditional of behaviour ``k`` is the
+    Dirichlet-multinomial term of the document's topic counts ``m`` under
+    column ``k`` of ``n_yz + alpha`` (rows with ``m_y = 0`` add exactly 0,
+    so only the used topics are visited), then the transition into the
+    document, then the transitions out of it over their column total, with
+    the self-transition correction.  ``gammaln`` of every ``n_yz + alpha``
+    entry and of the column totals is cached and refreshed in the columns a
+    move touches.  The transition logs come from tables built with one
+    ``np.log`` call per sweep, and each document's conditional is
+    exponentiated with one ``np.exp`` call; the float64 operations are
+    those, in the same order, of the numpy conditional the tests keep as the
+    reference, so the chain matches it bit for bit.  The uniforms are drawn
+    in one call, which gives the same stream as one draw per document.
+    """
+    # The ufunc's own scalar routine, imported here: the extension maps
+    # about 1 MB that only a Gibbs fit needs.
+    from scipy.special.cython_special import gammaln
+
+    counts = state.counts
+    num_topics, num_behaviours = counts.n_yz.shape
     T = len(corpus)
-    ks = np.arange(num_behaviours)
-    log_eta = np.log(eta)
-    gamma_sum = gamma.sum()
-    rng = state.rng
+    last = num_behaviours - 1
+    behaviours = range(num_behaviours)
+    alpha = hyper.alpha.tolist()
+    lengths = np.diff(corpus.offsets)
+    docs = np.repeat(np.arange(T) * num_topics, lengths)
+    histograms = np.bincount(docs + state.y_flat, minlength=T * num_topics)
+    histograms = histograms.reshape(T, num_topics).tolist()
+    lengths = lengths.tolist()
+
+    # Transition logs by count n in [0, T]: log(n + gamma_j), the same plus
+    # one (a self transition), log(n + sum(gamma)) and the same plus one.
+    grid = np.arange(T + 1)
+    into = grid + hyper.gamma[:, None]
+    out_of = grid + hyper.gamma.sum()
+    logs = np.log(np.vstack([into, into + 1.0, out_of, out_of + 1.0])).tolist()
+    log_into, log_self = logs[:num_behaviours], logs[num_behaviours:-2]
+    log_out, log_out_self = logs[-2], logs[-1]
+    log_eta = np.log(hyper.eta).tolist()
+
+    z = state.z_assign.tolist()
+    n_zz = counts.n_zz.tolist()  # [z_new][z_old]
+    n_z1 = counts.n_z1.tolist()
+    leaving = counts.n_zz.sum(axis=0).tolist()
+    columns = counts.n_yz.T.tolist()  # [z][y]
+    lg = [[gammaln(n + a) for n, a in zip(col, alpha)] for col in columns]
+    totals = [_column_total(col, alpha) for col in columns]
+    lg_totals = [gammaln(s) for s in totals]
+    uniforms = state.rng.random(T).tolist()
+
+    def move(k, used, sign):
+        col, lg_k = columns[k], lg[k]
+        for y, c in used:
+            col[y] += sign * c
+            lg_k[y] = gammaln(col[y] + alpha[y])
+        totals[k] = _column_total(col, alpha)
+        lg_totals[k] = gammaln(totals[k])
 
     for t in range(T):
-        z_old = int(z[t])
-        m = np.bincount(state.y_assign[t], minlength=num_topics)
-        n_t = int(m.sum())
+        z_old = z[t]
+        used = [(y, c) for y, c in enumerate(histograms[t]) if c]
+        n_t = lengths[t]
+        first, final = t == 0, t == T - 1
 
         # Exclude document t's own contributions before scoring candidates.
-        n_yz[:, z_old] -= m
-        if t == 0:
+        if used:
+            move(z_old, used, -1)
+        if first:
             n_z1[z_old] -= 1
         else:
-            n_zz[z_old, z[t - 1]] -= 1
-        if t < T - 1:
-            n_zz[z[t + 1], z_old] -= 1
+            z_prev = z[t - 1]
+            n_zz[z_old][z_prev] -= 1
+            leaving[z_prev] -= 1
+        if not final:
+            z_next = z[t + 1]
+            n_zz[z_next][z_old] -= 1
+            leaving[z_old] -= 1
+            next_row = n_zz[z_next]
 
-        # Dirichlet-multinomial compound term of the document's topic counts.
-        a = n_yz + alpha[:, None]
-        dm = (gammaln(a + m[:, None]) - gammaln(a)).sum(axis=0)
-        tot = a.sum(axis=0)
-        dm -= gammaln(tot + n_t) - gammaln(tot)
+        logp = []
+        for k in behaviours:
+            col, lg_k = columns[k], lg[k]
+            dm = 0.0
+            for y, c in used:
+                dm += gammaln(col[y] + alpha[y] + c) - lg_k[y]
+            dm -= gammaln(totals[k] + n_t) - lg_totals[k]
+            v = dm + (log_eta[k] if first else log_into[k][n_zz[k][z_prev]])
+            if not final:
+                if first or k != z_prev:
+                    v = v + log_into[z_next][next_row[k]] - log_out[leaving[k]]
+                elif z_next == z_prev:
+                    v = v + log_self[z_next][next_row[k]] - log_out_self[leaving[k]]
+                else:
+                    v = v + log_into[z_next][next_row[k]] - log_out_self[leaving[k]]
+            logp.append(v)
 
-        logp = dm
-        if t == 0:
-            logp = logp + log_eta
-        else:
-            logp = logp + np.log(n_zz[:, z[t - 1]] + gamma)
-        if t < T - 1:
-            z_next = int(z[t + 1])
-            num = n_zz[z_next, :] + gamma[z_next]
-            den = n_zz.sum(axis=0) + gamma_sum
-            if t > 0:
-                z_prev = int(z[t - 1])
-                num = num + ((ks == z_prev) & (z_next == z_prev))
-                den = den + (ks == z_prev)
-            logp = logp + np.log(num) - np.log(den)
+        top = max(logp)
+        cw = list(accumulate(np.exp([v - top for v in logp]).tolist()))
+        k = min(bisect_right(cw, uniforms[t] * cw[-1]), last)
 
-        logp -= logp.max()
-        p = np.exp(logp)
-        cp = np.cumsum(p)
-        k = int(np.searchsorted(cp, rng.random() * cp[-1], side="right").clip(0, num_behaviours - 1))
-
-        n_yz[:, k] += m
-        if t == 0:
+        if used:
+            move(k, used, 1)
+        if first:
             n_z1[k] += 1
         else:
-            n_zz[k, z[t - 1]] += 1
-        if t < T - 1:
-            n_zz[z[t + 1], k] += 1
+            n_zz[k][z_prev] += 1
+            leaving[z_prev] += 1
+        if not final:
+            next_row[k] += 1
+            leaving[k] += 1
         z[t] = k
+
+    counts.n_yz[...] = np.array(columns).T
+    counts.n_zz[...] = n_zz
+    counts.n_z1[...] = n_z1
+    state.z_assign[...] = z
 
 
 def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):

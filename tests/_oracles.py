@@ -4,9 +4,11 @@ These are deliberately independent of the library's dynamic-programming
 implementations: exhaustive enumeration over behaviour paths (and, for the
 collapsed sampler, over complete hidden assignments).  The token-level
 log-domain forward-backward (``messages``, ``posteriors``,
-``expected_counts``, ``infer``), the per-token Gibbs topic step, the per-document scorer, the per-event corpus builder, the
-per-token corpus reader and the list-building posterior sampler are the
-straightforward versions the fast library paths must match.
+``expected_counts``, ``infer``), the per-token generator, the per-token
+Gibbs topic step, the numpy Gibbs behaviour step, the per-document scorer,
+the per-event corpus builder, the per-token corpus reader and the
+list-building posterior sampler are the straightforward versions the fast
+library paths must match.
 """
 from __future__ import annotations
 
@@ -17,10 +19,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from markovtopics.anomaly import ScoredDocument, normalise_score
 from markovtopics.em import _log_prior_exponents
+from markovtopics.generate import GeneratedDataset, _stream
 from markovtopics.inference import _lse, emission_logs, word_mixture_logs
 from markovtopics.ingest import DIRECTIONS, word_id
 from markovtopics.model import (
@@ -170,6 +173,53 @@ def enum_collapsed_posterior(corpus, hyper):
     return {k: v / norm for k, v in probs.items()}
 
 
+def per_token_generate_from(params: ModelParams, num_docs: int, doc_lengths: list[int],
+                            seed: int) -> GeneratedDataset:
+    """The generative chain with one word search per token: the reference
+    ``generate.generate_from`` must match exactly, the next draw of the
+    token stream included.
+
+    The behaviour of document 1 is drawn from ``pi``, later behaviours from
+    the transition column of the previous behaviour; each token draws a topic
+    from the behaviour's topic column and a word from the topic's word column.
+    """
+    if len(doc_lengths) != num_docs:
+        raise ValueError("doc_lengths must have num_docs entries")
+    if any(n <= 0 for n in doc_lengths):
+        raise ValueError("zero-length documents are not allowed")
+    spec = params.spec
+    rng = _stream(seed, "tokens")
+
+    # Precomputed cumulative columns: token sampling dominates the cost.
+    cum_pi = np.cumsum(params.pi)
+    cum_xi = np.cumsum(params.xi, axis=0)
+    cum_theta = np.cumsum(params.theta, axis=0)
+    cum_phi = np.cumsum(params.phi, axis=0)
+
+    docs = []
+    topics = []
+    behaviours = np.empty(num_docs, dtype=np.int64)
+    z = None
+    for t in range(num_docs):
+        if t == 0:
+            z = int(np.searchsorted(cum_pi, rng.random(), side="right").clip(0, spec.num_behaviours - 1))
+        else:
+            z = int(np.searchsorted(cum_xi[:, z], rng.random(), side="right").clip(0, spec.num_behaviours - 1))
+        behaviours[t] = z
+        n = doc_lengths[t]
+        u_topic = rng.random(n)
+        y = np.searchsorted(cum_theta[:, z], u_topic, side="right").clip(0, spec.num_topics - 1)
+        u_word = rng.random(n)
+        x = np.empty(n, dtype=np.int64)
+        for i in range(n):
+            x[i] = np.searchsorted(cum_phi[:, y[i]], u_word[i], side="right").clip(0, spec.num_words - 1)
+        docs.append(Document(words=x, timestamp=t + 1))
+        topics.append(np.asarray(y, dtype=np.int64))
+    corpus = Corpus(documents=docs, spec=spec)
+    return GeneratedDataset(corpus=corpus, true_params=params,
+                            true_topics=topics, true_behaviours=behaviours)
+
+
 def vectorised_topic_step(state, corpus, hyper):
     """The collapsed Gibbs topic step as one numpy conditional per token,
     drawing one uniform per token: the reference the scalar loop in
@@ -198,6 +248,71 @@ def vectorised_topic_step(state, corpus, hyper):
             totals[k] += 1
             n_yz[k, z_t] += 1
             ys[i] = k
+
+
+def vectorised_behaviour_step(state, corpus, hyper):
+    """The collapsed Gibbs behaviour step as numpy conditionals over all
+    behaviours, drawing one uniform per document: the reference the scalar
+    loop in ``gibbs`` must match bit for bit."""
+    n_yz, n_zz, n_z1 = state.counts.n_yz, state.counts.n_zz, state.counts.n_z1
+    z = state.z_assign
+    alpha, gamma, eta = hyper.alpha, hyper.gamma, hyper.eta
+    num_topics = n_yz.shape[0]
+    num_behaviours = n_yz.shape[1]
+    T = len(corpus)
+    ks = np.arange(num_behaviours)
+    log_eta = np.log(eta)
+    gamma_sum = gamma.sum()
+    rng = state.rng
+
+    for t in range(T):
+        z_old = int(z[t])
+        m = np.bincount(state.y_assign[t], minlength=num_topics)
+        n_t = int(m.sum())
+
+        # Exclude document t's own contributions before scoring candidates.
+        n_yz[:, z_old] -= m
+        if t == 0:
+            n_z1[z_old] -= 1
+        else:
+            n_zz[z_old, z[t - 1]] -= 1
+        if t < T - 1:
+            n_zz[z[t + 1], z_old] -= 1
+
+        # Dirichlet-multinomial compound term of the document's topic counts.
+        a = n_yz + alpha[:, None]
+        dm = (gammaln(a + m[:, None]) - gammaln(a)).sum(axis=0)
+        tot = a.sum(axis=0)
+        dm -= gammaln(tot + n_t) - gammaln(tot)
+
+        logp = dm
+        if t == 0:
+            logp = logp + log_eta
+        else:
+            logp = logp + np.log(n_zz[:, z[t - 1]] + gamma)
+        if t < T - 1:
+            z_next = int(z[t + 1])
+            num = n_zz[z_next, :] + gamma[z_next]
+            den = n_zz.sum(axis=0) + gamma_sum
+            if t > 0:
+                z_prev = int(z[t - 1])
+                num = num + ((ks == z_prev) & (z_next == z_prev))
+                den = den + (ks == z_prev)
+            logp = logp + np.log(num) - np.log(den)
+
+        logp -= logp.max()
+        p = np.exp(logp)
+        cp = np.cumsum(p)
+        k = int(np.searchsorted(cp, rng.random() * cp[-1], side="right").clip(0, num_behaviours - 1))
+
+        n_yz[:, k] += m
+        if t == 0:
+            n_z1[k] += 1
+        else:
+            n_zz[k, z[t - 1]] += 1
+        if t < T - 1:
+            n_zz[z[t + 1], k] += 1
+        z[t] = k
 
 
 def score_one_document(state, doc, min_words):

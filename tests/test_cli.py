@@ -1,10 +1,16 @@
+import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import markovtopics
 from markovtopics import inference, serialize, vb
 from markovtopics.cli import main
 
@@ -252,6 +258,23 @@ class TestExitCodes:
     def test_no_args_usage(self):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("argv,code", [(["--help"], 0), ([], 2)])
+    def test_module_entry_point(self, argv, code):
+        src = str(Path(markovtopics.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-m", "markovtopics", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == code
+        assert "usage: markovtopics" in done.stdout
+        assert "Traceback" not in done.stderr
+
+    def test_importing_entry_point_runs_nothing(self, capsys):
+        # Tools that import every module of the package (a tracer, a
+        # documentation generator) must not start the command line.
+        importlib.import_module("markovtopics.__main__")
+        assert capsys.readouterr() == ("", "")
+
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert main(["train", "--corpus", str(tmp_path / "nope.txt"),
                      "--num-words", "4", "--num-topics", "1",
@@ -476,7 +499,7 @@ def _count_flag_argv(tmp_path, command):
     """Valid arguments for ``command``; the files need not exist because a
     bad count is rejected while the arguments are parsed."""
     spec = ["--num-words", "4", "--num-topics", "1", "--num-behaviours", "1"]
-    f = {name: str(tmp_path / name) for name in ("c.txt", "e.csv", "m.json", "o")}
+    f = {name: str(tmp_path / name) for name in ("c.txt", "e.csv", "m.json", "l.txt", "o")}
     frame = ["--frame-w", "16", "--frame-h", "16"]
     return {
         "generate": [*spec, "--docs", "1", "--doc-length", "5", "--out-corpus", f["o"]],
@@ -485,6 +508,7 @@ def _count_flag_argv(tmp_path, command):
         "train": ["--corpus", f["c.txt"], *spec, "--algo", "em", "--out", f["o"]],
         "score": ["--model", f["m.json"], "--corpus", f["c.txt"], "--out", f["o"]],
         "localise": ["--model", f["m.json"], "--corpus", f["c.txt"], *frame, "--out", f["o"]],
+        "eval": ["--scores", f["o"], "--labels", f["l.txt"]],
     }[command]
 
 
@@ -528,6 +552,14 @@ class TestCountFlags:
         train = _generate(tmp_path)
         _train(tmp_path, train, algo="gs", extra=["--burn-in", "0"])
 
+    @pytest.mark.parametrize("algo,samples", [("gs", "1"), ("em", "3"), ("vb", "3")])
+    def test_zero_spacing_accepted_unless_gibbs_stores_copies(self, tmp_path, algo, samples):
+        train = _generate(tmp_path)
+        model = _train(tmp_path, train, algo=algo,
+                       extra=["--spacing", "0", "--samples", samples])
+        if algo == "gs":
+            assert len(serialize.load_model(model).count_samples) == 1
+
 
 class TestShortDocuments:
     def test_unevaluated_never_flagged(self, tmp_path, capsys):
@@ -551,11 +583,12 @@ class TestShortDocuments:
         assert "pr_auc=" in out
 
 
-#: Bad frame geometry and timing, and bad convergence tolerances: each
-#: row's flags, as given on the command line (``str``) and in a config file
-#: (the number itself).  A 32-px cell leaves no whole cell in the 16x16
-#: frame; the last two featurize rows are valid apart but make a clip of no
-#: frames or of infinitely many.
+#: Bad frame geometry and timing, bad convergence tolerances, Gibbs samples
+#: that would all be one state, and non-finite eval thresholds: each row's
+#: flags, as given on the command line (``str``) and in a config file (the
+#: value itself).  A 32-px cell leaves no whole cell in the 16x16 frame; the
+#: last two featurize rows are valid apart but make a clip of no frames or of
+#: infinitely many.
 _LAYOUT_FLAGS = [
     *[(command, {flag: bad}) for command in ("featurize", "localise")
       for flag, bad in (("--frame-w", 0), ("--frame-h", 0), ("--cell", 0), ("--cell", 32))],
@@ -564,6 +597,8 @@ _LAYOUT_FLAGS = [
     ("featurize", {"--fps": 1e-200, "--clip-seconds": 1e-200}),
     ("featurize", {"--fps": 1e200, "--clip-seconds": 1e200}),
     *[("train", {"--tol": bad}) for bad in (float("nan"), -1.0, 0.0, float("inf"))],
+    *[("train", {"--algo": "gs", "--samples": samples, "--spacing": 0}) for samples in (2, 5)],
+    *[("eval", {"--threshold": bad}) for bad in (float("nan"), float("inf"), float("-inf"))],
 ]
 
 

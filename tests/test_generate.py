@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _oracles
 from markovtopics import ModelParams, ModelSpec, make_prior
+from markovtopics import generate as generate_module
 from markovtopics.generate import generate, generate_from, sample_categorical
 
 
@@ -116,3 +120,57 @@ class TestGenerate:
         ds = generate(spec, make_prior("1", spec), 3, [2, 4, 1], seed=2)
         assert [len(y) for y in ds.true_topics] == [2, 4, 1]
         assert ds.true_behaviours.shape == (3,)
+
+
+def _recording_run(module, fn, params, lengths, seed):
+    """``fn``'s dataset and the next uniform of its token stream."""
+    streams = []
+    stream = generate_module._stream
+
+    def recording(seed, label):
+        rng = stream(seed, label)
+        streams.append(rng)
+        return rng
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, "_stream", recording)
+        ds = fn(params, len(lengths), lengths, seed)
+    return ds, streams[-1].random()
+
+
+def _case(X, Y, Z, prior, lengths, seed):
+    """Parameters drawn from ``prior``, document lengths and a seed."""
+    spec = ModelSpec(X, Y, Z)
+    return generate(spec, make_prior(prior, spec), 1, [1], seed).true_params, lengths, seed
+
+
+@st.composite
+def _generator_cases(draw):
+    """Parameters drawn from one of the three priors, uneven document
+    lengths (1-token documents and a single document included) and a seed."""
+    return _case(draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                 draw(st.sampled_from(["1", "H", "H+1"])),
+                 draw(st.lists(st.integers(1, 9), min_size=1, max_size=6)),
+                 draw(st.integers(0, 2**32 - 1)))
+
+
+class TestPerTokenReference:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_generator_cases())
+    @example(_case(1, 1, 1, "1", [1], 0))
+    @example(_case(5, 3, 2, "H", [1, 7, 1, 1, 30, 2], 4))
+    @example(_case(1, 3, 2, "H+1", [3, 1, 12, 5], 7))
+    @example(_case(6, 1, 2, "H", [3, 1, 12, 5], 7))
+    @example(_case(6, 3, 1, "1", [3, 1, 12, 5], 7))
+    def test_equals_per_token_generator(self, case):
+        params, lengths, seed = case
+        new, new_next = _recording_run(generate_module, generate_from, params, lengths, seed)
+        old, old_next = _recording_run(_oracles, _oracles.per_token_generate_from,
+                                       params, lengths, seed)
+        assert np.array_equal(new.corpus.tokens, old.corpus.tokens)
+        assert np.array_equal(new.corpus.offsets, old.corpus.offsets)
+        assert len(new.true_topics) == len(old.true_topics) == len(lengths)
+        for a, b in zip(new.true_topics, old.true_topics):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(new.true_behaviours, old.true_behaviours)
+        assert new_next == old_next

@@ -7,12 +7,14 @@ from markovtopics import Hyperparams, ModelSpec, corpus_from_lists, make_prior
 from markovtopics import generate, gibbs
 from markovtopics.model import validate_params
 
-from _oracles import enum_collapsed_posterior, vectorised_topic_step
+from _oracles import enum_collapsed_posterior, vectorised_behaviour_step, vectorised_topic_step
 
 
 def _reference_chain(corpus, hyper, seed, sweeps):
-    """The chain with the vectorised reference as its topic step."""
+    """The chain with the vectorised references as its behaviour and topic
+    steps."""
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(gibbs, "_resample_behaviours", vectorised_behaviour_step)
         m.setattr(gibbs, "_resample_topics", vectorised_topic_step)
         state = gibbs.gibbs_init(corpus, corpus.spec, seed)
         for _ in range(sweeps):
@@ -113,6 +115,59 @@ class TestTopicStep:
         assert np.array_equal(np.concatenate(state.y_assign), state.y_flat)
 
 
+#: Uneven documents with empty ones; more than eight topics, so that a
+#: column total summed pairwise would differ from the row-by-row sum.
+_UNEVEN_DOCS = [[0, 1, 2, 3, 4, 5, 0], [], [3], [5, 5, 4, 1], [], [2, 4, 0, 0, 1, 3, 5, 2],
+                [1, 0], [4], [0, 0, 0, 0, 0, 0, 0, 0, 0], [5, 2], []]
+
+
+def _exponentiated(step, corpus, hyper, seed, sweeps):
+    """The bytes of every array ``np.exp`` receives in a chain whose
+    behaviour step is ``step``: one shifted log conditional per document."""
+    seen = []
+    exp = np.exp
+
+    def recording(x, *args, **kwargs):
+        seen.append(np.asarray(x, dtype=float).tobytes())
+        return exp(x, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gibbs, "_resample_behaviours", step)
+        m.setattr(np, "exp", recording)
+        state = gibbs.gibbs_init(corpus, corpus.spec, seed)
+        for _ in range(sweeps):
+            gibbs.gibbs_sweep(state, corpus, hyper)
+    return seen
+
+
+class TestBehaviourStep:
+    @pytest.mark.parametrize("docs,num_topics,num_behaviours", [
+        (_UNEVEN_DOCS, 10, 3),
+        (_UNEVEN_DOCS, 3, 1),
+        ([[0, 4, 4, 2, 1]], 4, 3),
+        ([[]], 4, 3),
+        ([[0, 4, 4, 2, 1], [3, 3]], 4, 3),
+        ([[], [3, 3, 1]], 4, 2),
+    ], ids=["uneven", "Z=1", "T=1", "T=1-empty", "T=2", "T=2-empty"])
+    def test_matches_vectorised_reference_bit_for_bit(self, docs, num_topics, num_behaviours):
+        # Uneven, non-integer gamma: the self-transition +1 correction and
+        # every transition table are exercised.
+        spec = ModelSpec(6, num_topics, num_behaviours)
+        corpus = corpus_from_lists(docs, spec)
+        h = Hyperparams(alpha=np.linspace(0.3, 2.6, num_topics),
+                        beta=np.array([0.05, 0.5, 1.5, 0.1, 0.7, 3.0]),
+                        gamma=np.array([0.3, 1.7, 2.5])[:num_behaviours],
+                        eta=np.array([3.0, 1.0, 0.4])[:num_behaviours])
+        new = gibbs.gibbs_init(corpus, spec, seed=21)
+        for _ in range(8):
+            gibbs.gibbs_sweep(new, corpus, h, audit=True)
+        _assert_same_chain(_reference_chain(corpus, h, seed=21, sweeps=8), new)
+        # The conditionals themselves, not only the draws they lead to.
+        new_logs = _exponentiated(gibbs._resample_behaviours, corpus, h, seed=21, sweeps=8)
+        assert len(new_logs) == 8 * len(docs)
+        assert new_logs == _exponentiated(vectorised_behaviour_step, corpus, h, seed=21, sweeps=8)
+
+
 @st.composite
 def _tiny_chains(draw):
     """A random tiny corpus (empty documents allowed), prior and seed."""
@@ -129,6 +184,10 @@ class TestSweepProperties:
     @example((corpus_from_lists([[]], ModelSpec(1, 1, 1)), make_prior("1", ModelSpec(1, 1, 1)), 0))
     @example((corpus_from_lists([[0, 0], [], [0]], ModelSpec(1, 1, 1)),
               make_prior("H", ModelSpec(1, 1, 1)), 5))
+    @example((corpus_from_lists([[2, 0, 1]], ModelSpec(3, 2, 3)),
+              make_prior("H+1", ModelSpec(3, 2, 3)), 8))
+    @example((corpus_from_lists([[1], [0, 0, 2, 2]], ModelSpec(3, 3, 2)),
+              make_prior("H", ModelSpec(3, 3, 2)), 9))
     def test_mass_conserved_and_equal_to_reference(self, chain):
         corpus, h, seed = chain
         state = gibbs.gibbs_init(corpus, corpus.spec, seed)
