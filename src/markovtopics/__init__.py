@@ -9,7 +9,6 @@ word-level localisation, and precision-recall evaluation utilities.
 
 from .model import (
     Corpus,
-    Document,
     Hyperparams,
     ModelParams,
     ModelSpec,
@@ -22,7 +21,6 @@ from .model import (
 
 __all__ = [
     "Corpus",
-    "Document",
     "Hyperparams",
     "ModelParams",
     "ModelSpec",

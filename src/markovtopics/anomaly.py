@@ -34,7 +34,7 @@ import numpy as np
 from . import inference
 from .inference import _lse
 from .ingest import decode_word
-from .model import Corpus, Document, ModelParams
+from .model import Corpus, ModelParams
 
 #: Documents shorter than this are not evaluated and count as normal.
 MIN_SCORABLE_WORDS = 20
@@ -185,8 +185,7 @@ def score(state: PredictiveState, corpus: Corpus, min_words: int = MIN_SCORABLE_
     log_liks = _lse(per_sample, axis=1) - np.log(per_sample.shape[1])
     first = state.last_doc_index
     scored = []
-    for t, (doc, log_lik) in enumerate(zip(corpus.documents, log_liks.tolist())):
-        n = len(doc)
+    for t, (n, log_lik) in enumerate(zip(np.diff(corpus.offsets).tolist(), log_liks.tolist())):
         evaluated = n >= max(min_words, 1)
         scored.append(ScoredDocument(
             index=first + t + 1,
@@ -213,9 +212,10 @@ def word_log_liks(state: PredictiveState, corpus: Corpus) -> np.ndarray:
     return _lse(per_sample, axis=0) - np.log(len(per_sample))
 
 
-def localise(word_lls: np.ndarray, doc: Document, layout, top_n: int,
+def localise(word_lls: np.ndarray, words: np.ndarray, layout, top_n: int,
              ) -> list[tuple[int, int, int, str]]:
-    """The ``top_n`` least likely tokens decoded to frame positions.
+    """The ``top_n`` least likely of a document's tokens (word ids ``words``,
+    per-token log likelihoods ``word_lls``) decoded to frame positions.
 
     Returns (token index, cell x, cell y, direction) tuples sorted by
     ascending likelihood; ties keep token order.  ``top_n`` larger than the
@@ -223,6 +223,6 @@ def localise(word_lls: np.ndarray, doc: Document, layout, top_n: int,
     """
     if top_n <= 0:
         raise ValueError("top_n must be positive")
-    top_n = min(top_n, len(doc))
+    top_n = min(top_n, len(words))
     order = np.argsort(word_lls, kind="stable")[:top_n]
-    return [(int(i), *decode_word(layout, int(doc.words[i]))) for i in order]
+    return [(int(i), *decode_word(layout, int(words[i]))) for i in order]

@@ -325,9 +325,9 @@ def cmd_localise(argv):
     wll = anomaly.word_log_liks(state, test_corpus)
     offsets = test_corpus.offsets
     lines = []
-    for t, doc in enumerate(test_corpus.documents):
-        triples = anomaly.localise(wll[offsets[t]:offsets[t + 1]], doc, layout, args.top_n)
-        lines.append(json.dumps({"index": doc.timestamp, "tokens": triples}))
+    for t, words in enumerate(test_corpus):
+        triples = anomaly.localise(wll[offsets[t]:offsets[t + 1]], words, layout, args.top_n)
+        lines.append(json.dumps({"index": t + 1, "tokens": triples}))
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"localised {len(lines)} documents to {args.out}")
     return 0
@@ -403,6 +403,9 @@ def main(argv=None):
         return 4
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except UnicodeDecodeError as exc:
+        print(f"data error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 3
 
 

@@ -9,14 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    Corpus,
-    Hyperparams,
-    ModelParams,
-    ModelSpec,
-    PROB_TOL,
-    corpus_from_lists,
-)
+from .model import Corpus, Hyperparams, ModelParams, ModelSpec
 
 # Sub-stream labels for the splittable seeded RNG.  Parameter draws and token
 # draws come from independent streams so that a dataset can be replayed from
@@ -26,15 +19,6 @@ _STREAM_LABELS = {"params": 0x9e3779b9, "tokens": 0x85ebca6b}
 
 def _stream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng([seed, _STREAM_LABELS[label]])
-
-
-def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from a categorical distribution given as a vector."""
-    probs = np.asarray(probs, dtype=float)
-    if abs(probs.sum() - 1.0) > PROB_TOL:
-        raise ValueError(f"categorical probabilities sum to {probs.sum()!r}, not 1")
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, len(probs) - 1))
 
 
 @dataclass
@@ -73,7 +57,8 @@ def generate_from(params: ModelParams, num_docs: int, doc_lengths: list[int],
     cum_theta = np.cumsum(params.theta, axis=0)
     cum_phi = np.cumsum(params.phi, axis=0)
 
-    bounds = np.cumsum([0, *doc_lengths]).tolist()
+    offsets = np.cumsum([0, *doc_lengths], dtype=np.int64)
+    bounds = offsets.tolist()
     spans = list(zip(bounds, bounds[1:]))
     topics = np.empty(bounds[-1], dtype=np.int64)
     u_word = np.empty(bounds[-1])
@@ -92,8 +77,7 @@ def generate_from(params: ModelParams, num_docs: int, doc_lengths: list[int],
         at = np.flatnonzero(topics == y)
         words[at] = np.searchsorted(cum_phi[:, y], u_word[at], side="right")
     np.clip(words, 0, spec.num_words - 1, out=words)
-    corpus = corpus_from_lists([words[a:b] for a, b in spans], spec)
-    return GeneratedDataset(corpus=corpus, true_params=params,
+    return GeneratedDataset(corpus=Corpus(words, offsets, spec), true_params=params,
                             true_topics=[topics[a:b] for a, b in spans],
                             true_behaviours=behaviours)
 

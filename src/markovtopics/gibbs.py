@@ -33,7 +33,6 @@ class GibbsState:
     """Assignments, their tallies and the chain's RNG."""
 
     y_flat: np.ndarray  # topic of every token, in the order of Corpus.tokens
-    y_assign: list[np.ndarray]  # per-document views into y_flat
     z_assign: np.ndarray
     counts: SufficientCounts
     topic_totals: np.ndarray  # cached column sums of n_xy
@@ -41,11 +40,12 @@ class GibbsState:
     sweeps: int = 0
 
 
-def tally(y_assign, z_assign, corpus: Corpus) -> SufficientCounts:
-    """Full recount of the assignments; used for init and audits."""
+def tally(y_flat, z_assign, corpus: Corpus) -> SufficientCounts:
+    """Full recount of the assignments (token topics in the order of
+    ``corpus.tokens``, document behaviours); used for init and audits."""
     spec = corpus.spec
     Y, Z = spec.num_topics, spec.num_behaviours
-    y = np.concatenate(y_assign).astype(np.int64)
+    y = np.asarray(y_flat, dtype=np.int64)
     z = np.asarray(z_assign, dtype=np.int64)
     z_tokens = np.repeat(z, np.diff(corpus.offsets))
     return SufficientCounts(
@@ -63,12 +63,11 @@ def gibbs_init(corpus: Corpus, spec: ModelSpec, seed: int) -> GibbsState:
     token would give a different stream.
     """
     rng = np.random.default_rng(seed)
-    y_flat = np.concatenate([rng.integers(0, spec.num_topics, size=len(doc))
-                             for doc in corpus.documents])
-    y_assign = np.split(y_flat, corpus.offsets[1:-1])
+    y_flat = np.concatenate([rng.integers(0, spec.num_topics, size=n)
+                             for n in np.diff(corpus.offsets).tolist()])
     z_assign = rng.integers(0, spec.num_behaviours, size=len(corpus))
-    counts = tally(y_assign, z_assign, corpus)
-    return GibbsState(y_flat=y_flat, y_assign=y_assign, z_assign=z_assign,
+    counts = tally(y_flat, z_assign, corpus)
+    return GibbsState(y_flat=y_flat, z_assign=z_assign,
                       counts=counts, topic_totals=counts.n_xy.sum(axis=0), rng=rng)
 
 
@@ -262,7 +261,7 @@ def gibbs_sweep(state: GibbsState, corpus: Corpus, hyper: Hyperparams,
     _resample_topics(state, corpus, hyper)
     state.sweeps += 1
     if audit:
-        fresh = tally(state.y_assign, state.z_assign, corpus)
+        fresh = tally(state.y_flat, state.z_assign, corpus)
         for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
             if not np.array_equal(getattr(fresh, name), getattr(state.counts, name)):
                 raise AssertionError(f"count audit failed for {name} after sweep {state.sweeps}")

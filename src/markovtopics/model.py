@@ -7,7 +7,7 @@ Serialized model files record this orientation explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -172,80 +172,56 @@ def random_init(spec: ModelSpec, hyper: Hyperparams, seed: int) -> ModelParams:
     return ModelParams(phi=phi, theta=theta, xi=xi, pi=pi)
 
 
-@dataclass(frozen=True)
-class Document:
-    """One visual document: an ordered run of word identifiers plus its
-    1-based position in the time-ordered stream."""
-
-    words: np.ndarray
-    timestamp: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "words", np.asarray(self.words, dtype=np.int64))
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """Time-ordered documents with the spec they were built against."""
+    """A time-ordered stream of documents, built against ``spec``: every
+    document's word ids in one flat array.  ``corpus[t]`` is document ``t``
+    (0-based; messages number it ``t + 1``), the view
+    ``tokens[offsets[t]:offsets[t + 1]]``."""
 
-    documents: list[Document]
+    tokens: np.ndarray  # (N,) int64 word ids in corpus order
+    offsets: np.ndarray  # (T + 1,) int64 start of each document, then N
     spec: ModelSpec
 
     def __post_init__(self):
-        stamps = [doc.timestamp for doc in self.documents]
-        if stamps != list(range(1, len(stamps) + 1)):
-            t = next(t for t, s in enumerate(stamps, start=1) if s != t)
-            raise DataError(f"document timestamps must be contiguous from 1; "
-                            f"position {t} has timestamp {stamps[t - 1]}")
-        outside = np.flatnonzero((self.tokens < 0) | (self.tokens >= self.spec.num_words))
+        tokens = np.asarray(self.tokens, dtype=np.int64)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if (offsets.ndim != 1 or not offsets.size or offsets[0] != 0
+                or offsets[-1] != len(tokens) or np.any(np.diff(offsets) < 0)):
+            raise ValueError("offsets must rise from 0 to the number of tokens")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "offsets", offsets)
+        outside = np.flatnonzero((tokens < 0) | (tokens >= self.spec.num_words))
         if outside.size:
-            t = np.searchsorted(self.offsets, outside[0], side="right")
+            t = np.searchsorted(offsets, outside[0], side="right")
             raise DataError(f"document {t} contains word ids outside [0, {self.spec.num_words})")
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.offsets) - 1
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        t = range(len(self))[t]
+        return self.tokens[self.offsets[t]:self.offsets[t + 1]]
 
     @property
     def num_tokens(self) -> int:
         return int(self.offsets[-1])
 
     @cached_property
-    def tokens(self) -> np.ndarray:
-        """Every document's words in one flat int64 array, in corpus order;
-        document ``t`` is ``tokens[offsets[t]:offsets[t + 1]]``."""
-        return np.concatenate([np.zeros(0, dtype=np.int64)] + [d.words for d in self.documents])
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """(T + 1,) start of each document in :attr:`tokens`, then the total."""
-        return np.cumsum([0] + [len(d) for d in self.documents], dtype=np.int64)
-
-    @cached_property
     def doc_term(self) -> scipy.sparse.csr_matrix:
         """Sparse (num_words, T) matrix of word counts per document, built
         once.  Tokens are exchangeable within a document, so the emission and
         the expected counts of a fit depend on the corpus only through it."""
-        docs = np.repeat(np.arange(len(self.documents)), np.diff(self.offsets))
+        docs = np.repeat(np.arange(len(self)), np.diff(self.offsets))
         return scipy.sparse.csr_matrix((np.ones(len(self.tokens)), (self.tokens, docs)),
-                                       shape=(self.spec.num_words, len(self.documents)))
+                                       shape=(self.spec.num_words, len(self)))
 
 
 def corpus_from_lists(word_lists, spec: ModelSpec) -> Corpus:
-    """Build a corpus from lists of word ids, assigning timestamps.  The
-    documents are views into one flat copy, :attr:`Corpus.tokens`."""
+    """Build a corpus from one list of word ids per document."""
     words = [np.asarray(w, dtype=np.int64) for w in word_lists]
     offsets = np.cumsum([0] + [len(w) for w in words], dtype=np.int64)
-    tokens = np.concatenate([offsets[:0]] + words)
-    bounds = offsets.tolist()
-    corpus = object.__new__(Corpus)
-    # Seeded, the cached flat arrays are not rebuilt from the views.
-    vars(corpus).update(tokens=tokens, offsets=offsets)
-    corpus.__init__([Document(words=tokens[a:b], timestamp=t)
-                     for t, (a, b) in enumerate(zip(bounds, bounds[1:]), start=1)], spec)
-    return corpus
+    return Corpus(np.concatenate([offsets[:0]] + words), offsets, spec)
 
 
 @dataclass

@@ -9,6 +9,7 @@ word ids; blank lines are forbidden.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -147,7 +148,7 @@ def load_model(path) -> LoadedModel:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
     try:
         return LoadedModel(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"model file {path} is malformed: {exc!r}") from exc
 
 
@@ -223,15 +224,33 @@ def write_scores(path, scored, localisations=None) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token}")
+
+
+# Built once: json.loads with a keyword argument builds a decoder per call.
+_SCORE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def read_scores(path) -> list[dict]:
+    """Score records: each line one JSON object whose ``score`` is null or a
+    finite number.  ``NaN`` and ``Infinity`` are refused anywhere."""
     records = []
     for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if line.strip() == "":
             raise DataError(f"blank line {i} in score file {path}")
         try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"bad score record on line {i} of {path}") from exc
+            rec = _SCORE_DECODER.decode(line)
+        except ValueError as exc:
+            raise DataError(f"bad score record on line {i} of {path}: {exc}") from exc
+        # A bool is an int but not a score; an abs() beyond the largest float
+        # is an infinity, a NaN or an int no float holds.
+        if not isinstance(rec, dict) or rec.get("score") is not None and (
+                type(rec["score"]) not in (int, float)
+                or not abs(rec["score"]) <= sys.float_info.max):
+            raise DataError(f"score record on line {i} of {path} must be a JSON object "
+                            "whose score is null or a finite number")
+        records.append(rec)
     return records
 
 

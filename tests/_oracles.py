@@ -29,11 +29,11 @@ from markovtopics.ingest import DIRECTIONS, word_id
 from markovtopics.model import (
     Corpus,
     DataError,
-    Document,
     ModelParams,
     ModelSpec,
     NumericalError,
     SufficientCounts,
+    corpus_from_lists,
 )
 from markovtopics.vb import _dirichlet_columns
 
@@ -50,7 +50,7 @@ def enum_marginal_and_posteriors(params, corpus):
     T = len(corpus)
     mix = phi @ theta  # (X, Z)
 
-    doc_words = [doc.words for doc in corpus.documents]
+    doc_words = list(corpus)
     path_probs = {}
     for path in itertools.product(range(Z), repeat=T):
         p = pi[path[0]]
@@ -103,15 +103,15 @@ def enum_expected_counts(params, corpus):
     spec = corpus.spec
     n_xy = np.zeros((spec.num_words, spec.num_topics))
     n_yz = np.zeros((spec.num_topics, spec.num_behaviours))
-    for t, doc in enumerate(corpus.documents):
-        for i, x in enumerate(doc.words):
+    for t, words in enumerate(corpus):
+        for i, x in enumerate(words):
             n_xy[x] += post["token_y"][t][i]
         n_yz += post["token_yz"][t].sum(axis=0)
     n_zz = post["pair_zz"].sum(axis=0)
     return n_xy, n_yz, n_zz, post["z1"]
 
 
-def collapsed_log_joint(y_assign, z_assign, corpus, hyper):
+def collapsed_log_joint(doc_topics, z_assign, corpus, hyper):
     """Log joint of a complete hidden assignment with parameters integrated
     out, up to an assignment-independent constant."""
     spec = corpus.spec
@@ -119,10 +119,10 @@ def collapsed_log_joint(y_assign, z_assign, corpus, hyper):
     n_xy = np.zeros((X, Y))
     n_yz = np.zeros((Y, Z))
     n_zz = np.zeros((Z, Z))
-    for t, doc in enumerate(corpus.documents):
-        for i, x in enumerate(doc.words):
-            n_xy[x, y_assign[t][i]] += 1
-            n_yz[y_assign[t][i], z_assign[t]] += 1
+    for t, words in enumerate(corpus):
+        for i, x in enumerate(words):
+            n_xy[x, doc_topics[t][i]] += 1
+            n_yz[doc_topics[t][i], z_assign[t]] += 1
     for t in range(1, len(corpus)):
         n_zz[z_assign[t], z_assign[t - 1]] += 1
 
@@ -156,17 +156,17 @@ def enum_collapsed_posterior(corpus, hyper):
     """
     spec = corpus.spec
     T = len(corpus)
-    lengths = [len(doc) for doc in corpus.documents]
+    lengths = [len(words) for words in corpus]
     total_tokens = sum(lengths)
     log_probs = {}
     for zs in itertools.product(range(spec.num_behaviours), repeat=T):
         for ys_flat in itertools.product(range(spec.num_topics), repeat=total_tokens):
-            y_assign = []
+            doc_topics = []
             pos = 0
             for n in lengths:
-                y_assign.append(list(ys_flat[pos:pos + n]))
+                doc_topics.append(list(ys_flat[pos:pos + n]))
                 pos += n
-            log_probs[(zs, ys_flat)] = collapsed_log_joint(y_assign, zs, corpus, hyper)
+            log_probs[(zs, ys_flat)] = collapsed_log_joint(doc_topics, zs, corpus, hyper)
     m = max(log_probs.values())
     probs = {k: math.exp(v - m) for k, v in log_probs.items()}
     norm = sum(probs.values())
@@ -213,10 +213,9 @@ def per_token_generate_from(params: ModelParams, num_docs: int, doc_lengths: lis
         x = np.empty(n, dtype=np.int64)
         for i in range(n):
             x[i] = np.searchsorted(cum_phi[:, y[i]], u_word[i], side="right").clip(0, spec.num_words - 1)
-        docs.append(Document(words=x, timestamp=t + 1))
+        docs.append(x)
         topics.append(np.asarray(y, dtype=np.int64))
-    corpus = Corpus(documents=docs, spec=spec)
-    return GeneratedDataset(corpus=corpus, true_params=params,
+    return GeneratedDataset(corpus=corpus_from_lists(docs, spec), true_params=params,
                             true_topics=topics, true_behaviours=behaviours)
 
 
@@ -231,10 +230,9 @@ def vectorised_topic_step(state, corpus, hyper):
     num_topics = n_xy.shape[1]
     rng = state.rng
 
-    for t, doc in enumerate(corpus.documents):
+    for t, words in enumerate(corpus):
         z_t = int(state.z_assign[t])
-        ys = state.y_assign[t]
-        words = doc.words
+        ys = state.y_flat[corpus.offsets[t]:corpus.offsets[t + 1]]
         for i in range(len(words)):
             x = int(words[i])
             y_old = int(ys[i])
@@ -267,7 +265,8 @@ def vectorised_behaviour_step(state, corpus, hyper):
 
     for t in range(T):
         z_old = int(z[t])
-        m = np.bincount(state.y_assign[t], minlength=num_topics)
+        m = np.bincount(state.y_flat[corpus.offsets[t]:corpus.offsets[t + 1]],
+                        minlength=num_topics)
         n_t = int(m.sum())
 
         # Exclude document t's own contributions before scoring candidates.
@@ -315,11 +314,11 @@ def vectorised_behaviour_step(state, corpus, hyper):
         z[t] = k
 
 
-def score_one_document(state, doc, min_words):
+def score_one_document(state, words, min_words):
     """The scorer one document at a time: gather each sample's emission from
     the document's words, then one Bayes update of every sample's belief.
     The reference the batched ``anomaly.score`` must match."""
-    loge = np.array([lm[doc.words].sum(axis=0) for lm in state.log_mix])  # (S, Z)
+    loge = np.array([lm[words].sum(axis=0) for lm in state.log_mix])  # (S, Z)
     with np.errstate(divide="ignore", invalid="ignore"):
         joint = loge + np.log(state.behaviour_belief)
         per_sample = _lse(joint, axis=1)  # (S,)
@@ -330,7 +329,7 @@ def score_one_document(state, doc, min_words):
     log_lik = float(_lse(per_sample, axis=0) - np.log(len(per_sample)))
     new_state = dataclasses.replace(state, behaviour_belief=belief,
                                     last_doc_index=state.last_doc_index + 1)
-    n = len(doc)
+    n = len(words)
     evaluated = n >= max(min_words, 1)
     scored = ScoredDocument(index=new_state.last_doc_index, length=n, log_lik=log_lik,
                             score=normalise_score(log_lik, n) if evaluated else None,
@@ -338,12 +337,12 @@ def score_one_document(state, doc, min_words):
     return scored, new_state
 
 
-def word_log_liks_one_document(state, doc):
+def word_log_liks_one_document(state, words):
     """Per-token log likelihoods of one document under the state's current
     beliefs, averaged over the samples."""
     with np.errstate(divide="ignore"):
         log_belief = np.log(state.behaviour_belief)
-    tokens = np.array([lm[doc.words] for lm in state.log_mix])  # (S, N, Z)
+    tokens = np.array([lm[words] for lm in state.log_mix])  # (S, N, Z)
     per_sample = _lse(tokens + log_belief[:, None, :], axis=2)
     return _lse(per_sample, axis=0) - np.log(len(per_sample))
 
@@ -451,18 +450,18 @@ def posteriors(params: ModelParams, corpus: Corpus, msgs: Messages) -> Posterior
 
     token_yz = []
     token_y = []
-    for t, doc in enumerate(corpus.documents):
+    for t, words in enumerate(corpus):
         # Leave-one-token-out product = loge[z, t] - log_mix[x_i, z]; combined
         # with the forward message this is la[z, t] - log_mix[x_i, z].
         # Behaviours with la = -inf have zero posterior mass: mask them to
         # avoid -inf minus -inf.
         base = la[:, t] + lb[:, t] - log_K  # (Z,)
-        lm = log_mix[doc.words]  # (N_t, Z)
+        lm = log_mix[words]  # (N_t, Z)
         with np.errstate(invalid="ignore"):
             lw = base[None, :] - lm  # (N_t, Z)
         lw[:, ~np.isfinite(base)] = -np.inf
         # (N_t, Y, Z): token term + log phi + log theta
-        lt = lw[:, None, :] + log_phi[doc.words][:, :, None] + log_theta[None, :, :]
+        lt = lw[:, None, :] + log_phi[words][:, :, None] + log_theta[None, :, :]
         p = np.exp(lt)
         token_yz.append(p)
         token_y.append(p.sum(axis=2))
@@ -474,8 +473,8 @@ def expected_counts(post: Posteriors, corpus: Corpus) -> SufficientCounts:
     spec = corpus.spec
     n_xy = np.zeros((spec.num_words, spec.num_topics))
     n_yz = np.zeros((spec.num_topics, spec.num_behaviours))
-    for t, doc in enumerate(corpus.documents):
-        np.add.at(n_xy, doc.words, post.token_y[t])
+    for t, words in enumerate(corpus):
+        np.add.at(n_xy, words, post.token_y[t])
         n_yz += post.token_yz[t].sum(axis=0)
     n_zz = post.pair_zz.sum(axis=0) if len(post.pair_zz) else np.zeros(
         (spec.num_behaviours, spec.num_behaviours))
@@ -521,10 +520,9 @@ def build_corpus_per_event(events, layout, fps, clip_seconds=1.0, min_words=20):
     docs, index_map = [], {}
     for w, words in buckets.items():
         if len(words) >= min_words:
-            docs.append(Document(words=np.asarray(words, dtype=np.int64),
-                                 timestamp=len(docs) + 1))
+            docs.append(words)
             index_map[len(docs)] = w
-    return Corpus(documents=docs, spec=spec), index_map
+    return corpus_from_lists(docs, spec), index_map
 
 
 def read_corpus_per_token(path, spec):
@@ -541,7 +539,7 @@ def read_corpus_per_token(path, spec):
         except (ValueError, OverflowError) as exc:
             raise DataError(f"word id at document {t} in {path} is not a 64-bit "
                             "integer") from exc
-        docs.append(Document(words=words, timestamp=t))
+        docs.append(words)
     if not docs:
         raise DataError(f"corpus file {path} holds no documents")
-    return Corpus(documents=docs, spec=spec)
+    return corpus_from_lists(docs, spec)

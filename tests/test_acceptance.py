@@ -164,7 +164,7 @@ def test_gibbs_matches_enumerated_collapsed_posterior():
     for _ in range(keep):
         gibbs.gibbs_sweep(state, corpus, h)
         key = (tuple(int(v) for v in state.z_assign),
-               tuple(int(v) for y in state.y_assign for v in y))
+               tuple(state.y_flat.tolist()))
         freq[key] = freq.get(key, 0) + 1
     tv = 0.5 * sum(abs(freq.get(k, 0) / keep - p) for k, p in exact.items())
     tv += 0.5 * sum(v / keep for k, v in freq.items() if k not in exact)
@@ -243,9 +243,8 @@ def _make_anomaly_setup():
     anomalous = rng.choice(500, size=25, replace=False)
     labels[anomalous] = True
     docs = []
-    for t, doc in enumerate(test.corpus.documents):
-        words = (rng.integers(0, 20, size=50) if labels[t] else doc.words)
-        docs.append(list(words))
+    for t, words in enumerate(test.corpus):
+        docs.append(list(rng.integers(0, 20, size=50) if labels[t] else words))
     test_corpus = corpus_from_lists(docs, spec)
     return spec, truth, train.corpus, test_corpus, labels
 
@@ -271,8 +270,8 @@ def test_anomaly_detection_and_mc_agreement():
     samples = vb.sample_posterior(post, 100, seed=9)
     mc, _ = anomaly.score(anomaly.init_state(samples), test_corpus)
     gap = 0.0
-    for rec, plug, doc in zip(mc, plugin, test_corpus.documents):
-        gap = max(gap, abs(rec.log_lik - plug.log_lik) / len(doc))
+    for rec, plug, words in zip(mc, plugin, test_corpus):
+        gap = max(gap, abs(rec.log_lik - plug.log_lik) / len(words))
     ok = auc >= 0.90 and gap <= 0.05
     _line("anomaly detection analogue", ok,
           f"plug-in PR-AUC {auc:.4f} (>= 0.90), "
@@ -333,7 +332,7 @@ def test_localisation_recall():
     state = anomaly.init_state([params])
     for event in range(10):
         normal = generate.generate_from(truth, 1, [60], seed=100 + event)
-        words = list(normal.corpus.documents[0].words)
+        words = list(normal.corpus[0])
         positions = rng.choice(len(words) + n_abnormal, size=n_abnormal,
                                replace=False)
         truth_positions = set(int(p) for p in positions)
@@ -344,7 +343,7 @@ def test_localisation_recall():
                           else next(it))
         clip = corpus_from_lists([merged], spec)
         wll = anomaly.word_log_liks(state, clip)
-        detected = [tok[0] for tok in anomaly.localise(wll, clip.documents[0], layout, top_n)]
+        detected = [tok[0] for tok in anomaly.localise(wll, clip[0], layout, top_n)]
         recalls.append(metrics.localisation_recall(detected, truth_positions,
                                                    top_n))
     mean_recall = float(np.mean(recalls))

@@ -12,7 +12,7 @@ from scipy.special import logsumexp
 from markovtopics import ModelSpec, corpus_from_lists, make_prior, random_init
 from markovtopics import anomaly, vb
 from markovtopics.ingest import FrameLayout
-from markovtopics.model import Document, ModelParams, zero_counts
+from markovtopics.model import ModelParams, zero_counts
 
 import _oracles
 from _oracles import log_marginal_likelihood, score_one_document, word_log_liks_one_document
@@ -39,8 +39,8 @@ def _score_each(samples, corpus, last_filtered=None):
     state after each document."""
     state = anomaly.init_state(samples, last_filtered=last_filtered)
     out, states = [], []
-    for doc in corpus.documents:
-        (scored,), state = anomaly.score(state, _one_doc(doc.words, corpus.spec), min_words=0)
+    for words in corpus:
+        (scored,), state = anomaly.score(state, _one_doc(words, corpus.spec), min_words=0)
         out.append(scored)
         states.append(state)
     return out, states
@@ -245,7 +245,7 @@ class TestScorePlugin:
 class TestScoreMc:
     def test_identical_samples_reduce_to_plugin(self, rng):
         spec, p, corpus = random_instance(rng)
-        doc = _one_doc(corpus.documents[0].words, spec)
+        doc = _one_doc(corpus[0], spec)
         (mc,), _ = anomaly.score(anomaly.init_state([p] * 4), doc, min_words=0)
         (plug,), _ = anomaly.score(anomaly.init_state([p]), doc, min_words=0)
         assert np.isclose(mc.log_lik, plug.log_lik, atol=1e-12)
@@ -348,37 +348,37 @@ class TestLocalise:
 
     def test_orders_by_ascending_likelihood(self):
         layout = self._layout()
-        doc = Document(words=np.array([0, 5, 9]), timestamp=1)
+        words = np.array([0, 5, 9])
         lls = np.array([-1.0, -5.0, -3.0])
-        out = anomaly.localise(lls, doc, layout, top_n=3)
+        out = anomaly.localise(lls, words, layout, top_n=3)
         assert [o[0] for o in out] == [1, 2, 0]
 
     def test_ties_keep_token_order(self):
         layout = self._layout()
-        doc = Document(words=np.array([3, 2, 1]), timestamp=1)
+        words = np.array([3, 2, 1])
         lls = np.array([-2.0, -2.0, -2.0])
-        out = anomaly.localise(lls, doc, layout, top_n=2)
+        out = anomaly.localise(lls, words, layout, top_n=2)
         assert [o[0] for o in out] == [0, 1]
 
     def test_top_n_clamped(self):
         layout = self._layout()
-        doc = Document(words=np.array([0, 1]), timestamp=1)
-        out = anomaly.localise(np.array([-1.0, -2.0]), doc, layout, top_n=10)
+        words = np.array([0, 1])
+        out = anomaly.localise(np.array([-1.0, -2.0]), words, layout, top_n=10)
         assert len(out) == 2
 
     def test_decodes_positions(self):
         layout = self._layout()
         # Word id for cell (1, 0), direction index 2 ("down"): (0*2+1)*4+2.
         wid = (0 * layout.cols + 1) * 4 + 2
-        doc = Document(words=np.array([wid]), timestamp=1)
-        out = anomaly.localise(np.array([-1.0]), doc, layout, top_n=1)
+        words = np.array([wid])
+        out = anomaly.localise(np.array([-1.0]), words, layout, top_n=1)
         assert out[0] == (0, 1, 0, "down")
 
     def test_nonpositive_top_n_rejected(self):
         layout = self._layout()
-        doc = Document(words=np.array([0]), timestamp=1)
+        words = np.array([0])
         with pytest.raises(ValueError):
-            anomaly.localise(np.array([-1.0]), doc, layout, top_n=0)
+            anomaly.localise(np.array([-1.0]), words, layout, top_n=0)
 
 
 @st.composite
@@ -450,9 +450,9 @@ def _reference_stream(samples, corpus, min_words, last_filtered=None):
     reference scorer."""
     state = anomaly.init_state(samples, last_filtered=last_filtered)
     records, word_lls = [], [np.zeros(0)]
-    for doc in corpus.documents:
-        word_lls.append(word_log_liks_one_document(state, doc))
-        rec, state = score_one_document(state, doc, min_words)
+    for words in corpus:
+        word_lls.append(word_log_liks_one_document(state, words))
+        rec, state = score_one_document(state, words, min_words)
         records.append(rec)
     return records, state, np.concatenate(word_lls)
 

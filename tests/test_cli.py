@@ -375,15 +375,71 @@ def _overflowing_word_id(tmp_path):
             "--out", str(tmp_path / "m.json")]
 
 
+def _non_utf8_corpus(tmp_path):
+    (tmp_path / "c.txt").write_bytes(b"0 1\n2 \xff\n")
+    return ["train", "--corpus", str(tmp_path / "c.txt"), "--num-words", "4",
+            "--num-topics", "1", "--num-behaviours", "1", "--algo", "em",
+            "--out", str(tmp_path / "m.json")]
+
+
+def _non_utf8_events(tmp_path):
+    argv = _featurize(tmp_path, "")
+    (tmp_path / "e.csv").write_bytes(b"frame,cell_x,cell_y,dir\n0,0,0,up\xff\n")
+    return argv
+
+
+def _score_with_model(tmp_path, text):
+    (tmp_path / "m.json").write_text(text)
+    (tmp_path / "c.txt").write_text("0 1\n")
+    return ["score", "--model", str(tmp_path / "m.json"), "--corpus", str(tmp_path / "c.txt"),
+            "--out", str(tmp_path / "s.jsonl")]
+
+
+def _model_list(tmp_path):
+    return _score_with_model(tmp_path, "[]")
+
+
+def _model_hyperparams_list(tmp_path):
+    return _score_with_model(tmp_path, json.dumps({
+        "format_version": 1, "algorithm": "em", "hyperparams": [],
+        "spec": {"num_words": 4, "num_topics": 1, "num_behaviours": 1}}))
+
+
+def _eval_with_record(tmp_path, record):
+    (tmp_path / "s.jsonl").write_text('{"index": 1, "score": -1.0, "evaluated": true}\n'
+                                      + record + "\n")
+    (tmp_path / "labels.txt").write_text("0\n1\n")
+    return ["eval", "--scores", str(tmp_path / "s.jsonl"),
+            "--labels", str(tmp_path / "labels.txt")]
+
+
+def _score_record_number(tmp_path):
+    return _eval_with_record(tmp_path, "5")
+
+
+def _score_record_string_score(tmp_path):
+    return _eval_with_record(tmp_path, '{"index": 2, "score": "x", "evaluated": true}')
+
+
+def _score_record_nan_score(tmp_path):
+    return _eval_with_record(tmp_path, '{"index": 2, "score": NaN, "evaluated": true}')
+
+
 class TestDataErrors:
     @pytest.mark.parametrize("argv", [_empty_corpus, _one_class_labels, _off_grid_cell,
                                       _overflowing_word_id, _event_non_integer,
                                       _event_three_fields, _event_overflowing_frame,
-                                      _event_unknown_direction, _events_out_of_order],
+                                      _event_unknown_direction, _events_out_of_order,
+                                      _non_utf8_corpus, _non_utf8_events, _model_list,
+                                      _model_hyperparams_list, _score_record_number,
+                                      _score_record_string_score, _score_record_nan_score],
                              ids=["empty-corpus", "one-class-labels", "off-grid-cell",
                                   "overflowing-word-id", "event-non-integer",
                                   "event-three-fields", "event-overflowing-frame",
-                                  "event-unknown-direction", "events-out-of-order"])
+                                  "event-unknown-direction", "events-out-of-order",
+                                  "non-utf8-corpus", "non-utf8-events", "model-list",
+                                  "model-hyperparams-list", "score-record-number",
+                                  "score-record-string-score", "score-record-nan-score"])
     def test_exit_code_3_without_traceback(self, tmp_path, capsys, argv):
         assert main(argv(tmp_path)) == 3
         assert capsys.readouterr().err.startswith("data error: ")

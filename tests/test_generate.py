@@ -6,28 +6,7 @@ from hypothesis import strategies as st
 import _oracles
 from markovtopics import ModelParams, ModelSpec, make_prior
 from markovtopics import generate as generate_module
-from markovtopics.generate import generate, generate_from, sample_categorical
-
-
-class TestSampleCategorical:
-    def test_degenerate_single(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_categorical(np.array([1.0]), rng) == 0 for _ in range(20))
-
-    def test_point_mass(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_categorical(np.array([0.0, 1.0, 0.0]), rng) == 1
-                   for _ in range(20))
-
-    def test_frequency(self):
-        rng = np.random.default_rng(7)
-        draws = np.array([sample_categorical(np.array([0.3, 0.7]), rng)
-                          for _ in range(100_000)])
-        assert abs(np.mean(draws == 0) - 0.3) < 0.01
-
-    def test_non_normalized_rejected(self):
-        with pytest.raises(ValueError):
-            sample_categorical(np.array([0.3, 0.3]), np.random.default_rng(0))
+from markovtopics.generate import generate, generate_from
 
 
 def _uniform_params(X, Y, Z):
@@ -58,7 +37,7 @@ class TestGenerateFrom:
     def test_uniform_word_frequencies(self):
         p = _uniform_params(4, 2, 2)
         ds = generate_from(p, 100, [1000] * 100, seed=3)
-        words = np.concatenate([d.words for d in ds.corpus.documents])
+        words = ds.corpus.tokens
         freqs = np.bincount(words, minlength=4) / len(words)
         assert np.all(np.abs(freqs - 0.25) < 0.01)
 
@@ -69,7 +48,7 @@ class TestGenerateFrom:
         p = ModelParams(phi=phi, theta=np.array([[1.0], [0.0]]),
                         xi=np.ones((1, 1)), pi=np.array([1.0]))
         ds = generate_from(p, 100, [1000] * 100, seed=4)
-        words = np.concatenate([d.words for d in ds.corpus.documents])
+        words = ds.corpus.tokens
         freqs = np.bincount(words, minlength=3) / len(words)
         assert np.all(np.abs(freqs - phi[:, 0]) < 0.02)
 
@@ -101,8 +80,8 @@ class TestGenerate:
         h = make_prior("1", spec)
         a = generate(spec, h, 4, [3] * 4, seed=9)
         b = generate(spec, h, 4, [3] * 4, seed=9)
-        for da, db in zip(a.corpus.documents, b.corpus.documents):
-            assert np.array_equal(da.words, db.words)
+        assert np.array_equal(a.corpus.tokens, b.corpus.tokens)
+        assert np.array_equal(a.corpus.offsets, b.corpus.offsets)
 
     def test_replay_from_drawn_params(self):
         # Parameter and token draws use independent sub-streams, so a
@@ -111,8 +90,8 @@ class TestGenerate:
         h = make_prior("1", spec)
         ds = generate(spec, h, 6, [4] * 6, seed=11)
         replay = generate_from(ds.true_params, 6, [4] * 6, seed=11)
-        for da, db in zip(ds.corpus.documents, replay.corpus.documents):
-            assert np.array_equal(da.words, db.words)
+        assert np.array_equal(ds.corpus.tokens, replay.corpus.tokens)
+        assert np.array_equal(ds.corpus.offsets, replay.corpus.offsets)
         assert np.array_equal(ds.true_behaviours, replay.true_behaviours)
 
     def test_assignment_shapes(self):

@@ -121,11 +121,10 @@ class TestBuildCorpus:
         layout = FrameLayout(frame_w=16, frame_h=16)
         events = self._events([0] * 20 + [30] * 19 + [60] * 25, layout)
         corpus, index_map = build_corpus(events, layout, fps=25.0)
-        # Window 1 has only 19 words and is dropped; timestamps stay
+        # Window 1 has only 19 words and is dropped; the documents stay
         # contiguous while the map records the gap.
-        assert [d.timestamp for d in corpus.documents] == [1, 2]
         assert index_map == {1: 0, 2: 2}
-        assert [len(d) for d in corpus.documents] == [20, 25]
+        assert [len(words) for words in corpus] == [20, 25]
 
     def test_out_of_order_frames_rejected(self):
         layout = FrameLayout(frame_w=16, frame_h=16)
@@ -137,7 +136,7 @@ class TestBuildCorpus:
         layout = FrameLayout(frame_w=16, frame_h=16)
         events = events_from([(0, 1, 1, "left")] * 20)
         corpus, _ = build_corpus(events, layout, fps=25.0)
-        w = int(corpus.documents[0].words[0])
+        w = int(corpus[0][0])
         assert decode_word(layout, w) == (1, 1, "left")
         assert corpus.spec.num_words == layout.vocabulary_size
 
@@ -187,9 +186,8 @@ class TestMatchesPerEventReference:
         corpus, index_map = build_corpus(events, layout, fps, clip_seconds, min_words)
         assert index_map == expected_map
         assert corpus.spec == expected.spec
-        assert [d.words.tolist() for d in corpus.documents] == \
-            [d.words.tolist() for d in expected.documents]
-        assert [d.timestamp for d in corpus.documents] == list(range(1, len(corpus) + 1))
+        assert np.array_equal(corpus.tokens, expected.tokens)
+        assert np.array_equal(corpus.offsets, expected.offsets)
 
     def test_window_beyond_int64_range(self):
         # Every non-negative frame falls in window 0, every negative one in -1.
@@ -198,5 +196,4 @@ class TestMatchesPerEventReference:
         corpus, index_map = build_corpus(events, layout, fps=1e300, min_words=1)
         expected, expected_map = build_corpus_per_event(events, layout, 1e300, min_words=1)
         assert index_map == expected_map == {1: -1, 2: 0}
-        assert [d.words.tolist() for d in corpus.documents] == \
-            [d.words.tolist() for d in expected.documents]
+        assert [w.tolist() for w in corpus] == [w.tolist() for w in expected]

@@ -3,7 +3,6 @@ import pytest
 
 from markovtopics import (
     Corpus,
-    Document,
     Hyperparams,
     ModelParams,
     ModelSpec,
@@ -124,12 +123,6 @@ class TestRandomInit:
 
 
 class TestCorpus:
-    def test_contiguous_timestamps_required(self):
-        spec = ModelSpec(3, 1, 1)
-        docs = [Document(words=[0], timestamp=1), Document(words=[1], timestamp=3)]
-        with pytest.raises(DataError):
-            Corpus(documents=docs, spec=spec)
-
     def test_word_range_enforced(self):
         spec = ModelSpec(2, 1, 1)
         with pytest.raises(DataError):
@@ -142,8 +135,19 @@ class TestCorpus:
 
     def test_documents_are_views_into_tokens(self):
         c = corpus_from_lists([[0, 2, 0], [], [1]], ModelSpec(4, 1, 1))
-        assert all(np.shares_memory(d.words, c.tokens) for d in c.documents if len(d))
-        assert [d.words.tolist() for d in c.documents] == [[0, 2, 0], [], [1]]
+        assert np.shares_memory(c[0], c.tokens) and np.shares_memory(c[2], c.tokens)
+        assert [c[t].tolist() for t in range(len(c))] == [[0, 2, 0], [], [1]]
+        assert c[-1].tolist() == [1] and list(map(list, c)) == [[0, 2, 0], [], [1]]
+        with pytest.raises(IndexError):
+            c[3]
+
+    def test_offsets_must_span_the_tokens(self):
+        spec = ModelSpec(2, 1, 1)
+        c = Corpus(np.array([0, 1, 1]), np.array([0, 2, 3]), spec)
+        assert len(c) == 2 and c[1].tolist() == [1]
+        for offsets in ([0, 2], [1, 3], [0, 3, 2, 3], [], [[0, 3]]):
+            with pytest.raises(ValueError, match="offsets"):
+                Corpus(np.array([0, 1, 1]), np.array(offsets), spec)
 
     def test_token_count(self):
         c = corpus_from_lists([[0, 1], [1]], ModelSpec(2, 1, 1))

@@ -28,6 +28,7 @@ _CORRUPTIONS = {
     "params-nan": (("params", "phi", "data"), [_NAN] * 8),
     "params-shape": (("params", "theta"), {"shape": [2, 1], "data": [0.5, 0.5]}),
     "params-missing": (("params", "xi"), None),
+    "hyperparams-list": (("hyperparams",), []),
     "posterior-shape": (("posterior", "beta_t"), {"shape": [3, 2], "data": [1.0] * 6}),
     "posterior-nan": (("posterior", "gamma_t", "data"), [_NAN, 1.0, 1.0, 1.0]),
     "posterior-zero": (("posterior", "eta_t", "data"), [0.0, 1.0]),
@@ -90,6 +91,13 @@ class TestModelFiles:
         with pytest.raises(DataError):
             serialize.load_model(path)
 
+    @pytest.mark.parametrize("text", ["[]", "5", "null", '"model"'])
+    def test_non_object_json_rejected(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="malformed"):
+            serialize.load_model(path)
+
     @pytest.mark.parametrize("keys,value", list(_CORRUPTIONS.values()),
                              ids=list(_CORRUPTIONS))
     def test_corrupt_model_rejected(self, tmp_path, spec, keys, value):
@@ -120,10 +128,7 @@ class TestCorpusFiles:
         path = tmp_path / "c.txt"
         serialize.write_corpus(path, corpus)
         back = serialize.read_corpus(path, spec)
-        assert len(back) == 3
-        for a, b in zip(corpus.documents, back.documents):
-            assert np.array_equal(a.words, b.words)
-            assert a.timestamp == b.timestamp
+        assert [w.tolist() for w in back] == [[0, 1, 3], [2], [3, 3]]
 
     def test_blank_line_rejected(self, tmp_path, spec):
         path = tmp_path / "c.txt"
@@ -176,8 +181,7 @@ class TestCorpusFileProperties:
         corpus = corpus_from_lists(docs, _SPEC)
         serialize.write_corpus(path, corpus)
         back = serialize.read_corpus(path, _SPEC)
-        assert [d.words.tolist() for d in back.documents] == docs
-        assert [d.timestamp for d in back.documents] == list(range(1, len(docs) + 1))
+        assert [w.tolist() for w in back] == docs
         assert np.array_equal(back.tokens, corpus.tokens)
         assert np.array_equal(back.offsets, corpus.offsets)
 
@@ -194,9 +198,8 @@ class TestCorpusFileProperties:
             assert str(err.value) == str(exc)
             return
         back = serialize.read_corpus(path, _SPEC)
-        assert len(back) == len(expected)
-        for a, b in zip(back.documents, expected.documents):
-            assert np.array_equal(a.words, b.words) and a.timestamp == b.timestamp
+        assert np.array_equal(back.tokens, expected.tokens)
+        assert np.array_equal(back.offsets, expected.offsets)
 
 
 class TestGroundTruthFiles:
@@ -232,6 +235,21 @@ class TestScoreFiles:
         path.write_text('{"index": 1}\n\n')
         with pytest.raises(DataError):
             serialize.read_scores(path)
+
+    @pytest.mark.parametrize("record", [
+        "5", "[1]", "null", '{"score": "x"}', '{"score": true}', '{"score": NaN}',
+        '{"score": -Infinity}', '{"score": 1e400}', '{"score": ' + "9" * 400 + "}",
+        '{"score": [1.0]}', '{"log_lik": NaN, "score": null}'], ids=lambda r: r[:20])
+    def test_malformed_record_rejected_with_its_line(self, tmp_path, record):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"score": -1.5}\n' + record + "\n")
+        with pytest.raises(DataError, match="line 2"):
+            serialize.read_scores(path)
+
+    def test_null_missing_and_integer_scores_accepted(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text('{"score": null}\n{"index": 2}\n{"score": -3}\n')
+        assert [r.get("score") for r in serialize.read_scores(path)] == [None, None, -3]
 
 
 class TestLabelFiles:
