@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 import time
@@ -98,11 +97,12 @@ def _apply_config(argv, parser):
     known, _ = pre.parse_known_args(argv)
     if known.config:
         try:
-            config = json.loads(Path(known.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            config = serialize.from_json(Path(known.config).read_bytes(), constants=True)
+        except (OSError, ValueError) as exc:
             raise DataError(f"cannot read config {known.config}: {exc}") from exc
-        valid = {a.dest for a in parser._actions}
-        unknown = set(config) - valid
+        if not isinstance(config, dict):
+            raise DataError(f"config {known.config} must hold a JSON object")
+        unknown = set(config) - {a.dest for a in parser._actions}
         if unknown:
             parser.error(f"unknown config keys: {sorted(unknown)}")
         # argparse applies an argument's type only to string defaults; as
@@ -158,7 +158,7 @@ def cmd_featurize(argv):
                                      clip_seconds=args.clip_seconds,
                                      min_words=args.min_words)
     serialize.write_corpus(args.out_corpus, corpus)
-    Path(args.out_map).write_text(json.dumps({str(k): v for k, v in index_map.items()}))
+    Path(args.out_map).write_bytes(serialize.to_json({str(k): v for k, v in index_map.items()}))
     print(f"wrote {len(corpus)} documents (vocabulary {layout.vocabulary_size}) "
           f"to {args.out_corpus}")
     return 0
@@ -232,7 +232,7 @@ def cmd_train(argv):
         out_paths.append(str(path))
     if args.runs > 1:
         summary = {"runs": args.runs, "seeds": seeds, "models": out_paths}
-        Path(str(args.out) + ".summary.json").write_text(json.dumps(summary))
+        Path(str(args.out) + ".summary.json").write_bytes(serialize.to_json(summary))
     print(f"trained {args.runs} model(s): {', '.join(out_paths)}")
     return 0
 
@@ -327,8 +327,8 @@ def cmd_localise(argv):
     lines = []
     for t, words in enumerate(test_corpus):
         triples = anomaly.localise(wll[offsets[t]:offsets[t + 1]], words, layout, args.top_n)
-        lines.append(json.dumps({"index": t + 1, "tokens": triples}))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+        lines.append(serialize.to_json({"index": t + 1, "tokens": triples}))
+    Path(args.out).write_bytes(b"\n".join(lines) + b"\n")
     print(f"localised {len(lines)} documents to {args.out}")
     return 0
 

@@ -60,7 +60,7 @@ class Hyperparams:
         for name in ("alpha", "beta", "gamma", "eta"):
             v = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, v)
-            if v.ndim != 1 or not np.all(v > 0):
+            if v.ndim != 1 or not np.all((v > 0) & (v < np.inf)):
                 raise ValueError(f"{name} must be a 1-d vector of positive reals")
 
 

@@ -1,19 +1,25 @@
 """File formats: model files, corpora, ground truth, scores and labels.
 
-Model files are self-describing JSON: dimensions, hyperparameters, matrices
-in row-major order with explicit shapes, a format-version field and the
-matrix orientation ("column = conditioning variable") spelled out.  Corpus
-files are plain text, one document per line of whitespace-separated integer
-word ids; blank lines are forbidden.
+JSON goes through :func:`to_json` and :func:`from_json` (orjson): compact,
+with shortest round-trip numbers, never ``NaN`` or ``Infinity``.  A
+non-finite matrix entry or score raises NumericalError and nothing is
+written; a non-finite metadata number (EM's final objective under a prior
+exponent below 1) is written as ``null``.  Model files are self-describing:
+dimensions, hyperparameters, matrices in row-major order with explicit
+shapes, a format-version field and the matrix orientation ("column =
+conditioning variable") spelled out; Gibbs count samples are whole numbers.
+Corpus files are plain text, one document per line of whitespace-separated
+integer word ids; blank lines are forbidden.
 """
 from __future__ import annotations
 
 import json
-import sys
+import math
 from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .gibbs import point_estimate
 from .ingest import DIRECTION_INDEX
@@ -23,6 +29,7 @@ from .model import (
     Hyperparams,
     ModelParams,
     ModelSpec,
+    NumericalError,
     SufficientCounts,
     corpus_from_lists,
     validate_params,
@@ -31,25 +38,46 @@ from .vb import PosteriorHyperparams
 
 FORMAT_VERSION = 1
 ORIENTATION = "column-conditional"
+_PARAMS = ("phi", "theta", "xi", "pi")
+_POSTERIOR = ("beta_t", "alpha_t", "eta_t", "gamma_t")
+_COUNTS = ("n_xy", "n_yz", "n_zz", "n_z1")
 
 
-def _matrix_to_json(mat: np.ndarray) -> dict:
-    mat = np.asarray(mat)
-    return {"shape": list(mat.shape), "data": mat.ravel(order="C").tolist()}
+def to_json(obj) -> bytes:
+    """Compact JSON; numpy arrays (C-ordered) and scalars become lists and
+    numbers, and a non-finite float becomes ``null``."""
+    return orjson.dumps(obj, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
-def _matrix_from_json(obj: dict) -> np.ndarray:
-    return np.asarray(obj["data"], dtype=float).reshape(obj["shape"])
+def from_json(text: str | bytes, constants: bool = False):
+    """Parse JSON.  ``NaN``, ``Infinity`` and numbers beyond the float range
+    raise ValueError, unless ``constants`` lets them parse as floats."""
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        if not constants:
+            raise
+        # orjson refuses the constants.  Version-1 model files written by the
+        # stdlib encoder spell a non-finite metadata number Infinity, and a
+        # --config value NaN is a usage error naming its flag.
+        return json.loads(text)
 
 
-def _params_to_json(params: ModelParams) -> dict:
-    return {name: _matrix_to_json(getattr(params, name))
-            for name in ("phi", "theta", "xi", "pi")}
+def _matrices_to_json(obj, names: tuple[str, ...]) -> dict:
+    """The named matrices of ``obj`` as shape and row-major data; to_json
+    would write a non-finite entry as null, so one raises NumericalError."""
+    out = {}
+    for name in names:
+        mat = np.ascontiguousarray(getattr(obj, name))
+        if not np.isfinite(mat).all():
+            raise NumericalError(f"{name} holds a non-finite value; it is not written")
+        out[name] = {"shape": list(mat.shape), "data": mat.ravel()}
+    return out
 
 
-def _params_from_json(obj: dict) -> ModelParams:
-    return ModelParams(**{name: _matrix_from_json(obj[name])
-                          for name in ("phi", "theta", "xi", "pi")})
+def _matrices_from_json(obj: dict, names: tuple[str, ...]) -> dict:
+    """The named matrices of ``obj`` as float arrays of their stored shapes."""
+    return {n: np.asarray(obj[n]["data"], dtype=float).reshape(obj[n]["shape"]) for n in names}
 
 
 def save_model(path, spec: ModelSpec, hyper: Hyperparams, params: ModelParams,
@@ -62,42 +90,39 @@ def save_model(path, spec: ModelSpec, hyper: Hyperparams, params: ModelParams,
         "format_version": FORMAT_VERSION,
         "orientation": ORIENTATION,
         "algorithm": algorithm,
-        "spec": {
-            "num_words": spec.num_words,
-            "num_topics": spec.num_topics,
-            "num_behaviours": spec.num_behaviours,
-        },
-        "hyperparams": {name: np.asarray(getattr(hyper, name)).tolist()
+        "spec": vars(spec),
+        "hyperparams": {name: getattr(hyper, name).tolist()
                         for name in ("alpha", "beta", "gamma", "eta")},
-        "params": _params_to_json(params),
-        "metadata": metadata or {},
+        "params": _matrices_to_json(params, _PARAMS),
+        "metadata": metadata or {},  # a non-finite number is written as null
     }
     if posterior is not None:
-        doc["posterior"] = {name: _matrix_to_json(getattr(posterior, name))
-                            for name in ("beta_t", "alpha_t", "eta_t", "gamma_t")}
+        doc["posterior"] = _matrices_to_json(posterior, _POSTERIOR)
     if samples is not None:
-        doc["samples"] = [
-            {name: _matrix_to_json(getattr(c, name))
-             for name in ("n_xy", "n_yz", "n_zz", "n_z1")}
-            for c in samples
-        ]
-    Path(path).write_text(json.dumps(doc))
+        doc["samples"] = [_matrices_to_json(c, _COUNTS) for c in samples]
+    Path(path).write_bytes(to_json(doc))
 
 
-def _checked_matrix(section: str, name: str, obj: dict, spec: ModelSpec,
-                    positive: bool) -> np.ndarray:
-    """A posterior or count-sample matrix, checked for its shape under
-    ``spec``, finiteness and sign (> 0 when ``positive``, else >= 0)."""
+def _checked_matrices(section: str, obj: dict, spec: ModelSpec) -> dict:
+    """The posterior or count-sample matrices of ``obj``, checked for their
+    shapes under ``spec``, finiteness and sign: a posterior is > 0, counts are
+    whole numbers >= 0 and load as int64."""
     X, Y, Z = spec.num_words, spec.num_topics, spec.num_behaviours
-    shape = {"beta_t": (X, Y), "alpha_t": (Y, Z), "eta_t": (Z,), "gamma_t": (Z, Z),
-             "n_xy": (X, Y), "n_yz": (Y, Z), "n_zz": (Z, Z), "n_z1": (Z,)}[name]
-    mat = _matrix_from_json(obj)
-    if mat.shape != shape:
-        raise DataError(f"model {section} {name} has shape {mat.shape}, expected {shape}")
-    if not np.all(np.isfinite(mat)) or np.any(mat <= 0 if positive else mat < 0):
-        raise DataError(f"model {section} {name} must be finite and "
-                        f"{'> 0' if positive else '>= 0'}")
-    return mat
+    shapes = {"beta_t": (X, Y), "alpha_t": (Y, Z), "eta_t": (Z,), "gamma_t": (Z, Z),
+              "n_xy": (X, Y), "n_yz": (Y, Z), "n_zz": (Z, Z), "n_z1": (Z,)}
+    counts = section == "count sample"
+    out = {}
+    for name, mat in _matrices_from_json(obj, _COUNTS if counts else _POSTERIOR).items():
+        if mat.shape != shapes[name]:
+            raise DataError(f"model {section} {name} has shape {mat.shape}, "
+                            f"expected {shapes[name]}")
+        if not np.all(np.isfinite(mat)) or np.any(mat < 0 if counts else mat <= 0):
+            raise DataError(f"model {section} {name} must be finite and "
+                            f"{'>= 0' if counts else '> 0'}")
+        if counts and np.any((mat != np.floor(mat)) | (mat >= 2.0**63)):
+            raise DataError(f"model {section} {name} must hold whole numbers")
+        out[name] = mat.astype(np.int64) if counts else mat
+    return out
 
 
 class LoadedModel:
@@ -107,32 +132,21 @@ class LoadedModel:
         if doc.get("format_version") != FORMAT_VERSION:
             raise DataError(f"unsupported model format version {doc.get('format_version')!r}")
         self.algorithm = doc["algorithm"]
-        s = doc["spec"]
-        self.spec = ModelSpec(s["num_words"], s["num_topics"], s["num_behaviours"])
+        self.spec = ModelSpec(**doc["spec"])
         h = doc["hyperparams"]
         self.hyper = Hyperparams(**{k: np.asarray(v, dtype=float) for k, v in h.items()})
-        self.params = _params_from_json(doc["params"])
+        self.params = ModelParams(**_matrices_from_json(doc["params"], _PARAMS))
         violations = validate_params(self.params, self.spec)
         if violations:
             raise DataError(f"invalid model parameters: {'; '.join(violations[:3])}")
         self.metadata = doc.get("metadata", {})
         self.posterior = None
         if "posterior" in doc:
-            p = doc["posterior"]
             self.posterior = PosteriorHyperparams(
-                **{name: _checked_matrix("posterior", name, p[name], self.spec, positive=True)
-                   for name in ("beta_t", "alpha_t", "eta_t", "gamma_t")})
-        self.count_samples = None
-        if "samples" in doc:
-            self.count_samples = [
-                SufficientCounts(
-                    **{name: _checked_matrix("count sample", name, c[name], self.spec,
-                                             positive=False)
-                       for name in ("n_xy", "n_yz", "n_zz", "n_z1")},
-                    mode="integer",
-                )
-                for c in doc["samples"]
-            ]
+                **_checked_matrices("posterior", doc["posterior"], self.spec))
+        self.count_samples = [
+            SufficientCounts(**_checked_matrices("count sample", c, self.spec), mode="integer")
+            for c in doc["samples"]] if "samples" in doc else None
 
     def sample_params(self) -> Iterator[ModelParams] | None:
         """Per-sample point estimates from stored GS count samples, made lazily."""
@@ -143,8 +157,8 @@ class LoadedModel:
 
 def load_model(path) -> LoadedModel:
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = from_json(Path(path).read_bytes(), constants=True)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
     try:
         return LoadedModel(doc)
@@ -185,17 +199,17 @@ def write_ground_truth(path, dataset) -> None:
     """Sidecar file with the generator's parameters and hidden assignments."""
     doc = {
         "format_version": FORMAT_VERSION,
-        "true_params": _params_to_json(dataset.true_params),
-        "true_behaviours": np.asarray(dataset.true_behaviours).tolist(),
-        "true_topics": [np.asarray(y).tolist() for y in dataset.true_topics],
+        "true_params": _matrices_to_json(dataset.true_params, _PARAMS),
+        "true_behaviours": np.ascontiguousarray(dataset.true_behaviours),
+        "true_topics": [np.ascontiguousarray(y) for y in dataset.true_topics],
     }
-    Path(path).write_text(json.dumps(doc))
+    Path(path).write_bytes(to_json(doc))
 
 
 def read_ground_truth(path) -> dict:
-    doc = json.loads(Path(path).read_text())
+    doc = from_json(Path(path).read_bytes())
     return {
-        "true_params": _params_from_json(doc["true_params"]),
+        "true_params": ModelParams(**_matrices_from_json(doc["true_params"], _PARAMS)),
         "true_behaviours": np.asarray(doc["true_behaviours"], dtype=np.int64),
         "true_topics": [np.asarray(y, dtype=np.int64) for y in doc["true_topics"]],
     }
@@ -205,31 +219,20 @@ def write_scores(path, scored, localisations=None) -> None:
     """Line-delimited score records: one JSON object per document.
 
     A document impossible under the model (log likelihood -inf) gets
-    ``"log_lik": null`` and ``"score": null``; no non-finite number is
-    written.
+    ``"log_lik": null`` and ``"score": null``; any other non-finite log
+    likelihood or score raises NumericalError and nothing is written.
     """
     lines = []
     for rec in scored:
-        possible = rec.log_lik != -np.inf
-        obj = {
-            "index": rec.index,
-            "length": rec.length,
-            "log_lik": rec.log_lik if possible else None,
-            "score": rec.score if possible else None,
-            "evaluated": rec.evaluated,
-        }
+        log_lik, score = (rec.log_lik, rec.score) if rec.log_lik != -np.inf else (None, None)
+        if log_lik is not None and not (math.isfinite(log_lik) and math.isfinite(score or 0.0)):
+            raise NumericalError(f"document {rec.index} has a non-finite log likelihood or score")
+        obj = {"index": rec.index, "length": rec.length, "log_lik": log_lik,
+               "score": score, "evaluated": rec.evaluated}
         if localisations is not None and rec.index in localisations:
             obj["localisation"] = localisations[rec.index]
-        lines.append(json.dumps(obj, allow_nan=False))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _reject_constant(token):
-    raise ValueError(f"non-finite number {token}")
-
-
-# Built once: json.loads with a keyword argument builds a decoder per call.
-_SCORE_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+        lines.append(to_json(obj))
+    Path(path).write_bytes(b"\n".join(lines) + b"\n")
 
 
 def read_scores(path) -> list[dict]:
@@ -240,14 +243,11 @@ def read_scores(path) -> list[dict]:
         if line.strip() == "":
             raise DataError(f"blank line {i} in score file {path}")
         try:
-            rec = _SCORE_DECODER.decode(line)
+            rec = from_json(line)
         except ValueError as exc:
             raise DataError(f"bad score record on line {i} of {path}: {exc}") from exc
-        # A bool is an int but not a score; an abs() beyond the largest float
-        # is an infinity, a NaN or an int no float holds.
-        if not isinstance(rec, dict) or rec.get("score") is not None and (
-                type(rec["score"]) not in (int, float)
-                or not abs(rec["score"]) <= sys.float_info.max):
+        # A bool is an int but not a score.
+        if not isinstance(rec, dict) or type(rec.get("score")) not in (int, float, type(None)):
             raise DataError(f"score record on line {i} of {path} must be a JSON object "
                             "whose score is null or a finite number")
         records.append(rec)

@@ -425,6 +425,16 @@ def _score_record_nan_score(tmp_path):
     return _eval_with_record(tmp_path, '{"index": 2, "score": NaN, "evaluated": true}')
 
 
+def _config_holding(text):
+    def argv(tmp_path):
+        (tmp_path / "cfg.json").write_text(text)
+        (tmp_path / "c.txt").write_text("0 1\n")
+        return ["train", "--config", str(tmp_path / "cfg.json"), "--corpus",
+                str(tmp_path / "c.txt"), "--num-words", "4", "--num-topics", "1",
+                "--num-behaviours", "1", "--algo", "em", "--out", str(tmp_path / "m.json")]
+    return argv
+
+
 class TestDataErrors:
     @pytest.mark.parametrize("argv", [_empty_corpus, _one_class_labels, _off_grid_cell,
                                       _overflowing_word_id, _event_non_integer,
@@ -432,14 +442,17 @@ class TestDataErrors:
                                       _event_unknown_direction, _events_out_of_order,
                                       _non_utf8_corpus, _non_utf8_events, _model_list,
                                       _model_hyperparams_list, _score_record_number,
-                                      _score_record_string_score, _score_record_nan_score],
+                                      _score_record_string_score, _score_record_nan_score,
+                                      _config_holding("[]"), _config_holding("5"),
+                                      _config_holding('"x"')],
                              ids=["empty-corpus", "one-class-labels", "off-grid-cell",
                                   "overflowing-word-id", "event-non-integer",
                                   "event-three-fields", "event-overflowing-frame",
                                   "event-unknown-direction", "events-out-of-order",
                                   "non-utf8-corpus", "non-utf8-events", "model-list",
                                   "model-hyperparams-list", "score-record-number",
-                                  "score-record-string-score", "score-record-nan-score"])
+                                  "score-record-string-score", "score-record-nan-score",
+                                  "config-list", "config-number", "config-string"])
     def test_exit_code_3_without_traceback(self, tmp_path, capsys, argv):
         assert main(argv(tmp_path)) == 3
         assert capsys.readouterr().err.startswith("data error: ")
@@ -447,6 +460,58 @@ class TestDataErrors:
 
 def _reject_constant(token):
     raise ValueError(f"non-finite number {token}")
+
+
+def _strict_json(text):
+    """Parse JSON, refusing NaN and infinities."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+class TestStrictJsonOutputs:
+    def test_every_json_output_parses_under_a_strict_reader(self, tmp_path):
+        train, truth = _generate(tmp_path), tmp_path / "truth.json"
+        assert main(["generate", "--num-words", "6", "--num-topics", "2",
+                     "--num-behaviours", "2", "--docs", "4", "--doc-length", "30",
+                     "--out-corpus", str(tmp_path / "g.txt"), "--out-truth", str(truth)]) == 0
+        models = [_train(tmp_path, train, algo=algo, name=f"{algo}.json")
+                  for algo in ("em", "vb", "gs")]
+        models.append(_train(tmp_path, train, name="runs.json", extra=["--runs", "2"]))
+        outputs = [truth, *models[:3], tmp_path / "runs.seed0.json",
+                   tmp_path / "runs.json.summary.json"]
+        for model in models[:3]:
+            scores = tmp_path / f"{model.stem}.jsonl"
+            assert main(["score", "--model", str(model), "--corpus", str(train), "--mode",
+                         "plugin" if model.stem == "em" else "mc", "--mc-samples", "3",
+                         "--init", "restart", "--out", str(scores)]) == 0
+            outputs.append(scores)
+        events = tmp_path / "events.csv"
+        events.write_text("frame,cell_x,cell_y,dir\n"
+                          + "".join(f"{f},{f % 2},0,up\n" for f in range(50)))
+        assert main(["featurize", "--events", str(events), "--frame-w", "16",
+                     "--frame-h", "16", "--fps", "25", "--min-words", "0", "--out-corpus",
+                     str(tmp_path / "feat.txt"), "--out-map", str(tmp_path / "map.json")]) == 0
+        assert main(["train", "--corpus", str(tmp_path / "feat.txt"), "--num-words", "16",
+                     "--num-topics", "2", "--num-behaviours", "2", "--algo", "em",
+                     "--iterations", "3", "--out", str(tmp_path / "feat.json")]) == 0
+        assert main(["localise", "--model", str(tmp_path / "feat.json"), "--corpus",
+                     str(tmp_path / "feat.txt"), "--frame-w", "16", "--frame-h", "16",
+                     "--out", str(tmp_path / "loc.jsonl")]) == 0
+        outputs += [tmp_path / "map.json", tmp_path / "loc.jsonl"]
+        for path in outputs:
+            for line in path.read_text().splitlines():
+                assert isinstance(_strict_json(line), dict), path.name
+
+    def test_infinite_em_objective_written_as_null(self, tmp_path):
+        # Under the prior exponent H < 1 some words reach probability 0 and
+        # the log-MAP objective is +inf.
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("0 1 0 1\n1 0 1 0\n0 0 1 1\n2 3 2 3\n")
+        model = tmp_path / "m.json"
+        assert main(["train", "--corpus", str(corpus), "--num-words", "4", "--num-topics", "2",
+                     "--num-behaviours", "2", "--algo", "em", "--prior", "H",
+                     "--iterations", "15", "--seed", "0", "--out", str(model)]) == 0
+        assert _strict_json(model.read_text())["metadata"]["final_objective"] is None
+        assert serialize.load_model(model).metadata["final_objective"] is None
 
 
 class TestImpossibleDocument:
@@ -464,8 +529,7 @@ class TestImpossibleDocument:
         scores = tmp_path / "s.jsonl"
         assert main(["score", "--model", str(model), "--corpus", str(test), "--init", "restart",
                      "--min-words", "0", "--out", str(scores)]) == 0
-        records = [json.loads(line, parse_constant=_reject_constant)
-                   for line in scores.read_text().splitlines()]
+        records = [_strict_json(line) for line in scores.read_text().splitlines()]
         assert records[1] == {"index": 2, "length": 4, "log_lik": None, "score": None,
                               "evaluated": True}
         assert all(np.isfinite(r["score"]) for r in (records[0], records[2]))
@@ -509,8 +573,7 @@ class TestImpossibleHistory:
         common = ["score", "--model", str(model), "--corpus", str(test), "--min-words", "0"]
         assert main([*common, "--train-corpus", str(history), "--out", str(propagated)]) == 0
         assert main([*common, "--init", "restart", "--out", str(restarted)]) == 0
-        records = [json.loads(line, parse_constant=_reject_constant)
-                   for line in propagated.read_text().splitlines()]
+        records = [_strict_json(line) for line in propagated.read_text().splitlines()]
         assert all(np.isfinite(r["score"]) for r in records)
         assert propagated.read_text() == restarted.read_text()
 

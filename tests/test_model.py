@@ -176,6 +176,13 @@ class TestHyperparams:
             Hyperparams(alpha=np.array([1.0, 0.0]), beta=np.ones(2),
                         gamma=np.ones(2), eta=np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_finite_required(self, bad):
+        # A model file could not hold it: JSON has no infinity.
+        with pytest.raises(ValueError, match="positive reals"):
+            Hyperparams(alpha=np.ones(2), beta=np.array([1.0, bad]),
+                        gamma=np.ones(2), eta=np.ones(2))
+
     def test_spec_requires_positive_dims(self):
         with pytest.raises(ValueError):
             ModelSpec(0, 1, 1)

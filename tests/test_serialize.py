@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from markovtopics import generate, serialize, vb
 from markovtopics.anomaly import ScoredDocument
 from markovtopics.gibbs import gibbs_init
 from markovtopics.ingest import DIRECTIONS
-from markovtopics.model import DataError, zero_counts
+from markovtopics.model import DataError, ModelParams, NumericalError, zero_counts
 
 from _oracles import read_corpus_per_token
 
@@ -35,7 +36,22 @@ _CORRUPTIONS = {
     "samples-shape": (("samples", 0, "n_zz"), {"shape": [4], "data": [0, 0, 0, 0]}),
     "samples-nan": (("samples", 0, "n_z1", "data"), [_NAN, 1.0]),
     "samples-negative": (("samples", 0, "n_z1", "data"), [-1.0, 2.0]),
+    "samples-fractional": (("samples", 0, "n_z1", "data"), [0.5, 0.5]),
 }
+
+#: A version-1 EM model written by the stdlib encoder: the probe corpus
+#: ``0 1 0 1 / 1 0 1 0 / 0 0 1 1 / 2 3 2 3`` fitted under ``--prior H``, whose
+#: final objective it spells ``Infinity``.
+_V1_FIXTURE = Path(__file__).parent / "data" / "model_v1_em_prior_h.json"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token}")
+
+
+def _strict_json(text):
+    """Parse JSON, refusing NaN and infinities."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestModelFiles:
@@ -43,14 +59,16 @@ class TestModelFiles:
         h = make_prior("H", spec)
         p = random_init(spec, h, 0)
         path = tmp_path / "m.json"
-        serialize.save_model(path, spec, h, p, algorithm="em",
-                             metadata={"seed": 0})
+        metadata = {"seed": 0, "final_objective": -12.345678901234567, "converged": True}
+        serialize.save_model(path, spec, h, p, algorithm="em", metadata=metadata)
         loaded = serialize.load_model(path)
         assert loaded.algorithm == "em"
         assert loaded.spec == spec
-        assert np.allclose(loaded.params.phi, p.phi)
-        assert np.allclose(loaded.hyper.beta, h.beta)
-        assert loaded.metadata == {"seed": 0}
+        for name in ("phi", "theta", "xi", "pi"):
+            assert np.array_equal(getattr(loaded.params, name), getattr(p, name))
+        for name in ("alpha", "beta", "gamma", "eta"):
+            assert np.array_equal(getattr(loaded.hyper, name), getattr(h, name))
+        assert loaded.metadata == metadata
         assert loaded.posterior is None and loaded.count_samples is None
 
     def test_round_trip_vb_posterior(self, tmp_path, spec):
@@ -58,10 +76,13 @@ class TestModelFiles:
         post = vb.vb_m_step(zero_counts(spec), h)
         p = vb.point_estimates(post)
         path = tmp_path / "m.json"
-        serialize.save_model(path, spec, h, p, algorithm="vb", posterior=post)
+        serialize.save_model(path, spec, h, p, algorithm="vb", posterior=post,
+                             metadata={"iterations": 3})
         loaded = serialize.load_model(path)
-        assert np.allclose(loaded.posterior.beta_t, post.beta_t)
-        assert np.allclose(loaded.posterior.eta_t, post.eta_t)
+        for name in ("beta_t", "alpha_t", "eta_t", "gamma_t"):
+            assert np.array_equal(getattr(loaded.posterior, name), getattr(post, name))
+        assert np.array_equal(loaded.params.phi, p.phi)
+        assert loaded.metadata == {"iterations": 3}
 
     def test_round_trip_gs_samples(self, tmp_path, spec):
         h = make_prior("1", spec)
@@ -71,13 +92,61 @@ class TestModelFiles:
         p = point_estimate(state.counts, h)
         path = tmp_path / "m.json"
         serialize.save_model(path, spec, h, p, algorithm="gs",
-                             samples=[state.counts, state.counts])
+                             samples=[state.counts, state.counts], metadata={"seed_used": 1})
         loaded = serialize.load_model(path)
         assert len(loaded.count_samples) == 2
-        assert np.allclose(loaded.count_samples[0].n_xy, state.counts.n_xy)
+        for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+            back = getattr(loaded.count_samples[0], name)
+            assert back.dtype == np.int64
+            assert np.array_equal(back, getattr(state.counts, name))
+        assert loaded.metadata == {"seed_used": 1}
         derived = list(loaded.sample_params())
         assert len(derived) == 2
-        assert np.allclose(derived[0].phi, p.phi)
+        assert np.array_equal(derived[0].phi, p.phi)
+        # Counts load as integers, so a re-save writes the same bytes.
+        again = tmp_path / "again.json"
+        serialize.save_model(again, loaded.spec, loaded.hyper, loaded.params, algorithm="gs",
+                             samples=loaded.count_samples, metadata=loaded.metadata)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_v1_file_with_infinity_loads_to_identical_arrays(self):
+        doc = json.loads(_V1_FIXTURE.read_text())
+        loaded = serialize.load_model(_V1_FIXTURE)
+        for name in ("phi", "theta", "xi", "pi"):
+            stored = np.reshape(doc["params"][name]["data"], doc["params"][name]["shape"])
+            assert np.array_equal(getattr(loaded.params, name), stored)
+        for name in ("alpha", "beta", "gamma", "eta"):
+            assert np.array_equal(getattr(loaded.hyper, name), doc["hyperparams"][name])
+        assert loaded.metadata == doc["metadata"]
+        assert loaded.metadata["final_objective"] == float("inf")
+
+    def test_output_is_compact_strict_json(self, tmp_path, spec):
+        h = make_prior("H", spec)
+        path = tmp_path / "m.json"
+        serialize.save_model(path, spec, h, random_init(spec, h, 0), algorithm="em",
+                             metadata={"final_objective": float("inf"), "small": 1e-6})
+        text = path.read_text()
+        assert ", " not in text and ": " not in text and "1e-6" in text
+        assert _strict_json(text)["metadata"] == {"final_objective": None, "small": 1e-6}
+
+    @pytest.mark.parametrize("section", ["params", "posterior", "samples"])
+    def test_non_finite_matrix_is_numerical_error_and_nothing_written(self, tmp_path, spec,
+                                                                      section):
+        h = make_prior("1", spec)
+        post = vb.vb_m_step(zero_counts(spec), h)
+        p = vb.point_estimates(post)
+        counts = zero_counts(spec)
+        if section == "params":
+            p = ModelParams(phi=p.phi, theta=p.theta, xi=p.xi, pi=np.array([np.nan, 1.0]))
+        elif section == "posterior":
+            post.gamma_t[0, 0] = np.inf
+        else:
+            counts.n_xy[0, 0] = np.nan
+        path = tmp_path / "m.json"
+        with pytest.raises(NumericalError, match="non-finite"):
+            serialize.save_model(path, spec, h, p, algorithm="vb", posterior=post,
+                                 samples=[counts])
+        assert not path.exists()
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "m.json"
@@ -229,6 +298,18 @@ class TestScoreFiles:
         assert back[0]["score"] == -33.2
         assert back[0]["localisation"] == [[0, 3, 2, "up"]]
         assert back[1]["evaluated"] is False and back[1]["score"] is None
+        assert [_strict_json(line) for line in path.read_text().splitlines()] == back
+
+    @pytest.mark.parametrize("log_lik,score", [(np.nan, np.nan), (-3.0, np.nan),
+                                               (np.inf, np.inf), (-3.0, -np.inf)])
+    def test_non_finite_score_is_numerical_error_and_nothing_written(self, tmp_path,
+                                                                     log_lik, score):
+        scored = [ScoredDocument(index=1, length=3, log_lik=-3.0, score=-4.1),
+                  ScoredDocument(index=2, length=3, log_lik=log_lik, score=score)]
+        path = tmp_path / "s.jsonl"
+        with pytest.raises(NumericalError, match="document 2"):
+            serialize.write_scores(path, scored)
+        assert not path.exists()
 
     def test_blank_line_rejected(self, tmp_path):
         path = tmp_path / "s.jsonl"
