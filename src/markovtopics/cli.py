@@ -168,21 +168,20 @@ def _train_one(task):
     """Fit one model; returns its parameters, what scoring reads besides
     them, and the metadata that says how the fit ran."""
     (algo, corpus, hyper, spec, seed, iters, tol, burn_in, spacing, samples) = task
+    if algo == "gs":
+        count_samples, _, pooled = gibbs.gs_fit(corpus, hyper, spec, seed,
+                                                burn_in=burn_in, num_samples=samples,
+                                                spacing=spacing)
+        return {"params": pooled, "count_samples": count_samples, "metadata": {
+            "iterations": burn_in + (samples - 1) * spacing, "seed_used": seed}}
+    post = None
     if algo == "em":
         params, trace = em.em_fit(corpus, hyper, spec, seed, max_iters=iters, tol=tol)
-        return {"params": params, "metadata": {
-            "iterations": trace.iterations, "final_objective": trace.objectives[-1],
-            "seed_used": trace.seed_used, "converged": trace.converged}}
-    if algo == "vb":
+    else:
         post, params, trace = vb.vb_fit(corpus, hyper, spec, seed, max_iters=iters, tol=tol)
-        return {"params": params, "posterior": post, "metadata": {
-            "iterations": trace.iterations, "seed_used": trace.seed_used,
-            "converged": trace.converged}}
-    count_samples, _, pooled = gibbs.gs_fit(corpus, hyper, spec, seed,
-                                            burn_in=burn_in, num_samples=samples,
-                                            spacing=spacing)
-    return {"params": pooled, "count_samples": count_samples, "metadata": {
-        "iterations": burn_in + (samples - 1) * spacing, "seed_used": seed}}
+    return {"params": params, "posterior": post, "metadata": {
+        "iterations": trace.iterations, "final_objective": trace.objectives[-1],
+        "seed_used": trace.seed_used, "converged": trace.converged}}
 
 
 def cmd_train(argv):

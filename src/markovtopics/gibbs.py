@@ -52,8 +52,7 @@ def tally(y_flat, z_assign, corpus: Corpus) -> SufficientCounts:
         n_xy=np.bincount(corpus.tokens * Y + y, minlength=spec.num_words * Y).reshape(-1, Y),
         n_yz=np.bincount(y * Z + z_tokens, minlength=Y * Z).reshape(Y, Z),
         n_zz=np.bincount(z[1:] * Z + z[:-1], minlength=Z * Z).reshape(Z, Z),
-        n_z1=np.bincount(z[:1], minlength=Z),
-        mode="integer")
+        n_z1=np.bincount(z[:1], minlength=Z))
 
 
 def gibbs_init(corpus: Corpus, spec: ModelSpec, seed: int) -> GibbsState:
@@ -272,13 +271,7 @@ def point_estimate(counts: SufficientCounts, hyper: Hyperparams) -> ModelParams:
     """Posterior-mean estimate from a single counts sample: (count + prior)
     column-normalised — algebraically the same form as the VB point
     estimate, so it is computed through it."""
-    float_counts = SufficientCounts(
-        n_xy=np.asarray(counts.n_xy, dtype=float),
-        n_yz=np.asarray(counts.n_yz, dtype=float),
-        n_zz=np.asarray(counts.n_zz, dtype=float),
-        n_z1=np.asarray(counts.n_z1, dtype=float),
-    )
-    return point_estimates(vb_m_step(float_counts, hyper))
+    return point_estimates(vb_m_step(counts, hyper))
 
 
 def gs_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,

@@ -1,4 +1,4 @@
-"""Forward-backward engine for the behaviour chain.
+"""Forward-backward engine for the behaviour chain, and the EM/VB fit loop.
 
 Fits use :func:`e_step`: one forward-backward pass on the per-document
 emission block ``(Z, T)`` of the corpus's sparse doc-term matrix, which
@@ -14,6 +14,9 @@ column deficit, so the returned posteriors are proper distributions either
 way.
 """
 from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -152,7 +155,7 @@ def _counts(params: ModelParams, corpus: Corpus, mix: np.ndarray, gamma: np.ndar
     c = np.divide(corpus.doc_term @ gamma.T, mix, out=np.zeros_like(mix), where=mix > 0)
     return SufficientCounts(n_xy=params.phi * (c @ params.theta.T),
                             n_yz=params.theta * (params.phi.T @ c),
-                            n_zz=n_zz, n_z1=gamma[:, 0].copy(), mode="expected")
+                            n_zz=n_zz, n_z1=gamma[:, 0].copy())
 
 
 def init_e_step(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
@@ -171,3 +174,37 @@ def init_e_step(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
             continue
         return params, seed + attempt, log_lik, counts
     raise NumericalError("corpus impossible under 5 consecutive initializations")
+
+
+@dataclass
+class FitTrace:
+    """Per-iteration objective values and termination info of a fit."""
+
+    objectives: list[float] = field(default_factory=list)
+    iterations: int = 0
+    converged: bool = False
+    seed_used: int | None = None
+
+
+def fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int, max_iters: int,
+        tol: float | None, m_step: Callable, objective: Callable,
+        e_params: Callable = lambda state: state) -> tuple[object, FitTrace]:
+    """Alternate E and M steps from the state :func:`init_e_step` draws.
+
+    Each E-step runs on ``e_params(state)`` and is followed by recording
+    ``objective(state, log_K, hyper)``, then ``m_step(counts, hyper)`` makes
+    the next state, for ``max_iters`` iterations; with ``tol``, a change of
+    the objective below it stops the fit before the M-step.
+    """
+    trace = FitTrace()
+    state, trace.seed_used, log_k, counts = init_e_step(corpus, hyper, spec, seed)
+    for it in range(max_iters):
+        if it:
+            log_k, counts = e_step(e_params(state), corpus)
+        trace.objectives.append(objective(state, log_k, hyper))
+        trace.iterations = it + 1
+        if tol is not None and it >= 1 and abs(trace.objectives[-1] - trace.objectives[-2]) < tol:
+            trace.converged = True
+            break
+        state = m_step(counts, hyper)
+    return state, trace

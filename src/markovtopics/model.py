@@ -226,31 +226,25 @@ def corpus_from_lists(word_lists, spec: ModelSpec) -> Corpus:
 
 @dataclass
 class SufficientCounts:
-    """The four count aggregates shared by all learners.
-
-    ``mode`` is ``"expected"`` for the real-valued EM/VB counts and
-    ``"integer"`` for Gibbs tallies.
-    """
+    """The four count aggregates shared by all learners: real-valued
+    expected counts for EM/VB, int64 tallies for Gibbs."""
 
     n_xy: np.ndarray  # (num_words, num_topics)
     n_yz: np.ndarray  # (num_topics, num_behaviours)
     n_zz: np.ndarray  # (num_behaviours, num_behaviours); [z_new, z_old]
     n_z1: np.ndarray  # (num_behaviours,)
-    mode: str = "expected"
 
     def copy(self) -> "SufficientCounts":
         return SufficientCounts(
             n_xy=self.n_xy.copy(), n_yz=self.n_yz.copy(),
-            n_zz=self.n_zz.copy(), n_z1=self.n_z1.copy(), mode=self.mode,
+            n_zz=self.n_zz.copy(), n_z1=self.n_z1.copy(),
         )
 
 
-def zero_counts(spec: ModelSpec, mode: str = "expected") -> SufficientCounts:
-    dtype = np.int64 if mode == "integer" else float
+def zero_counts(spec: ModelSpec) -> SufficientCounts:
     return SufficientCounts(
-        n_xy=np.zeros((spec.num_words, spec.num_topics), dtype=dtype),
-        n_yz=np.zeros((spec.num_topics, spec.num_behaviours), dtype=dtype),
-        n_zz=np.zeros((spec.num_behaviours, spec.num_behaviours), dtype=dtype),
-        n_z1=np.zeros(spec.num_behaviours, dtype=dtype),
-        mode=mode,
+        n_xy=np.zeros((spec.num_words, spec.num_topics)),
+        n_yz=np.zeros((spec.num_topics, spec.num_behaviours)),
+        n_zz=np.zeros((spec.num_behaviours, spec.num_behaviours)),
+        n_z1=np.zeros(spec.num_behaviours),
     )

@@ -4,7 +4,7 @@ JSON goes through :func:`to_json` and :func:`from_json` (orjson): compact,
 with shortest round-trip numbers, never ``NaN`` or ``Infinity``.  A
 non-finite matrix entry or score raises NumericalError and nothing is
 written; a non-finite metadata number (EM's final objective under a prior
-exponent below 1) is written as ``null``.  Model files are self-describing:
+exponent below 1, VB's after one iteration) is written as ``null``.  Model files are self-describing:
 dimensions, hyperparameters, matrices in row-major order with explicit
 shapes, a format-version field and the matrix orientation ("column =
 conditioning variable") spelled out; Gibbs count samples are whole numbers.
@@ -145,7 +145,7 @@ class LoadedModel:
             self.posterior = PosteriorHyperparams(
                 **_checked_matrices("posterior", doc["posterior"], self.spec))
         self.count_samples = [
-            SufficientCounts(**_checked_matrices("count sample", c, self.spec), mode="integer")
+            SufficientCounts(**_checked_matrices("count sample", c, self.spec))
             for c in doc["samples"]] if "samples" in doc else None
 
     def sample_params(self) -> Iterator[ModelParams] | None:
@@ -215,7 +215,7 @@ def read_ground_truth(path) -> dict:
     }
 
 
-def write_scores(path, scored, localisations=None) -> None:
+def write_scores(path, scored) -> None:
     """Line-delimited score records: one JSON object per document.
 
     A document impossible under the model (log likelihood -inf) gets
@@ -227,11 +227,8 @@ def write_scores(path, scored, localisations=None) -> None:
         log_lik, score = (rec.log_lik, rec.score) if rec.log_lik != -np.inf else (None, None)
         if log_lik is not None and not (math.isfinite(log_lik) and math.isfinite(score or 0.0)):
             raise NumericalError(f"document {rec.index} has a non-finite log likelihood or score")
-        obj = {"index": rec.index, "length": rec.length, "log_lik": log_lik,
-               "score": score, "evaluated": rec.evaluated}
-        if localisations is not None and rec.index in localisations:
-            obj["localisation"] = localisations[rec.index]
-        lines.append(to_json(obj))
+        lines.append(to_json({"index": rec.index, "length": rec.length, "log_lik": log_lik,
+                              "score": score, "evaluated": rec.evaluated}))
     Path(path).write_bytes(b"\n".join(lines) + b"\n")
 
 

@@ -2,15 +2,17 @@
 
 Coordinate ascent alternates closed-form Dirichlet posterior updates of the
 parameters with an E-like step, :func:`inference.e_step` on the
-digamma-transformed (sub-stochastic) surrogate parameters.
+digamma-transformed (sub-stochastic) surrogate parameters, and ascends the
+free energy, a lower bound on the log evidence (Beal 2003, ch. 3).
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import digamma
+from scipy.special import digamma, gammaln
 
 from . import inference
 from .model import Corpus, Hyperparams, ModelParams, ModelSpec, SufficientCounts
@@ -25,15 +27,20 @@ class PosteriorHyperparams:
     eta_t: np.ndarray  # (num_behaviours,)
     gamma_t: np.ndarray  # (num_behaviours, num_behaviours)
 
+    @cached_property
+    def expected_logs(self) -> ModelParams:
+        """E[log parameter], psi(a) - psi(sum a) per column, laid out as the
+        parameters; computed once for :func:`tilde_params` and :func:`free_energy`."""
+        return ModelParams(
+            phi=_expected_log_columns(self.beta_t),
+            theta=_expected_log_columns(self.alpha_t),
+            xi=_expected_log_columns(self.gamma_t),
+            pi=digamma(self.eta_t) - digamma(self.eta_t.sum()),
+        )
 
-@dataclass
-class VbTrace:
-    """Per-iteration max absolute hyperparameter change and termination info."""
 
-    max_changes: list[float] = field(default_factory=list)
-    iterations: int = 0
-    converged: bool = False
-    seed_used: int | None = None
+def _expected_log_columns(post: np.ndarray) -> np.ndarray:
+    return digamma(post) - digamma(post.sum(axis=0, keepdims=True))
 
 
 def vb_m_step(counts: SufficientCounts, hyper: Hyperparams) -> PosteriorHyperparams:
@@ -47,22 +54,38 @@ def vb_m_step(counts: SufficientCounts, hyper: Hyperparams) -> PosteriorHyperpar
     )
 
 
-def _tilde_columns(post: np.ndarray) -> np.ndarray:
-    return np.exp(digamma(post) - digamma(post.sum(axis=0, keepdims=True)))
-
-
 def tilde_params(post: PosteriorHyperparams) -> ModelParams:
     """Geometric-mean surrogate parameters exp(psi(a) - psi(sum a)).
 
     Columns are strictly sub-stochastic for columns of length >= 2; the
     forward-backward normalisation absorbs the deficit.
     """
-    return ModelParams(
-        phi=_tilde_columns(post.beta_t),
-        theta=_tilde_columns(post.alpha_t),
-        xi=_tilde_columns(post.gamma_t),
-        pi=np.exp(digamma(post.eta_t) - digamma(post.eta_t.sum())),
-    )
+    logs = post.expected_logs
+    return ModelParams(phi=np.exp(logs.phi), theta=np.exp(logs.theta),
+                       xi=np.exp(logs.xi), pi=np.exp(logs.pi))
+
+
+def _kl_columns(post: np.ndarray, prior: np.ndarray, logs: np.ndarray) -> float:
+    """Summed KL(Dir(column of ``post``) || Dir(``prior``)) over the columns
+    of ``post``, whose expected logs are ``logs``."""
+    log_norm_prior = gammaln(prior.sum()) - gammaln(prior).sum()
+    return float(gammaln(post.sum(axis=0)).sum() - gammaln(post).sum()
+                 - post.shape[1] * log_norm_prior
+                 + np.sum((post - prior[:, None]) * logs))
+
+
+def free_energy(post: PosteriorHyperparams | ModelParams, log_k: float,
+                hyper: Hyperparams) -> float:
+    """F = log K~ - sum KL(Dir(posterior column) || Dir(prior column)), with
+    ``log_k`` the E-step's log K~ under ``tilde_params(post)``.  F is -inf
+    at the random draw that starts a fit, a point mass (a ModelParams)."""
+    if not isinstance(post, PosteriorHyperparams):
+        return -np.inf
+    logs = post.expected_logs
+    return log_k - (_kl_columns(post.beta_t, hyper.beta, logs.phi)
+                    + _kl_columns(post.alpha_t, hyper.alpha, logs.theta)
+                    + _kl_columns(post.gamma_t, hyper.gamma, logs.xi)
+                    + _kl_columns(post.eta_t[:, None], hyper.eta, logs.pi[:, None]))
 
 
 def point_estimates(post: PosteriorHyperparams) -> ModelParams:
@@ -98,32 +121,10 @@ def sample_posterior(post: PosteriorHyperparams, num_samples: int,
 
 def vb_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
            max_iters: int = 100, tol: float | None = None,
-           ) -> tuple[PosteriorHyperparams, ModelParams, VbTrace]:
-    """Coordinate ascent from a random prior draw.
-
-    The first E-like step runs on a random parameter draw; afterwards the
-    surrogate parameters come from the current posterior.  Convergence is
-    monitored on the max absolute change of the posterior hyperparameters.
-    """
-    trace = VbTrace()
-    surrogate, trace.seed_used, _, counts = inference.init_e_step(corpus, hyper, spec, seed)
-    post = None
-    for it in range(max_iters):
-        if it:
-            _, counts = inference.e_step(surrogate, corpus)
-        new_post = vb_m_step(counts, hyper)
-        if post is not None:
-            change = max(
-                float(np.abs(new_post.beta_t - post.beta_t).max()),
-                float(np.abs(new_post.alpha_t - post.alpha_t).max()),
-                float(np.abs(new_post.gamma_t - post.gamma_t).max()),
-                float(np.abs(new_post.eta_t - post.eta_t).max()),
-            )
-            trace.max_changes.append(change)
-        post = new_post
-        trace.iterations = it + 1
-        if tol is not None and trace.max_changes and trace.max_changes[-1] < tol:
-            trace.converged = True
-            break
-        surrogate = tilde_params(post)
+           ) -> tuple[PosteriorHyperparams, ModelParams, inference.FitTrace]:
+    """Coordinate ascent from a random prior draw (:func:`inference.fit`),
+    recording the free energy; as F is -inf at the draw, ``tol`` can stop
+    a fit only from its third iteration on."""
+    post, trace = inference.fit(corpus, hyper, spec, seed, max_iters, tol,
+                                vb_m_step, free_energy, tilde_params)
     return post, point_estimates(post), trace

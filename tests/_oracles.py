@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from markovtopics.anomaly import ScoredDocument, normalise_score
-from markovtopics.em import _log_prior_exponents
+from markovtopics.em import _log_map
 from markovtopics.generate import GeneratedDataset, _stream
 from markovtopics.inference import _lse, emission_logs, word_mixture_logs
 from markovtopics.ingest import DIRECTIONS, word_id
@@ -479,7 +479,7 @@ def expected_counts(post: Posteriors, corpus: Corpus) -> SufficientCounts:
     n_zz = post.pair_zz.sum(axis=0) if len(post.pair_zz) else np.zeros(
         (spec.num_behaviours, spec.num_behaviours))
     return SufficientCounts(n_xy=n_xy, n_yz=n_yz, n_zz=n_zz,
-                            n_z1=post.z1.copy(), mode="expected")
+                            n_z1=post.z1.copy())
 
 
 def infer(params: ModelParams, corpus: Corpus):
@@ -497,8 +497,7 @@ def log_marginal_likelihood(msgs):
 def log_map_objective(params, corpus, hyper):
     """EM's objective from the token-level messages: log marginal likelihood
     plus the prior log density up to constants."""
-    return (log_marginal_likelihood(messages(params, corpus))
-            + _log_prior_exponents(params, hyper))
+    return _log_map(params, log_marginal_likelihood(messages(params, corpus)), hyper)
 
 
 def build_corpus_per_event(events, layout, fps, clip_seconds=1.0, min_words=20):

@@ -98,6 +98,23 @@ def test_em_objective_monotonicity():
           f"worst per-iteration change {worst:.3e} over 20 seeded 100-iter fits")
 
 
+def test_vb_free_energy_monotonicity():
+    """Seeded 40-iteration VB fits under priors 1, H and H+1 on a T=300,
+    N=30, X=20, Y=3, Z=2 corpus never decrease the free energy by more than
+    1e-8 relative."""
+    spec = ModelSpec(20, 3, 2)
+    ds = generate.generate(spec, make_prior("1", spec), 300, [30] * 300, seed=0)
+    worst = np.inf
+    for prior in ("1", "H", "H+1"):
+        for seed in range(3):
+            _, _, trace = vb.vb_fit(ds.corpus, make_prior(prior, spec), spec, seed=seed,
+                                    max_iters=40)
+            f = np.asarray(trace.objectives[1:])
+            worst = min(worst, float((np.diff(f) / np.abs(f[:-1])).min()))
+    _line("VB free energy monotonicity", worst >= -1e-8,
+          f"worst relative per-iteration change {worst:.3e} over 9 seeded 40-iter fits")
+
+
 def test_map_equals_ml_reduction():
     """With the flat prior the M-step is bitwise pure count normalization."""
     rng = np.random.default_rng(7)

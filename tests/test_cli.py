@@ -608,6 +608,18 @@ class TestTrainMetadata:
         assert metadata["seed"] == 7 and metadata["seed_used"] == 8
         assert isinstance(metadata["converged"], bool)
 
+    def test_vb_records_free_energy_and_tol_stop(self, tmp_path):
+        corpus = _generate(tmp_path)
+        model = _train(tmp_path, corpus, algo="vb",
+                       extra=["--iterations", "500", "--tol", "1e-6"])
+        metadata = serialize.load_model(model).metadata
+        assert np.isfinite(metadata["final_objective"]) and metadata["final_objective"] < 0
+        assert metadata["converged"] is True and 3 <= metadata["iterations"] < 500
+        # One iteration records only the free energy of the initial draw, -inf.
+        one = _train(tmp_path, corpus, algo="vb", name="one.json", extra=["--iterations", "1"])
+        metadata = _strict_json(one.read_text())["metadata"]
+        assert metadata["final_objective"] is None and metadata["converged"] is False
+
     def test_gibbs_records_its_seed(self, tmp_path):
         model = _train(tmp_path, _generate(tmp_path), algo="gs", extra=["--seed", "7"])
         metadata = serialize.load_model(model).metadata

@@ -23,7 +23,6 @@ def _counts(spec, n_xy=None, n_yz=None, n_zz=None, n_z1=None):
         n_yz=c.n_yz if n_yz is None else np.asarray(n_yz, dtype=float),
         n_zz=c.n_zz if n_zz is None else np.asarray(n_zz, dtype=float),
         n_z1=c.n_z1 if n_z1 is None else np.asarray(n_z1, dtype=float),
-        mode=c.mode,
     )
 
 

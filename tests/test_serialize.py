@@ -285,18 +285,16 @@ class TestGroundTruthFiles:
 
 
 class TestScoreFiles:
-    def test_round_trip_with_localisation(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         scored = [
             ScoredDocument(index=1, length=25, log_lik=-30.0, score=-33.2),
             ScoredDocument(index=2, length=5, log_lik=-4.0, score=None,
                            evaluated=False),
         ]
-        loc = {1: [[0, 3, 2, "up"]]}
         path = tmp_path / "s.jsonl"
-        serialize.write_scores(path, scored, localisations=loc)
+        serialize.write_scores(path, scored)
         back = serialize.read_scores(path)
         assert back[0]["score"] == -33.2
-        assert back[0]["localisation"] == [[0, 3, 2, "up"]]
         assert back[1]["evaluated"] is False and back[1]["score"] is None
         assert [_strict_json(line) for line in path.read_text().splitlines()] == back
 

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
-from scipy.special import digamma
+from scipy.integrate import quad
+from scipy.special import digamma, logsumexp
+from scipy.stats import beta as beta_dist
 
 from markovtopics import (
     Hyperparams,
@@ -7,7 +11,7 @@ from markovtopics import (
     corpus_from_lists,
     make_prior,
 )
-from markovtopics import em, generate, vb
+from markovtopics import em, generate, inference, vb
 from markovtopics.model import SufficientCounts, validate_params, zero_counts
 
 import _oracles
@@ -30,7 +34,7 @@ class TestVbMStep:
         h = make_prior("1", spec)
         counts = SufficientCounts(
             n_xy=np.array([[2.5], [0.5]]), n_yz=np.array([[3.0]]),
-            n_zz=np.array([[1.0]]), n_z1=np.array([1.0]), mode="expected")
+            n_zz=np.array([[1.0]]), n_z1=np.array([1.0]))
         post = vb.vb_m_step(counts, h)
         assert np.allclose(post.beta_t[:, 0], [3.5, 1.5])
         assert np.allclose(post.eta_t, [2.0])
@@ -145,6 +149,78 @@ class TestSamplePosterior:
         assert abs(mean - 0.5) < 0.01
 
 
+def _enumerated_log_evidence(corpus, hyper):
+    """log p(x): the collapsed log joint summed over every topic and
+    behaviour assignment."""
+    lengths = [len(words) for words in corpus]
+    Y, Z = corpus.spec.num_topics, corpus.spec.num_behaviours
+    offsets = np.cumsum([0] + lengths)
+    terms = []
+    for flat in itertools.product(range(Y), repeat=sum(lengths)):
+        doc_topics = [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+        for z_assign in itertools.product(range(Z), repeat=len(corpus)):
+            terms.append(_oracles.collapsed_log_joint(doc_topics, z_assign, corpus, hyper))
+    return logsumexp(terms)
+
+
+class TestFreeEnergy:
+    def test_prior_posterior_has_no_kl(self):
+        spec = ModelSpec(3, 2, 2)
+        h = make_prior("H+1", spec)
+        post = vb.vb_m_step(zero_counts(spec), h)
+        assert vb.free_energy(post, -12.5, h) == -12.5
+
+    def test_kl_matches_numerical_integration(self):
+        # With two words, topics and behaviours every column is a Beta
+        # distribution, so F at log K~ = 0 is minus a sum of seven Beta KLs.
+        spec = ModelSpec(2, 2, 2)
+        h = Hyperparams(alpha=[0.4, 1.5], beta=[0.7, 2.5], gamma=[3.0, 0.2], eta=[1.2, 0.6])
+        rng = np.random.default_rng(5)
+        post = vb.vb_m_step(SufficientCounts(
+            n_xy=rng.uniform(0, 4, (2, 2)), n_yz=rng.uniform(0, 4, (2, 2)),
+            n_zz=rng.uniform(0, 4, (2, 2)), n_z1=rng.uniform(0, 1, 2)), h)
+
+        def kl(a, b):
+            def integrand(p):
+                log_q = beta_dist.logpdf(p, *a)
+                return np.exp(log_q) * (log_q - beta_dist.logpdf(p, *b))
+            return quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12)[0]
+
+        expected = sum(kl(col, prior) for mat, prior in (
+            (post.beta_t, h.beta), (post.alpha_t, h.alpha), (post.gamma_t, h.gamma),
+            (post.eta_t[:, None], h.eta)) for col in mat.T)
+        assert np.isclose(-vb.free_energy(post, 0.0, h), expected, rtol=1e-9, atol=0)
+
+    def test_point_mass_is_minus_infinity(self):
+        spec = ModelSpec(3, 2, 2)
+        h = make_prior("1", spec)
+        draw = em.m_step(zero_counts(spec), h)
+        assert vb.free_energy(draw, -12.5, h) == -np.inf
+
+    def test_bounded_by_enumerated_log_evidence(self):
+        # F <= log p(x) for every posterior when log K~ comes from the E-step
+        # under its surrogates: along a fit, and at random posteriors.
+        rng = np.random.default_rng(31)
+        spec = ModelSpec(3, 2, 2)
+        for case in range(12):
+            cuts = np.sort(rng.choice(np.arange(1, 7), size=int(rng.integers(1, 4)),
+                                      replace=False))
+            words = rng.integers(0, 3, size=7)
+            corpus = corpus_from_lists(np.split(words, cuts), spec)
+            h = make_prior(("1", "H", "H+1")[case % 3], spec)
+            log_evidence = _enumerated_log_evidence(corpus, h)
+            _, _, trace = vb.vb_fit(corpus, h, spec, seed=case, max_iters=15)
+            bounds = trace.objectives[1:]
+            for _ in range(3):
+                post = vb.PosteriorHyperparams(
+                    beta_t=rng.uniform(0.05, 5.0, (3, 2)), alpha_t=rng.uniform(0.05, 5.0, (2, 2)),
+                    eta_t=rng.uniform(0.05, 5.0, 2), gamma_t=rng.uniform(0.05, 5.0, (2, 2)))
+                log_k, _ = inference.e_step(vb.tilde_params(post), corpus)
+                bounds.append(vb.free_energy(post, log_k, h))
+            assert np.all(np.isfinite(bounds))
+            assert max(bounds) <= log_evidence
+
+
 class TestVbFit:
     def test_trivial_model_fixed_point(self):
         # With |Y| = |Z| = 1 the expected counts are the raw data counts and
@@ -182,3 +258,6 @@ class TestVbFit:
         _, _, trace = vb.vb_fit(ds.corpus, make_prior("1", spec), spec, seed=0,
                                 max_iters=500, tol=1e-6)
         assert trace.converged and trace.iterations < 500
+        # The stop is on the free energy, which is -inf at the initial draw.
+        assert trace.objectives[0] == -np.inf
+        assert abs(trace.objectives[-1] - trace.objectives[-2]) < 1e-6
