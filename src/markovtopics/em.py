@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import inference
-from .model import Corpus, Hyperparams, ModelParams, ModelSpec, SufficientCounts
+from .model import (Corpus, Hyperparams, ModelParams, ModelSpec, NumericalError,
+                    SufficientCounts)
 
 
 def _map_columns(counts: np.ndarray, prior: np.ndarray) -> np.ndarray:
@@ -58,5 +59,26 @@ def em_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
            max_iters: int = 100, tol: float | None = None,
            ) -> tuple[ModelParams, inference.FitTrace]:
     """Alternate E and M steps from a random prior draw, recording the log
-    MAP objective (:func:`inference.fit`)."""
-    return inference.fit(corpus, hyper, spec, seed, max_iters, tol, m_step, _log_map)
+    MAP objective (:func:`inference.fit`).
+
+    A prior exponent below 1 truncates a word's small expected counts to
+    zero; when that leaves a corpus word zero probability under every topic,
+    the next E-step's NumericalError says so.
+    """
+    estimates = []
+
+    def step(counts: SufficientCounts, hyper: Hyperparams) -> ModelParams:
+        estimates[:] = [m_step(counts, hyper)]
+        return estimates[0]
+
+    try:
+        return inference.fit(corpus, hyper, spec, seed, max_iters, tol, step, _log_map)
+    except NumericalError as exc:
+        in_corpus = np.diff(corpus.doc_term.indptr) > 0  # rows of doc_term are words
+        lost = np.count_nonzero(in_corpus & ~estimates[0].phi.any(axis=1)) if estimates else 0
+        if not lost:
+            raise
+        raise NumericalError(
+            f"corpus impossible under model: after a MAP M-step {lost} corpus word(s) "
+            "have zero probability under every topic (a prior exponent below 1 "
+            "truncates small expected counts to zero; use --prior H+1 or 1)") from exc

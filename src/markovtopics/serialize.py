@@ -22,7 +22,7 @@ import numpy as np
 import orjson
 
 from .gibbs import point_estimate
-from .ingest import DIRECTION_INDEX
+from .ingest import DIRECTION_INDEX, DIRECTIONS
 from .model import (
     Corpus,
     DataError,
@@ -173,11 +173,60 @@ def write_corpus(path, corpus: Corpus) -> None:
     tokens, bounds = corpus.tokens.tolist(), corpus.offsets.tolist()
     text = list(map(str, range(corpus.spec.num_words)))
     Path(path).write_text("".join([" ".join([text[w] for w in tokens[a:b]]) + "\n"
-                                   for a, b in zip(bounds, bounds[1:])]))
+                                   for a, b in zip(bounds, bounds[1:])]), encoding="utf-8")
+
+
+#: Byte to byte table that keeps the ASCII digits and makes every other byte a space.
+_DIGITS_ONLY = bytes(b if 48 <= b < 58 else 32 for b in range(256))
+
+
+def _digit_runs(path, alphabet: bytes | None, header: bytes = b""):
+    """One array pass over the bytes of ``path`` after ``header``.
+
+    Returns the bytes (uint8), the start and end of each run of ASCII digits,
+    the end of each line (a last line without its newline included) and
+    each run's value.  Returns None, for the reader's text path, when the
+    file does not start with ``header``, holds a byte that is neither a
+    digit nor in ``alphabet`` (unchecked when None), or has a run of more
+    than 18 digits: every run read is then an int64, and ``np.fromstring``
+    sees only digit runs and spaces, so it can neither stop early nor clamp.
+    """
+    raw = Path(path).read_bytes()
+    if not raw.startswith(header):
+        return None
+    buf = np.frombuffer(raw, np.uint8, offset=len(header))
+    digit = np.zeros(len(buf) + 2, dtype=bool)  # padded, so every run has two edges
+    np.less(buf - np.uint8(48), 10, out=digit[1:-1])
+    if alphabet is not None and (np.count_nonzero(digit) + sum(
+            np.count_nonzero(buf == b) for b in alphabet) != len(buf)):
+        return None
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    if np.any(ends - starts > 18):
+        return None
+    line_ends = np.flatnonzero(buf == 10)
+    if len(buf) and buf[-1] != 10:
+        line_ends = np.append(line_ends, len(buf))
+    values = (np.fromstring(raw.translate(_DIGITS_ONLY)[len(header):], dtype=np.int64, sep=" ")
+              if len(starts) else np.zeros(0, dtype=np.int64))
+    return buf, starts, ends, line_ends, values
 
 
 def read_corpus(path, spec: ModelSpec) -> Corpus:
-    lines = Path(path).read_text().split("\n")
+    """One document per line of whitespace-separated integer word ids.
+
+    A file of digits, spaces and newlines without a blank line (what
+    :func:`write_corpus` writes) is read in one array pass over its bytes;
+    any other goes through the text path, which defines the grammar and
+    names the bad document.  Both give the same corpus.
+    """
+    parsed = _digit_runs(path, b" \n")
+    if parsed is not None:
+        _, starts, _, line_ends, tokens = parsed
+        ends = np.searchsorted(starts, line_ends)  # tokens before each line's end
+        if len(ends) and np.all(np.diff(ends, prepend=0)):
+            return Corpus(tokens, np.concatenate(([0], ends)), spec)
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines = lines[:-1]
     docs = []
@@ -236,7 +285,7 @@ def read_scores(path) -> list[dict]:
     """Score records: each line one JSON object whose ``score`` is null or a
     finite number.  ``NaN`` and ``Infinity`` are refused anywhere."""
     records = []
-    for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if line.strip() == "":
             raise DataError(f"blank line {i} in score file {path}")
         try:
@@ -254,7 +303,7 @@ def read_scores(path) -> list[dict]:
 def read_labels(path) -> np.ndarray:
     """One boolean (0/1) per line."""
     values = []
-    for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         tok = line.strip()
         if tok not in ("0", "1"):
             raise DataError(f"label line {i} in {path} must be 0 or 1, got {tok!r}")
@@ -265,14 +314,30 @@ def read_labels(path) -> np.ndarray:
 def write_pr_curve(path, curve: np.ndarray) -> None:
     lines = ["recall,precision"]
     lines += [f"{r},{p}" for r, p in np.asarray(curve)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_EVENT_HEADER = b"frame,cell_x,cell_y,dir\n"
+#: Direction index by the first byte of its word (-1 for no direction), and word length.
+_DIRECTION_BY_FIRST_BYTE = np.full(256, -1, dtype=np.int64)
+_DIRECTION_BY_FIRST_BYTE[[ord(d[0]) for d in DIRECTIONS]] = np.arange(len(DIRECTIONS))
+_DIRECTION_LENGTH = np.array([len(d) for d in DIRECTIONS])
 
 
 def read_events(path) -> np.ndarray:
     """Event CSV with the header row ``frame,cell_x,cell_y,dir``, as a (4, N)
     int64 array: each event's frame, cell_x, cell_y and direction index (into
-    :data:`ingest.DIRECTIONS`), in file order."""
-    lines = Path(path).read_text().splitlines()
+    :data:`ingest.DIRECTIONS`), in file order.
+
+    A file with that exact header whose lines are ``digits,digits,digits,
+    direction`` is read in one array pass over its bytes; any other goes
+    through the text path, which defines the grammar and names the first
+    bad line.  Both give the same columns.
+    """
+    events = _event_bytes(path)
+    if events is not None:
+        return events
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip().lower() != "frame,cell_x,cell_y,dir":
         raise DataError(f"event file {path} must start with header 'frame,cell_x,cell_y,dir'")
     try:
@@ -284,6 +349,35 @@ def read_events(path) -> np.ndarray:
             except ValueError as exc:
                 raise DataError(f"line {i} of {path}: {exc}") from None
         raise
+
+
+def _event_bytes(path) -> np.ndarray | None:
+    """:func:`read_events`' array pass, or None for its text path."""
+    parsed = _digit_runs(path, None, _EVENT_HEADER)
+    if parsed is None:
+        return None
+    buf, starts, ends, line_ends, values = parsed
+    commas = np.flatnonzero(buf == 44)
+    if not (len(commas) == len(starts) == 3 * len(line_ends) and np.array_equal(ends, commas)):
+        return None
+    # Line i's three digit runs start at its start and after its first two
+    # commas and end at its three commas; what follows holds neither.
+    c, s = commas.reshape(-1, 3), starts.reshape(-1, 3)
+    line_starts = np.concatenate(([0], line_ends + 1))[:-1]
+    if not (np.array_equal(s[:, 0], line_starts) and np.array_equal(s[:, 1:], c[:, :2] + 1)):
+        return None
+    word = c[:, 2] + 1
+    length = line_ends - word
+    if np.any(length < 2):
+        return None
+    direction = _DIRECTION_BY_FIRST_BYTE[buf[word]]
+    if np.any(direction < 0) or np.any(_DIRECTION_LENGTH[direction] != length):
+        return None
+    for d, name in enumerate(DIRECTIONS):
+        at = word[direction == d]
+        if any(np.any(buf[at + j] != ord(ch)) for j, ch in enumerate(name[1:], start=1)):
+            return None
+    return np.vstack((values.reshape(-1, 3).T, direction))
 
 
 def _event_columns(lines: list[str]) -> np.ndarray:

@@ -6,9 +6,9 @@ collapsed sampler, over complete hidden assignments).  The token-level
 log-domain forward-backward (``messages``, ``posteriors``,
 ``expected_counts``, ``infer``), the per-token generator, the per-token
 Gibbs topic step, the numpy Gibbs behaviour step, the per-document scorer,
-the per-event corpus builder, the per-token corpus reader and the
-list-building posterior sampler are the straightforward versions the fast
-library paths must match.
+the per-event corpus builder, the per-token corpus reader, the per-line
+event reader and the list-building posterior sampler are the
+straightforward versions the fast library paths must match.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from markovtopics.anomaly import ScoredDocument, normalise_score
 from markovtopics.em import _log_map
 from markovtopics.generate import GeneratedDataset, _stream
 from markovtopics.inference import _lse, emission_logs, word_mixture_logs
-from markovtopics.ingest import DIRECTIONS, word_id
+from markovtopics.ingest import DIRECTION_INDEX, DIRECTIONS, word_id
 from markovtopics.model import (
     Corpus,
     DataError,
@@ -526,7 +526,7 @@ def build_corpus_per_event(events, layout, fps, clip_seconds=1.0, min_words=20):
 
 def read_corpus_per_token(path, spec):
     """``serialize.read_corpus`` one token at a time with ``int()``."""
-    lines = Path(path).read_text().split("\n")
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines = lines[:-1]
     docs = []
@@ -542,3 +542,27 @@ def read_corpus_per_token(path, spec):
     if not docs:
         raise DataError(f"corpus file {path} holds no documents")
     return corpus_from_lists(docs, spec)
+
+
+def read_events_per_line(path):
+    """``serialize.read_events`` one line at a time: ``int()`` per field and
+    a dict lookup per direction."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip().lower() != "frame,cell_x,cell_y,dir":
+        raise DataError(f"event file {path} must start with header 'frame,cell_x,cell_y,dir'")
+    rows = []
+    for i, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise DataError(f"line {i} of {path}: expected 4 comma-separated fields")
+        try:
+            numbers = [int(f) for f in fields[:3]]
+            if not all(-2**63 <= n < 2**63 for n in numbers):
+                raise ValueError
+        except ValueError:
+            raise DataError(f"line {i} of {path}: field is not a 64-bit integer") from None
+        direction = fields[3].strip()
+        if direction not in DIRECTION_INDEX:
+            raise DataError(f"line {i} of {path}: unknown direction {direction!r}")
+        rows.append(numbers + [DIRECTION_INDEX[direction]])
+    return np.array(rows, dtype=np.int64).reshape(-1, 4).T

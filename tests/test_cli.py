@@ -251,6 +251,15 @@ class TestConfigPrecedence:
         assert err.value.code == 2
 
 
+def _run_module(argv, **env):
+    """``python -m markovtopics`` in a subprocess with this source tree first
+    on its path and ``env`` added to the environment."""
+    src = str(Path(markovtopics.__file__).parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, "-m", "markovtopics", *argv], capture_output=True,
+                          text=True, env={**os.environ, **env, "PYTHONPATH": path}, timeout=120)
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
@@ -260,14 +269,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,code", [(["--help"], 0), ([], 2)])
     def test_module_entry_point(self, argv, code):
-        src = str(Path(markovtopics.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        done = subprocess.run([sys.executable, "-m", "markovtopics", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+        done = _run_module(argv)
         assert done.returncode == code
         assert "usage: markovtopics" in done.stdout
         assert "Traceback" not in done.stderr
+
+    def test_utf8_inputs_read_whatever_the_locale(self, tmp_path):
+        # Under the C locale with UTF-8 mode off, text files would otherwise
+        # be decoded as ASCII, and a valid UTF-8 score file would exit 3.
+        scores, labels = tmp_path / "s.jsonl", tmp_path / "l.txt"
+        scores.write_text('{"index":1,"score":-1.0,"evaluated":true,"note":"\u00e9"}\n'
+                          '{"index":2,"score":-2.0,"evaluated":true}\n', encoding="utf-8")
+        labels.write_text("0\n1\n")
+        done = _run_module(["eval", "--scores", str(scores), "--labels", str(labels)],
+                           PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        assert done.returncode == 0, done.stderr
+        assert "pr_auc=1.0000" in done.stdout
 
     def test_importing_entry_point_runs_nothing(self, capsys):
         # Tools that import every module of the package (a tracer, a
@@ -544,6 +561,26 @@ class TestImpossibleDocument:
                      "--out-curve", str(curve)]) == 0
         assert "pr_auc=1.0000" in capsys.readouterr().out
         assert curve.read_text().splitlines()[1] == "1.0,1.0"
+
+
+class TestTruncatedEm:
+    def test_prior_h_failure_names_the_words_the_m_step_zeroed(self, tmp_path, capsys):
+        # Under --prior H the M-step offsets counts by beta - 1 = -0.95 and
+        # truncates at 0.  Each of the eight words, seen once, splits its
+        # count over two topics; one below 0.95 in both gets probability 0
+        # under every topic, and the second E-step finds the corpus impossible.
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("0 1 2 3 4 5 6 7\n")
+        argv = ["train", "--corpus", str(corpus), "--num-words", "8", "--num-topics", "2",
+                "--num-behaviours", "1", "--algo", "em", "--iterations", "2", "--seed", "0",
+                "--out", str(tmp_path / "m.json")]
+        assert main(argv + ["--prior", "H"]) == 4
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: corpus impossible under model: after a MAP "
+                            r"M-step [1-8] corpus word\(s\) have zero probability under every "
+                            r"topic \(.*use --prior H\+1 or 1\)\n", err), err
+        for prior in ("H+1", "1"):
+            assert main(argv + ["--prior", prior]) == 0
 
 
 def _train_without_word(tmp_path, num_words):

@@ -13,7 +13,7 @@ from markovtopics.gibbs import gibbs_init
 from markovtopics.ingest import DIRECTIONS
 from markovtopics.model import DataError, ModelParams, NumericalError, zero_counts
 
-from _oracles import read_corpus_per_token
+from _oracles import read_corpus_per_token, read_events_per_line
 
 
 @pytest.fixture
@@ -233,12 +233,48 @@ class TestCorpusFiles:
 
 
 _SPEC = ModelSpec(12, 1, 1)
-#: Corpus-file text: ids in and out of the vocabulary, signs, underscores,
-#: non-digits, ids beyond int64 and blank lines.
-_TOKENS = st.one_of(st.integers(0, 11).map(str), st.integers(-3, 30).map(str),
-                    st.sampled_from(["+3", "0_1", "007", "x", "1.0", str(2**63),
-                                     str(-2**63), "99999999999999999999"]))
-_LINES = st.lists(st.lists(_TOKENS, max_size=5).map(" ".join), max_size=5)
+#: Unusual corpus-file text: ids out of the vocabulary, signs, underscores,
+#: non-digits, an Arabic-Indic digit, 18- and 19-digit ids (in and out of
+#: the vocabulary and of int64), whitespace that str.split() or text
+#: mode treats specially, and blank lines.
+_ODD_IDS = st.one_of(st.integers(-3, 30).map(str), st.sampled_from(
+    ["+3", "0_1", "007", "x", "1.0", str(2**63), str(-2**63), "99999999999999999999",
+     "\u0663", "0" * 17 + "7", "9" * 18, "0" * 18 + "5", "1" + "0" * 18, "9" * 19]))
+_ODD_SEPARATORS = st.sampled_from(["  ", "\t", "\x0c", "\u3000"])
+_ODD_PADS = st.sampled_from([" ", "   "])
+_ODD_BREAKS = st.sampled_from(["\r\n", "\r", "\n\n", "\n \n"])
+
+
+def _perturbed(draw, slots):
+    """Join ``slots``, pairs of a usual text and a strategy for unusual ones;
+    in about half the files one or two slots take an unusual draw instead,
+    so files fall on both sides of the readers' byte pass and close to it."""
+    texts = [usual for usual, _ in slots]
+    if slots and draw(st.booleans()):
+        for k in draw(st.lists(st.integers(0, len(slots) - 1), min_size=1, max_size=2)):
+            texts[k] = draw(slots[k][1])
+    return "".join(texts)
+
+
+@st.composite
+def _corpus_text(draw):
+    """Lines of ids with single spaces between them, each line ended by a
+    newline, the last one possibly not, before :func:`_perturbed`."""
+    slots, n = [], draw(st.integers(0, 5))
+    for k in range(n):
+        slots.append(("", _ODD_PADS))
+        for i in range(draw(st.integers(1, 5))):
+            if i:
+                slots.append((" ", _ODD_SEPARATORS))
+            slots.append((str(draw(st.integers(0, 11))), _ODD_IDS))
+        slots.append(("", _ODD_PADS))
+        slots.append(("\n" if k < n - 1 or draw(st.booleans()) else "", _ODD_BREAKS))
+    return _perturbed(draw, slots)
+
+
+def _no_text_path(*args, **kwargs):
+    """Stands in for ``Path.read_text``: a canonical file must not reach it."""
+    raise AssertionError("a canonical file took the text path")
 
 
 class TestCorpusFileProperties:
@@ -254,11 +290,11 @@ class TestCorpusFileProperties:
         assert np.array_equal(back.tokens, corpus.tokens)
         assert np.array_equal(back.offsets, corpus.offsets)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(_LINES, st.booleans())
-    def test_read_matches_per_token_reference(self, tmp_path_factory, lines, final_newline):
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_corpus_text())
+    def test_read_matches_per_token_reference(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("corpus") / "c.txt"
-        path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+        path.write_bytes(text.encode("utf-8"))
         try:
             expected = read_corpus_per_token(path, _SPEC)
         except DataError as exc:
@@ -269,6 +305,17 @@ class TestCorpusFileProperties:
         back = serialize.read_corpus(path, _SPEC)
         assert np.array_equal(back.tokens, expected.tokens)
         assert np.array_equal(back.offsets, expected.offsets)
+
+    def test_written_corpus_read_without_the_text_path(self, tmp_path, monkeypatch):
+        spec = ModelSpec(6480, 1, 1)
+        rng = np.random.default_rng(3)
+        corpus = corpus_from_lists([rng.integers(0, 6480, size=n) for n in (200, 1, 37)], spec)
+        path = tmp_path / "c.txt"
+        serialize.write_corpus(path, corpus)
+        monkeypatch.setattr(Path, "read_text", _no_text_path)
+        back = serialize.read_corpus(path, spec)
+        assert np.array_equal(back.tokens, corpus.tokens)
+        assert np.array_equal(back.offsets, corpus.offsets)
 
 
 class TestGroundTruthFiles:
@@ -405,3 +452,64 @@ class TestEventFiles:
         path.write_text("frame,cell_x,cell_y,dir\n" + body)
         with pytest.raises(DataError, match=message):
             serialize.read_events(path)
+
+
+#: Unusual event-file text: fields that int() or the direction lookup
+#: treats specially (whitespace, signs, underscores, decimals, 19- and
+#: 20-digit frames in and beyond int64, an Arabic-Indic digit; unknown and
+#: miscased words, some with a direction's first letter and length), bad
+#: commas and headers, line breaks that text mode or splitlines() adds,
+#: and blank lines.
+_ODD_INTEGERS = st.sampled_from([" 7", "7 ", "+3", "-2", "-12", "0_1", "1.0", "x", "x7", "",
+                                 "007", "9" * 18, "1" + "0" * 18, "9" * 19, "9" * 20, "\u0663"])
+_ODD_DIRECTIONS = st.sampled_from([" up", "left ", "Up", "uP", "lefT", "dowN", "rigHt", "DOWN",
+                                   "north", "", "rightt", "u", "lef"])
+_ODD_COMMAS = st.sampled_from(["", ",,", ";", ", ", "\n", ",up\n0,"])
+_ODD_EVENT_BREAKS = st.sampled_from(["\r\n", "\r", "\x0c", "\n\n"])
+_ODD_HEADERS = st.sampled_from(["Frame,Cell_X,cell_y,DIR\n", " frame,cell_x,cell_y,dir \r\n",
+                                "frame,cell_x,cell_y,dir", "frame,cell_x,dir\n", ""])
+
+
+@st.composite
+def _event_text(draw):
+    """A header, then event lines each ended by a newline, the last one
+    possibly not, before :func:`_perturbed`."""
+    slots, n = [("frame,cell_x,cell_y,dir\n", _ODD_HEADERS)], draw(st.integers(0, 6))
+    for k in range(n):
+        for hi in (10**6, 44, 35):
+            slots += [(str(draw(st.integers(0, hi))), _ODD_INTEGERS), (",", _ODD_COMMAS)]
+        slots.append((draw(st.sampled_from(DIRECTIONS)), _ODD_DIRECTIONS))
+        slots.append(("\n" if k < n - 1 or draw(st.booleans()) else "", _ODD_EVENT_BREAKS))
+    return _perturbed(draw, slots)
+
+
+class TestEventFileProperties:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_event_text())
+    def test_read_matches_per_line_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("events") / "e.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = read_events_per_line(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                serialize.read_events(path)
+            assert str(err.value) == str(exc)
+            return
+        events = serialize.read_events(path)
+        assert events.dtype == np.int64 and events.shape == expected.shape
+        assert np.array_equal(events, expected)
+
+    def test_canonical_events_read_without_the_text_path(self, tmp_path, monkeypatch):
+        # Laid out like a motion-event stream: one clip of 100 events per
+        # 25 frames on a 45 x 36 grid.
+        rng = np.random.default_rng(5)
+        frames = np.repeat(np.arange(0, 1000 * 25, 25), 100)
+        lines = [f"{f},{x},{y},{DIRECTIONS[d]}" for f, x, y, d in
+                 zip(frames, rng.integers(0, 45, frames.size), rng.integers(0, 36, frames.size),
+                     rng.integers(0, 4, frames.size))]
+        path = tmp_path / "e.csv"
+        path.write_bytes(("frame,cell_x,cell_y,dir\n" + "\n".join(lines) + "\n").encode())
+        expected = read_events_per_line(path)
+        monkeypatch.setattr(Path, "read_text", _no_text_path)
+        assert np.array_equal(serialize.read_events(path), expected)
