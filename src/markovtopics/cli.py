@@ -9,6 +9,7 @@ configuration, seeds included.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -91,34 +92,38 @@ def _spec_from(args) -> ModelSpec:
 
 
 def _apply_config(argv, parser):
-    """Two-pass parse so --config values act as defaults under the flags."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if known.config:
-        try:
-            config = serialize.from_json(Path(known.config).read_bytes(), constants=True)
-        except (OSError, ValueError) as exc:
-            raise DataError(f"cannot read config {known.config}: {exc}") from exc
-        if not isinstance(config, dict):
-            raise DataError(f"config {known.config} must hold a JSON object")
-        unknown = set(config) - {a.dest for a in parser._actions}
-        if unknown:
-            parser.error(f"unknown config keys: {sorted(unknown)}")
-        # argparse applies an argument's type only to string defaults; as
-        # strings, config values pass the same conversion and checks as flags.
-        typed = {a.dest for a in parser._actions if a.type is not None}
-        parser.set_defaults(**{k: str(v) if k in typed and v is not None else v
-                               for k, v in config.items()})
-        for action in parser._actions:
-            if action.dest in config:
-                action.required = False
-    return parser.parse_args(argv)
+    """Parse ``argv`` after the entries of a --config JSON object, read as
+    flags placed before it: they pass the flags' own checks, and a flag given
+    again wins.  ``null`` keeps a default; a list repeats an appending flag."""
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    for p in (parser, pre):
+        p.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    try:
+        config = serialize.from_json(Path(path).read_bytes(), constants=True) if path else {}
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise DataError(f"config {path} must hold a JSON object")
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
+    if unknown := set(config) - set(actions):
+        parser.error(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
+    for key, value in config.items():
+        if value is None:
+            continue
+        appends = isinstance(actions[key], argparse._AppendAction) and isinstance(value, list)
+        for item in value if appends else [value]:
+            if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+                parser.error(f"config key {key!r} must be a string or a number, "
+                             f"not {serialize.to_json(item).decode()}")
+            # --flag=value, so a value that starts with "-" is not read as a flag
+            tokens.append(f"{actions[key].option_strings[0]}={item}")
+    return parser.parse_args(tokens + argv)
 
 
 def cmd_generate(argv):
     parser = argparse.ArgumentParser(prog="markovtopics generate")
-    parser.add_argument("--config")
     _spec_args(parser)
     parser.add_argument("--prior", choices=["1", "H", "H+1"], default="1")
     parser.add_argument("--docs", type=_positive, required=True)
@@ -139,7 +144,6 @@ def cmd_generate(argv):
 
 def cmd_featurize(argv):
     parser = argparse.ArgumentParser(prog="markovtopics featurize")
-    parser.add_argument("--config")
     parser.add_argument("--events", required=True)
     _layout_args(parser)
     parser.add_argument("--fps", type=_positive_real, required=True)
@@ -164,21 +168,19 @@ def cmd_featurize(argv):
     return 0
 
 
-def _train_one(task):
+def _train_one(args, corpus, hyper, spec, seed):
     """Fit one model; returns its parameters, what scoring reads besides
     them, and the metadata that says how the fit ran."""
-    (algo, corpus, hyper, spec, seed, iters, tol, burn_in, spacing, samples) = task
-    if algo == "gs":
-        count_samples, _, pooled = gibbs.gs_fit(corpus, hyper, spec, seed,
-                                                burn_in=burn_in, num_samples=samples,
-                                                spacing=spacing)
+    if args.algo == "gs":
+        count_samples, _, pooled = gibbs.gs_fit(corpus, hyper, spec, seed, burn_in=args.burn_in,
+                                                num_samples=args.samples, spacing=args.spacing)
         return {"params": pooled, "count_samples": count_samples, "metadata": {
-            "iterations": burn_in + (samples - 1) * spacing, "seed_used": seed}}
+            "iterations": args.burn_in + (args.samples - 1) * args.spacing, "seed_used": seed}}
     post = None
-    if algo == "em":
-        params, trace = em.em_fit(corpus, hyper, spec, seed, max_iters=iters, tol=tol)
+    if args.algo == "em":
+        params, trace = em.em_fit(corpus, hyper, spec, seed, args.iterations, args.tol)
     else:
-        post, params, trace = vb.vb_fit(corpus, hyper, spec, seed, max_iters=iters, tol=tol)
+        post, params, trace = vb.vb_fit(corpus, hyper, spec, seed, args.iterations, args.tol)
     return {"params": params, "posterior": post, "metadata": {
         "iterations": trace.iterations, "final_objective": trace.objectives[-1],
         "seed_used": trace.seed_used, "converged": trace.converged}}
@@ -186,7 +188,6 @@ def _train_one(task):
 
 def cmd_train(argv):
     parser = argparse.ArgumentParser(prog="markovtopics train")
-    parser.add_argument("--config")
     parser.add_argument("--corpus", required=True)
     _spec_args(parser)
     parser.add_argument("--algo", choices=["em", "vb", "gs"], required=True)
@@ -209,13 +210,12 @@ def cmd_train(argv):
     corpus = serialize.read_corpus(args.corpus, spec)
 
     seeds = [args.seed + r for r in range(args.runs)]
-    tasks = [(args.algo, corpus, hyper, spec, s, args.iterations, args.tol,
-              args.burn_in, args.spacing, args.samples) for s in seeds]
+    train_one = functools.partial(_train_one, args, corpus, hyper, spec)
     if args.jobs > 1 and args.runs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_train_one, tasks))
+            results = list(pool.map(train_one, seeds))
     else:
-        results = [_train_one(t) for t in tasks]
+        results = list(map(train_one, seeds))
 
     out_paths = []
     for seed, result in zip(seeds, results):
@@ -241,86 +241,74 @@ def _run_path(base: str, seed: int) -> str:
     return str(p.with_name(f"{p.stem}.seed{seed}{p.suffix}"))
 
 
-def _initial_state(model: serialize.LoadedModel, samples, init, train_corpus):
-    """Predictive state over ``samples``; ``--init propagate`` continues the
-    training stream as the point estimate filters it (an impossible last
-    training document restarts each sample from its ``pi``)."""
+def _stream_args(parser, init: str):
+    parser.add_argument("--model", required=True)
+    parser.add_argument("--corpus", required=True)
+    parser.add_argument("--init", choices=["restart", "propagate"], default=init)
+    parser.add_argument("--train-corpus")
+    parser.add_argument("--out", required=True)
+
+
+def _read_stream(args):
+    """The model, the test corpus and, under ``--init propagate``, the filtered
+    belief at the training stream's end that the test stream continues (None
+    restarts from ``pi``, as after an impossible last training document)."""
+    model = serialize.load_model(args.model)
+    test_corpus = serialize.read_corpus(args.corpus, model.spec)
     last = None
-    if init == "propagate":
-        if train_corpus is None:
+    if args.init == "propagate":
+        if args.train_corpus is None:
             raise DataError("--init propagate requires --train-corpus")
-        last = anomaly.filtered_belief(model.params, train_corpus)
-    return anomaly.init_state(samples, last_filtered=last)
+        last = anomaly.filtered_belief(
+            model.params, serialize.read_corpus(args.train_corpus, model.spec))
+    return model, test_corpus, last
 
 
-def _score_stream(model: serialize.LoadedModel, test_corpus, mode, mc_samples,
-                  seed, init, train_corpus, min_words):
+def cmd_score(argv):
+    parser = argparse.ArgumentParser(prog="markovtopics score")
+    _stream_args(parser, init="propagate")
+    parser.add_argument("--mode", choices=["plugin", "mc"], default="plugin")
+    parser.add_argument("--mc-samples", type=_positive, default=100)
+    parser.add_argument("--seed", type=_non_negative, default=0)
+    parser.add_argument("--min-words", type=_non_negative, default=20)
+    args = _apply_config(argv, parser)
+    model, test_corpus, last = _read_stream(args)
     # Plug-in scoring is Monte Carlo with the point estimate as the only
     # sample.  Monte Carlo samples come from the VB posterior or the stored
     # GS count samples (at most as many as were stored); plain EM models
     # carry neither.  Samples stream into the state one at a time.
     t0 = time.perf_counter()
-    if mode == "plugin":
+    if args.mode == "plugin":
         samples = [model.params]
     elif model.posterior is not None:
-        samples = vb.sample_posterior(model.posterior, mc_samples, seed)
+        samples = vb.sample_posterior(model.posterior, args.mc_samples, args.seed)
     elif model.count_samples is not None:
-        samples = itertools.islice(model.sample_params(), mc_samples)
+        samples = itertools.islice(model.sample_params(), args.mc_samples)
     else:
         raise DataError("mc scoring requires a model with a posterior or samples "
                         "(train with vb or gs)")
-    state = _initial_state(model, samples, init, train_corpus)
-    scored, _ = anomaly.score(state, test_corpus, min_words)
-    return scored, len(state.pi), time.perf_counter() - t0
-
-
-def cmd_score(argv):
-    parser = argparse.ArgumentParser(prog="markovtopics score")
-    parser.add_argument("--config")
-    parser.add_argument("--model", required=True)
-    parser.add_argument("--corpus", required=True)
-    parser.add_argument("--mode", choices=["plugin", "mc"], default="plugin")
-    parser.add_argument("--mc-samples", type=_positive, default=100)
-    parser.add_argument("--seed", type=_non_negative, default=0)
-    parser.add_argument("--init", choices=["restart", "propagate"], default="propagate")
-    parser.add_argument("--train-corpus")
-    parser.add_argument("--min-words", type=_non_negative, default=20)
-    parser.add_argument("--out", required=True)
-    args = _apply_config(argv, parser)
-    model = serialize.load_model(args.model)
-    test_corpus = serialize.read_corpus(args.corpus, model.spec)
-    train_corpus = (serialize.read_corpus(args.train_corpus, model.spec)
-                    if args.train_corpus else None)
-    scored, num_samples, elapsed = _score_stream(
-        model, test_corpus, args.mode, args.mc_samples, args.seed, args.init,
-        train_corpus, args.min_words)
+    state = anomaly.init_state(samples, last_filtered=last)
+    scored, _ = anomaly.score(state, test_corpus, args.min_words)
+    elapsed = time.perf_counter() - t0
     serialize.write_scores(args.out, scored)
     per_doc = elapsed / max(len(scored), 1)
-    print(f"scored {len(scored)} documents under {num_samples} parameter sample(s) "
+    print(f"scored {len(scored)} documents under {len(state.pi)} parameter sample(s) "
           f"in {elapsed:.3f}s ({per_doc * 1000:.3f} ms/document)")
     return 0
 
 
 def cmd_localise(argv):
     parser = argparse.ArgumentParser(prog="markovtopics localise")
-    parser.add_argument("--config")
-    parser.add_argument("--model", required=True)
-    parser.add_argument("--corpus", required=True)
+    _stream_args(parser, init="restart")
     _layout_args(parser)
     parser.add_argument("--top-n", type=_positive, default=10)
-    parser.add_argument("--init", choices=["restart", "propagate"], default="restart")
-    parser.add_argument("--train-corpus")
-    parser.add_argument("--out", required=True)
     args = _apply_config(argv, parser)
     layout = _layout_from(args, parser)
-    model = serialize.load_model(args.model)
+    model, test_corpus, last = _read_stream(args)
     if layout.vocabulary_size != model.spec.num_words:
         raise DataError(f"layout vocabulary {layout.vocabulary_size} does not match "
                         f"model vocabulary {model.spec.num_words}")
-    test_corpus = serialize.read_corpus(args.corpus, model.spec)
-    train_corpus = (serialize.read_corpus(args.train_corpus, model.spec)
-                    if args.train_corpus else None)
-    state = _initial_state(model, [model.params], args.init, train_corpus)
+    state = anomaly.init_state([model.params], last_filtered=last)
     wll = anomaly.word_log_liks(state, test_corpus)
     offsets = test_corpus.offsets
     lines = []
@@ -334,7 +322,6 @@ def cmd_localise(argv):
 
 def cmd_eval(argv):
     parser = argparse.ArgumentParser(prog="markovtopics eval")
-    parser.add_argument("--config")
     parser.add_argument("--scores", action="append", required=True,
                         help="score file; repeat for multi-run aggregation")
     parser.add_argument("--labels", required=True)

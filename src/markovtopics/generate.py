@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Corpus, Hyperparams, ModelParams, ModelSpec
+from .model import Corpus, Hyperparams, ModelParams, ModelSpec, random_init
 
 # Sub-stream labels for the splittable seeded RNG.  Parameter draws and token
 # draws come from independent streams so that a dataset can be replayed from
@@ -90,10 +90,5 @@ def generate(spec: ModelSpec, hyper: Hyperparams, num_docs: int,
     draws, so ``generate_from`` with the returned parameters and the same
     seed replays the identical corpus.
     """
-    rng = _stream(seed, "params")
-    phi = rng.dirichlet(hyper.beta, size=spec.num_topics).T
-    theta = rng.dirichlet(hyper.alpha, size=spec.num_behaviours).T
-    xi = rng.dirichlet(hyper.gamma, size=spec.num_behaviours).T
-    pi = rng.dirichlet(hyper.eta)
-    params = ModelParams(phi=phi, theta=theta, xi=xi, pi=pi)
+    params = random_init(spec, hyper, _stream(seed, "params"))
     return generate_from(params, num_docs, doc_lengths, seed)

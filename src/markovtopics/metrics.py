@@ -41,14 +41,8 @@ def pr_curve(data: LabelledScores) -> np.ndarray:
     # Last index of each distinct score value = counts with threshold at it.
     is_last = np.concatenate([sorted_scores[1:] != sorted_scores[:-1], [True]])
     distinct = np.nonzero(is_last)[0]
-    points = []
-    for idx in distinct:
-        flagged = idx + 1
-        tp = int(tp_cum[idx])
-        recall = tp / pos
-        precision = tp / flagged
-        points.append((recall, precision))
-    return np.asarray(points)
+    tp = tp_cum[distinct]
+    return np.column_stack([tp / pos, tp / (distinct + 1)])
 
 
 def auc_pr(curve: np.ndarray) -> float:

@@ -159,10 +159,12 @@ def validate_params(params: ModelParams, spec: ModelSpec | None = None) -> list[
     return violations
 
 
-def random_init(spec: ModelSpec, hyper: Hyperparams, seed: int) -> ModelParams:
+def random_init(spec: ModelSpec, hyper: Hyperparams,
+                seed: int | np.random.Generator) -> ModelParams:
     """Draw every parameter column from its Dirichlet prior.
 
-    Pure function of (spec, hyper, seed).
+    Pure function of (spec, hyper, seed); a Generator as ``seed`` is drawn
+    from in place.
     """
     rng = np.random.default_rng(seed)
     phi = rng.dirichlet(hyper.beta, size=spec.num_topics).T

@@ -135,6 +135,11 @@ class LoadedModel:
         self.spec = ModelSpec(**doc["spec"])
         h = doc["hyperparams"]
         self.hyper = Hyperparams(**{k: np.asarray(v, dtype=float) for k, v in h.items()})
+        spec = self.spec
+        for name, size in (("alpha", spec.num_topics), ("beta", spec.num_words),
+                           ("gamma", spec.num_behaviours), ("eta", spec.num_behaviours)):
+            if (entries := len(getattr(self.hyper, name))) != size:
+                raise DataError(f"model hyperparameter {name} has {entries} entries, not {size}")
         self.params = ModelParams(**_matrices_from_json(doc["params"], _PARAMS))
         violations = validate_params(self.params, self.spec)
         if violations:
@@ -147,6 +152,8 @@ class LoadedModel:
         self.count_samples = [
             SufficientCounts(**_checked_matrices("count sample", c, self.spec))
             for c in doc["samples"]] if "samples" in doc else None
+        if self.count_samples == []:
+            raise DataError("model samples list is empty")
 
     def sample_params(self) -> Iterator[ModelParams] | None:
         """Per-sample point estimates from stored GS count samples, made lazily."""

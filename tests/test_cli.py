@@ -226,6 +226,9 @@ class TestMultiRun:
         assert "aggregate: mean=" in out and "over 2 runs" in out
 
 
+_SPEC_6_2_2 = ["--num-words", "6", "--num-topics", "2", "--num-behaviours", "2"]
+
+
 class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -249,6 +252,62 @@ class TestConfigPrecedence:
                   "--num-topics", "1", "--num-behaviours", "1", "--docs", "1",
                   "--doc-length", "25", "--out-corpus", str(tmp_path / "x")])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command,config", [
+        ("generate", {"prior": "X"}), ("train", {"algo": "zz"}), ("score", {"mode": "bogus"}),
+        ("generate", {"out_corpus": True}), ("generate", {"docs": [1, 2]})],
+        ids=["prior", "algo", "mode", "out-corpus-bool", "docs-list"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command, config):
+        train = _generate(tmp_path)
+        out = str(tmp_path / "out")
+        if command == "generate":
+            argv = [*_SPEC_6_2_2, "--docs", "2", "--doc-length", "5", "--out-corpus", out]
+        elif command == "train":
+            argv = ["--corpus", str(train), *_SPEC_6_2_2, "--algo", "em", "--out", out]
+        else:
+            argv = ["--model", str(_train(tmp_path, train, algo="vb")), "--corpus", str(train),
+                    "--train-corpus", str(train), "--out", out]
+        [key] = config
+        flag = "--" + key.replace("_", "-")
+        if flag in argv:
+            i = argv.index(flag)
+            del argv[i:i + 2]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        files = set(tmp_path.iterdir())
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as err:
+            main([command, *argv, "--config", str(cfg)])
+        assert err.value.code == 2
+        assert set(tmp_path.iterdir()) == files
+        err_text = capsys.readouterr().err
+        assert flag in err_text or repr(key) in err_text
+
+    def test_config_values_read_as_the_flags_they_name(self, tmp_path, monkeypatch):
+        # A number, a null (the default seed) and a value that looks like a flag.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prior": 1, "seed": None, "out_corpus": "-a.txt"}))
+        common = ["generate", *_SPEC_6_2_2, "--docs", "3", "--doc-length", "10"]
+        assert main([*common, "--config", str(cfg), "--out-truth", "a.json"]) == 0
+        assert main([*common, "--prior", "1", "--out-corpus", "b.txt",
+                     "--out-truth", "b.json"]) == 0
+        assert (tmp_path / "-a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_config_score_list_joins_flag_scores(self, tmp_path, capsys):
+        paths = []
+        for name, score in (("a", -1.0), ("b", -2.0), ("c", -3.0)):
+            paths.append(tmp_path / f"{name}.jsonl")
+            paths[-1].write_text(f'{{"index": 1, "score": {score}, "evaluated": true}}\n'
+                                 '{"index": 2, "score": -9.0, "evaluated": true}\n')
+        (tmp_path / "labels.txt").write_text("0\n1\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scores": [str(paths[0]), str(paths[1])]}))
+        assert main(["eval", "--config", str(cfg), "--scores", str(paths[2]),
+                     "--labels", str(tmp_path / "labels.txt")]) == 0
+        out = capsys.readouterr().out
+        assert all(f"{p}: pr_auc=" in out for p in paths) and "over 3 runs" in out
 
 
 def _run_module(argv, **env):
@@ -328,6 +387,22 @@ class TestExitCodes:
         scores = tmp_path / "s.jsonl"
         assert main(["score", "--model", str(model), "--corpus", str(train),
                      "--train-corpus", str(train), "--out", str(scores)]) == 3
+        assert not scores.exists()
+
+    @pytest.mark.parametrize("cut", ["beta", "samples"])
+    def test_model_that_mc_cannot_score_is_data_error(self, tmp_path, capsys, cut):
+        train = _generate(tmp_path)
+        model = _train(tmp_path, train, algo="gs")
+        doc = json.loads(model.read_text())
+        if cut == "beta":
+            doc["hyperparams"]["beta"] = doc["hyperparams"]["beta"][:3]
+        else:
+            doc["samples"] = []
+        model.write_text(json.dumps(doc))
+        scores = tmp_path / "s.jsonl"
+        assert main(["score", "--model", str(model), "--corpus", str(train), "--mode", "mc",
+                     "--init", "restart", "--out", str(scores)]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
         assert not scores.exists()
 
     def test_layout_vocabulary_mismatch_is_data_error(self, tmp_path):

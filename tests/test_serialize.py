@@ -30,9 +30,11 @@ _CORRUPTIONS = {
     "params-shape": (("params", "theta"), {"shape": [2, 1], "data": [0.5, 0.5]}),
     "params-missing": (("params", "xi"), None),
     "hyperparams-list": (("hyperparams",), []),
+    "hyperparams-length": (("hyperparams", "beta"), [1.0, 1.0, 1.0]),
     "posterior-shape": (("posterior", "beta_t"), {"shape": [3, 2], "data": [1.0] * 6}),
     "posterior-nan": (("posterior", "gamma_t", "data"), [_NAN, 1.0, 1.0, 1.0]),
     "posterior-zero": (("posterior", "eta_t", "data"), [0.0, 1.0]),
+    "samples-empty": (("samples",), []),
     "samples-shape": (("samples", 0, "n_zz"), {"shape": [4], "data": [0, 0, 0, 0]}),
     "samples-nan": (("samples", 0, "n_z1", "data"), [_NAN, 1.0]),
     "samples-negative": (("samples", 0, "n_z1", "data"), [-1.0, 2.0]),
