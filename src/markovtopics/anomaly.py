@@ -1,9 +1,9 @@
 """Online scoring of test documents by predictive marginal likelihood.
 
 All scores are kept in the log domain; the per-document normality measure
-(likelihood divided by length) is represented as log likelihood minus log
-length, a strictly monotone transform that leaves thresholds and
-precision-recall curves unaffected.
+(likelihood divided by length) that ``serialize.write_scores`` writes is log
+likelihood minus log length, a strictly monotone transform that leaves
+thresholds and precision-recall curves unaffected.
 
 There is one scorer, and it takes a whole stream.  The predictive state
 holds S parameter samples and carries, per sample, the behaviour belief for
@@ -33,11 +33,8 @@ import numpy as np
 
 from . import inference
 from .inference import _lse
-from .ingest import decode_word
+from .ingest import decode_words
 from .model import Corpus, ModelParams
-
-#: Documents shorter than this are not evaluated and count as normal.
-MIN_SCORABLE_WORDS = 20
 
 _TINY = np.finfo(float).tiny
 
@@ -51,18 +48,6 @@ class PredictiveState:
     xi: np.ndarray  # (S, Z, Z); xi[s, z_new, z_old]
     pi: np.ndarray  # (S, Z)
     behaviour_belief: np.ndarray  # (S, Z)
-    last_doc_index: int = 0
-
-
-@dataclass
-class ScoredDocument:
-    """Per-document scoring record."""
-
-    index: int
-    length: int
-    log_lik: float
-    score: float | None
-    evaluated: bool = True
 
 
 def init_state(samples: Iterable[ModelParams], last_filtered: np.ndarray | None = None,
@@ -130,13 +115,6 @@ def filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | None:
     return post
 
 
-def normalise_score(log_lik: float, length: int) -> float:
-    """Log of the length-normalised likelihood."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return log_lik - np.log(length)
-
-
 def _filter(state: PredictiveState, corpus: Corpus,
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the recursive Bayes update of every sample over ``corpus``.
@@ -172,30 +150,17 @@ def _filter(state: PredictiveState, corpus: Corpus,
     return per_sample, block, belief
 
 
-def score(state: PredictiveState, corpus: Corpus, min_words: int = MIN_SCORABLE_WORDS,
-          ) -> tuple[list[ScoredDocument], PredictiveState]:
+def score(state: PredictiveState, corpus: Corpus) -> tuple[np.ndarray, PredictiveState]:
     """Score the documents of ``corpus`` in order and advance the state past
     them.
 
-    Record indices continue from ``state.last_doc_index``.  Documents with
-    fewer than ``min_words`` words, and empty documents, still update the
-    state but are flagged as not evaluated (normal by default).
+    Returns each document's log likelihood, the mean over the samples, as a
+    (T,) array: -inf for a document impossible under every sample.  Empty
+    and short documents update the state like any other.
     """
     per_sample, _, belief = _filter(state, corpus)
     log_liks = _lse(per_sample, axis=1) - np.log(per_sample.shape[1])
-    first = state.last_doc_index
-    scored = []
-    for t, (n, log_lik) in enumerate(zip(np.diff(corpus.offsets).tolist(), log_liks.tolist())):
-        evaluated = n >= max(min_words, 1)
-        scored.append(ScoredDocument(
-            index=first + t + 1,
-            length=n,
-            log_lik=log_lik,
-            score=normalise_score(log_lik, n) if evaluated else None,
-            evaluated=evaluated,
-        ))
-    return scored, replace(state, behaviour_belief=belief,
-                           last_doc_index=first + len(corpus))
+    return log_liks, replace(state, behaviour_belief=belief)
 
 
 def word_log_liks(state: PredictiveState, corpus: Corpus) -> np.ndarray:
@@ -212,17 +177,23 @@ def word_log_liks(state: PredictiveState, corpus: Corpus) -> np.ndarray:
     return _lse(per_sample, axis=0) - np.log(len(per_sample))
 
 
-def localise(word_lls: np.ndarray, words: np.ndarray, layout, top_n: int,
-             ) -> list[tuple[int, int, int, str]]:
-    """The ``top_n`` least likely of a document's tokens (word ids ``words``,
-    per-token log likelihoods ``word_lls``) decoded to frame positions.
+def localise(word_lls: np.ndarray, corpus: Corpus, layout, top_n: int,
+             ) -> tuple[np.ndarray, ...]:
+    """The ``top_n`` least likely tokens of every document of ``corpus``
+    (per-token log likelihoods ``word_lls``, aligned with ``corpus.tokens``),
+    decoded to frame positions.
 
-    Returns (token index, cell x, cell y, direction) tuples sorted by
-    ascending likelihood; ties keep token order.  ``top_n`` larger than the
-    document clamps.
+    Returns five aligned arrays: document, token index in the document, cell
+    x, cell y and direction index.  They run document by document and, within
+    a document, by ascending likelihood; ties keep token order.  A document
+    shorter than ``top_n`` gives all its tokens.
     """
     if top_n <= 0:
         raise ValueError("top_n must be positive")
-    top_n = min(top_n, len(words))
-    order = np.argsort(word_lls, kind="stable")[:top_n]
-    return [(int(i), *decode_word(layout, int(words[i]))) for i in order]
+    doc = np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets))
+    order = np.lexsort((word_lls, doc))  # stable: by document, then likelihood
+    # ``doc`` is sorted, so ``order`` keeps each document in its own slots:
+    # the token at position i of ``order`` has rank i - starts[i] in it.
+    starts = corpus.offsets[doc]
+    keep = order[np.arange(len(order)) - starts < top_n]
+    return (doc[keep], keep - starts[keep], *decode_words(layout, corpus.tokens[keep]))

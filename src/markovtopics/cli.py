@@ -21,7 +21,7 @@ import numpy as np
 
 from . import anomaly, em, gibbs, metrics, serialize, vb
 from .generate import generate
-from .ingest import FrameLayout, build_corpus
+from .ingest import DIRECTIONS, FrameLayout, build_corpus
 from .model import (
     DataError,
     Hyperparams,
@@ -172,8 +172,8 @@ def _train_one(args, corpus, hyper, spec, seed):
     """Fit one model; returns its parameters, what scoring reads besides
     them, and the metadata that says how the fit ran."""
     if args.algo == "gs":
-        count_samples, _, pooled = gibbs.gs_fit(corpus, hyper, spec, seed, burn_in=args.burn_in,
-                                                num_samples=args.samples, spacing=args.spacing)
+        count_samples, pooled = gibbs.gs_fit(corpus, hyper, spec, seed, burn_in=args.burn_in,
+                                             num_samples=args.samples, spacing=args.spacing)
         return {"params": pooled, "count_samples": count_samples, "metadata": {
             "iterations": args.burn_in + (args.samples - 1) * args.spacing, "seed_used": seed}}
     post = None
@@ -288,11 +288,11 @@ def cmd_score(argv):
         raise DataError("mc scoring requires a model with a posterior or samples "
                         "(train with vb or gs)")
     state = anomaly.init_state(samples, last_filtered=last)
-    scored, _ = anomaly.score(state, test_corpus, args.min_words)
+    log_liks, _ = anomaly.score(state, test_corpus)
     elapsed = time.perf_counter() - t0
-    serialize.write_scores(args.out, scored)
-    per_doc = elapsed / max(len(scored), 1)
-    print(f"scored {len(scored)} documents under {len(state.pi)} parameter sample(s) "
+    serialize.write_scores(args.out, log_liks, np.diff(test_corpus.offsets), args.min_words)
+    per_doc = elapsed / len(log_liks)
+    print(f"scored {len(log_liks)} documents under {len(state.pi)} parameter sample(s) "
           f"in {elapsed:.3f}s ({per_doc * 1000:.3f} ms/document)")
     return 0
 
@@ -310,11 +310,12 @@ def cmd_localise(argv):
                         f"model vocabulary {model.spec.num_words}")
     state = anomaly.init_state([model.params], last_filtered=last)
     wll = anomaly.word_log_liks(state, test_corpus)
-    offsets = test_corpus.offsets
-    lines = []
-    for t, words in enumerate(test_corpus):
-        triples = anomaly.localise(wll[offsets[t]:offsets[t + 1]], words, layout, args.top_n)
-        lines.append(serialize.to_json({"index": t + 1, "tokens": triples}))
+    doc, token, x, y, direction = anomaly.localise(wll, test_corpus, layout, args.top_n)
+    rows = list(zip(token.tolist(), x.tolist(), y.tolist(),
+                    [DIRECTIONS[d] for d in direction.tolist()]))
+    ends = np.cumsum(np.bincount(doc, minlength=len(test_corpus))).tolist()
+    lines = [serialize.to_json({"index": t + 1, "tokens": rows[a:b]})
+             for t, (a, b) in enumerate(zip([0, *ends], ends))]
     Path(args.out).write_bytes(b"\n".join(lines) + b"\n")
     print(f"localised {len(lines)} documents to {args.out}")
     return 0

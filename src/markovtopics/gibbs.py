@@ -276,11 +276,11 @@ def point_estimate(counts: SufficientCounts, hyper: Hyperparams) -> ModelParams:
 
 def gs_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
            burn_in: int = 500, num_samples: int = 5, spacing: int = 100,
-           ) -> tuple[list[SufficientCounts], list[ModelParams], ModelParams]:
+           ) -> tuple[list[SufficientCounts], ModelParams]:
     """Run one chain; capture spaced count samples after burn-in.
 
-    Returns the captured counts, the per-sample point estimates and their
-    pooled (averaged) estimate.
+    Returns the captured counts and the pooled estimate: the average of
+    their point estimates.
     """
     state = gibbs_init(corpus, spec, seed)
     for _ in range(burn_in):
@@ -298,4 +298,4 @@ def gs_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
         xi=np.mean([p.xi for p in per_sample], axis=0),
         pi=np.mean([p.pi for p in per_sample], axis=0),
     )
-    return samples, per_sample, pooled
+    return samples, pooled

@@ -42,32 +42,17 @@ class FrameLayout:
         return self.cols * self.rows * len(DIRECTIONS)
 
 
-def quantise_direction(dx: float, dy: float) -> str:
-    """Nearest of the four axis directions by angle.
-
-    Exact diagonals break toward the horizontal axis.  Zero motion is
-    rejected: no motion means no word.
-    """
-    if dx == 0 and dy == 0:
-        raise ValueError("zero motion vector has no direction")
-    if abs(dx) >= abs(dy):
-        return "right" if dx > 0 else "left"
-    return "down" if dy > 0 else "up"
+def word_ids(layout: FrameLayout, cell_x, cell_y, direction) -> np.ndarray:
+    """Bijective encoding of cell positions and direction indices (arrays,
+    checked to lie on the grid by the caller) onto [0, |vocab|)."""
+    return (cell_y * layout.cols + cell_x) * len(DIRECTIONS) + direction
 
 
-def word_id(layout: FrameLayout, cell_x: int, cell_y: int, direction: str) -> int:
-    """Bijective encoding of (cell position, direction) onto [0, |vocab|)."""
-    if not (0 <= cell_x < layout.cols and 0 <= cell_y < layout.rows):
-        raise ValueError(f"cell ({cell_x}, {cell_y}) outside {layout.cols}x{layout.rows} grid")
-    return (cell_y * layout.cols + cell_x) * len(DIRECTIONS) + DIRECTION_INDEX[direction]
-
-
-def decode_word(layout: FrameLayout, word: int) -> tuple[int, int, str]:
-    """Inverse of :func:`word_id`."""
-    if not (0 <= word < layout.vocabulary_size):
-        raise ValueError(f"word id {word} outside vocabulary of {layout.vocabulary_size}")
-    cell, direction = divmod(word, len(DIRECTIONS))
-    return cell % layout.cols, cell // layout.cols, DIRECTIONS[direction]
+def decode_words(layout: FrameLayout, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`word_ids`: the cell x, cell y and direction index of
+    each word."""
+    cell, direction = np.divmod(words, len(DIRECTIONS))
+    return cell % layout.cols, cell // layout.cols, direction
 
 
 def build_corpus(events: np.ndarray, layout: FrameLayout, fps: float,
@@ -94,7 +79,7 @@ def build_corpus(events: np.ndarray, layout: FrameLayout, fps: float,
             raise DataError(f"events out of frame order at frame {frame[k]}")
         raise DataError(f"event at frame {frame[k]}: cell ({cx[k]}, {cy[k]}) outside "
                         f"{layout.cols}x{layout.rows} grid")
-    words = (cy * layout.cols + cx) * len(DIRECTIONS) + d
+    words = word_ids(layout, cx, cy, d)
     # A window past the int64 range holds all frames >= 0 in window 0, the rest in -1.
     win = frame // window if window < 2**63 else frame >> 63
     # Events are in frame order, so each window's events are one run.

@@ -241,12 +241,3 @@ class SufficientCounts:
             n_xy=self.n_xy.copy(), n_yz=self.n_yz.copy(),
             n_zz=self.n_zz.copy(), n_z1=self.n_z1.copy(),
         )
-
-
-def zero_counts(spec: ModelSpec) -> SufficientCounts:
-    return SufficientCounts(
-        n_xy=np.zeros((spec.num_words, spec.num_topics)),
-        n_yz=np.zeros((spec.num_topics, spec.num_behaviours)),
-        n_zz=np.zeros((spec.num_behaviours, spec.num_behaviours)),
-        n_z1=np.zeros(spec.num_behaviours),
-    )

@@ -14,7 +14,6 @@ integer word ids; blank lines are forbidden.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -155,10 +154,8 @@ class LoadedModel:
         if self.count_samples == []:
             raise DataError("model samples list is empty")
 
-    def sample_params(self) -> Iterator[ModelParams] | None:
-        """Per-sample point estimates from stored GS count samples, made lazily."""
-        if self.count_samples is None:
-            return None
+    def sample_params(self) -> Iterator[ModelParams]:
+        """Per-sample point estimates from the stored GS count samples, made lazily."""
         return (point_estimate(c, self.hyper) for c in self.count_samples)
 
 
@@ -262,29 +259,27 @@ def write_ground_truth(path, dataset) -> None:
     Path(path).write_bytes(to_json(doc))
 
 
-def read_ground_truth(path) -> dict:
-    doc = from_json(Path(path).read_bytes())
-    return {
-        "true_params": ModelParams(**_matrices_from_json(doc["true_params"], _PARAMS)),
-        "true_behaviours": np.asarray(doc["true_behaviours"], dtype=np.int64),
-        "true_topics": [np.asarray(y, dtype=np.int64) for y in doc["true_topics"]],
-    }
+def write_scores(path, log_liks: np.ndarray, lengths: np.ndarray, min_words: int) -> None:
+    """Line-delimited score records: one JSON object per document, numbered
+    from 1, from each document's log likelihood and length.
 
-
-def write_scores(path, scored) -> None:
-    """Line-delimited score records: one JSON object per document.
-
-    A document impossible under the model (log likelihood -inf) gets
-    ``"log_lik": null`` and ``"score": null``; any other non-finite log
-    likelihood or score raises NumericalError and nothing is written.
+    A document with at least ``max(min_words, 1)`` words is evaluated, and
+    its score is the log of its length-normalised likelihood; a shorter one
+    has ``"score": null`` (normal by default).  A document impossible under
+    the model (log likelihood -inf) gets ``"log_lik": null`` and ``"score":
+    null``; any other non-finite log likelihood raises NumericalError and
+    nothing is written.
     """
-    lines = []
-    for rec in scored:
-        log_lik, score = (rec.log_lik, rec.score) if rec.log_lik != -np.inf else (None, None)
-        if log_lik is not None and not (math.isfinite(log_lik) and math.isfinite(score or 0.0)):
-            raise NumericalError(f"document {rec.index} has a non-finite log likelihood or score")
-        lines.append(to_json({"index": rec.index, "length": rec.length, "log_lik": log_lik,
-                              "score": score, "evaluated": rec.evaluated}))
+    log_liks, lengths = np.asarray(log_liks, dtype=float), np.asarray(lengths)
+    bad = np.flatnonzero(np.isnan(log_liks) | (log_liks == np.inf))
+    if bad.size:
+        raise NumericalError(f"document {bad[0] + 1} has a non-finite log likelihood")
+    evaluated = lengths >= max(min_words, 1)
+    # to_json writes -inf (an impossible document) and NaN (no score) as null.
+    scores = np.where(evaluated, log_liks - np.log(np.maximum(lengths, 1)), np.nan)
+    lines = [to_json({"index": i, "length": n, "log_lik": ll, "score": sc, "evaluated": e})
+             for i, (n, ll, sc, e) in enumerate(zip(lengths.tolist(), log_liks.tolist(),
+                                                    scores.tolist(), evaluated.tolist()), 1)]
     Path(path).write_bytes(b"\n".join(lines) + b"\n")
 
 

@@ -6,9 +6,11 @@ collapsed sampler, over complete hidden assignments).  The token-level
 log-domain forward-backward (``messages``, ``posteriors``,
 ``expected_counts``, ``infer``), the per-token generator, the per-token
 Gibbs topic step, the numpy Gibbs behaviour step, the per-document scorer,
-the per-event corpus builder, the per-token corpus reader, the per-line
-event reader and the list-building posterior sampler are the
-straightforward versions the fast library paths must match.
+the per-record score writer, the per-document localiser, the per-event
+``build_corpus``, the per-token corpus reader, the per-line event reader and
+the list-building posterior sampler are the straightforward versions the
+fast library paths must match.  ``zero_counts`` builds the all-zero counts
+that the M-step tests start from.
 """
 from __future__ import annotations
 
@@ -21,11 +23,10 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from markovtopics.anomaly import ScoredDocument, normalise_score
 from markovtopics.em import _log_map
 from markovtopics.generate import GeneratedDataset, _stream
 from markovtopics.inference import _lse, emission_logs, word_mixture_logs
-from markovtopics.ingest import DIRECTION_INDEX, DIRECTIONS, word_id
+from markovtopics.ingest import DIRECTION_INDEX, DIRECTIONS
 from markovtopics.model import (
     Corpus,
     DataError,
@@ -36,6 +37,15 @@ from markovtopics.model import (
     corpus_from_lists,
 )
 from markovtopics.vb import _dirichlet_columns
+
+
+def zero_counts(spec: ModelSpec) -> SufficientCounts:
+    return SufficientCounts(
+        n_xy=np.zeros((spec.num_words, spec.num_topics)),
+        n_yz=np.zeros((spec.num_topics, spec.num_behaviours)),
+        n_zz=np.zeros((spec.num_behaviours, spec.num_behaviours)),
+        n_z1=np.zeros(spec.num_behaviours),
+    )
 
 
 def enum_marginal_and_posteriors(params, corpus):
@@ -314,10 +324,11 @@ def vectorised_behaviour_step(state, corpus, hyper):
         z[t] = k
 
 
-def score_one_document(state, words, min_words):
+def score_one_document(state, words):
     """The scorer one document at a time: gather each sample's emission from
     the document's words, then one Bayes update of every sample's belief.
-    The reference the batched ``anomaly.score`` must match."""
+    The reference the batched ``anomaly.score`` must match; returns the
+    document's log likelihood and the state after it."""
     loge = np.array([lm[words].sum(axis=0) for lm in state.log_mix])  # (S, Z)
     with np.errstate(divide="ignore", invalid="ignore"):
         joint = loge + np.log(state.behaviour_belief)
@@ -327,14 +338,19 @@ def score_one_document(state, words, min_words):
         belief /= belief.sum(axis=1, keepdims=True)
     belief = np.where(np.isfinite(per_sample)[:, None], belief, state.pi)
     log_lik = float(_lse(per_sample, axis=0) - np.log(len(per_sample)))
-    new_state = dataclasses.replace(state, behaviour_belief=belief,
-                                    last_doc_index=state.last_doc_index + 1)
-    n = len(words)
-    evaluated = n >= max(min_words, 1)
-    scored = ScoredDocument(index=new_state.last_doc_index, length=n, log_lik=log_lik,
-                            score=normalise_score(log_lik, n) if evaluated else None,
-                            evaluated=evaluated)
-    return scored, new_state
+    return log_lik, dataclasses.replace(state, behaviour_belief=belief)
+
+
+def score_record(index, length, log_lik, min_words):
+    """One score-file record, as ``serialize.write_scores`` must write it:
+    evaluated from ``max(min_words, 1)`` words, scored as the log of the
+    length-normalised likelihood, null for an impossible document."""
+    evaluated = length >= max(min_words, 1)
+    if log_lik == -math.inf:
+        return {"index": index, "length": length, "log_lik": None, "score": None,
+                "evaluated": evaluated}
+    return {"index": index, "length": length, "log_lik": log_lik,
+            "score": log_lik - np.log(length) if evaluated else None, "evaluated": evaluated}
 
 
 def word_log_liks_one_document(state, words):
@@ -345,6 +361,20 @@ def word_log_liks_one_document(state, words):
     tokens = np.array([lm[words] for lm in state.log_mix])  # (S, N, Z)
     per_sample = _lse(tokens + log_belief[:, None, :], axis=2)
     return _lse(per_sample, axis=0) - np.log(len(per_sample))
+
+
+def decode_word(layout, word):
+    """Cell x, cell y and direction index of one word id."""
+    cell, direction = divmod(word, len(DIRECTIONS))
+    return cell % layout.cols, cell // layout.cols, direction
+
+
+def localise_one_document(word_lls, words, layout, top_n):
+    """``anomaly.localise`` for one document: a stable argsort of its
+    per-token log likelihoods, then each kept token decoded on its own.
+    Returns (token index, cell x, cell y, direction index) tuples."""
+    order = np.argsort(word_lls, kind="stable")[:min(top_n, len(words))]
+    return [(int(i), *decode_word(layout, int(words[i]))) for i in order]
 
 
 def sample_posterior_list(post, num_samples, seed):
@@ -502,7 +532,7 @@ def log_map_objective(params, corpus, hyper):
 
 def build_corpus_per_event(events, layout, fps, clip_seconds=1.0, min_words=20):
     """``ingest.build_corpus`` one event at a time: check the frame order and
-    encode each event with ``word_id``, then bucket it by window."""
+    check each event's cell and encode it on its own, then bucket it by window."""
     window = math.ceil(fps * clip_seconds)
     last_frame = None
     buckets = {}
@@ -510,10 +540,10 @@ def build_corpus_per_event(events, layout, fps, clip_seconds=1.0, min_words=20):
         if last_frame is not None and frame < last_frame:
             raise DataError(f"events out of frame order at frame {frame}")
         last_frame = frame
-        try:
-            word = word_id(layout, cx, cy, DIRECTIONS[d])
-        except ValueError as exc:
-            raise DataError(f"event at frame {frame}: {exc}") from exc
+        if not (0 <= cx < layout.cols and 0 <= cy < layout.rows):
+            raise DataError(f"event at frame {frame}: cell ({cx}, {cy}) outside "
+                            f"{layout.cols}x{layout.rows} grid")
+        word = (cy * layout.cols + cx) * len(DIRECTIONS) + d
         buckets.setdefault(frame // window, []).append(word)
     spec = ModelSpec(num_words=layout.vocabulary_size, num_topics=1, num_behaviours=1)
     docs, index_map = [], {}

@@ -18,7 +18,7 @@ from markovtopics import (
 )
 from markovtopics import anomaly, em, generate, gibbs, inference, metrics, vb
 from markovtopics.ingest import FrameLayout
-from markovtopics.model import ModelParams, SufficientCounts, zero_counts
+from markovtopics.model import ModelParams, SufficientCounts
 
 import _oracles
 from _oracles import (
@@ -26,6 +26,7 @@ from _oracles import (
     enum_expected_counts,
     enum_marginal_and_posteriors,
     log_marginal_likelihood,
+    zero_counts,
 )
 from conftest import random_instance
 
@@ -234,8 +235,8 @@ def test_synthetic_parameter_recovery():
             elif algo == "vb":
                 _, est, _ = vb.vb_fit(ds.corpus, h, spec, seed=seed, max_iters=40)
             else:
-                _, _, est = gibbs.gs_fit(ds.corpus, h, spec, seed=seed,
-                                         burn_in=30, num_samples=3, spacing=5)
+                _, est = gibbs.gs_fit(ds.corpus, h, spec, seed=seed,
+                                      burn_in=30, num_samples=3, spacing=5)
             if _best_perm_tv(est, truth) <= 0.15:
                 good += 1
         results[algo] = good
@@ -266,9 +267,9 @@ def _make_anomaly_setup():
     return spec, truth, train.corpus, test_corpus, labels
 
 
-def _plugin_scores(params, corpus):
-    records, _ = anomaly.score(anomaly.init_state([params]), corpus)
-    return records
+def _plugin_log_liks(params, corpus):
+    log_liks, _ = anomaly.score(anomaly.init_state([params]), corpus)
+    return log_liks
 
 
 def test_anomaly_detection_and_mc_agreement():
@@ -278,17 +279,15 @@ def test_anomaly_detection_and_mc_agreement():
     spec, truth, train_corpus, test_corpus, labels = _make_anomaly_setup()
     h = make_prior("1", spec)
     params, _ = em.em_fit(train_corpus, h, spec, seed=0, max_iters=30)
-    scored = _plugin_scores(params, test_corpus)
-    data = metrics.LabelledScores(scores=[r.score for r in scored], labels=labels)
+    scores = _plugin_log_liks(params, test_corpus) - np.log(np.diff(test_corpus.offsets))
+    data = metrics.LabelledScores(scores=scores, labels=labels)
     auc = metrics.auc_pr(metrics.pr_curve(data))
 
     post, vb_params, _ = vb.vb_fit(train_corpus, h, spec, seed=0, max_iters=30)
-    plugin = _plugin_scores(vb_params, test_corpus)
+    plugin = _plugin_log_liks(vb_params, test_corpus)
     samples = vb.sample_posterior(post, 100, seed=9)
     mc, _ = anomaly.score(anomaly.init_state(samples), test_corpus)
-    gap = 0.0
-    for rec, plug, words in zip(mc, plugin, test_corpus):
-        gap = max(gap, abs(rec.log_lik - plug.log_lik) / len(words))
+    gap = float(np.max(np.abs(mc - plugin) / np.diff(test_corpus.offsets)))
     ok = auc >= 0.90 and gap <= 0.05
     _line("anomaly detection analogue", ok,
           f"plug-in PR-AUC {auc:.4f} (>= 0.90), "
@@ -316,8 +315,8 @@ def test_chain_rule_consistency():
         train_ll = log_marginal_likelihood(_oracles.messages(params, train))
         state = anomaly.init_state(
             [params], last_filtered=anomaly.filtered_belief(params, train))
-        records, _ = anomaly.score(state, test, min_words=0)
-        total = sum(rec.log_lik for rec in records)
+        log_liks, _ = anomaly.score(state, test)
+        total = log_liks.sum()
         worst = max(worst, abs((joint - train_ll) - total))
     _line("chain-rule consistency", worst <= 1e-8,
           f"max |joint - train - sum(test)| = {worst:.3e} over 20 cases")
@@ -360,8 +359,8 @@ def test_localisation_recall():
                           else next(it))
         clip = corpus_from_lists([merged], spec)
         wll = anomaly.word_log_liks(state, clip)
-        detected = [tok[0] for tok in anomaly.localise(wll, clip[0], layout, top_n)]
-        recalls.append(metrics.localisation_recall(detected, truth_positions,
+        _, detected, *_ = anomaly.localise(wll, clip, layout, top_n)
+        recalls.append(metrics.localisation_recall(detected.tolist(), truth_positions,
                                                    top_n))
     mean_recall = float(np.mean(recalls))
     _line("localisation recall", mean_recall >= 0.85,

@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from markovtopics import ModelSpec, corpus_from_lists, make_prior, random_init
-from markovtopics import anomaly, vb
-from markovtopics.ingest import FrameLayout
-from markovtopics.model import ModelParams, zero_counts
+from markovtopics import anomaly, serialize, vb
+from markovtopics.ingest import DIRECTIONS, FrameLayout
+from markovtopics.model import ModelParams
 
 import _oracles
-from _oracles import log_marginal_likelihood, score_one_document, word_log_liks_one_document
+from _oracles import (
+    localise_one_document,
+    log_marginal_likelihood,
+    score_one_document,
+    score_record,
+    word_log_liks_one_document,
+    zero_counts,
+)
 from conftest import random_instance
 
 
@@ -28,22 +35,29 @@ def _uniform_params(X, Y, Z):
     )
 
 
-def _score_stream(samples, corpus, min_words=0, last_filtered=None):
+def _score_stream(samples, corpus, last_filtered=None):
     """Score ``corpus`` in one call from a fresh state over ``samples``."""
     state = anomaly.init_state(samples, last_filtered=last_filtered)
-    return anomaly.score(state, corpus, min_words=min_words)
+    return anomaly.score(state, corpus)
 
 
 def _score_each(samples, corpus, last_filtered=None):
-    """Score ``corpus`` one document per call; returns the records and the
-    state after each document."""
+    """Score ``corpus`` one document per call; returns the log likelihoods
+    and the state after each document."""
     state = anomaly.init_state(samples, last_filtered=last_filtered)
     out, states = [], []
     for words in corpus:
-        (scored,), state = anomaly.score(state, _one_doc(words, corpus.spec), min_words=0)
-        out.append(scored)
+        (log_lik,), state = anomaly.score(state, _one_doc(words, corpus.spec))
+        out.append(log_lik)
         states.append(state)
     return out, states
+
+
+def _records(tmp_path, log_liks, corpus, min_words):
+    """The score records that ``write_scores`` writes for ``corpus``."""
+    path = tmp_path / "scores.jsonl"
+    serialize.write_scores(path, log_liks, np.diff(corpus.offsets), min_words)
+    return serialize.read_scores(path)
 
 
 def _one_doc(words, spec):
@@ -129,7 +143,7 @@ class TestFilteredBelief:
     def test_underflow_redone_in_log_domain(self):
         p = _underflow_params()
         corpus = corpus_from_lists([[0, 1], [1] * 20], p.spec)
-        _, ref_state, _ = _reference_stream([p], corpus, 0)
+        _, ref_state, _ = _reference_stream([p], corpus)
         # xi = I: the filtered posterior is the next document's belief.
         np.testing.assert_allclose(anomaly.filtered_belief(p, corpus),
                                    ref_state.behaviour_belief[0], rtol=1e-12, atol=0)
@@ -149,13 +163,15 @@ class TestFilteredBelief:
 
 
 class TestScorePlugin:
-    def test_uniform_model_score(self):
+    def test_uniform_model_score(self, tmp_path):
         X = 4
         p = _uniform_params(X, 1, 2)
         st = anomaly.init_state([p])
-        (scored,), _ = anomaly.score(st, _one_doc([0, 1, 2], p.spec), min_words=0)
-        assert np.isclose(scored.log_lik, 3 * np.log(1 / X), atol=1e-12)
-        assert np.isclose(scored.score, 3 * np.log(1 / X) - np.log(3), atol=1e-12)
+        doc = _one_doc([0, 1, 2], p.spec)
+        log_liks, _ = anomaly.score(st, doc)
+        (scored,) = _records(tmp_path, log_liks, doc, 0)
+        assert np.isclose(log_liks[0], 3 * np.log(1 / X), atol=1e-12)
+        assert np.isclose(scored["score"], 3 * np.log(1 / X) - np.log(3), atol=1e-12)
 
     def test_chain_rule_against_enumeration(self, rng):
         # Cumulative per-document predictive log likelihoods must reproduce
@@ -163,16 +179,16 @@ class TestScorePlugin:
         from _oracles import enum_marginal_and_posteriors
         for _ in range(15):
             spec, p, corpus = random_instance(rng)
-            scored, _ = _score_stream([p], corpus)
-            total = sum(s.log_lik for s in scored)
+            log_liks, _ = _score_stream([p], corpus)
+            total = log_liks.sum()
             oracle = enum_marginal_and_posteriors(p, corpus)
             assert np.isclose(total, np.log(oracle["marginal"]), atol=1e-10)
 
     def test_chain_rule_against_forward(self, rng):
         for _ in range(10):
             spec, p, corpus = random_instance(rng)
-            scored, _ = _score_stream([p], corpus)
-            total = sum(s.log_lik for s in scored)
+            log_liks, _ = _score_stream([p], corpus)
+            total = log_liks.sum()
             msgs = _oracles.messages(p, corpus)
             assert np.isclose(total, log_marginal_likelihood(msgs),
                               atol=1e-8)
@@ -184,9 +200,9 @@ class TestScorePlugin:
         p = ModelParams(phi=phi, theta=np.eye(2), xi=xi,
                         pi=np.array([0.5, 0.5]))
         st = anomaly.init_state([p])
-        (scored,), st = anomaly.score(st, _one_doc([0], p.spec), min_words=0)
+        (log_lik,), st = anomaly.score(st, _one_doc([0], p.spec))
         # Likelihood 0.5, filtered belief (1, 0), propagated (0.9, 0.1).
-        assert np.isclose(scored.log_lik, np.log(0.5), atol=1e-12)
+        assert np.isclose(log_lik, np.log(0.5), atol=1e-12)
         assert np.allclose(st.behaviour_belief, [0.9, 0.1], atol=1e-12)
 
     def test_impossible_document_resets_belief(self):
@@ -194,41 +210,44 @@ class TestScorePlugin:
         p = ModelParams(phi=phi, theta=np.ones((1, 1)), xi=np.ones((1, 1)),
                         pi=np.array([1.0]))
         st = anomaly.init_state([p])
-        (scored,), st = anomaly.score(st, _one_doc([1], p.spec), min_words=0)
-        assert scored.log_lik == -np.inf
+        (log_lik,), st = anomaly.score(st, _one_doc([1], p.spec))
+        assert log_lik == -np.inf
         assert np.allclose(st.behaviour_belief, p.pi)
 
-    def test_short_document_not_evaluated(self):
+    def test_short_document_not_evaluated(self, tmp_path):
         p = _uniform_params(3, 1, 1)
-        st = anomaly.init_state([p])
-        (scored,), _ = anomaly.score(st, _one_doc([0] * 19, p.spec))
-        assert not scored.evaluated and scored.score is None
+        doc = _one_doc([0] * 19, p.spec)
+        log_liks, _ = anomaly.score(anomaly.init_state([p]), doc)
+        (scored,) = _records(tmp_path, log_liks, doc, 20)
+        assert not scored["evaluated"] and scored["score"] is None
 
-    def test_twenty_words_evaluated(self):
+    def test_twenty_words_evaluated(self, tmp_path):
         p = _uniform_params(3, 1, 1)
-        st = anomaly.init_state([p])
-        (scored,), _ = anomaly.score(st, _one_doc([0] * 20, p.spec))
-        assert scored.evaluated and scored.score is not None
+        doc = _one_doc([0] * 20, p.spec)
+        log_liks, _ = anomaly.score(anomaly.init_state([p]), doc)
+        (scored,) = _records(tmp_path, log_liks, doc, 20)
+        assert scored["evaluated"] and scored["score"] is not None
 
-    def test_empty_document_never_evaluated(self):
+    def test_empty_document_never_evaluated(self, tmp_path):
         # With min_words 0 an empty document still has no length-normalised
         # score; it passes the belief on through the transition matrix.
         p = ModelParams(phi=np.eye(2), theta=np.eye(2),
                         xi=np.array([[0.9, 0.1], [0.1, 0.9]]),
                         pi=np.array([0.8, 0.2]))
         st = anomaly.init_state([p])
-        (empty, after), st = anomaly.score(st, corpus_from_lists([[], [0]], p.spec),
-                                           min_words=0)
-        assert np.isclose(empty.log_lik, 0.0, atol=1e-12)
-        assert not empty.evaluated and empty.score is None
-        assert after.evaluated and after.index == 2
-        assert np.isclose(after.log_lik, np.log(0.9 * 0.8 + 0.1 * 0.2), atol=1e-12)
+        corpus = corpus_from_lists([[], [0]], p.spec)
+        log_liks, st = anomaly.score(st, corpus)
+        empty, after = _records(tmp_path, log_liks, corpus, 0)
+        assert np.isclose(log_liks[0], 0.0, atol=1e-12)
+        assert not empty["evaluated"] and empty["score"] is None
+        assert after["evaluated"] and after["index"] == 2
+        assert np.isclose(log_liks[1], np.log(0.9 * 0.8 + 0.1 * 0.2), atol=1e-12)
 
     def test_empty_stream_leaves_state(self):
         p = _uniform_params(3, 1, 2)
         st = anomaly.init_state([p])
-        scored, after = anomaly.score(st, corpus_from_lists([], p.spec))
-        assert scored == [] and after.last_doc_index == 0
+        log_liks, after = anomaly.score(st, corpus_from_lists([], p.spec))
+        assert log_liks.shape == (0,)
         assert np.array_equal(after.behaviour_belief, st.behaviour_belief)
         assert anomaly.word_log_liks(st, corpus_from_lists([], p.spec)).shape == (0,)
 
@@ -246,9 +265,9 @@ class TestScoreMc:
     def test_identical_samples_reduce_to_plugin(self, rng):
         spec, p, corpus = random_instance(rng)
         doc = _one_doc(corpus[0], spec)
-        (mc,), _ = anomaly.score(anomaly.init_state([p] * 4), doc, min_words=0)
-        (plug,), _ = anomaly.score(anomaly.init_state([p]), doc, min_words=0)
-        assert np.isclose(mc.log_lik, plug.log_lik, atol=1e-12)
+        (mc,), _ = anomaly.score(anomaly.init_state([p] * 4), doc)
+        (plug,), _ = anomaly.score(anomaly.init_state([p]), doc)
+        assert np.isclose(mc, plug, atol=1e-12)
 
     def test_average_of_two_point_masses(self):
         # Sample 1 gives the doc probability 1, sample 2 gives it 0:
@@ -258,8 +277,8 @@ class TestScoreMc:
         pb = ModelParams(phi=np.array([[0.0], [1.0]]), theta=np.ones((1, 1)),
                          xi=np.ones((1, 1)), pi=np.array([1.0]))
         doc = _one_doc([0], pa.spec)
-        (scored,), _ = anomaly.score(anomaly.init_state([pa, pb]), doc, min_words=0)
-        assert np.isclose(scored.log_lik, np.log(0.5), atol=1e-12)
+        (log_lik,), _ = anomaly.score(anomaly.init_state([pa, pb]), doc)
+        assert np.isclose(log_lik, np.log(0.5), atol=1e-12)
 
     def test_bounded_by_sample_extremes(self, rng):
         spec = ModelSpec(3, 2, 2)
@@ -268,17 +287,17 @@ class TestScoreMc:
         doc = _one_doc([0, 1, 2], spec)
         per = []
         for p in samples:
-            (scored,), _ = anomaly.score(anomaly.init_state([p]), doc, min_words=0)
-            per.append(scored.log_lik)
-        (mc,), _ = anomaly.score(anomaly.init_state(samples), doc, min_words=0)
-        assert min(per) - 1e-12 <= mc.log_lik <= max(per) + 1e-12
+            (log_lik,), _ = anomaly.score(anomaly.init_state([p]), doc)
+            per.append(log_lik)
+        (mc,), _ = anomaly.score(anomaly.init_state(samples), doc)
+        assert min(per) - 1e-12 <= mc <= max(per) + 1e-12
 
     def test_states_tracked_per_sample(self, rng):
         spec = ModelSpec(3, 2, 2)
         h = make_prior("1", spec)
         samples = [random_init(spec, h, s) for s in range(3)]
         doc = _one_doc([0, 2], spec)
-        _, new_st = anomaly.score(anomaly.init_state(samples), doc, min_words=0)
+        _, new_st = anomaly.score(anomaly.init_state(samples), doc)
         assert new_st.behaviour_belief.shape == (3, 2)
         beliefs = [tuple(b) for b in new_st.behaviour_belief]
         assert len(set(beliefs)) == 3
@@ -299,10 +318,10 @@ class TestScoreMc:
         stacked, states = _score_each(samples, corpus, last_filtered=last)
         single = [_score_each([p], corpus, last_filtered=last) for p in samples]
         for t in range(len(corpus)):
-            per = np.array([recs[t].log_lik for recs, _ in single])
+            per = np.array([lls[t] for lls, _ in single])
             assert np.isfinite(per).sum() == (2 if t == 2 else 3)
             expected = logsumexp(per) - np.log(len(samples))
-            assert np.isclose(stacked[t].log_lik, expected, rtol=1e-12, atol=1e-12)
+            assert np.isclose(stacked[t], expected, rtol=1e-12, atol=1e-12)
             for s, (_, sts) in enumerate(single):
                 assert np.allclose(states[t].behaviour_belief[s], sts[t].behaviour_belief[0],
                                    rtol=1e-12, atol=1e-12)
@@ -310,15 +329,6 @@ class TestScoreMc:
         assert np.array_equal(after[1], samples[1].pi)
         assert not np.allclose(after[0], samples[0].pi)
         assert not np.allclose(after[2], samples[2].pi)
-
-
-class TestNormaliseScore:
-    def test_arithmetic(self):
-        assert np.isclose(anomaly.normalise_score(-10.0, 5), -10.0 - np.log(5))
-
-    def test_invalid_length(self):
-        with pytest.raises(ValueError):
-            anomaly.normalise_score(-1.0, 0)
 
 
 class TestWordLogLiks:
@@ -346,39 +356,63 @@ class TestLocalise:
     def _layout(self):
         return FrameLayout(frame_w=16, frame_h=16)
 
+    def _localise(self, words, lls, top_n):
+        corpus = corpus_from_lists([words], ModelSpec(16, 1, 1))
+        return anomaly.localise(np.array(lls), corpus, self._layout(), top_n)
+
     def test_orders_by_ascending_likelihood(self):
-        layout = self._layout()
-        words = np.array([0, 5, 9])
-        lls = np.array([-1.0, -5.0, -3.0])
-        out = anomaly.localise(lls, words, layout, top_n=3)
-        assert [o[0] for o in out] == [1, 2, 0]
+        doc, token, *_ = self._localise([0, 5, 9], [-1.0, -5.0, -3.0], top_n=3)
+        assert doc.tolist() == [0, 0, 0]
+        assert token.tolist() == [1, 2, 0]
 
     def test_ties_keep_token_order(self):
-        layout = self._layout()
-        words = np.array([3, 2, 1])
-        lls = np.array([-2.0, -2.0, -2.0])
-        out = anomaly.localise(lls, words, layout, top_n=2)
-        assert [o[0] for o in out] == [0, 1]
+        _, token, *_ = self._localise([3, 2, 1], [-2.0, -2.0, -2.0], top_n=2)
+        assert token.tolist() == [0, 1]
 
     def test_top_n_clamped(self):
-        layout = self._layout()
-        words = np.array([0, 1])
-        out = anomaly.localise(np.array([-1.0, -2.0]), words, layout, top_n=10)
-        assert len(out) == 2
+        _, token, *_ = self._localise([0, 1], [-1.0, -2.0], top_n=10)
+        assert len(token) == 2
 
     def test_decodes_positions(self):
         layout = self._layout()
         # Word id for cell (1, 0), direction index 2 ("down"): (0*2+1)*4+2.
         wid = (0 * layout.cols + 1) * 4 + 2
-        words = np.array([wid])
-        out = anomaly.localise(np.array([-1.0]), words, layout, top_n=1)
-        assert out[0] == (0, 1, 0, "down")
+        out = self._localise([wid], [-1.0], top_n=1)
+        assert [a.tolist() for a in out] == [[0], [0], [1], [0], [DIRECTIONS.index("down")]]
 
     def test_nonpositive_top_n_rejected(self):
-        layout = self._layout()
-        words = np.array([0])
         with pytest.raises(ValueError):
-            anomaly.localise(np.array([-1.0]), words, layout, top_n=0)
+            self._localise([0], [-1.0], top_n=0)
+
+
+@st.composite
+def _localise_streams(draw):
+    """A small grid, a stream that may hold empty documents, per-token log
+    likelihoods with ties and -inf, and a ``top_n`` from 1 to beyond int64."""
+    layout = FrameLayout(frame_w=8 * draw(st.integers(1, 3)), frame_h=8 * draw(st.integers(1, 3)))
+    words = st.integers(0, layout.vocabulary_size - 1)
+    docs = draw(st.lists(st.lists(words, max_size=6), max_size=6))
+    lls = st.sampled_from([-np.inf, -7.5, -2.0, -2.0, -0.5, 0.0])
+    word_lls = np.array(draw(st.lists(lls, min_size=sum(map(len, docs)),
+                                      max_size=sum(map(len, docs)))), dtype=float)
+    top_n = draw(st.one_of(st.integers(1, 8), st.integers(2**63 - 1, 2**70)))
+    corpus = corpus_from_lists(docs, ModelSpec(layout.vocabulary_size, 1, 1))
+    return layout, corpus, word_lls, top_n
+
+
+class TestLocaliseMatchesPerDocumentReference:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_localise_streams())
+    def test_same_tokens_and_positions(self, case):
+        layout, corpus, word_lls, top_n = case
+        doc, token, x, y, direction = anomaly.localise(word_lls, corpus, layout, top_n)
+        offsets = corpus.offsets
+        expected = [(t, *row) for t, words in enumerate(corpus)
+                    for row in localise_one_document(word_lls[offsets[t]:offsets[t + 1]],
+                                                     words, layout, top_n)]
+        got = list(zip(doc.tolist(), token.tolist(), x.tolist(), y.tolist(),
+                       direction.tolist()))
+        assert got == expected
 
 
 @st.composite
@@ -398,17 +432,15 @@ class TestChainRuleProperty:
     def test_plugin_continues_forward(self, streams):
         # Scoring the test stream from the training stream's filtered belief
         # gives, summed, log p(train + test) - log p(train).  An empty
-        # document has no length-normalised score, so min_words is 1; its
-        # log-lik still counts.
+        # document's log-lik (0) counts too.
         params, train, test = streams
         spec = params.spec
         train_corpus = corpus_from_lists(train, spec)
         log_train = _oracles.messages(params, train_corpus).log_K
         assume(np.isfinite(log_train))
         last = anomaly.filtered_belief(params, train_corpus)
-        scored, _ = _score_stream([params], corpus_from_lists(test, spec), min_words=1,
-                                  last_filtered=last)
-        total = sum(s.log_lik for s in scored)
+        log_liks, _ = _score_stream([params], corpus_from_lists(test, spec), last_filtered=last)
+        total = log_liks.sum()
         assume(np.isfinite(total))
         log_both = _oracles.messages(params, corpus_from_lists(train + test, spec)).log_K
         assert math.isclose(total, log_both - log_train, rel_tol=1e-10, abs_tol=1e-10)
@@ -433,64 +465,68 @@ class TestPropagationProperty:
         params, train, test = streams
         spec = params.spec
         last = anomaly.filtered_belief(params, corpus_from_lists(train, spec))
-        continued, state = _score_stream([params], corpus_from_lists(test, spec), 1, last)
-        whole, whole_state = _score_stream([params], corpus_from_lists(train + test, spec), 1)
+        continued, state = _score_stream([params], corpus_from_lists(test, spec), last)
+        whole, whole_state = _score_stream([params], corpus_from_lists(train + test, spec))
         tail = whole[len(train):]
-        assert [(r.length, r.evaluated) for r in continued] == [(r.length, r.evaluated)
-                                                                 for r in tail]
-        for got, want in zip(continued, tail):
-            assert (got.log_lik == want.log_lik == -np.inf
-                    or math.isclose(got.log_lik, want.log_lik, rel_tol=1e-10, abs_tol=1e-10))
+        assert len(continued) == len(tail) == len(test)
+        for got, want in zip(continued.tolist(), tail.tolist()):
+            assert (got == want == -np.inf
+                    or math.isclose(got, want, rel_tol=1e-10, abs_tol=1e-10))
         np.testing.assert_allclose(state.behaviour_belief, whole_state.behaviour_belief,
                                    rtol=1e-10, atol=1e-10)
 
 
-def _reference_stream(samples, corpus, min_words, last_filtered=None):
-    """Records, final state and flat per-token log-liks of the per-document
-    reference scorer."""
+def _reference_stream(samples, corpus, last_filtered=None):
+    """Log likelihoods, final state and flat per-token log-liks of the
+    per-document reference scorer."""
     state = anomaly.init_state(samples, last_filtered=last_filtered)
-    records, word_lls = [], [np.zeros(0)]
+    log_liks, word_lls = [], [np.zeros(0)]
     for words in corpus:
         word_lls.append(word_log_liks_one_document(state, words))
-        rec, state = score_one_document(state, words, min_words)
-        records.append(rec)
-    return records, state, np.concatenate(word_lls)
+        log_lik, state = score_one_document(state, words)
+        log_liks.append(log_lik)
+    return log_liks, state, np.concatenate(word_lls)
 
 
-def _assert_matches_reference(samples, corpus, min_words, last_filtered=None):
+def _assert_matches_reference(tmp_path, samples, corpus, min_words, last_filtered=None):
+    """Compare the stream scorer and the records ``write_scores`` makes of
+    its log likelihoods with the per-document reference; returns the log
+    likelihoods and the records."""
     state = anomaly.init_state(samples, last_filtered=last_filtered)
-    records, final = anomaly.score(state, corpus, min_words)
+    log_liks, final = anomaly.score(state, corpus)
     word_lls = anomaly.word_log_liks(state, corpus)
-    ref_records, ref_final, ref_word_lls = _reference_stream(samples, corpus, min_words,
-                                                             last_filtered)
-    assert ([(r.index, r.length, r.evaluated) for r in records]
-            == [(r.index, r.length, r.evaluated) for r in ref_records])
-    np.testing.assert_allclose([r.log_lik for r in records],
-                               [r.log_lik for r in ref_records], rtol=1e-12, atol=0)
-    assert [r.score is None for r in records] == [r.score is None for r in ref_records]
-    np.testing.assert_allclose([r.score for r in records if r.score is not None],
-                               [r.score for r in ref_records if r.score is not None],
+    records = _records(tmp_path, log_liks, corpus, min_words)
+    ref_log_liks, ref_final, ref_word_lls = _reference_stream(samples, corpus, last_filtered)
+    ref_records = [score_record(t, n, ll, min_words) for t, (n, ll) in
+                   enumerate(zip(np.diff(corpus.offsets).tolist(), ref_log_liks), start=1)]
+    assert log_liks.shape == (len(corpus),)
+    np.testing.assert_allclose(log_liks, ref_log_liks, rtol=1e-12, atol=0)
+    assert ([(r["index"], r["length"], r["evaluated"], r["log_lik"] is None) for r in records]
+            == [(r["index"], r["length"], r["evaluated"], r["log_lik"] is None)
+                for r in ref_records])
+    assert [r["score"] is None for r in records] == [r["score"] is None for r in ref_records]
+    np.testing.assert_allclose([r["score"] for r in records if r["score"] is not None],
+                               [r["score"] for r in ref_records if r["score"] is not None],
                                rtol=1e-12, atol=0)
     np.testing.assert_allclose(final.behaviour_belief, ref_final.behaviour_belief,
                                rtol=1e-12, atol=0)
-    assert final.last_doc_index == ref_final.last_doc_index == len(corpus)
     assert word_lls.shape == (corpus.num_tokens,)
     np.testing.assert_allclose(word_lls, ref_word_lls, rtol=1e-12, atol=0)
-    return records
+    return log_liks, records
 
 
 class TestMatchesPerDocumentReference:
     @pytest.mark.parametrize("num_samples", [1, 3])
-    def test_random_instances(self, rng, num_samples):
+    def test_random_instances(self, rng, tmp_path, num_samples):
         for _ in range(25):
             spec, p, corpus = random_instance(rng, max_docs=6, max_len=5)
             hyper = make_prior("1", spec)
             samples = [p] + [random_init(spec, hyper, int(rng.integers(2**31)))
                              for _ in range(num_samples - 1)]
             last = rng.dirichlet(np.ones(spec.num_behaviours))
-            _assert_matches_reference(samples, corpus, int(rng.integers(0, 4)), last)
+            _assert_matches_reference(tmp_path, samples, corpus, int(rng.integers(0, 4)), last)
 
-    def test_document_impossible_under_one_sample(self):
+    def test_document_impossible_under_one_sample(self, tmp_path):
         spec = ModelSpec(3, 2, 2)
         h = make_prior("1", spec)
         samples = [random_init(spec, h, s) for s in range(3)]
@@ -499,35 +535,35 @@ class TestMatchesPerDocumentReference:
         samples[1] = ModelParams(phi=phi / phi.sum(axis=0), theta=samples[1].theta,
                                  xi=samples[1].xi, pi=samples[1].pi)
         corpus = corpus_from_lists([[0, 1], [0, 2, 1], [1, 1, 0]], spec)
-        records = _assert_matches_reference(samples, corpus, 0)
-        assert all(np.isfinite(r.log_lik) for r in records)
+        log_liks, _ = _assert_matches_reference(tmp_path, samples, corpus, 0)
+        assert np.isfinite(log_liks).all()
 
-    def test_emission_underflow(self):
+    def test_emission_underflow(self, tmp_path):
         # Scaled by the maximum over behaviours, the long document's emission
         # under the only reachable behaviour is exp(-786) = 0.
         p = _underflow_params()
         corpus = corpus_from_lists([[0, 1], [1] * 20, [0]], p.spec)
-        records = _assert_matches_reference([p], corpus, 0)
-        assert all(np.isfinite(r.log_lik) for r in records)
-        assert math.isclose(records[1].log_lik, -800.0, rel_tol=1e-9)
+        log_liks, _ = _assert_matches_reference(tmp_path, [p], corpus, 0)
+        assert np.isfinite(log_liks).all()
+        assert math.isclose(log_liks[1], -800.0, rel_tol=1e-9)
 
-    def test_document_impossible_under_every_sample(self):
+    def test_document_impossible_under_every_sample(self, tmp_path):
         p = ModelParams(phi=np.array([[1.0], [0.0]]), theta=np.ones((1, 1)),
                         xi=np.ones((1, 1)), pi=np.array([1.0]))
         corpus = corpus_from_lists([[0], [1, 0], [0, 0]], p.spec)
-        records = _assert_matches_reference([p, p], corpus, 1)
-        assert records[1].log_lik == -np.inf and records[1].evaluated
-        assert np.isfinite(records[2].log_lik)
+        log_liks, records = _assert_matches_reference(tmp_path, [p, p], corpus, 1)
+        assert log_liks[1] == -np.inf and records[1]["evaluated"]
+        assert np.isfinite(log_liks[2])
 
     @pytest.mark.parametrize("min_words", [0, 1, 2, 3])
-    def test_empty_document_and_min_words_boundary(self, min_words):
+    def test_empty_document_and_min_words_boundary(self, tmp_path, min_words):
         spec = ModelSpec(3, 2, 2)
         h = make_prior("1", spec)
         samples = [random_init(spec, h, s) for s in (4, 5, 6)]
         corpus = corpus_from_lists([[0, 1], [], [2], [0, 1, 2], [1, 2]], spec)
         for group in (samples[:1], samples):
-            records = _assert_matches_reference(group, corpus, min_words)
-            assert ([r.evaluated for r in records]
+            _, records = _assert_matches_reference(tmp_path, group, corpus, min_words)
+            assert ([r["evaluated"] for r in records]
                     == [n >= max(min_words, 1) for n in (2, 0, 1, 3, 2)])
 
 
@@ -542,7 +578,7 @@ def _stream_and_cuts(draw):
     docs = draw(st.lists(st.lists(st.integers(0, spec.num_words - 1), max_size=5),
                          min_size=1, max_size=8))
     cuts = sorted(draw(st.sets(st.integers(1, len(docs)), max_size=3)) | {len(docs)})
-    return samples, docs, cuts, draw(st.integers(0, 3))
+    return samples, docs, cuts
 
 
 class TestChunkingProperty:
@@ -550,21 +586,21 @@ class TestChunkingProperty:
     @given(_stream_and_cuts())
     def test_chunks_continue_one_call(self, case):
         # Scoring consecutive chunks, each from the state the previous one
-        # left, gives the records, per-token log-liks and final state of one
-        # call over the whole stream.
-        samples, docs, cuts, min_words = case
+        # left, gives the log likelihoods, per-token log-liks and final state
+        # of one call over the whole stream.
+        samples, docs, cuts = case
         spec = samples[0].spec
         state = anomaly.init_state(samples)
-        whole, whole_state = anomaly.score(state, corpus_from_lists(docs, spec), min_words)
+        whole, whole_state = anomaly.score(state, corpus_from_lists(docs, spec))
         whole_lls = anomaly.word_log_liks(state, corpus_from_lists(docs, spec))
         chunked, chunked_lls, start = [], [], 0
         for stop in cuts:
             chunk = corpus_from_lists(docs[start:stop], spec)
             chunked_lls.append(anomaly.word_log_liks(state, chunk))
-            records, state = anomaly.score(state, chunk, min_words)
-            chunked.extend(records)
+            log_liks, state = anomaly.score(state, chunk)
+            chunked.append(log_liks)
             start = stop
-        assert chunked == whole
-        assert state.last_doc_index == whole_state.last_doc_index == len(docs)
+        assert whole.shape == (len(docs),)
+        assert np.array_equal(np.concatenate(chunked), whole)
         assert np.array_equal(state.behaviour_belief, whole_state.behaviour_belief)
         assert np.array_equal(np.concatenate(chunked_lls), whole_lls)

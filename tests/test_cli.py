@@ -13,6 +13,7 @@ import pytest
 import markovtopics
 from markovtopics import inference, serialize, vb
 from markovtopics.cli import main
+from markovtopics.ingest import DIRECTIONS
 
 
 def _generate(tmp_path, docs=12, length=30, seed=0, name="train.txt"):
@@ -700,6 +701,26 @@ class TestImpossibleHistory:
                      "--train-corpus", str(corpus), "--out", str(out)]) == 0
         (record,) = [json.loads(line) for line in out.read_text().splitlines()]
         assert record["tokens"][0][0] == 2
+
+    @pytest.mark.parametrize("top_n,kept", [("1", [1, 1, 1]), (str(2**64), [4, 1, 2])])
+    def test_localise_records_per_document(self, tmp_path, top_n, kept):
+        # Each line holds its own document's tokens, however far --top-n
+        # goes beyond the longest document.
+        model = _train_without_word(tmp_path, 4)
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("0 1 3 1\n3\n1 2\n")
+        out = tmp_path / "loc.jsonl"
+        assert main(["localise", "--model", str(model), "--corpus", str(corpus),
+                     "--frame-w", "8", "--frame-h", "8", "--top-n", top_n,
+                     "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["index"] for r in records] == [1, 2, 3]
+        assert [len(r["tokens"]) for r in records] == kept
+        words = [[0, 1, 3, 1], [3], [1, 2]]
+        for r, doc in zip(records, words):
+            for i, x, y, direction in r["tokens"]:
+                assert (x, y) == (0, 0) and direction == DIRECTIONS[doc[i]]
+        assert records[2]["tokens"][0][0] == 1  # word 2 is impossible under the model
 
 
 class TestTrainMetadata:

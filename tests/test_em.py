@@ -9,10 +9,10 @@ from markovtopics import (
     random_init,
 )
 from markovtopics import em, generate, inference, vb
-from markovtopics.model import ModelParams, NumericalError, SufficientCounts, zero_counts
+from markovtopics.model import ModelParams, NumericalError, SufficientCounts
 
 import _oracles
-from _oracles import log_marginal_likelihood, log_map_objective
+from _oracles import log_marginal_likelihood, log_map_objective, zero_counts
 from conftest import random_instance
 
 

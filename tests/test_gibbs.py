@@ -271,11 +271,14 @@ class TestGsFit:
     def test_sample_count_and_shapes(self):
         spec = ModelSpec(3, 2, 2)
         ds = generate.generate(spec, make_prior("1", spec), 6, [3] * 6, seed=0)
-        samples, per_sample, pooled = gibbs.gs_fit(
-            ds.corpus, make_prior("1", spec), spec, seed=0,
-            burn_in=20, num_samples=3, spacing=5)
-        assert len(samples) == 3 and len(per_sample) == 3
+        h = make_prior("1", spec)
+        samples, pooled = gibbs.gs_fit(ds.corpus, h, spec, seed=0,
+                                       burn_in=20, num_samples=3, spacing=5)
+        assert len(samples) == 3
         assert validate_params(pooled, spec) == []
+        # The pooled estimate averages the samples' point estimates.
+        per_sample = [gibbs.point_estimate(c, h) for c in samples]
+        assert np.allclose(pooled.phi, np.mean([p.phi for p in per_sample], axis=0))
         for c in samples:
             assert c.n_xy.sum() == ds.corpus.num_tokens
 
@@ -283,8 +286,8 @@ class TestGsFit:
         spec = ModelSpec(3, 2, 2)
         ds = generate.generate(spec, make_prior("1", spec), 5, [3] * 5, seed=4)
         h = make_prior("1", spec)
-        _, _, a = gibbs.gs_fit(ds.corpus, h, spec, seed=2, burn_in=10,
-                               num_samples=2, spacing=3)
-        _, _, b = gibbs.gs_fit(ds.corpus, h, spec, seed=2, burn_in=10,
-                               num_samples=2, spacing=3)
+        _, a = gibbs.gs_fit(ds.corpus, h, spec, seed=2, burn_in=10,
+                            num_samples=2, spacing=3)
+        _, b = gibbs.gs_fit(ds.corpus, h, spec, seed=2, burn_in=10,
+                            num_samples=2, spacing=3)
         assert np.array_equal(a.phi, b.phi)

@@ -1,19 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovtopics.ingest import (
-    DIRECTIONS,
-    FrameLayout,
-    build_corpus,
-    decode_word,
-    quantise_direction,
-    word_id,
-)
-from markovtopics.model import DataError
+from markovtopics.ingest import DIRECTIONS, FrameLayout, build_corpus, decode_words, word_ids
+from markovtopics.model import Corpus, DataError, ModelSpec
 
 from _oracles import build_corpus_per_event
 
@@ -23,35 +14,6 @@ def events_from(rows):
     (frame, cell_x, cell_y, direction) rows."""
     return np.array([(f, x, y, DIRECTIONS.index(d)) for f, x, y, d in rows],
                     dtype=np.int64).reshape(-1, 4).T
-
-
-class TestQuantiseDirection:
-    def test_axis_vectors(self):
-        assert quantise_direction(1.0, 0.0) == "right"
-        assert quantise_direction(-1.0, 0.0) == "left"
-        assert quantise_direction(0.0, 1.0) == "down"   # image y grows down
-        assert quantise_direction(0.0, -1.0) == "up"
-
-    def test_diagonal_breaks_horizontal(self):
-        assert quantise_direction(1.0, 1.0) == "right"
-        assert quantise_direction(-1.0, 1.0) == "left"
-        assert quantise_direction(-1.0, -1.0) == "left"
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            quantise_direction(0.0, 0.0)
-
-    def test_matches_angle_oracle(self, rng):
-        # Oracle: nearest axis unit vector by dot product, preferring the
-        # horizontal axis on ties.
-        axes = {"right": (1, 0), "left": (-1, 0), "down": (0, 1), "up": (0, -1)}
-        for _ in range(500):
-            dx, dy = rng.normal(size=2)
-            norm = math.hypot(dx, dy)
-            best = max(axes.items(),
-                       key=lambda kv: ((kv[1][0] * dx + kv[1][1] * dy) / norm,
-                                       kv[1][1] == 0))
-            assert quantise_direction(dx, dy) == best[0]
 
 
 class TestLayout:
@@ -67,7 +29,7 @@ class TestLayout:
 
     def test_direction_count_is_not_a_parameter(self):
         # The event grammar knows the four DIRECTIONS only; a layout with any
-        # other count would size a vocabulary decode_word cannot read.
+        # other count would size a vocabulary decode_words cannot read.
         with pytest.raises(TypeError):
             FrameLayout(frame_w=16, frame_h=16, num_directions=8)
         assert FrameLayout(frame_w=16, frame_h=16).vocabulary_size == 2 * 2 * len(DIRECTIONS)
@@ -76,26 +38,31 @@ class TestLayout:
 class TestWordIds:
     def test_round_trip_bijection(self):
         layout = FrameLayout(frame_w=24, frame_h=16)
-        seen = set()
-        for cy in range(layout.rows):
-            for cx in range(layout.cols):
-                for d in DIRECTIONS:
-                    w = word_id(layout, cx, cy, d)
-                    assert decode_word(layout, w) == (cx, cy, d)
-                    seen.add(w)
-        assert seen == set(range(layout.vocabulary_size))
+        cy, cx, d = np.meshgrid(np.arange(layout.rows), np.arange(layout.cols),
+                                np.arange(len(DIRECTIONS)), indexing="ij")
+        words = word_ids(layout, cx.ravel(), cy.ravel(), d.ravel())
+        assert sorted(words.tolist()) == list(range(layout.vocabulary_size))
+        back = decode_words(layout, words)
+        assert [a.tolist() for a in back] == [cx.ravel().tolist(), cy.ravel().tolist(),
+                                              d.ravel().tolist()]
 
     def test_hand_value(self):
         layout = FrameLayout(frame_w=360, frame_h=288)
         # Cell (3, 2), "down" (index 2): ((2*45)+3)*4 + 2 = 374.
-        assert word_id(layout, 3, 2, "down") == 374
+        down = DIRECTIONS.index("down")
+        assert word_ids(layout, np.array([3]), np.array([2]), np.array([down])).tolist() == [374]
+        assert [a.tolist() for a in decode_words(layout, np.array([374]))] == [[3], [2], [down]]
 
     def test_out_of_grid_rejected(self):
+        # The array codec does not range-check: an off-grid event is refused
+        # when the corpus is built, and a word id beyond the vocabulary when
+        # a corpus holds it.
         layout = FrameLayout(frame_w=16, frame_h=16)
-        with pytest.raises(ValueError):
-            word_id(layout, 2, 0, "up")
-        with pytest.raises(ValueError):
-            decode_word(layout, layout.vocabulary_size)
+        with pytest.raises(DataError, match="outside 2x2 grid"):
+            build_corpus(events_from([(0, 2, 0, "up")]), layout, fps=25.0, min_words=1)
+        with pytest.raises(DataError, match="outside"):
+            Corpus(np.array([layout.vocabulary_size]), np.array([0, 1]),
+                   ModelSpec(layout.vocabulary_size, 1, 1))
 
 
 class TestBuildCorpus:
@@ -136,8 +103,8 @@ class TestBuildCorpus:
         layout = FrameLayout(frame_w=16, frame_h=16)
         events = events_from([(0, 1, 1, "left")] * 20)
         corpus, _ = build_corpus(events, layout, fps=25.0)
-        w = int(corpus[0][0])
-        assert decode_word(layout, w) == (1, 1, "left")
+        x, y, d = decode_words(layout, corpus[0][:1])
+        assert (x[0], y[0], DIRECTIONS[d[0]]) == (1, 1, "left")
         assert corpus.spec.num_words == layout.vocabulary_size
 
     def test_empty_event_stream(self):

@@ -1,4 +1,5 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,11 @@ from hypothesis import strategies as st
 
 from markovtopics import ModelSpec, corpus_from_lists, make_prior, random_init
 from markovtopics import generate, serialize, vb
-from markovtopics.anomaly import ScoredDocument
 from markovtopics.gibbs import gibbs_init
 from markovtopics.ingest import DIRECTIONS
-from markovtopics.model import DataError, ModelParams, NumericalError, zero_counts
+from markovtopics.model import DataError, ModelParams, NumericalError
 
-from _oracles import read_corpus_per_token, read_events_per_line
+from _oracles import read_corpus_per_token, read_events_per_line, score_record, zero_counts
 
 
 @pytest.fixture
@@ -326,8 +326,9 @@ class TestGroundTruthFiles:
                                seed=5)
         path = tmp_path / "gt.json"
         serialize.write_ground_truth(path, ds)
-        back = serialize.read_ground_truth(path)
-        assert np.allclose(back["true_params"].xi, ds.true_params.xi)
+        back = serialize.from_json(path.read_bytes())
+        xi = back["true_params"]["xi"]
+        assert np.allclose(np.reshape(xi["data"], xi["shape"]), ds.true_params.xi)
         assert np.array_equal(back["true_behaviours"], ds.true_behaviours)
         for a, b in zip(back["true_topics"], ds.true_topics):
             assert np.array_equal(a, b)
@@ -335,27 +336,58 @@ class TestGroundTruthFiles:
 
 class TestScoreFiles:
     def test_round_trip(self, tmp_path):
-        scored = [
-            ScoredDocument(index=1, length=25, log_lik=-30.0, score=-33.2),
-            ScoredDocument(index=2, length=5, log_lik=-4.0, score=None,
-                           evaluated=False),
-        ]
         path = tmp_path / "s.jsonl"
-        serialize.write_scores(path, scored)
+        serialize.write_scores(path, np.array([-30.0, -4.0]), np.array([25, 5]), min_words=20)
         back = serialize.read_scores(path)
-        assert back[0]["score"] == -33.2
+        assert back[0]["score"] == -30.0 - np.log(25)
         assert back[1]["evaluated"] is False and back[1]["score"] is None
         assert [_strict_json(line) for line in path.read_text().splitlines()] == back
 
-    @pytest.mark.parametrize("log_lik,score", [(np.nan, np.nan), (-3.0, np.nan),
-                                               (np.inf, np.inf), (-3.0, -np.inf)])
-    def test_non_finite_score_is_numerical_error_and_nothing_written(self, tmp_path,
-                                                                     log_lik, score):
-        scored = [ScoredDocument(index=1, length=3, log_lik=-3.0, score=-4.1),
-                  ScoredDocument(index=2, length=3, log_lik=log_lik, score=score)]
+    def test_golden_bytes(self, tmp_path):
+        # An impossible document keeps its evaluated flag; 19 words fall
+        # short of min_words 20, and 20 reach it.
+        path = tmp_path / "s.jsonl"
+        serialize.write_scores(path, np.array([-30.0, -np.inf, -19.5, -20.25]),
+                               np.array([25, 25, 19, 20]), min_words=20)
+        assert path.read_bytes() == (
+            b'{"index":1,"length":25,"log_lik":-30.0,"score":-33.2188758248682,"evaluated":true}\n'
+            b'{"index":2,"length":25,"log_lik":null,"score":null,"evaluated":true}\n'
+            b'{"index":3,"length":19,"log_lik":-19.5,"score":null,"evaluated":false}\n'
+            b'{"index":4,"length":20,"log_lik":-20.25,"score":-23.24573227355399,'
+            b'"evaluated":true}\n')
+
+    def test_golden_bytes_min_words_zero(self, tmp_path):
+        # With min_words 0 every document of at least one word is evaluated;
+        # an empty one (log likelihood 0) still has no score.
+        path = tmp_path / "s.jsonl"
+        serialize.write_scores(path, np.array([-2.5, 0.0, -np.inf, -7.0]),
+                               np.array([1, 0, 1, 3]), min_words=0)
+        assert path.read_bytes() == (
+            b'{"index":1,"length":1,"log_lik":-2.5,"score":-2.5,"evaluated":true}\n'
+            b'{"index":2,"length":0,"log_lik":0.0,"score":null,"evaluated":false}\n'
+            b'{"index":3,"length":1,"log_lik":null,"score":null,"evaluated":true}\n'
+            b'{"index":4,"length":3,"log_lik":-7.0,"score":-8.09861228866811,"evaluated":true}\n')
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(0, 40),
+                              st.sampled_from([-np.inf, -0.0, -1e-300, -3.5, -1234.5678])),
+                    max_size=8),
+           st.integers(0, 25))
+    def test_matches_per_record_reference(self, docs, min_words):
+        lengths = np.array([n for n, _ in docs], dtype=np.int64)
+        log_liks = np.array([ll for _, ll in docs], dtype=float)
+        expected = b"".join(serialize.to_json(score_record(t, n, ll, min_words)) + b"\n"
+                            for t, (n, ll) in enumerate(docs, start=1)) or b"\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.jsonl"
+            serialize.write_scores(path, log_liks, lengths, min_words)
+            assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("log_lik", [np.nan, np.inf])
+    def test_non_finite_score_is_numerical_error_and_nothing_written(self, tmp_path, log_lik):
         path = tmp_path / "s.jsonl"
         with pytest.raises(NumericalError, match="document 2"):
-            serialize.write_scores(path, scored)
+            serialize.write_scores(path, np.array([-3.0, log_lik]), np.array([3, 3]), 0)
         assert not path.exists()
 
     def test_blank_line_rejected(self, tmp_path):

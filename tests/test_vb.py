@@ -12,10 +12,10 @@ from markovtopics import (
     make_prior,
 )
 from markovtopics import em, generate, inference, vb
-from markovtopics.model import SufficientCounts, validate_params, zero_counts
+from markovtopics.model import SufficientCounts, validate_params
 
 import _oracles
-from _oracles import sample_posterior_list
+from _oracles import sample_posterior_list, zero_counts
 from conftest import random_instance
 
 
