@@ -21,8 +21,8 @@ The scorer's update stays in the log domain, operation for operation the
 per-document reference it is tested against at 1e-12 relative error: log
 likelihoods within rounding of 0 (a one-word vocabulary) meet that bound no
 other way.  The training stream that a scored stream continues needs only
-its last filtered posterior, and :func:`filtered_belief` runs it through
-the cheaper scaled recursion, with the same restarts.
+its last filtered posterior, and :func:`filtered_belief` computes it by the
+fit's forward scan, with the same restarts.
 """
 from __future__ import annotations
 
@@ -86,32 +86,33 @@ def filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | None:
 
     The training stream is filtered from ``params.pi`` as :func:`score`
     filters a stream: a document impossible under the belief before it
-    restarts the belief from ``params.pi``.  The recursion is the scaled
-    forward pass (Rabiner 1989) on the emissions, exponentiated once after
-    shifting each document's emission logs by their maximum.  An update
-    whose normaliser is zero or subnormal (the shifted emissions underflowed
-    under the belief) is redone in the log domain.
+    restarts the belief from ``params.pi``.  One scan (``inference._forward``)
+    filters the documents after the last one impossible under every
+    behaviour.  A NaN message (a product underflowed), or a zero or subnormal
+    normaliser (underflow, or a restart that depends on the belief), has the
+    stream redone in the log domain.
     """
     log_emit = inference.emission_logs(params, corpus).T  # (T, Z)
     shift = log_emit.max(axis=1, keepdims=True)
-    shift[~np.isfinite(shift)] = 0.0
-    emit = np.exp(log_emit - shift)
-    xi, pi = params.xi, params.pi
-    belief, post = pi, None
+    start = np.flatnonzero(np.append(True, shift[:, 0] == -np.inf))[-1]
+    if start == len(corpus):
+        return None
+    emit = np.exp(log_emit[start:] - shift[start:])
+    alpha, prior = inference._forward(emit, params.pi, params.xi)
+    if np.einsum("tz,tz->t", emit, prior).min() >= _TINY and np.isfinite(alpha[-1]).all():
+        return alpha[-1]
+    return _log_filtered_belief(params, log_emit)
+
+
+def _log_filtered_belief(params: ModelParams, log_emit: np.ndarray) -> np.ndarray | None:
+    """:func:`filtered_belief` on the emission logs (T, Z), one document at a time."""
+    belief, post = params.pi, None
     with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(len(corpus)):
-            a = emit[t] * belief
-            c = a.sum()
-            if c >= _TINY:
-                post = a / c
-            else:
-                joint = log_emit[t] + np.log(belief)
-                log_lik = _lse(joint, axis=0)
-                if log_lik == -np.inf:
-                    belief, post = pi, None
-                    continue
-                post = np.exp(joint - log_lik)
-            belief = xi @ post
+        for log_e in log_emit:
+            joint = log_e + np.log(belief)
+            log_lik = _lse(joint, axis=0)
+            post = None if log_lik == -np.inf else np.exp(joint - log_lik)
+            belief = params.pi if post is None else params.xi @ post
     return post
 
 

@@ -2,11 +2,11 @@
 
 Fits use :func:`e_step`: one forward-backward pass on the per-document
 emission block ``(Z, T)`` of the corpus's sparse doc-term matrix, which
-yields the four expected count arrays without per-token tensors.  The pass
-runs scaled (Rabiner 1989); when its messages under- or overflow it is
-redone on the same block in the log domain, where nothing underflows.  The
-token-level recursions the oracle tests check against exhaustive
-enumeration live in ``tests/_oracles.py``.
+yields the four expected count arrays without per-token tensors.  Its
+messages are running products of per-document maps, one prefix scan each
+(Blelloch 1990); when a product underflows the pass is redone on the same
+block in the log domain, where nothing underflows.  The token-level
+recursions the oracle tests check against live in ``tests/_oracles.py``.
 
 The engine also accepts the sub-stochastic "tilde" surrogate parameters used
 by variational inference; normalization by the overall constant absorbs the
@@ -69,20 +69,47 @@ def emission_logs(params: ModelParams | None, corpus: Corpus,
     return (corpus.doc_term.T @ log_mix).T
 
 
+def _running_products(maps: np.ndarray) -> np.ndarray:
+    """Running products ``maps[t] @ ... @ maps[0]`` of a nonnegative (T, Z, Z)
+    stack, each divided by its largest entry, by an odd-even prefix scan
+    (Blelloch 1990): multiply adjacent pairs, scan the half-length stack, fill
+    in the even entries.  A vanished product and all later ones are NaN."""
+    with np.errstate(invalid="ignore"):
+        out = maps / maps.max(axis=(1, 2), keepdims=True)
+        if len(maps) > 1:
+            out[1::2] = _running_products(out[1::2] @ out[:-1:2])
+            even = out[2::2] @ out[1:-1:2]
+            out[2::2] = even / even.max(axis=(1, 2), keepdims=True)
+    return out
+
+
+def _forward(emit: np.ndarray, pi: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised forward messages (T, Z) of the emissions ``emit`` (T, Z),
+    scanned from ``diag(emit[0] * pi)`` over ``diag(emit[t]) xi``, and the
+    belief before each document (``pi``, then ``xi @ alpha[t - 1]``).  The
+    messages are all NaN unless each entry is within 1e-12 relative of its
+    one-step update: a product of documents can underflow where no step does."""
+    maps = emit[:, :, None] * xi
+    maps[0] = np.diag(emit[0] * pi)
+    with np.errstate(invalid="ignore"):
+        rows = _running_products(maps).sum(axis=2)
+        alpha = rows / rows.sum(axis=1, keepdims=True)
+        prior = np.vstack([pi, alpha[:-1] @ xi.T])
+        step = emit * prior / np.einsum("tz,tz->t", emit, prior)[:, None]
+    consistent = np.all(np.abs(alpha - step) <= 1e-12 * step)
+    return (alpha if consistent else np.full_like(alpha, np.nan)), prior
+
+
 def e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts]:
     """Log normalisation constant and expected counts from the doc-term matrix.
 
-    One scaled forward-backward pass runs on the emissions shifted by their
-    per-document maximum; the behaviour posteriors ``gamma`` (Z, T) and the
-    summed pair posteriors come from its messages.  Tokens of one word in
-    one document share a posterior, so with ``C = (B gamma^T) / mix`` the
-    counts are ``n_xy = phi * (C theta^T)`` and ``n_yz = theta * (phi^T C)``.
-
-    The scaled messages can underflow on a possible corpus: a zero scale, or
-    a behaviour whose forward message underflowed to zero while later
-    documents make it probable (its backward message overflows).  Either
-    leaves a non-finite posterior, and the pass is then redone in the log
-    domain on the same emission block (:func:`_log_e_step`), which raises
+    On the emissions shifted by their per-document maximum, :func:`_forward`
+    scans the forward messages, and on the reversed stream under ``xi^T``
+    the normalised ``emit[t] * beta[t]``.  Tokens of one word in one document
+    share a posterior, so with ``C = (B gamma) / mix`` the counts are ``n_xy =
+    phi * (C theta^T)`` and ``n_yz = theta * (phi^T C)``.  A NaN message (a
+    product underflowed), a zero scale or a non-finite posterior has the pass
+    redone in the log domain (:func:`_log_e_step`), which raises
     :class:`NumericalError` when the corpus is impossible under the model.
     """
     mix = params.phi @ params.theta
@@ -90,30 +117,17 @@ def e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts
     with np.errstate(all="ignore"):
         loge = emission_logs(params, corpus, np.log(mix))
         shift = loge.max(axis=0)
-        emit = np.exp(loge - shift)
-        Z, T = emit.shape
-        alpha = np.empty((Z, T))
-        scale = np.empty(T)
-        a = params.pi * emit[:, 0]
-        scale[0] = a.sum()
-        alpha[:, 0] = a / scale[0]
-        for t in range(1, T):
-            a = emit[:, t] * (xi @ alpha[:, t - 1])
-            scale[t] = a.sum()
-            alpha[:, t] = a / scale[t]
-        # beta is scaled by the same constants, so alpha * beta is the posterior.
-        emit /= scale
-        xi_t = xi.T
-        beta = np.empty((Z, T))
-        beta[:, T - 1] = 1.0
-        for t in range(T - 2, -1, -1):
-            beta[:, t] = xi_t @ (emit[:, t + 1] * beta[:, t + 1])
-        gamma = alpha * beta
-        n_zz = xi * ((emit[:, 1:] * beta[:, 1:]) @ alpha[:, :-1].T)
-    if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(n_zz))):
+        emit = np.exp(loge - shift).T
+        alpha, prior = _forward(emit, params.pi, xi)
+        post = _forward(emit[::-1], np.ones_like(params.pi), xi.T)[0][::-1]
+        # Posterior post[t] * prior[t] / norm[t]; pair posterior of documents
+        # t - 1, t: xi * outer(post[t], alpha[t - 1]) / norm[t].
+        scale, norm = np.einsum("tz,tz->t", emit, prior), np.einsum("tz,tz->t", post, prior)
+        gamma = post * prior / norm[:, None]
+        n_zz = xi * ((post[1:] / norm[1:, None]).T @ alpha[:-1])
+    if not (scale.min() > 0 and np.all(np.isfinite(gamma)) and np.all(np.isfinite(n_zz))):
         return _log_e_step(params, corpus, mix, loge)
-    log_K = float(np.sum(np.log(scale)) + np.sum(shift))
-    return log_K, _counts(params, corpus, mix, gamma, n_zz)
+    return float(np.log(scale).sum() + shift.sum()), _counts(params, corpus, mix, gamma.T, n_zz)
 
 
 def _log_e_step(params: ModelParams, corpus: Corpus, mix: np.ndarray,

@@ -7,8 +7,9 @@ log-domain forward-backward (``messages``, ``posteriors``,
 ``expected_counts``, ``infer``), the per-token generator, the per-token
 Gibbs topic step, the numpy Gibbs behaviour step, the per-document scorer,
 the per-record score writer, the per-document localiser, the per-event
-``build_corpus``, the per-token corpus reader, the per-line event reader and
-the list-building posterior sampler are the straightforward versions the
+``build_corpus``, the per-token corpus reader, the per-line event reader,
+the list-building posterior sampler, and the per-document scaled loops of
+the E-step and of the filtered belief are the straightforward versions the
 fast library paths must match.  ``zero_counts`` builds the all-zero counts
 that the M-step tests start from.
 """
@@ -25,7 +26,7 @@ from scipy.special import gammaln, logsumexp
 
 from markovtopics.em import _log_map
 from markovtopics.generate import GeneratedDataset, _stream
-from markovtopics.inference import _lse, emission_logs, word_mixture_logs
+from markovtopics.inference import _counts, _lse, emission_logs, word_mixture_logs
 from markovtopics.ingest import DIRECTION_INDEX, DIRECTIONS
 from markovtopics.model import (
     Corpus,
@@ -440,6 +441,68 @@ def backward(params: ModelParams, corpus: Corpus,
         # lb[z, t] = logsumexp_z'( lb[z', t+1] + log xi[z', z] + e(z', t+1) )
         lb[:, t] = _lse((lb[:, t + 1] + log_emission[:, t + 1])[:, None] + log_xi, axis=0)
     return lb
+
+
+def scaled_e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts]:
+    """The scaled forward-backward (Rabiner 1989) as a loop over the
+    documents, on the emissions shifted by their per-document maximum, with
+    no log-domain fallback: its log K and counts are NaN or infinite where
+    the scaled messages under- or overflow.  The reference the scanned
+    ``inference.e_step`` must match."""
+    mix = params.phi @ params.theta
+    xi = params.xi
+    with np.errstate(all="ignore"):
+        loge = emission_logs(params, corpus, np.log(mix))
+        shift = loge.max(axis=0)
+        emit = np.exp(loge - shift)
+        Z, T = emit.shape
+        alpha = np.empty((Z, T))
+        scale = np.empty(T)
+        a = params.pi * emit[:, 0]
+        scale[0] = a.sum()
+        alpha[:, 0] = a / scale[0]
+        for t in range(1, T):
+            a = emit[:, t] * (xi @ alpha[:, t - 1])
+            scale[t] = a.sum()
+            alpha[:, t] = a / scale[t]
+        # beta is scaled by the same constants, so alpha * beta is the posterior.
+        emit /= scale
+        beta = np.empty((Z, T))
+        beta[:, T - 1] = 1.0
+        for t in range(T - 2, -1, -1):
+            beta[:, t] = xi.T @ (emit[:, t + 1] * beta[:, t + 1])
+        gamma = alpha * beta
+        n_zz = xi * ((emit[:, 1:] * beta[:, 1:]) @ alpha[:, :-1].T)
+        log_K = float(np.sum(np.log(scale)) + np.sum(shift))
+        return log_K, _counts(params, corpus, mix, gamma, n_zz)
+
+
+def scaled_filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | None:
+    """``anomaly.filtered_belief`` as a loop over the documents: the scaled
+    forward update, each update whose normaliser is zero or subnormal redone
+    in the log domain, and the belief restarted from ``pi`` after a document
+    impossible under it."""
+    log_emit = emission_logs(params, corpus).T  # (T, Z)
+    shift = log_emit.max(axis=1, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    emit = np.exp(log_emit - shift)
+    xi, pi = params.xi, params.pi
+    belief, post = pi, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t in range(len(corpus)):
+            a = emit[t] * belief
+            c = a.sum()
+            if c >= np.finfo(float).tiny:
+                post = a / c
+            else:
+                joint = log_emit[t] + np.log(belief)
+                log_lik = _lse(joint, axis=0)
+                if log_lik == -np.inf:
+                    belief, post = pi, None
+                    continue
+                post = np.exp(joint - log_lik)
+            belief = xi @ post
+    return post
 
 
 def messages(params: ModelParams, corpus: Corpus) -> Messages:

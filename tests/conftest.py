@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from markovtopics import ModelSpec, corpus_from_lists, make_prior, random_init
+from markovtopics import ModelParams, ModelSpec, corpus_from_lists, make_prior, random_init
 
 
 def random_instance(rng, max_dim=3, max_docs=4, max_len=3):
@@ -18,6 +21,44 @@ def random_instance(rng, max_dim=3, max_docs=4, max_len=3):
             for _ in range(T)]
     corpus = corpus_from_lists(docs, spec)
     return spec, params, corpus
+
+
+def block_underflow_instance(reverse=False):
+    """phi = [[.9, .1], [.1, .9]], theta = xi = I, pi = (.5, .5) and a stream
+    whose forward messages a one-step recursion carries but a product of
+    documents 2 and 3 cannot: it is diag(1, 9^-420), and 9^-420 underflows.
+    Behaviour 1 is ~1e-114 after document 3 and ~1e171 times behaviour 0
+    after document 6.  Reversed, the same holds of the backward messages."""
+    spec = ModelSpec(2, 2, 2)
+    params = ModelParams(phi=np.array([[0.9, 0.1], [0.1, 0.9]]), theta=np.eye(2),
+                         xi=np.eye(2), pi=np.array([0.5, 0.5]))
+    docs = [[1] * 300, [0, 1], [0] * 210, [0] * 210, [1] * 100, [1] * 100, [1] * 100]
+    return params, corpus_from_lists(docs[::-1] if reverse else docs, spec)
+
+
+@st.composite
+def swinging_streams(draw):
+    """Two behaviours that favour one of two words each by the same odds,
+    4-20, xi the identity or off by 1e-30 or 1e-3, and 1-32 documents, each
+    a run of one word worth a uniform draw of up to e^650 of evidence.  A run
+    goes back towards even odds whenever it would take the evidence beyond
+    e^650, so a one-step recursion carries every message (floats reach
+    ~e^709), while two runs that push the same way can span e^1300.  The
+    runs come from a seeded numpy generator, whose uniform draws reach such
+    pairs more often than hypothesis's own floats."""
+    odds = draw(st.floats(4.0, 20.0))
+    off = draw(st.sampled_from([0.0, 1e-30, 1e-3]))
+    params = ModelParams(phi=np.array([[odds, 1.0], [1.0, odds]]) / (odds + 1.0),
+                         theta=np.eye(2), xi=(1.0 - off) * np.eye(2) + off * (1.0 - np.eye(2)),
+                         pi=np.array([0.5, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    evidence, docs = 0.0, []
+    for step in rng.uniform(-650.0, 650.0, rng.integers(1, 33)):
+        if abs(evidence + step) > 650.0:
+            step = -math.copysign(abs(step), evidence)
+        evidence += step
+        docs.append([int(step < 0)] * max(1, round(abs(step) / math.log(odds))))
+    return params, corpus_from_lists(docs, ModelSpec(2, 2, 2))
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from _oracles import (
     word_log_liks_one_document,
     zero_counts,
 )
-from conftest import random_instance
+from conftest import block_underflow_instance, random_instance, swinging_streams
 
 
 def _uniform_params(X, Y, Z):
@@ -131,6 +131,14 @@ def _with_impossible_word(p):
     return ModelParams(phi=phi / phi.sum(axis=0), theta=p.theta, xi=p.xi, pi=p.pi)
 
 
+@pytest.fixture
+def log_filtered_belief_calls(monkeypatch):
+    """Arguments of every call of the log-domain filter, which still runs."""
+    calls, real = [], anomaly._log_filtered_belief
+    monkeypatch.setattr(anomaly, "_log_filtered_belief", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
 class TestFilteredBelief:
     def test_matches_forward_column(self, rng):
         spec, p, corpus = random_instance(rng)
@@ -140,13 +148,70 @@ class TestFilteredBelief:
         assert np.allclose(b, expected, atol=1e-12)
         assert np.isclose(b.sum(), 1.0, atol=1e-12)
 
-    def test_underflow_redone_in_log_domain(self):
+    def test_underflow_redone_in_log_domain(self, log_filtered_belief_calls):
         p = _underflow_params()
         corpus = corpus_from_lists([[0, 1], [1] * 20], p.spec)
         _, ref_state, _ = _reference_stream([p], corpus)
         # xi = I: the filtered posterior is the next document's belief.
         np.testing.assert_allclose(anomaly.filtered_belief(p, corpus),
                                    ref_state.behaviour_belief[0], rtol=1e-12, atol=0)
+        assert len(log_filtered_belief_calls) == 1
+
+    def test_block_underflow_redone_in_log_domain(self, log_filtered_belief_calls):
+        # Every normaliser is normal, but the scan drops behaviour 1 after
+        # document 3, which the last documents make ~1e171 times likelier.
+        p, corpus = block_underflow_instance()
+        got = anomaly.filtered_belief(p, corpus)
+        np.testing.assert_allclose(got, _oracles.scaled_filtered_belief(p, corpus), rtol=1e-12, atol=0)
+        assert got[1] == 1.0
+        assert len(log_filtered_belief_calls) == 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(swinging_streams())
+    def test_swinging_stream_matches_loop_reference(self, instance):
+        p, corpus = instance
+        np.testing.assert_allclose(anomaly.filtered_belief(p, corpus),
+                                   _oracles.scaled_filtered_belief(p, corpus), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("docs, expected", [
+        ([[0], [1], [1]], [0.0, 1.0]),
+        ([[0], [1]], None),
+        ([[0], [1], [0, 0]], [1.0, 0.0]),
+    ])
+    def test_restart_that_depends_on_the_belief(self, docs, expected):
+        # Behaviour z emits only word z, and xi = I keeps the belief on the
+        # behaviour of document 0.  Word 1 after word 0 is impossible under
+        # that belief, though not under every behaviour: it restarts the
+        # belief from pi.
+        p = ModelParams(phi=np.eye(2), theta=np.eye(2), xi=np.eye(2), pi=np.array([0.5, 0.5]))
+        got = anomaly.filtered_belief(p, corpus_from_lists(docs, ModelSpec(2, 2, 2)))
+        if expected is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, expected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 4), st.integers(1, 3), st.booleans(), st.sampled_from([0.0, 0.3, 0.6]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_loop_reference(self, X, Z, impossible_word, zero_rate, seed):
+        # The filter reads only phi @ theta, xi and pi, so theta = I loses
+        # nothing.  Zeroing entries of phi, xi and pi at ``zero_rate`` makes
+        # documents impossible under the belief and not under every
+        # behaviour; the impossible word makes them impossible under all.
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(X, Z, Z)
+        p = random_init(spec, make_prior("1", spec), seed)
+        if impossible_word:
+            p = _with_impossible_word(p)
+        phi, xi, pi = (_with_zeros(m, rng.random(m.shape) >= zero_rate) for m in (p.phi, p.xi, p.pi))
+        p = ModelParams(phi=phi, theta=np.eye(Z), xi=xi, pi=pi)
+        docs = [rng.integers(0, X, rng.integers(0, 4)) for _ in range(rng.integers(0, 71))]
+        corpus = corpus_from_lists(docs, spec)
+        got, want = anomaly.filtered_belief(p, corpus), _oracles.scaled_filtered_belief(p, corpus)
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     def test_impossible_document_restarts(self):
         spec = ModelSpec(3, 2, 2)
@@ -160,6 +225,15 @@ class TestFilteredBelief:
         p = _with_impossible_word(random_init(spec, make_prior("1", spec), 5))
         assert anomaly.filtered_belief(p, corpus_from_lists([[1, 2], [2, 0]], spec)) is None
         assert anomaly.filtered_belief(p, corpus_from_lists([], spec)) is None
+
+
+def _with_zeros(m, keep):
+    """Column-stochastic ``m`` with the entries outside ``keep`` zeroed; a
+    column left empty is kept whole."""
+    out = np.where(keep, m, 0.0)
+    empty = ~out.any(axis=0)
+    out[..., empty] = m[..., empty]
+    return out / out.sum(axis=0)
 
 
 class TestScorePlugin:

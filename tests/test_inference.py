@@ -18,7 +18,7 @@ from markovtopics.model import NumericalError
 
 import _oracles
 from _oracles import enum_expected_counts, enum_marginal_and_posteriors, log_marginal_likelihood
-from conftest import random_instance
+from conftest import block_underflow_instance, random_instance, swinging_streams
 
 
 def _uniform_params(X, Y, Z):
@@ -231,6 +231,51 @@ class TestLogMarginal:
                           5 * np.log(1 / X), atol=1e-12)
 
 
+def _sequential_products(maps):
+    """``maps[t] @ ... @ maps[0]`` for every t, one product at a time, each
+    divided by its largest entry only at the end."""
+    out, prod = [], np.eye(maps.shape[1])
+    for m in maps:
+        prod = m @ prod
+        out.append(prod / prod.max())
+    return np.array(out).reshape(maps.shape)
+
+
+class TestRunningProducts:
+    def test_matches_sequential_products_at_every_length(self, rng):
+        # Lengths 0..70 reach every level of the odd-even scan up to 7, with
+        # odd and even lengths at each.
+        for T in range(71):
+            maps = rng.random((T, 3, 3)) + 0.05
+            out = inference._running_products(maps)
+            assert out.shape == maps.shape
+            np.testing.assert_allclose(out, _sequential_products(maps), rtol=1e-12, atol=0)
+            assert np.all(out.max(axis=(1, 2)) == 1.0)
+
+    def test_vanished_product_is_nan_from_there_on(self, rng):
+        # diag(1, 0, 0) then diag(0, 1, 1): their product, and every later
+        # one, is zero.  Its direction is 0/0, which must read as non-finite
+        # (the E-step's cue to fall back) and raise no warning.
+        for T, k in [(2, 0), (5, 1), (8, 2), (33, 17), (70, 68)]:
+            maps = rng.random((T, 3, 3)) + 0.05
+            maps[k], maps[k + 1] = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])
+            out = inference._running_products(maps)
+            assert np.all(np.isfinite(out[:k + 1]))
+            assert not np.any(np.isfinite(out[k + 1:]))
+
+
+@pytest.fixture
+def log_e_step_calls(monkeypatch):
+    """Arguments of every call of the log-domain E-step, which still runs."""
+    calls, real = [], inference._log_e_step
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(inference, "_log_e_step", spy)
+    return calls
+
+
 class TestEStep:
     def test_matches_token_level_reference_mid_size(self):
         spec = ModelSpec(240, 5, 3)
@@ -244,7 +289,7 @@ class TestEStep:
             fast, slow = getattr(counts, name), getattr(ref, name)
             assert np.abs(fast - slow).max() <= 1e-7 * np.abs(slow).max(), name
 
-    def test_zero_scale_falls_back_to_log_domain(self):
+    def test_zero_scale_falls_back_to_log_domain(self, log_e_step_calls):
         # Behaviour 1 is the only one that can emit word 2, but after 100
         # tokens of word 0 its scaled forward message is exactly zero and
         # identity transitions never revive it: the second scale is zero.
@@ -252,13 +297,14 @@ class TestEStep:
                              theta=np.eye(2), xi=np.eye(2), pi=np.array([0.5, 0.5]))
         corpus = corpus_from_lists([[0] * 100, [2]], ModelSpec(3, 2, 2))
         log_lik, counts = inference.e_step(params, corpus)
+        assert len(log_e_step_calls) == 1
         msgs, _, ref = _oracles.infer(params, corpus)
         assert math.isclose(log_lik, -2073.7, abs_tol=0.05)
         assert math.isclose(log_lik, msgs.log_K, rel_tol=1e-12)
         for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
             assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
 
-    def test_overflowed_backward_falls_back_to_log_domain(self):
+    def test_overflowed_backward_falls_back_to_log_domain(self, log_e_step_calls):
         # Document 1 favours behaviour 0 by about e^815, so behaviour 1's
         # scaled forward message underflows to zero; the later documents
         # favour behaviour 1 by e^680 each.  Every scale is positive, but the
@@ -268,13 +314,14 @@ class TestEStep:
                              pi=np.array([0.5, 0.5]))
         corpus = corpus_from_lists([[0] * 120] + [[1] * 100] * 4, ModelSpec(3, 2, 2))
         log_lik, counts = inference.e_step(params, corpus)
+        assert len(log_e_step_calls) == 1
         msgs, _, ref = _oracles.infer(params, corpus)
         assert math.isclose(log_lik, msgs.log_K, rel_tol=1e-12)
         assert np.allclose(counts.n_z1, [0.0, 1.0])
         for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
             assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
 
-    def test_one_document_falls_back_to_log_domain(self):
+    def test_one_document_falls_back_to_log_domain(self, log_e_step_calls):
         # Behaviour 0 starts the chain but gives word 1 a tenth of the mass
         # behaviour 1 does: e^-921 against e^-0.4 over 400 tokens.  Shifted by
         # the larger emission, behaviour 0's emission underflows to zero and
@@ -283,6 +330,7 @@ class TestEStep:
                              xi=np.eye(2), pi=np.array([1.0, 0.0]))
         corpus = corpus_from_lists([[1] * 400], ModelSpec(2, 2, 2))
         log_lik, counts = inference.e_step(params, corpus)
+        assert len(log_e_step_calls) == 1
         msgs, _, ref = _oracles.infer(params, corpus)
         assert math.isclose(log_lik, 400 * math.log(0.1), rel_tol=1e-12)
         assert math.isclose(log_lik, msgs.log_K, rel_tol=1e-12)
@@ -290,13 +338,14 @@ class TestEStep:
         for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
             assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
 
-    def test_impossible_corpus_raises(self):
+    def test_impossible_corpus_raises(self, log_e_step_calls):
         phi = np.array([[1.0], [0.0]])
         p = ModelParams(phi=phi, theta=np.ones((1, 1)), xi=np.ones((1, 1)),
                         pi=np.array([1.0]))
         corpus = corpus_from_lists([[0], [1]], ModelSpec(2, 1, 1))
         with pytest.raises(NumericalError):
             inference.e_step(p, corpus)
+        assert len(log_e_step_calls) == 1
 
     def test_zero_mixture_words_get_no_counts(self):
         # A truncated MAP estimate gives exact zeros; words the corpus never
@@ -344,3 +393,80 @@ class TestEStepProperties:
         assert math.isclose(counts.n_zz.sum(), T - 1, rel_tol=1e-10, abs_tol=1e-12)
         assert math.isclose(counts.n_z1.sum(), 1.0, rel_tol=1e-10)
         assert math.isclose(log_lik, log_K, rel_tol=1e-10, abs_tol=1e-10)
+
+
+@st.composite
+def _vb_like_streams(draw):
+    """Random small parameters with each array shrunk by its own factor, like
+    the VB surrogates, and a stream of 1-130 documents: a scan over 130
+    documents reaches 8 levels.  xi is mixed with the identity, down to zero
+    or near-zero off-diagonal entries as a truncated MAP estimate gives."""
+    spec = ModelSpec(draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    params = random_init(spec, make_prior(draw(st.sampled_from(["1", "H", "H+1"])), spec),
+                         draw(st.integers(0, 2**32 - 1)))
+    off = draw(st.sampled_from([1.0, 1e-3, 1e-30, 0.0]))
+    xi = (1.0 - off) * np.eye(spec.num_behaviours) + off * params.xi
+    shrink = draw(st.lists(st.floats(0.5, 1.0), min_size=4, max_size=4))
+    params = ModelParams(phi=params.phi * shrink[0], theta=params.theta * shrink[1],
+                         xi=xi * shrink[2], pi=params.pi * shrink[3])
+    num_docs = draw(st.integers(1, 130))
+    docs = draw(st.lists(st.lists(st.integers(0, spec.num_words - 1), min_size=1, max_size=5),
+                         min_size=num_docs, max_size=num_docs))
+    return params, corpus_from_lists(docs, spec)
+
+
+def _assert_same_e_step(got, want):
+    """log K within 1e-10 relative, and each count array within 1e-10 of its
+    largest entry."""
+    (log_k, counts), (ref_k, ref) = got, want
+    assert math.isclose(log_k, ref_k, rel_tol=1e-10, abs_tol=1e-12)
+    for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+        fast, slow = getattr(counts, name), getattr(ref, name)
+        assert np.abs(fast - slow).max() <= 1e-10 * np.abs(slow).max(), name
+
+
+class TestScannedEStep:
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_block_underflow_falls_back_to_log_domain(self, reverse, log_e_step_calls):
+        # Every scale is normal and every message finite, but the scan drops
+        # behaviour 1 after document 3, which the last documents make ~1e171
+        # times likelier than behaviour 0.  Reversed, the backward scan drops it.
+        params, corpus = block_underflow_instance(reverse)
+        log_lik, counts = inference.e_step(params, corpus)
+        assert len(log_e_step_calls) == 1
+        msgs, _, ref = _oracles.infer(params, corpus)
+        assert math.isclose(log_lik, msgs.log_K, rel_tol=1e-12)
+        assert np.allclose(counts.n_z1, [0.0, 1.0])
+        for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+            assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(swinging_streams())
+    def test_swinging_stream_matches_loop_and_log_domain(self, instance):
+        # The loop carries every message of these streams, and the scan must
+        # match it, or fall back, where a product of documents underflows.
+        params, corpus = instance
+        got = inference.e_step(params, corpus)
+        mix = params.phi @ params.theta
+        _assert_same_e_step(got, inference._log_e_step(
+            params, corpus, mix, inference.emission_logs(params, corpus, np.log(mix))))
+        _assert_same_e_step(got, _oracles.scaled_e_step(params, corpus))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_vb_like_streams())
+    def test_matches_loop_and_log_domain(self, instance):
+        params, corpus = instance
+        mix = params.phi @ params.theta
+        with np.errstate(divide="ignore"):
+            loge = inference.emission_logs(params, corpus, np.log(mix))
+        try:
+            want = inference._log_e_step(params, corpus, mix, loge)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                inference.e_step(params, corpus)
+            return
+        got = inference.e_step(params, corpus)
+        _assert_same_e_step(got, want)
+        loop_k, loop = _oracles.scaled_e_step(params, corpus)
+        if np.isfinite(loop_k) and all(np.all(np.isfinite(a)) for a in vars(loop).values()):
+            _assert_same_e_step(got, (loop_k, loop))
