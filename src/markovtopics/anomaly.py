@@ -17,12 +17,12 @@ reported likelihood is the mean over samples.  Plug-in scoring with a point
 estimate is the case S = 1.  Scoring a stream in consecutive chunks gives
 the same result as one call.
 
-The scorer's update stays in the log domain, operation for operation the
-per-document reference it is tested against at 1e-12 relative error: log
-likelihoods within rounding of 0 (a one-word vocabulary) meet that bound no
-other way.  The training stream that a scored stream continues needs only
-its last filtered posterior, and :func:`filtered_belief` computes it by the
-fit's forward scan, with the same restarts.
+The scorer's update is operation for operation the per-document reference
+it is tested against at 1e-12 relative error: log likelihoods within
+rounding of 0 (a one-word vocabulary) meet that bound no other way.  The
+belief moves linearly, through ``exp`` then ``xi``, so an entry below about
+e^-745 of the largest is dropped.  :func:`filtered_belief` gives the last
+filtered posterior of a training stream by the fit's forward scan.
 """
 from __future__ import annotations
 
@@ -89,8 +89,8 @@ def filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | None:
     restarts the belief from ``params.pi``.  One scan (``inference._forward``)
     filters the documents after the last one impossible under every
     behaviour.  A NaN message (a product underflowed), or a zero or subnormal
-    normaliser (underflow, or a restart that depends on the belief), has the
-    stream redone in the log domain.
+    normaliser (underflow, or a restart that depends on the belief), has
+    those documents redone by ``inference._log_forward``.
     """
     log_emit = inference.emission_logs(params, corpus).T  # (T, Z)
     shift = log_emit.max(axis=1, keepdims=True)
@@ -101,19 +101,10 @@ def filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | None:
     alpha, prior = inference._forward(emit, params.pi, params.xi)
     if np.einsum("tz,tz->t", emit, prior).min() >= _TINY and np.isfinite(alpha[-1]).all():
         return alpha[-1]
-    return _log_filtered_belief(params, log_emit)
-
-
-def _log_filtered_belief(params: ModelParams, log_emit: np.ndarray) -> np.ndarray | None:
-    """:func:`filtered_belief` on the emission logs (T, Z), one document at a time."""
-    belief, post = params.pi, None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for log_e in log_emit:
-            joint = log_e + np.log(belief)
-            log_lik = _lse(joint, axis=0)
-            post = None if log_lik == -np.inf else np.exp(joint - log_lik)
-            belief = params.pi if post is None else params.xi @ post
-    return post
+    with np.errstate(divide="ignore"):
+        log_alpha, scale = inference._log_forward(log_emit[start:], np.log(params.pi),
+                                                  np.log(params.xi))
+    return None if scale[-1] == -np.inf else np.exp(log_alpha[-1])
 
 
 def _filter(state: PredictiveState, corpus: Corpus,

@@ -130,36 +130,44 @@ def e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts
     return float(np.log(scale).sum() + shift.sum()), _counts(params, corpus, mix, gamma.T, n_zz)
 
 
+def _log_forward(loge: np.ndarray, log_pi: np.ndarray, log_xi: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised log forward messages (T, Z) of the emission logs ``loge``
+    (T, Z) from the log prior ``log_pi`` under ``log_xi``, one document at a
+    time, and each document's log likelihood given those before it (T,).  A
+    document impossible under the belief before it (log likelihood -inf) has
+    a NaN message and restarts the belief from ``log_pi``."""
+    log_alpha, scale = np.empty_like(loge), np.empty(len(loge))
+    prior = log_pi
+    with np.errstate(invalid="ignore"):
+        for t in range(len(loge)):
+            joint = loge[t] + prior
+            scale[t] = _lse(joint, axis=0)
+            log_alpha[t] = joint - scale[t]
+            prior = log_pi if scale[t] == -np.inf else _lse(log_alpha[t] + log_xi, axis=1)
+    return log_alpha, scale
+
+
 def _log_e_step(params: ModelParams, corpus: Corpus, mix: np.ndarray,
                 loge: np.ndarray) -> tuple[float, SufficientCounts]:
     """:func:`e_step` in the log domain, on the word mixtures ``mix`` and
-    their emission block ``loge`` (Z, T).
-
-    The forward message ``la[z, t]`` is the log joint of documents ``1..t``
-    and behaviour ``z`` at ``t``; the backward message ``lb[z, t]`` the log
-    probability of the later documents given it.  Raises
-    :class:`NumericalError` when the corpus is impossible under the model.
+    their emission block ``loge`` (Z, T): :func:`_log_forward` runs forward
+    and on the reversed stream under ``xi^T`` from a zero log prior, and the
+    posteriors follow as in :func:`e_step`.  Raises :class:`NumericalError`
+    when the corpus is impossible under the model.
     """
-    Z, T = loge.shape
     with np.errstate(divide="ignore"):
-        log_pi = np.log(params.pi)
-        log_xi = np.log(params.xi)
-    la = np.empty((Z, T))
-    la[:, 0] = log_pi + loge[:, 0]
-    for t in range(1, T):
-        la[:, t] = loge[:, t] + _lse(la[None, :, t - 1] + log_xi, axis=1)
-    lb = np.empty((Z, T))
-    lb[:, T - 1] = 0.0
-    for t in range(T - 2, -1, -1):
-        lb[:, t] = _lse((lb[:, t + 1] + loge[:, t + 1])[:, None] + log_xi, axis=0)
-    log_K = float(_lse(la[:, 0] + lb[:, 0], axis=0))
+        log_pi, log_xi = np.log(params.pi), np.log(params.xi)
+    la, scale = _log_forward(loge.T, log_pi, log_xi)
+    log_K = float(scale.sum())
     if log_K == -np.inf:
         raise NumericalError("corpus impossible under model: normalisation constant is zero")
-    gamma = np.exp(la + lb - log_K)
-    # [t - 1, z_new, z_old]: forward into z_old at t - 1, transition, then
-    # emission and backward out of z_new at t.
-    pair = la.T[:-1, None, :] + log_xi + (loge + lb).T[1:, :, None] - log_K
-    return log_K, _counts(params, corpus, mix, gamma, np.exp(pair).sum(axis=0))
+    post = _log_forward(loge.T[::-1], np.zeros_like(log_pi), log_xi.T)[0][::-1]
+    prior = np.vstack([log_pi, _lse(la[:-1, None, :] + log_xi, axis=2)])
+    norm = _lse(post + prior, axis=1)[:, None]
+    gamma = np.exp(post + prior - norm)
+    pair = log_xi + la[:-1, None, :] + (post - norm)[1:, :, None]
+    return log_K, _counts(params, corpus, mix, gamma.T, np.exp(pair).sum(axis=0))
 
 
 def _counts(params: ModelParams, corpus: Corpus, mix: np.ndarray, gamma: np.ndarray,

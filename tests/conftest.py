@@ -36,6 +36,17 @@ def block_underflow_instance(reverse=False):
     return params, corpus_from_lists(docs[::-1] if reverse else docs, spec)
 
 
+def revival_instance():
+    """phi = [[.9, .1], [.1, .9]], theta = xi = I, pi = (.5, .5) and the
+    documents [1] * 400, [0] * 500.  Document 1 leaves behaviour 0 at 9^-400
+    ~ e^-879 of behaviour 1, below what a float carries beside it, and
+    document 2 revives it: the filtered posterior after it is (1, 3.8e-96)."""
+    spec = ModelSpec(2, 2, 2)
+    params = ModelParams(phi=np.array([[0.9, 0.1], [0.1, 0.9]]), theta=np.eye(2),
+                         xi=np.eye(2), pi=np.array([0.5, 0.5]))
+    return params, corpus_from_lists([[1] * 400, [0] * 500], spec)
+
+
 @st.composite
 def swinging_streams(draw):
     """Two behaviours that favour one of two words each by the same odds,
@@ -64,3 +75,18 @@ def swinging_streams(draw):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``spy(module, name)`` wraps ``module.name`` for the test and returns
+    the list that the arguments of each of its calls are appended to."""
+    def install(module, name):
+        calls, real = [], getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+    return install

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from markovtopics import ModelSpec, corpus_from_lists, make_prior, random_init
-from markovtopics import anomaly, serialize, vb
+from markovtopics import anomaly, inference, serialize, vb
 from markovtopics.ingest import DIRECTIONS, FrameLayout
 from markovtopics.model import ModelParams
 
@@ -23,7 +23,7 @@ from _oracles import (
     word_log_liks_one_document,
     zero_counts,
 )
-from conftest import block_underflow_instance, random_instance, swinging_streams
+from conftest import block_underflow_instance, random_instance, revival_instance, swinging_streams
 
 
 def _uniform_params(X, Y, Z):
@@ -131,14 +131,6 @@ def _with_impossible_word(p):
     return ModelParams(phi=phi / phi.sum(axis=0), theta=p.theta, xi=p.xi, pi=p.pi)
 
 
-@pytest.fixture
-def log_filtered_belief_calls(monkeypatch):
-    """Arguments of every call of the log-domain filter, which still runs."""
-    calls, real = [], anomaly._log_filtered_belief
-    monkeypatch.setattr(anomaly, "_log_filtered_belief", lambda *a: calls.append(a) or real(*a))
-    return calls
-
-
 class TestFilteredBelief:
     def test_matches_forward_column(self, rng):
         spec, p, corpus = random_instance(rng)
@@ -148,23 +140,35 @@ class TestFilteredBelief:
         assert np.allclose(b, expected, atol=1e-12)
         assert np.isclose(b.sum(), 1.0, atol=1e-12)
 
-    def test_underflow_redone_in_log_domain(self, log_filtered_belief_calls):
+    def test_underflow_redone_in_log_domain(self, spy):
+        log_forward_calls = spy(inference, "_log_forward")
         p = _underflow_params()
         corpus = corpus_from_lists([[0, 1], [1] * 20], p.spec)
         _, ref_state, _ = _reference_stream([p], corpus)
         # xi = I: the filtered posterior is the next document's belief.
         np.testing.assert_allclose(anomaly.filtered_belief(p, corpus),
                                    ref_state.behaviour_belief[0], rtol=1e-12, atol=0)
-        assert len(log_filtered_belief_calls) == 1
+        assert len(log_forward_calls) == 1
 
-    def test_block_underflow_redone_in_log_domain(self, log_filtered_belief_calls):
+    def test_block_underflow_redone_in_log_domain(self, spy):
         # Every normaliser is normal, but the scan drops behaviour 1 after
         # document 3, which the last documents make ~1e171 times likelier.
+        log_forward_calls = spy(inference, "_log_forward")
         p, corpus = block_underflow_instance()
         got = anomaly.filtered_belief(p, corpus)
         np.testing.assert_allclose(got, _oracles.scaled_filtered_belief(p, corpus), rtol=1e-12, atol=0)
         assert got[1] == 1.0
-        assert len(log_filtered_belief_calls) == 1
+        assert len(log_forward_calls) == 1
+
+    def test_revives_behaviour_below_float_range(self, spy):
+        # Behaviour 0 is ~e^-879 of behaviour 1 after document 1, which a
+        # linear belief drops for good; document 2 makes it the likelier.
+        log_forward_calls = spy(inference, "_log_forward")
+        p, corpus = revival_instance()
+        log_alpha = _oracles.messages(p, corpus).log_alpha[:, -1]
+        np.testing.assert_allclose(anomaly.filtered_belief(p, corpus),
+                                   np.exp(log_alpha - logsumexp(log_alpha)), rtol=1e-12, atol=0)
+        assert len(log_forward_calls) == 1
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(swinging_streams())

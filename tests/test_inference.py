@@ -18,7 +18,7 @@ from markovtopics.model import NumericalError
 
 import _oracles
 from _oracles import enum_expected_counts, enum_marginal_and_posteriors, log_marginal_likelihood
-from conftest import block_underflow_instance, random_instance, swinging_streams
+from conftest import block_underflow_instance, random_instance, revival_instance, swinging_streams
 
 
 def _uniform_params(X, Y, Z):
@@ -264,18 +264,6 @@ class TestRunningProducts:
             assert not np.any(np.isfinite(out[k + 1:]))
 
 
-@pytest.fixture
-def log_e_step_calls(monkeypatch):
-    """Arguments of every call of the log-domain E-step, which still runs."""
-    calls, real = [], inference._log_e_step
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(inference, "_log_e_step", spy)
-    return calls
-
-
 class TestEStep:
     def test_matches_token_level_reference_mid_size(self):
         spec = ModelSpec(240, 5, 3)
@@ -289,10 +277,11 @@ class TestEStep:
             fast, slow = getattr(counts, name), getattr(ref, name)
             assert np.abs(fast - slow).max() <= 1e-7 * np.abs(slow).max(), name
 
-    def test_zero_scale_falls_back_to_log_domain(self, log_e_step_calls):
+    def test_zero_scale_falls_back_to_log_domain(self, spy):
         # Behaviour 1 is the only one that can emit word 2, but after 100
         # tokens of word 0 its scaled forward message is exactly zero and
         # identity transitions never revive it: the second scale is zero.
+        log_e_step_calls = spy(inference, "_log_e_step")
         params = ModelParams(phi=np.array([[0.9, 1e-9], [0.1, 0.5], [0.0, 0.5 - 1e-9]]),
                              theta=np.eye(2), xi=np.eye(2), pi=np.array([0.5, 0.5]))
         corpus = corpus_from_lists([[0] * 100, [2]], ModelSpec(3, 2, 2))
@@ -304,11 +293,12 @@ class TestEStep:
         for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
             assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
 
-    def test_overflowed_backward_falls_back_to_log_domain(self, log_e_step_calls):
+    def test_overflowed_backward_falls_back_to_log_domain(self, spy):
         # Document 1 favours behaviour 0 by about e^815, so behaviour 1's
         # scaled forward message underflows to zero; the later documents
         # favour behaviour 1 by e^680 each.  Every scale is positive, but the
         # backward message of behaviour 1 overflows.
+        log_e_step_calls = spy(inference, "_log_e_step")
         phi = np.array([[0.9, 1e-3], [1e-3, 0.9], [0.099, 0.099]])
         params = ModelParams(phi=phi / phi.sum(axis=0), theta=np.eye(2), xi=np.eye(2),
                              pi=np.array([0.5, 0.5]))
@@ -321,11 +311,12 @@ class TestEStep:
         for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
             assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
 
-    def test_one_document_falls_back_to_log_domain(self, log_e_step_calls):
+    def test_one_document_falls_back_to_log_domain(self, spy):
         # Behaviour 0 starts the chain but gives word 1 a tenth of the mass
         # behaviour 1 does: e^-921 against e^-0.4 over 400 tokens.  Shifted by
         # the larger emission, behaviour 0's emission underflows to zero and
         # pi zeroes behaviour 1, so the only scale is zero.
+        log_e_step_calls = spy(inference, "_log_e_step")
         params = ModelParams(phi=np.array([[0.9, 1e-3], [0.1, 0.999]]), theta=np.eye(2),
                              xi=np.eye(2), pi=np.array([1.0, 0.0]))
         corpus = corpus_from_lists([[1] * 400], ModelSpec(2, 2, 2))
@@ -338,7 +329,8 @@ class TestEStep:
         for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
             assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
 
-    def test_impossible_corpus_raises(self, log_e_step_calls):
+    def test_impossible_corpus_raises(self, spy):
+        log_e_step_calls = spy(inference, "_log_e_step")
         phi = np.array([[1.0], [0.0]])
         p = ModelParams(phi=phi, theta=np.ones((1, 1)), xi=np.ones((1, 1)),
                         pi=np.array([1.0]))
@@ -427,10 +419,11 @@ def _assert_same_e_step(got, want):
 
 class TestScannedEStep:
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_block_underflow_falls_back_to_log_domain(self, reverse, log_e_step_calls):
+    def test_block_underflow_falls_back_to_log_domain(self, reverse, spy):
         # Every scale is normal and every message finite, but the scan drops
         # behaviour 1 after document 3, which the last documents make ~1e171
         # times likelier than behaviour 0.  Reversed, the backward scan drops it.
+        log_e_step_calls = spy(inference, "_log_e_step")
         params, corpus = block_underflow_instance(reverse)
         log_lik, counts = inference.e_step(params, corpus)
         assert len(log_e_step_calls) == 1
@@ -439,6 +432,36 @@ class TestScannedEStep:
         assert np.allclose(counts.n_z1, [0.0, 1.0])
         for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
             assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
+
+    def test_revival_matches_token_level_reference(self):
+        params, corpus = revival_instance()
+        log_lik, counts = inference.e_step(params, corpus)
+        msgs, _, ref = _oracles.infer(params, corpus)
+        assert math.isclose(log_lik, msgs.log_K, rel_tol=1e-12)
+        for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+            assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
+
+    def test_log_domain_keeps_accuracy_on_long_runs(self, spy):
+        # 123 runs of one word, 1500-2600 tokens each, give |log K| ~ 2.7e4.
+        # Log messages that carry the whole log joint lose about
+        # T * eps * |log K| in every posterior; normalised ones do not.
+        rng = np.random.default_rng(123)
+        odds, off = 9.0, 1e-3
+        params = ModelParams(phi=np.array([[odds, 1.0], [1.0, odds]]) / (odds + 1.0),
+                             theta=np.eye(2), xi=(1.0 - off) * np.eye(2) + off * (1.0 - np.eye(2)),
+                             pi=np.array([0.5, 0.5]))
+        docs = [[int(rng.integers(2))] * int(rng.integers(1500, 2601)) for _ in range(123)]
+        corpus = corpus_from_lists(docs, ModelSpec(2, 2, 2))
+        log_e_step_calls = spy(inference, "_log_e_step")
+        ref_k, ref = inference.e_step(params, corpus)
+        assert not log_e_step_calls
+        mix = params.phi @ params.theta
+        log_k, counts = inference._log_e_step(
+            params, corpus, mix, inference.emission_logs(params, corpus, np.log(mix)))
+        assert math.isclose(log_k, ref_k, rel_tol=1e-14)
+        for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+            fast, slow = getattr(counts, name), getattr(ref, name)
+            assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max(), name
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(swinging_streams())
@@ -470,3 +493,32 @@ class TestScannedEStep:
         loop_k, loop = _oracles.scaled_e_step(params, corpus)
         if np.isfinite(loop_k) and all(np.all(np.isfinite(a)) for a in vars(loop).values()):
             _assert_same_e_step(got, (loop_k, loop))
+
+
+class TestLogForward:
+    @staticmethod
+    def _assert_matches_oracle(params, corpus):
+        """Each normalised message is the oracle's forward column minus its
+        log-sum-exp, and the running sum of the log likelihoods is that
+        log-sum-exp, both at 1e-10."""
+        loge = inference.emission_logs(params, corpus)
+        with np.errstate(divide="ignore"):
+            log_alpha, scale = inference._log_forward(loge.T, np.log(params.pi), np.log(params.xi))
+        la = _oracles.forward(params, corpus, loge).T
+        lse = logsumexp(la, axis=1)
+        np.testing.assert_allclose(np.cumsum(scale), lse, rtol=1e-10, atol=1e-10)
+        # After a document impossible under every path the oracle stays at
+        # -inf, while the recursion restarts.
+        possible = np.isfinite(lse)
+        np.testing.assert_allclose(log_alpha[possible], la[possible] - lse[possible, None],
+                                   rtol=1e-10, atol=1e-10)
+
+    def test_matches_oracle_on_random_instances(self, rng):
+        for _ in range(50):
+            _, params, corpus = random_instance(rng)
+            self._assert_matches_oracle(params, corpus)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_vb_like_streams())
+    def test_matches_oracle_on_vb_like_streams(self, instance):
+        self._assert_matches_oracle(*instance)
