@@ -22,7 +22,9 @@ it is tested against at 1e-12 relative error: log likelihoods within
 rounding of 0 (a one-word vocabulary) meet that bound no other way.  The
 belief moves linearly, through ``exp`` then ``xi``, so an entry below about
 e^-745 of the largest is dropped.  :func:`filtered_belief` gives the last
-filtered posterior of a training stream by the fit's forward scan.
+filtered posterior of a training stream by the fit's forward scan, which
+stands only when every belief entry is at least 1e-280 and every message
+matches its one-step update from the exponents; else the log domain.
 """
 from __future__ import annotations
 
@@ -35,8 +37,6 @@ from . import inference
 from .inference import _lse
 from .ingest import decode_words
 from .model import Corpus, ModelParams
-
-_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -88,21 +88,18 @@ def filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | None:
     filters a stream: a document impossible under the belief before it
     restarts the belief from ``params.pi``.  One scan (``inference._forward``)
     filters the documents after the last one impossible under every
-    behaviour.  A NaN message (a product underflowed), or a zero or subnormal
-    normaliser (underflow, or a restart that depends on the belief), has
-    those documents redone by ``inference._log_forward``.
+    behaviour; when it does not stand (NaN), ``inference._log_forward``
+    redoes those documents.
     """
-    log_emit = inference.emission_logs(params, corpus).T  # (T, Z)
-    shift = log_emit.max(axis=1, keepdims=True)
-    start = np.flatnonzero(np.append(True, shift[:, 0] == -np.inf))[-1]
+    loge = inference.emission_logs(inference.word_mixture_logs(params), corpus)
+    start = np.flatnonzero(np.append(True, loge.max(axis=1) == -np.inf))[-1]
     if start == len(corpus):
         return None
-    emit = np.exp(log_emit[start:] - shift[start:])
-    alpha, prior = inference._forward(emit, params.pi, params.xi)
-    if np.einsum("tz,tz->t", emit, prior).min() >= _TINY and np.isfinite(alpha[-1]).all():
-        return alpha[-1]
+    alpha = inference._forward(loge[start:], params.pi, params.xi)[0][-1]
+    if not np.isnan(alpha[0]):
+        return alpha
     with np.errstate(divide="ignore"):
-        log_alpha, scale = inference._log_forward(log_emit[start:], np.log(params.pi),
+        log_alpha, scale = inference._log_forward(loge[start:], np.log(params.pi),
                                                   np.log(params.xi))
     return None if scale[-1] == -np.inf else np.exp(log_alpha[-1])
 
@@ -119,7 +116,7 @@ def _filter(state: PredictiveState, corpus: Corpus,
     num_samples, num_behaviours = state.behaviour_belief.shape
     block = np.empty((len(corpus), num_samples, num_behaviours))
     for s, log_mix in enumerate(state.log_mix):
-        block[:, s, :] = inference.emission_logs(None, corpus, log_mix=log_mix).T
+        block[:, s, :] = inference.emission_logs(log_mix, corpus)
     per_sample = np.empty((len(corpus), num_samples))
     xi, pi = state.xi, state.pi
     belief = state.behaviour_belief

@@ -35,9 +35,7 @@ class GibbsState:
     y_flat: np.ndarray  # topic of every token, in the order of Corpus.tokens
     z_assign: np.ndarray
     counts: SufficientCounts
-    topic_totals: np.ndarray  # cached column sums of n_xy
     rng: np.random.Generator
-    sweeps: int = 0
 
 
 def tally(y_flat, z_assign, corpus: Corpus) -> SufficientCounts:
@@ -65,9 +63,8 @@ def gibbs_init(corpus: Corpus, spec: ModelSpec, seed: int) -> GibbsState:
     y_flat = np.concatenate([rng.integers(0, spec.num_topics, size=n)
                              for n in np.diff(corpus.offsets).tolist()])
     z_assign = rng.integers(0, spec.num_behaviours, size=len(corpus))
-    counts = tally(y_flat, z_assign, corpus)
     return GibbsState(y_flat=y_flat, z_assign=z_assign,
-                      counts=counts, topic_totals=counts.n_xy.sum(axis=0), rng=rng)
+                      counts=tally(y_flat, z_assign, corpus), rng=rng)
 
 
 def _column_total(column, alpha) -> float:
@@ -216,7 +213,7 @@ def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
     topics = range(last + 1)
     n_xy = counts.n_xy.tolist()
     n_zy = counts.n_yz.T.tolist()
-    totals = state.topic_totals.tolist()
+    totals = counts.n_xy.sum(axis=0).tolist()
     alpha = hyper.alpha.tolist()
     beta = hyper.beta.tolist()
     beta_sum = float(hyper.beta.sum())
@@ -245,25 +242,13 @@ def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
 
     counts.n_xy[...] = n_xy
     counts.n_yz[...] = np.array(n_zy).T
-    state.topic_totals[...] = totals
     state.y_flat[...] = ys
 
 
-def gibbs_sweep(state: GibbsState, corpus: Corpus, hyper: Hyperparams,
-                audit: bool = False) -> GibbsState:
-    """One full pass: behaviours in time order, then topics in corpus order.
-
-    With ``audit`` the tallies are recounted from scratch afterwards and a
-    mismatch aborts.
-    """
+def gibbs_sweep(state: GibbsState, corpus: Corpus, hyper: Hyperparams) -> GibbsState:
+    """One full pass: behaviours in time order, then topics in corpus order."""
     _resample_behaviours(state, corpus, hyper)
     _resample_topics(state, corpus, hyper)
-    state.sweeps += 1
-    if audit:
-        fresh = tally(state.y_flat, state.z_assign, corpus)
-        for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
-            if not np.array_equal(getattr(fresh, name), getattr(state.counts, name)):
-                raise AssertionError(f"count audit failed for {name} after sweep {state.sweeps}")
     return state
 
 

@@ -1,12 +1,13 @@
 """Forward-backward engine for the behaviour chain, and the EM/VB fit loop.
 
 Fits use :func:`e_step`: one forward-backward pass on the per-document
-emission block ``(Z, T)`` of the corpus's sparse doc-term matrix, which
+emission block ``(T, Z)`` of the corpus's sparse doc-term matrix, which
 yields the four expected count arrays without per-token tensors.  Its
 messages are running products of per-document maps, one prefix scan each
-(Blelloch 1990); when a product underflows the pass is redone on the same
-block in the log domain, where nothing underflows.  The token-level
-recursions the oracle tests check against live in ``tests/_oracles.py``.
+(Blelloch 1990), and :func:`_forward` alone decides whether a scan stands;
+when one does not, the pass is redone on the same block in the log domain,
+where nothing underflows.  The token-level recursions the oracle tests check
+against live in ``tests/_oracles.py``.
 
 The engine also accepts the sub-stochastic "tilde" surrogate parameters used
 by variational inference; normalization by the overall constant absorbs the
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -54,19 +56,16 @@ def word_mixture_logs(params: ModelParams) -> np.ndarray:
         return np.log(mix)
 
 
-def emission_logs(params: ModelParams | None, corpus: Corpus,
-                  log_mix: np.ndarray | None = None) -> np.ndarray:
-    """Per-document log emission under each behaviour, shape (Z, T).
+def emission_logs(log_mix: np.ndarray, corpus: Corpus) -> np.ndarray:
+    """Per-document log emission under each behaviour, shape (T, Z), from the
+    word mixture logs ``log_mix`` (num_words, Z).
 
-    Entry (z, t) sums the log mixture probability of every token of
-    document t given behaviour z: ``(B^T log_mix)^T`` for the doc-term
-    matrix ``B``.  A token with zero mixture probability contributes -inf;
-    it is propagated, not clamped.  ``params`` is read only when
-    ``log_mix`` is not given.
+    Entry (t, z) sums the log mixture probability of every token of
+    document t given behaviour z: ``B^T log_mix`` for the doc-term matrix
+    ``B``.  A token with zero mixture probability contributes -inf; it is
+    propagated, not clamped.
     """
-    if log_mix is None:
-        log_mix = word_mixture_logs(params)
-    return (corpus.doc_term.T @ log_mix).T
+    return corpus.doc_term.T @ log_mix
 
 
 def _running_products(maps: np.ndarray) -> np.ndarray:
@@ -83,51 +82,69 @@ def _running_products(maps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward(emit: np.ndarray, pi: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalised forward messages (T, Z) of the emissions ``emit`` (T, Z),
-    scanned from ``diag(emit[0] * pi)`` over ``diag(emit[t]) xi``, and the
-    belief before each document (``pi``, then ``xi @ alpha[t - 1]``).  The
-    messages are all NaN unless each entry is within 1e-12 relative of its
-    one-step update: a product of documents can underflow where no step does."""
-    maps = emit[:, :, None] * xi
-    maps[0] = np.diag(emit[0] * pi)
-    with np.errstate(invalid="ignore"):
+#: Smallest belief entry a scan is trusted with.  A linear message drops
+#: mass below 1e-323, which cannot move an entry this large by one rounding.
+_FLOOR = 1e-280
+
+
+def _forward(loge: np.ndarray, pi: np.ndarray, xi: np.ndarray,
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalised forward messages (T, Z) of the emission logs ``loge``
+    (T, Z), each document shifted by its largest, scanned from
+    ``diag(emit[0] * pi)`` over ``diag(emit[t]) xi``; the belief before each
+    document (``pi``, then ``xi @ alpha[t - 1]``); and each document's log
+    likelihood given those before it (T,).
+
+    All three are NaN unless every belief entry is at least ``_FLOOR`` and
+    every message entry is within 1e-12 relative of its one-step update
+    taken from the exponents, ``exp(loge - shift - log scale + log prior)``.
+    The floor catches a behaviour a message dropped gradually, and the step
+    one dropped within a single document, or by a product of documents that
+    underflowed where no single step does.
+    """
+    # Column by column: numpy reduces and broadcasts along a short last axis
+    # one row at a time, twenty times slower at Z = 4.
+    shift = reduce(np.maximum, loge.T)[:, None]
+    with np.errstate(all="ignore"):
+        shifted = loge - shift
+        emit = np.exp(shifted)
+        maps = np.einsum("tz,zy->tzy", emit, xi)
+        maps[0] = np.diag(emit[0] * pi)
         rows = _running_products(maps).sum(axis=2)
         alpha = rows / rows.sum(axis=1, keepdims=True)
         prior = np.vstack([pi, alpha[:-1] @ xi.T])
-        step = emit * prior / np.einsum("tz,tz->t", emit, prior)[:, None]
-    consistent = np.all(np.abs(alpha - step) <= 1e-12 * step)
-    return (alpha if consistent else np.full_like(alpha, np.nan)), prior
+        log_scale = np.log(np.einsum("tz,tz->t", emit, prior))[:, None]
+        step = np.exp(shifted - log_scale + np.log(prior))
+        trusted = prior.min() >= _FLOOR and np.all(np.abs(alpha - step) <= 1e-12 * step)
+    if not trusted:
+        return np.full_like(alpha, np.nan), np.full_like(prior, np.nan), np.full(len(loge), np.nan)
+    return alpha, prior, (shift + log_scale)[:, 0]
 
 
 def e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts]:
     """Log normalisation constant and expected counts from the doc-term matrix.
 
-    On the emissions shifted by their per-document maximum, :func:`_forward`
-    scans the forward messages, and on the reversed stream under ``xi^T``
-    the normalised ``emit[t] * beta[t]``.  Tokens of one word in one document
-    share a posterior, so with ``C = (B gamma) / mix`` the counts are ``n_xy =
-    phi * (C theta^T)`` and ``n_yz = theta * (phi^T C)``.  A NaN message (a
-    product underflowed), a zero scale or a non-finite posterior has the pass
-    redone in the log domain (:func:`_log_e_step`), which raises
-    :class:`NumericalError` when the corpus is impossible under the model.
+    :func:`_forward` scans the forward messages, and on the reversed stream
+    under ``xi^T`` the normalised ``emit[t] * beta[t]``.  Tokens of one word
+    in one document share a posterior, so with ``C = (B gamma) / mix`` the
+    counts are ``n_xy = phi * (C theta^T)`` and ``n_yz = theta * (phi^T C)``.
+    When either scan is not trusted (NaN), the pass is redone in the log
+    domain (:func:`_log_e_step`), which raises :class:`NumericalError` when
+    the corpus is impossible under the model.
     """
     mix = params.phi @ params.theta
     xi = params.xi
-    with np.errstate(all="ignore"):
-        loge = emission_logs(params, corpus, np.log(mix))
-        shift = loge.max(axis=0)
-        emit = np.exp(loge - shift).T
-        alpha, prior = _forward(emit, params.pi, xi)
-        post = _forward(emit[::-1], np.ones_like(params.pi), xi.T)[0][::-1]
-        # Posterior post[t] * prior[t] / norm[t]; pair posterior of documents
-        # t - 1, t: xi * outer(post[t], alpha[t - 1]) / norm[t].
-        scale, norm = np.einsum("tz,tz->t", emit, prior), np.einsum("tz,tz->t", post, prior)
-        gamma = post * prior / norm[:, None]
-        n_zz = xi * ((post[1:] / norm[1:, None]).T @ alpha[:-1])
-    if not (scale.min() > 0 and np.all(np.isfinite(gamma)) and np.all(np.isfinite(n_zz))):
+    with np.errstate(divide="ignore"):
+        loge = emission_logs(np.log(mix), corpus)
+    alpha, prior, log_lik = _forward(loge, params.pi, xi)
+    post = _forward(loge[::-1], np.ones_like(params.pi), xi.T)[0][::-1]
+    if np.isnan(log_lik[0]) or np.isnan(post[0, 0]):
         return _log_e_step(params, corpus, mix, loge)
-    return float(np.log(scale).sum() + shift.sum()), _counts(params, corpus, mix, gamma.T, n_zz)
+    # Posterior post[t] * prior[t] / norm[t]; pair posterior of documents
+    # t - 1, t: xi * outer(post[t], alpha[t - 1]) / norm[t].
+    norm = np.einsum("tz,tz->t", post, prior)[:, None]
+    n_zz = xi * ((post[1:] / norm[1:]).T @ alpha[:-1])
+    return float(log_lik.sum()), _counts(params, corpus, mix, post * prior / norm, n_zz)
 
 
 def _log_forward(loge: np.ndarray, log_pi: np.ndarray, log_xi: np.ndarray,
@@ -151,33 +168,33 @@ def _log_forward(loge: np.ndarray, log_pi: np.ndarray, log_xi: np.ndarray,
 def _log_e_step(params: ModelParams, corpus: Corpus, mix: np.ndarray,
                 loge: np.ndarray) -> tuple[float, SufficientCounts]:
     """:func:`e_step` in the log domain, on the word mixtures ``mix`` and
-    their emission block ``loge`` (Z, T): :func:`_log_forward` runs forward
+    their emission block ``loge`` (T, Z): :func:`_log_forward` runs forward
     and on the reversed stream under ``xi^T`` from a zero log prior, and the
     posteriors follow as in :func:`e_step`.  Raises :class:`NumericalError`
     when the corpus is impossible under the model.
     """
     with np.errstate(divide="ignore"):
         log_pi, log_xi = np.log(params.pi), np.log(params.xi)
-    la, scale = _log_forward(loge.T, log_pi, log_xi)
+    la, scale = _log_forward(loge, log_pi, log_xi)
     log_K = float(scale.sum())
     if log_K == -np.inf:
         raise NumericalError("corpus impossible under model: normalisation constant is zero")
-    post = _log_forward(loge.T[::-1], np.zeros_like(log_pi), log_xi.T)[0][::-1]
+    post = _log_forward(loge[::-1], np.zeros_like(log_pi), log_xi.T)[0][::-1]
     prior = np.vstack([log_pi, _lse(la[:-1, None, :] + log_xi, axis=2)])
     norm = _lse(post + prior, axis=1)[:, None]
     gamma = np.exp(post + prior - norm)
     pair = log_xi + la[:-1, None, :] + (post - norm)[1:, :, None]
-    return log_K, _counts(params, corpus, mix, gamma.T, np.exp(pair).sum(axis=0))
+    return log_K, _counts(params, corpus, mix, gamma, np.exp(pair).sum(axis=0))
 
 
 def _counts(params: ModelParams, corpus: Corpus, mix: np.ndarray, gamma: np.ndarray,
             n_zz: np.ndarray) -> SufficientCounts:
     """The four expected count arrays from the behaviour posteriors ``gamma``
-    (Z, T) and the summed pair posteriors ``n_zz``."""
-    c = np.divide(corpus.doc_term @ gamma.T, mix, out=np.zeros_like(mix), where=mix > 0)
+    (T, Z) and the summed pair posteriors ``n_zz``."""
+    c = np.divide(corpus.doc_term @ gamma, mix, out=np.zeros_like(mix), where=mix > 0)
     return SufficientCounts(n_xy=params.phi * (c @ params.theta.T),
                             n_yz=params.theta * (params.phi.T @ c),
-                            n_zz=n_zz, n_z1=gamma[:, 0].copy())
+                            n_zz=n_zz, n_z1=gamma[0].copy())
 
 
 def init_e_step(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,

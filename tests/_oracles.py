@@ -235,7 +235,7 @@ def vectorised_topic_step(state, corpus, hyper):
     drawing one uniform per token: the reference the scalar loop in
     ``gibbs`` must match bit for bit."""
     n_xy, n_yz = state.counts.n_xy, state.counts.n_yz
-    totals = state.topic_totals
+    totals = n_xy.sum(axis=0)
     alpha, beta = hyper.alpha, hyper.beta
     beta_sum = beta.sum()
     num_topics = n_xy.shape[1]
@@ -397,7 +397,7 @@ class Messages:
     log_alpha: np.ndarray  # (num_behaviours, T)
     log_beta: np.ndarray  # (num_behaviours, T)
     log_K: float
-    log_emission: np.ndarray  # (num_behaviours, T)
+    log_emission: np.ndarray  # (T, num_behaviours)
 
 
 @dataclass
@@ -414,16 +414,16 @@ def forward(params: ModelParams, corpus: Corpus,
             log_emission: np.ndarray | None = None) -> np.ndarray:
     """Log forward messages: joint of the prefix and the current behaviour."""
     if log_emission is None:
-        log_emission = emission_logs(params, corpus)
-    Z, T = log_emission.shape
+        log_emission = emission_logs(word_mixture_logs(params), corpus)
+    T, Z = log_emission.shape
     with np.errstate(divide="ignore"):
         log_pi = np.log(params.pi)
         log_xi = np.log(params.xi)
     la = np.empty((Z, T))
-    la[:, 0] = log_pi + log_emission[:, 0]
+    la[:, 0] = log_pi + log_emission[0]
     for t in range(1, T):
         # la[z, t] = e(z, t) + logsumexp_z'( la[z', t-1] + log xi[z, z'] )
-        la[:, t] = log_emission[:, t] + _lse(la[None, :, t - 1] + log_xi, axis=1)
+        la[:, t] = log_emission[t] + _lse(la[None, :, t - 1] + log_xi, axis=1)
     return la
 
 
@@ -431,15 +431,15 @@ def backward(params: ModelParams, corpus: Corpus,
              log_emission: np.ndarray | None = None) -> np.ndarray:
     """Log backward messages; the final column is zero by definition."""
     if log_emission is None:
-        log_emission = emission_logs(params, corpus)
-    Z, T = log_emission.shape
+        log_emission = emission_logs(word_mixture_logs(params), corpus)
+    T, Z = log_emission.shape
     with np.errstate(divide="ignore"):
         log_xi = np.log(params.xi)
     lb = np.empty((Z, T))
     lb[:, T - 1] = 0.0
     for t in range(T - 2, -1, -1):
         # lb[z, t] = logsumexp_z'( lb[z', t+1] + log xi[z', z] + e(z', t+1) )
-        lb[:, t] = _lse((lb[:, t + 1] + log_emission[:, t + 1])[:, None] + log_xi, axis=0)
+        lb[:, t] = _lse((lb[:, t + 1] + log_emission[t + 1])[:, None] + log_xi, axis=0)
     return lb
 
 
@@ -452,27 +452,27 @@ def scaled_e_step(params: ModelParams, corpus: Corpus) -> tuple[float, Sufficien
     mix = params.phi @ params.theta
     xi = params.xi
     with np.errstate(all="ignore"):
-        loge = emission_logs(params, corpus, np.log(mix))
-        shift = loge.max(axis=0)
-        emit = np.exp(loge - shift)
-        Z, T = emit.shape
-        alpha = np.empty((Z, T))
+        loge = emission_logs(np.log(mix), corpus)
+        shift = loge.max(axis=1)
+        emit = np.exp(loge - shift[:, None])
+        T, Z = emit.shape
+        alpha = np.empty((T, Z))
         scale = np.empty(T)
-        a = params.pi * emit[:, 0]
+        a = params.pi * emit[0]
         scale[0] = a.sum()
-        alpha[:, 0] = a / scale[0]
+        alpha[0] = a / scale[0]
         for t in range(1, T):
-            a = emit[:, t] * (xi @ alpha[:, t - 1])
+            a = emit[t] * (xi @ alpha[t - 1])
             scale[t] = a.sum()
-            alpha[:, t] = a / scale[t]
+            alpha[t] = a / scale[t]
         # beta is scaled by the same constants, so alpha * beta is the posterior.
-        emit /= scale
-        beta = np.empty((Z, T))
-        beta[:, T - 1] = 1.0
+        emit /= scale[:, None]
+        beta = np.empty((T, Z))
+        beta[T - 1] = 1.0
         for t in range(T - 2, -1, -1):
-            beta[:, t] = xi.T @ (emit[:, t + 1] * beta[:, t + 1])
+            beta[t] = xi.T @ (emit[t + 1] * beta[t + 1])
         gamma = alpha * beta
-        n_zz = xi * ((emit[:, 1:] * beta[:, 1:]) @ alpha[:, :-1].T)
+        n_zz = xi * ((emit[1:] * beta[1:]).T @ alpha[:-1])
         log_K = float(np.sum(np.log(scale)) + np.sum(shift))
         return log_K, _counts(params, corpus, mix, gamma, n_zz)
 
@@ -482,7 +482,7 @@ def scaled_filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | 
     forward update, each update whose normaliser is zero or subnormal redone
     in the log domain, and the belief restarted from ``pi`` after a document
     impossible under it."""
-    log_emit = emission_logs(params, corpus).T  # (T, Z)
+    log_emit = emission_logs(word_mixture_logs(params), corpus)
     shift = log_emit.max(axis=1, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
     emit = np.exp(log_emit - shift)
@@ -507,7 +507,7 @@ def scaled_filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | 
 
 def messages(params: ModelParams, corpus: Corpus) -> Messages:
     """Run both passes once, sharing the emission logs."""
-    loge = emission_logs(params, corpus)
+    loge = emission_logs(word_mixture_logs(params), corpus)
     la = forward(params, corpus, loge)
     lb = backward(params, corpus, loge)
     log_K = float(logsumexp(la[:, 0] + lb[:, 0]))
@@ -538,7 +538,7 @@ def posteriors(params: ModelParams, corpus: Corpus, msgs: Messages) -> Posterior
         # [z_new, z_old]: forward into z_old at t-1, transition, emission
         # and backward out of z_new at t.
         lp = (la[None, :, t - 1] + log_xi
-              + (loge[:, t] + lb[:, t])[:, None] - log_K)
+              + (loge[t] + lb[:, t])[:, None] - log_K)
         pair_zz[t - 1] = np.exp(lp)
 
     token_yz = []

@@ -47,6 +47,50 @@ def revival_instance():
     return params, corpus_from_lists([[1] * 400, [0] * 500], spec)
 
 
+def steep_instance(off=0.0):
+    """phi = [[.9, .1], [.1, .9]], theta = I, xi off-diagonal ``off``,
+    pi = (.5, .5) and the documents [1] * 200, [0] * 350, [1] * 300.  Document
+    2 favours behaviour 0 by 9^350 ~ e^769, so behaviour 1's emission,
+    shifted by behaviour 0's, underflows; but behaviour 1 started it at
+    e^439 to 1, so it is e^-330 of behaviour 0 after it, and document 3 makes
+    it the likelier: the filtered posterior is (7.3e-144, 1)."""
+    spec = ModelSpec(2, 2, 2)
+    params = ModelParams(phi=np.array([[0.9, 0.1], [0.1, 0.9]]), theta=np.eye(2),
+                         xi=(1.0 - off) * np.eye(2) + off * (1.0 - np.eye(2)),
+                         pi=np.array([0.5, 0.5]))
+    return params, corpus_from_lists([[1] * 200, [0] * 350, [1] * 300], spec)
+
+
+def gradual_instance():
+    """The parameters of :func:`steep_instance` with xi = I and the documents
+    [1] * 400, then four [0] * 137.  No document's emissions span more than
+    e^879, but document 1 leaves behaviour 0 at e^-879 of behaviour 1, below
+    what a float carries beside it; each later document gives it back e^301,
+    so the filtered posterior is (1, 5.9e-142)."""
+    params, _ = steep_instance()
+    return params, corpus_from_lists([[1] * 400] + [[0] * 137] * 4, params.spec)
+
+
+@st.composite
+def steep_streams(draw):
+    """The two behaviours of :func:`swinging_streams` at odds 4-20, xi the
+    identity or off by 1e-300 or 1e-200, and 2-8 documents, each a run of one
+    word worth a uniform draw of up to e^1100 of evidence, at least one of
+    them more than e^745: its emissions span more than a shifted ``exp``
+    carries.  Runs and words come from a seeded numpy generator."""
+    odds = draw(st.floats(4.0, 20.0))
+    off = draw(st.sampled_from([0.0, 1e-300, 1e-200]))
+    params = ModelParams(phi=np.array([[odds, 1.0], [1.0, odds]]) / (odds + 1.0),
+                         theta=np.eye(2), xi=(1.0 - off) * np.eye(2) + off * (1.0 - np.eye(2)),
+                         pi=np.array([0.5, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    evidence = rng.uniform(0.0, 1100.0, rng.integers(2, 9))
+    evidence[rng.integers(len(evidence))] = rng.uniform(746.0, 1100.0)
+    docs = [[int(w)] * max(1, math.ceil(e / math.log(odds)))
+            for w, e in zip(rng.integers(0, 2, len(evidence)), evidence)]
+    return params, corpus_from_lists(docs, ModelSpec(2, 2, 2))
+
+
 @st.composite
 def swinging_streams(draw):
     """Two behaviours that favour one of two words each by the same odds,

@@ -23,7 +23,15 @@ from _oracles import (
     word_log_liks_one_document,
     zero_counts,
 )
-from conftest import block_underflow_instance, random_instance, revival_instance, swinging_streams
+from conftest import (
+    block_underflow_instance,
+    gradual_instance,
+    random_instance,
+    revival_instance,
+    steep_instance,
+    steep_streams,
+    swinging_streams,
+)
 
 
 def _uniform_params(X, Y, Z):
@@ -169,6 +177,29 @@ class TestFilteredBelief:
         np.testing.assert_allclose(anomaly.filtered_belief(p, corpus),
                                    np.exp(log_alpha - logsumexp(log_alpha)), rtol=1e-12, atol=0)
         assert len(log_forward_calls) == 1
+
+    @pytest.mark.parametrize("instance", [steep_instance(), steep_instance(1e-200),
+                                          gradual_instance()],
+                             ids=["steep", "steep-off-1e-200", "gradual"])
+    def test_behaviour_dropped_by_linear_message(self, instance, spy):
+        # A linear message drops the behaviour that is likelier at the end:
+        # within document 2 of the steep streams, whose emissions span e^769,
+        # and after document 1 of the gradual one, at e^-879.
+        log_forward_calls = spy(inference, "_log_forward")
+        p, corpus = instance
+        log_alpha = _oracles.messages(p, corpus).log_alpha[:, -1]
+        got = anomaly.filtered_belief(p, corpus)
+        np.testing.assert_allclose(got, np.exp(log_alpha - logsumexp(log_alpha)), rtol=1e-12, atol=0)
+        assert np.argmax(got) == np.argmax(log_alpha)
+        assert len(log_forward_calls) == 1
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(steep_streams())
+    def test_steep_stream_matches_forward_column(self, instance):
+        p, corpus = instance
+        log_alpha = _oracles.messages(p, corpus).log_alpha[:, -1]
+        np.testing.assert_allclose(anomaly.filtered_belief(p, corpus),
+                                   np.exp(log_alpha - logsumexp(log_alpha)), rtol=1e-10, atol=1e-12)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(swinging_streams())

@@ -18,7 +18,14 @@ from markovtopics.model import NumericalError
 
 import _oracles
 from _oracles import enum_expected_counts, enum_marginal_and_posteriors, log_marginal_likelihood
-from conftest import block_underflow_instance, random_instance, revival_instance, swinging_streams
+from conftest import (
+    block_underflow_instance,
+    random_instance,
+    revival_instance,
+    steep_instance,
+    steep_streams,
+    swinging_streams,
+)
 
 
 def _uniform_params(X, Y, Z):
@@ -35,9 +42,9 @@ class TestEmissionLogs:
         X = 4
         p = _uniform_params(X, 1, 2)
         corpus = corpus_from_lists([[0, 1, 2], [3]], ModelSpec(X, 1, 2))
-        loge = inference.emission_logs(p, corpus)
-        assert np.allclose(loge[:, 0], 3 * np.log(1 / X))
-        assert np.allclose(loge[:, 1], np.log(1 / X))
+        loge = inference.emission_logs(inference.word_mixture_logs(p), corpus)
+        assert np.allclose(loge[0], 3 * np.log(1 / X))
+        assert np.allclose(loge[1], np.log(1 / X))
 
     def test_hand_arithmetic_2x2x2(self):
         phi = np.array([[0.7, 0.2], [0.3, 0.8]])
@@ -47,30 +54,31 @@ class TestEmissionLogs:
         corpus = corpus_from_lists([[0, 1]], ModelSpec(2, 2, 2))
         mix = phi @ theta
         expected = np.log(mix[0]) + np.log(mix[1])
-        assert np.allclose(inference.emission_logs(p, corpus)[:, 0], expected)
+        assert np.allclose(inference.emission_logs(inference.word_mixture_logs(p), corpus)[0],
+                           expected)
 
     def test_zero_mixture_gives_neg_inf(self):
         phi = np.array([[1.0], [0.0]])
         p = ModelParams(phi=phi, theta=np.ones((1, 1)), xi=np.ones((1, 1)),
                         pi=np.array([1.0]))
         corpus = corpus_from_lists([[1]], ModelSpec(2, 1, 1))
-        assert inference.emission_logs(p, corpus)[0, 0] == -np.inf
+        assert inference.emission_logs(inference.word_mixture_logs(p), corpus)[0, 0] == -np.inf
 
 
 class TestForwardBackward:
     def test_single_state_forward_is_prefix_sum(self):
         p = _uniform_params(3, 2, 1)
         corpus = corpus_from_lists([[0], [1, 2], [2]], ModelSpec(3, 2, 1))
-        loge = inference.emission_logs(p, corpus)
+        loge = inference.emission_logs(inference.word_mixture_logs(p), corpus)
         la = _oracles.forward(p, corpus, loge)
-        assert np.allclose(la[0], np.cumsum(loge[0]))
+        assert np.allclose(la[0], np.cumsum(loge[:, 0]))
 
     def test_single_state_backward_is_suffix_sum(self):
         p = _uniform_params(3, 2, 1)
         corpus = corpus_from_lists([[0], [1, 2], [2]], ModelSpec(3, 2, 1))
-        loge = inference.emission_logs(p, corpus)
+        loge = inference.emission_logs(inference.word_mixture_logs(p), corpus)
         lb = _oracles.backward(p, corpus, loge)
-        expected = np.concatenate([np.cumsum(loge[0, ::-1])[::-1][1:], [0.0]])
+        expected = np.concatenate([np.cumsum(loge[::-1, 0])[::-1][1:], [0.0]])
         assert np.allclose(lb[0], expected)
 
     def test_symmetric_states_equal_messages(self):
@@ -441,6 +449,29 @@ class TestScannedEStep:
         for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
             assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("off", [0.0, 1e-200], ids=["xi-identity", "xi-off-1e-200"])
+    def test_steep_document_matches_token_level_reference(self, off, spy):
+        # Document 2's emissions span e^769, so behaviour 1's shifted emission
+        # underflows, though it is only e^-330 of behaviour 0 after document 2
+        # and document 3 makes it the likelier: both transitions are 1 -> 1.
+        log_e_step_calls = spy(inference, "_log_e_step")
+        params, corpus = steep_instance(off)
+        log_lik, counts = inference.e_step(params, corpus)
+        assert len(log_e_step_calls) == 1
+        msgs, _, ref = _oracles.infer(params, corpus)
+        assert math.isclose(log_lik, msgs.log_K, rel_tol=1e-12)
+        assert math.isclose(log_lik, -859.2781875573891, rel_tol=1e-12)
+        assert math.isclose(counts.n_zz[1, 1], 2.0, rel_tol=1e-12)
+        for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+            assert np.allclose(getattr(counts, name), getattr(ref, name), rtol=1e-12, atol=0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(steep_streams())
+    def test_steep_stream_matches_token_level_reference(self, instance):
+        params, corpus = instance
+        msgs, _, ref = _oracles.infer(params, corpus)
+        _assert_same_e_step(inference.e_step(params, corpus), (msgs.log_K, ref))
+
     def test_log_domain_keeps_accuracy_on_long_runs(self, spy):
         # 123 runs of one word, 1500-2600 tokens each, give |log K| ~ 2.7e4.
         # Log messages that carry the whole log joint lose about
@@ -457,7 +488,7 @@ class TestScannedEStep:
         assert not log_e_step_calls
         mix = params.phi @ params.theta
         log_k, counts = inference._log_e_step(
-            params, corpus, mix, inference.emission_logs(params, corpus, np.log(mix)))
+            params, corpus, mix, inference.emission_logs(np.log(mix), corpus))
         assert math.isclose(log_k, ref_k, rel_tol=1e-14)
         for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
             fast, slow = getattr(counts, name), getattr(ref, name)
@@ -472,7 +503,7 @@ class TestScannedEStep:
         got = inference.e_step(params, corpus)
         mix = params.phi @ params.theta
         _assert_same_e_step(got, inference._log_e_step(
-            params, corpus, mix, inference.emission_logs(params, corpus, np.log(mix))))
+            params, corpus, mix, inference.emission_logs(np.log(mix), corpus)))
         _assert_same_e_step(got, _oracles.scaled_e_step(params, corpus))
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -481,7 +512,7 @@ class TestScannedEStep:
         params, corpus = instance
         mix = params.phi @ params.theta
         with np.errstate(divide="ignore"):
-            loge = inference.emission_logs(params, corpus, np.log(mix))
+            loge = inference.emission_logs(np.log(mix), corpus)
         try:
             want = inference._log_e_step(params, corpus, mix, loge)
         except NumericalError:
@@ -501,9 +532,9 @@ class TestLogForward:
         """Each normalised message is the oracle's forward column minus its
         log-sum-exp, and the running sum of the log likelihoods is that
         log-sum-exp, both at 1e-10."""
-        loge = inference.emission_logs(params, corpus)
+        loge = inference.emission_logs(inference.word_mixture_logs(params), corpus)
         with np.errstate(divide="ignore"):
-            log_alpha, scale = inference._log_forward(loge.T, np.log(params.pi), np.log(params.xi))
+            log_alpha, scale = inference._log_forward(loge, np.log(params.pi), np.log(params.xi))
         la = _oracles.forward(params, corpus, loge).T
         lse = logsumexp(la, axis=1)
         np.testing.assert_allclose(np.cumsum(scale), lse, rtol=1e-10, atol=1e-10)
