@@ -7,29 +7,21 @@ thresholds and precision-recall curves unaffected.
 
 There is one scorer, and it takes a whole stream.  The predictive state
 holds S parameter samples and carries, per sample, the behaviour belief for
-the *upcoming* document, i.e. p(z_next | history, sample).  A document's
-emission does not depend on the belief, so every emission under every
-sample comes first, one sparse product with the doc-term matrix per sample.
-One loop over the documents then multiplies each emission into the belief,
-normalises (the normaliser is exactly the per-sample document likelihood)
-and propagates one step through each sample's transition matrix; the
-reported likelihood is the mean over samples.  Plug-in scoring with a point
-estimate is the case S = 1.  Scoring a stream in consecutive chunks gives
-the same result as one call.
-
-The scorer's update is operation for operation the per-document reference
-it is tested against at 1e-12 relative error: log likelihoods within
-rounding of 0 (a one-word vocabulary) meet that bound no other way.  The
-belief moves linearly, through ``exp`` then ``xi``, so an entry below about
-e^-745 of the largest is dropped.  :func:`filtered_belief` gives the last
-filtered posterior of a training stream by the fit's forward scan, which
-stands only when every belief entry is at least 1e-280 and every message
-matches its one-step update from the exponents; else the log domain.
+the *upcoming* document, i.e. p(z_next | history, sample).  Each sample's
+chain is filtered by the fit's forward recursion, ``inference.forward``, from
+that belief: it gives each document's likelihood under the sample and the
+belief before it, in the log domain, so a behaviour whose belief fell far
+below the others can revive.  The reported likelihood is the mean over the
+samples.  Plug-in scoring with a point estimate is the case S = 1.  Scoring a
+stream in consecutive chunks gives the same result as one call, to rounding.
+:func:`filtered_belief` gives the last filtered posterior of a training
+stream by the same recursion.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -86,27 +78,21 @@ def filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | None:
 
     The training stream is filtered from ``params.pi`` as :func:`score`
     filters a stream: a document impossible under the belief before it
-    restarts the belief from ``params.pi``.  One scan (``inference._forward``)
-    filters the documents after the last one impossible under every
-    behaviour; when it does not stand (NaN), ``inference._log_forward``
-    redoes those documents.
+    restarts the belief from ``params.pi``.  ``inference.forward`` filters
+    the documents after the last one impossible under every behaviour.
     """
     loge = inference.emission_logs(inference.word_mixture_logs(params), corpus)
-    start = np.flatnonzero(np.append(True, loge.max(axis=1) == -np.inf))[-1]
+    # Column by column, as in ``inference.forward``.
+    start = np.flatnonzero(np.append(True, reduce(np.maximum, loge.T) == -np.inf))[-1]
     if start == len(corpus):
         return None
-    alpha = inference._forward(loge[start:], params.pi, params.xi)[0][-1]
-    if not np.isnan(alpha[0]):
-        return alpha
-    with np.errstate(divide="ignore"):
-        log_alpha, scale = inference._log_forward(loge[start:], np.log(params.pi),
-                                                  np.log(params.xi))
-    return None if scale[-1] == -np.inf else np.exp(log_alpha[-1])
+    log_alpha, _, log_lik = inference.forward(loge[start:], params.pi, params.xi, params.pi)
+    return None if log_lik[-1] == -np.inf else np.exp(log_alpha[-1])
 
 
 def _filter(state: PredictiveState, corpus: Corpus,
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the recursive Bayes update of every sample over ``corpus``.
+    """Filter ``corpus`` under every sample with ``inference.forward``.
 
     Returns each document's log likelihood under each sample (T, S), each
     sample's log belief before each document (T, S, Z), and the belief for
@@ -114,29 +100,16 @@ def _filter(state: PredictiveState, corpus: Corpus,
     document is impossible restarts from its own initial distribution.
     """
     num_samples, num_behaviours = state.behaviour_belief.shape
-    block = np.empty((len(corpus), num_samples, num_behaviours))
-    for s, log_mix in enumerate(state.log_mix):
-        block[:, s, :] = inference.emission_logs(log_mix, corpus)
     per_sample = np.empty((len(corpus), num_samples))
-    xi, pi = state.xi, state.pi
-    belief = state.behaviour_belief
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(len(corpus)):
-            log_belief = np.log(belief)
-            joint = block[t] + log_belief
-            # The emission is read once; its slot keeps the log belief.
-            block[t] = log_belief
-            m = joint.max(axis=1, keepdims=True)
-            # NaN for a sample under whose belief the document is impossible.
-            lik = m + np.log(np.exp(joint - m).sum(axis=1, keepdims=True))
-            belief = np.einsum("sij,sj->si", xi, np.exp(joint - lik))
-            belief /= belief.sum(axis=1, keepdims=True)
-            per_sample[t] = lik[:, 0]
-            if not np.isfinite(lik).all():
-                impossible = np.isnan(per_sample[t])
-                per_sample[t, impossible] = -np.inf
-                belief[impossible] = pi[impossible]
-    return per_sample, block, belief
+    log_beliefs = np.empty((len(corpus), num_samples, num_behaviours))
+    belief = state.behaviour_belief.copy()
+    for s, log_mix in enumerate(state.log_mix):
+        log_alpha, log_beliefs[:, s], per_sample[:, s] = inference.forward(
+            inference.emission_logs(log_mix, corpus), belief[s], state.xi[s], state.pi[s])
+        if len(corpus):
+            after = state.xi[s] @ np.exp(log_alpha[-1])
+            belief[s] = state.pi[s] if per_sample[-1, s] == -np.inf else after / after.sum()
+    return per_sample, log_beliefs, belief
 
 
 def score(state: PredictiveState, corpus: Corpus) -> tuple[np.ndarray, PredictiveState]:

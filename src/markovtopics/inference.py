@@ -1,13 +1,14 @@
 """Forward-backward engine for the behaviour chain, and the EM/VB fit loop.
 
-Fits use :func:`e_step`: one forward-backward pass on the per-document
-emission block ``(T, Z)`` of the corpus's sparse doc-term matrix, which
-yields the four expected count arrays without per-token tensors.  Its
-messages are running products of per-document maps, one prefix scan each
-(Blelloch 1990), and :func:`_forward` alone decides whether a scan stands;
-when one does not, the pass is redone on the same block in the log domain,
-where nothing underflows.  The token-level recursions the oracle tests check
-against live in ``tests/_oracles.py``.
+:func:`forward` is the one forward recursion, shared by the fits and the
+anomaly scorer: the messages of one chain are running products of
+per-document maps, one prefix scan (Blelloch 1990), and where the scan cannot
+be trusted the chain is redone in the log domain, where nothing underflows.
+Fits use :func:`e_step`: the forward pass and the same pass on the reversed
+stream, on the per-document emission block ``(T, Z)`` of the corpus's sparse
+doc-term matrix, yield the four expected count arrays without per-token
+tensors.  The token-level recursions the oracle tests check against live in
+``tests/_oracles.py``.
 
 The engine also accepts the sub-stochastic "tilde" surrogate parameters used
 by variational inference; normalization by the overall constant absorbs the
@@ -70,15 +71,15 @@ def emission_logs(log_mix: np.ndarray, corpus: Corpus) -> np.ndarray:
 
 def _running_products(maps: np.ndarray) -> np.ndarray:
     """Running products ``maps[t] @ ... @ maps[0]`` of a nonnegative (T, Z, Z)
-    stack, each divided by its largest entry, by an odd-even prefix scan
+    stack, each divided by the sum of its entries, by an odd-even prefix scan
     (Blelloch 1990): multiply adjacent pairs, scan the half-length stack, fill
     in the even entries.  A vanished product and all later ones are NaN."""
     with np.errstate(invalid="ignore"):
-        out = maps / maps.max(axis=(1, 2), keepdims=True)
+        out = maps / np.einsum("tij->t", maps)[:, None, None]
         if len(maps) > 1:
             out[1::2] = _running_products(out[1::2] @ out[:-1:2])
             even = out[2::2] @ out[1:-1:2]
-            out[2::2] = even / even.max(axis=(1, 2), keepdims=True)
+            out[2::2] = even / np.einsum("tij->t", even)[:, None, None]
     return out
 
 
@@ -87,100 +88,87 @@ def _running_products(maps: np.ndarray) -> np.ndarray:
 _FLOOR = 1e-280
 
 
-def _forward(loge: np.ndarray, pi: np.ndarray, xi: np.ndarray,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalised forward messages (T, Z) of the emission logs ``loge``
-    (T, Z), each document shifted by its largest, scanned from
-    ``diag(emit[0] * pi)`` over ``diag(emit[t]) xi``; the belief before each
-    document (``pi``, then ``xi @ alpha[t - 1]``); and each document's log
-    likelihood given those before it (T,).
+def forward(loge: np.ndarray, start: np.ndarray, xi: np.ndarray, pi: np.ndarray,
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalised log forward messages (T, Z) of one chain with emission logs
+    ``loge`` (T, Z) under ``xi``, from the belief ``start`` before document
+    0; the log belief before each document (T, Z); and each document's log
+    likelihood given those before it (T,).  A document impossible under the
+    belief before it (log likelihood -inf) restarts the belief from ``pi``.
 
-    All three are NaN unless every belief entry is at least ``_FLOOR`` and
-    every message entry is within 1e-12 relative of its one-step update
-    taken from the exponents, ``exp(loge - shift - log scale + log prior)``.
-    The floor catches a behaviour a message dropped gradually, and the step
-    one dropped within a single document, or by a product of documents that
-    underflowed where no single step does.
+    The messages are scanned from ``diag(emit[0] * start)`` over
+    ``diag(emit[t]) xi``, each document's emissions shifted by their largest.
+    The scan stands when every belief entry is at least ``_FLOOR`` and every
+    message entry is within 1e-12 relative of its one-step update taken from
+    the exponents, ``exp(loge - shift - log scale + log prior)``: the floor
+    catches a behaviour a message dropped gradually, and the step one dropped
+    within a single document, or by a product of documents that underflowed
+    where no single step does.  Otherwise :func:`_log_forward` redoes the
+    chain.
     """
-    # Column by column: numpy reduces and broadcasts along a short last axis
-    # one row at a time, twenty times slower at Z = 4.
-    shift = reduce(np.maximum, loge.T)[:, None]
-    with np.errstate(all="ignore"):
-        shifted = loge - shift
-        emit = np.exp(shifted)
-        maps = np.einsum("tz,zy->tzy", emit, xi)
-        maps[0] = np.diag(emit[0] * pi)
-        rows = _running_products(maps).sum(axis=2)
-        alpha = rows / rows.sum(axis=1, keepdims=True)
-        prior = np.vstack([pi, alpha[:-1] @ xi.T])
-        log_scale = np.log(np.einsum("tz,tz->t", emit, prior))[:, None]
-        step = np.exp(shifted - log_scale + np.log(prior))
-        trusted = prior.min() >= _FLOOR and np.all(np.abs(alpha - step) <= 1e-12 * step)
-    if not trusted:
-        return np.full_like(alpha, np.nan), np.full_like(prior, np.nan), np.full(len(loge), np.nan)
-    return alpha, prior, (shift + log_scale)[:, 0]
+    if len(loge):
+        # Column by column: numpy reduces and broadcasts along a short last
+        # axis one row at a time, twenty times slower at Z = 4.
+        shift = reduce(np.maximum, loge.T)[:, None]
+        with np.errstate(all="ignore"):
+            shifted = loge - shift
+            emit = np.exp(shifted)
+            maps = np.einsum("tz,zy->tzy", emit, xi)
+            maps[0] = np.diag(emit[0] * start)
+            rows = np.einsum("tij->ti", _running_products(maps))
+            alpha = rows / np.einsum("ti->t", rows)[:, None]
+            prior = np.vstack([start, alpha[:-1] @ xi.T])
+            log_prior = np.log(prior)
+            log_scale = np.log(np.einsum("tz,tz->t", emit, prior))[:, None]
+            step = np.exp(shifted - log_scale + log_prior)
+            if prior.min() >= _FLOOR and np.all(np.abs(alpha - step) <= 1e-12 * step):
+                return np.log(alpha), log_prior, (shift + log_scale)[:, 0]
+    return _log_forward(loge, start, xi, pi)
+
+
+def _log_forward(loge: np.ndarray, start: np.ndarray, xi: np.ndarray, pi: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`forward` in the log domain, one document at a time.  An
+    impossible document has a NaN message."""
+    with np.errstate(divide="ignore"):
+        log_xi, log_pi = np.log(xi), np.log(pi)
+        prior = np.log(start)
+    log_alpha, log_prior, scale = np.empty_like(loge), np.empty_like(loge), np.empty(len(loge))
+    with np.errstate(invalid="ignore"):
+        for t in range(len(loge)):
+            log_prior[t] = prior
+            joint = loge[t] + prior
+            scale[t] = _lse(joint, axis=0)
+            log_alpha[t] = joint - scale[t]
+            prior = log_pi if scale[t] == -np.inf else _lse(log_alpha[t] + log_xi, axis=1)
+    return log_alpha, log_prior, scale
 
 
 def e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts]:
     """Log normalisation constant and expected counts from the doc-term matrix.
 
-    :func:`_forward` scans the forward messages, and on the reversed stream
+    :func:`forward` gives the forward messages, and on the reversed stream
     under ``xi^T`` the normalised ``emit[t] * beta[t]``.  Tokens of one word
     in one document share a posterior, so with ``C = (B gamma) / mix`` the
     counts are ``n_xy = phi * (C theta^T)`` and ``n_yz = theta * (phi^T C)``.
-    When either scan is not trusted (NaN), the pass is redone in the log
-    domain (:func:`_log_e_step`), which raises :class:`NumericalError` when
-    the corpus is impossible under the model.
+    Raises :class:`NumericalError` when the corpus is impossible under the
+    model.
     """
     mix = params.phi @ params.theta
-    xi = params.xi
+    ones = np.ones_like(params.pi)
     with np.errstate(divide="ignore"):
         loge = emission_logs(np.log(mix), corpus)
-    alpha, prior, log_lik = _forward(loge, params.pi, xi)
-    post = _forward(loge[::-1], np.ones_like(params.pi), xi.T)[0][::-1]
-    if np.isnan(log_lik[0]) or np.isnan(post[0, 0]):
-        return _log_e_step(params, corpus, mix, loge)
-    # Posterior post[t] * prior[t] / norm[t]; pair posterior of documents
-    # t - 1, t: xi * outer(post[t], alpha[t - 1]) / norm[t].
-    norm = np.einsum("tz,tz->t", post, prior)[:, None]
-    n_zz = xi * ((post[1:] / norm[1:]).T @ alpha[:-1])
-    return float(log_lik.sum()), _counts(params, corpus, mix, post * prior / norm, n_zz)
-
-
-def _log_forward(loge: np.ndarray, log_pi: np.ndarray, log_xi: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Normalised log forward messages (T, Z) of the emission logs ``loge``
-    (T, Z) from the log prior ``log_pi`` under ``log_xi``, one document at a
-    time, and each document's log likelihood given those before it (T,).  A
-    document impossible under the belief before it (log likelihood -inf) has
-    a NaN message and restarts the belief from ``log_pi``."""
-    log_alpha, scale = np.empty_like(loge), np.empty(len(loge))
-    prior = log_pi
-    with np.errstate(invalid="ignore"):
-        for t in range(len(loge)):
-            joint = loge[t] + prior
-            scale[t] = _lse(joint, axis=0)
-            log_alpha[t] = joint - scale[t]
-            prior = log_pi if scale[t] == -np.inf else _lse(log_alpha[t] + log_xi, axis=1)
-    return log_alpha, scale
-
-
-def _log_e_step(params: ModelParams, corpus: Corpus, mix: np.ndarray,
-                loge: np.ndarray) -> tuple[float, SufficientCounts]:
-    """:func:`e_step` in the log domain, on the word mixtures ``mix`` and
-    their emission block ``loge`` (T, Z): :func:`_log_forward` runs forward
-    and on the reversed stream under ``xi^T`` from a zero log prior, and the
-    posteriors follow as in :func:`e_step`.  Raises :class:`NumericalError`
-    when the corpus is impossible under the model.
-    """
-    with np.errstate(divide="ignore"):
-        log_pi, log_xi = np.log(params.pi), np.log(params.xi)
-    la, scale = _log_forward(loge, log_pi, log_xi)
-    log_K = float(scale.sum())
+        log_xi = np.log(params.xi)
+    la, prior, log_lik = forward(loge, params.pi, params.xi, params.pi)
+    log_K = float(log_lik.sum())
     if log_K == -np.inf:
         raise NumericalError("corpus impossible under model: normalisation constant is zero")
-    post = _log_forward(loge[::-1], np.zeros_like(log_pi), log_xi.T)[0][::-1]
-    prior = np.vstack([log_pi, _lse(la[:-1, None, :] + log_xi, axis=2)])
+    # A scan drops what falls below e^-745 of a message's largest entry, which
+    # the posterior may ignore only beside belief entries of at least _FLOOR.
+    backward = forward if prior.min() >= np.log(_FLOOR) else _log_forward
+    post = backward(loge[::-1], ones, params.xi.T, ones)[0][::-1]
+    # Posterior post[t] + prior[t] - norm[t]; pair posterior of documents
+    # t - 1, t: log xi + la[t - 1] + post[t] - norm[t].
     norm = _lse(post + prior, axis=1)[:, None]
     gamma = np.exp(post + prior - norm)
     pair = log_xi + la[:-1, None, :] + (post - norm)[1:, :, None]

@@ -8,10 +8,11 @@ log-domain forward-backward (``messages``, ``posteriors``,
 Gibbs topic step, the numpy Gibbs behaviour step, the per-document scorer,
 the per-record score writer, the per-document localiser, the per-event
 ``build_corpus``, the per-token corpus reader, the per-line event reader,
-the list-building posterior sampler, and the per-document scaled loops of
-the E-step and of the filtered belief are the straightforward versions the
-fast library paths must match.  ``zero_counts`` builds the all-zero counts
-that the M-step tests start from.
+the list-building posterior sampler, the per-document scaled loops of the
+E-step and of the filtered belief, and the E-step on the log-domain forward
+recursion alone are the straightforward versions the fast library paths
+must match.  ``zero_counts`` builds the all-zero counts that the M-step
+tests start from.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from scipy.special import gammaln, logsumexp
 
 from markovtopics.em import _log_map
 from markovtopics.generate import GeneratedDataset, _stream
-from markovtopics.inference import _counts, _lse, emission_logs, word_mixture_logs
+from markovtopics.inference import _counts, _log_forward, _lse, emission_logs, word_mixture_logs
 from markovtopics.ingest import DIRECTION_INDEX, DIRECTIONS
 from markovtopics.model import (
     Corpus,
@@ -327,9 +328,11 @@ def vectorised_behaviour_step(state, corpus, hyper):
 
 def score_one_document(state, words):
     """The scorer one document at a time: gather each sample's emission from
-    the document's words, then one Bayes update of every sample's belief.
-    The reference the batched ``anomaly.score`` must match; returns the
-    document's log likelihood and the state after it."""
+    the document's words, then one Bayes update of every sample's belief,
+    moved linearly through ``exp`` then ``xi``.  The reference the batched
+    ``anomaly.score`` must match on beliefs no entry of which falls below
+    about e^-745 of the largest; returns the document's log likelihood and
+    the state after it."""
     loge = np.array([lm[words].sum(axis=0) for lm in state.log_mix])  # (S, Z)
     with np.errstate(divide="ignore", invalid="ignore"):
         joint = loge + np.log(state.behaviour_belief)
@@ -503,6 +506,29 @@ def scaled_filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | 
                 post = np.exp(joint - log_lik)
             belief = xi @ post
     return post
+
+
+def log_e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts]:
+    """``inference.e_step`` on the log-domain forward recursion alone:
+    ``inference._log_forward`` forward, and on the reversed stream under
+    ``xi^T`` from a uniform belief, with the belief before each document
+    recomputed from the messages.  Raises :class:`NumericalError` when the
+    corpus is impossible under the model."""
+    mix = params.phi @ params.theta
+    ones = np.ones_like(params.pi)
+    with np.errstate(divide="ignore"):
+        loge = emission_logs(np.log(mix), corpus)
+        log_pi, log_xi = np.log(params.pi), np.log(params.xi)
+    la, _, scale = _log_forward(loge, params.pi, params.xi, params.pi)
+    log_K = float(scale.sum())
+    if log_K == -np.inf:
+        raise NumericalError("corpus impossible under model: normalisation constant is zero")
+    post = _log_forward(loge[::-1], ones, params.xi.T, ones)[0][::-1]
+    prior = np.vstack([log_pi, _lse(la[:-1, None, :] + log_xi, axis=2)])
+    norm = _lse(post + prior, axis=1)[:, None]
+    gamma = np.exp(post + prior - norm)
+    pair = log_xi + la[:-1, None, :] + (post - norm)[1:, :, None]
+    return log_K, _counts(params, corpus, mix, gamma, np.exp(pair).sum(axis=0))
 
 
 def messages(params: ModelParams, corpus: Corpus) -> Messages:
