@@ -52,9 +52,11 @@ def init_state(samples: Iterable[ModelParams], last_filtered: np.ndarray | None 
     step through its transition matrix, which makes test scoring the exact
     continuation of the training stream.
 
-    ``samples`` is read once, and each sample is dropped before the next is
-    requested, so the state holds no ``phi``: only S (X, Z) word mixture
-    logs, kept as one array per sample so a process can reuse its heap.
+    ``samples`` is read once, on this thread, and each sample is dropped
+    before the next is requested, so the state holds no ``phi``: only S
+    (X, Z) word mixture logs, kept as one array per sample so a process can
+    reuse its heap.  ``vb.sample_posterior`` then keeps at most
+    ``workers + 1`` samples alive at a time.
     """
     xi, pi, log_mix = [], [], []
     for p in samples:
@@ -153,7 +155,12 @@ def localise(word_lls: np.ndarray, corpus: Corpus, layout, top_n: int,
     if top_n <= 0:
         raise ValueError("top_n must be positive")
     doc = np.repeat(np.arange(len(corpus)), np.diff(corpus.offsets))
-    order = np.lexsort((word_lls, doc))  # stable: by document, then likelihood
+    # Stable sorts by likelihood, then by document: ``np.lexsort((word_lls,
+    # doc))``'s order, with the document key in the smallest type that holds
+    # it, which numpy radix-sorts.
+    key = doc.astype(np.min_scalar_type(len(corpus)))
+    order = np.argsort(word_lls, kind="stable")
+    order = order[np.argsort(key[order], kind="stable")]
     # ``doc`` is sorted, so ``order`` keeps each document in its own slots:
     # the token at position i of ``order`` has rank i - starts[i] in it.
     starts = corpus.offsets[doc]

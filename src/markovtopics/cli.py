@@ -276,7 +276,7 @@ def cmd_score(argv):
     # Plug-in scoring is Monte Carlo with the point estimate as the only
     # sample.  Monte Carlo samples come from the VB posterior or the stored
     # GS count samples (at most as many as were stored); plain EM models
-    # carry neither.  Samples stream into the state one at a time.
+    # carry neither.  Samples stream into the state as they are drawn.
     t0 = time.perf_counter()
     if args.mode == "plugin":
         samples = [model.params]

@@ -7,7 +7,10 @@ free energy, a lower bound on the log evidence (Beal 2003, ch. 3).
 """
 from __future__ import annotations
 
+import os
+from collections import deque
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -107,16 +110,56 @@ def _dirichlet_columns(rng: np.random.Generator, post: np.ndarray) -> np.ndarray
     return draw
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _draw(post: PosteriorHyperparams, seed: np.random.SeedSequence) -> ModelParams:
+    """One parameter set drawn column-wise from the posterior Dirichlets,
+    from its own stream ``seed``."""
+    rng = np.random.default_rng(seed)
+    return ModelParams(phi=_dirichlet_columns(rng, post.beta_t),
+                       theta=_dirichlet_columns(rng, post.alpha_t),
+                       xi=_dirichlet_columns(rng, post.gamma_t),
+                       pi=_dirichlet_columns(rng, post.eta_t))
+
+
 def sample_posterior(post: PosteriorHyperparams, num_samples: int,
                      seed: int) -> Iterator[ModelParams]:
-    """Yield parameter sets drawn column-wise from the posterior Dirichlets,
-    each when it is requested, so a consumer need hold only one at a time."""
-    rng = np.random.default_rng(seed)
-    for _ in range(num_samples):
-        yield ModelParams(phi=_dirichlet_columns(rng, post.beta_t),
-                          theta=_dirichlet_columns(rng, post.alpha_t),
-                          xi=_dirichlet_columns(rng, post.gamma_t),
-                          pi=_dirichlet_columns(rng, post.eta_t))
+    """Yield ``num_samples`` parameter sets drawn from the posterior, in
+    order.
+
+    Sample s is drawn from its own stream, the s-th child of
+    ``SeedSequence(seed)``, so the draws do not depend on where they run.
+    With one usable CPU they run on the calling thread, each when it is
+    requested.  Otherwise they run on a pool of one thread per usable CPU,
+    capped at ``num_samples`` (numpy's gamma sampler releases the GIL), with
+    at most ``workers + 1`` draws in flight: a consumer that drops each
+    sample before requesting the next holds at most ``workers + 1`` at a
+    time, counting those drawn ahead.  Closing the generator early cancels
+    the draws not yet started and joins the pool.
+    """
+    workers = min(_usable_cpus(), num_samples)
+    seeds = np.random.SeedSequence(seed)
+    if workers <= 1:  # a pool on one CPU adds only thread switches
+        for _ in range(num_samples):
+            yield _draw(post, seeds.spawn(1)[0])
+        return
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="sample_posterior")
+    pending: deque = deque()
+    try:
+        for _ in range(num_samples):
+            pending.append(pool.submit(_draw, post, seeds.spawn(1)[0]))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def vb_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,

@@ -382,14 +382,16 @@ def localise_one_document(word_lls, words, layout, top_n):
 
 
 def sample_posterior_list(post, num_samples, seed):
-    """All ``num_samples`` posterior draws at once, as a list: the same
-    gamma calls in the same order as the library's sample generator."""
-    rng = np.random.default_rng(seed)
+    """All ``num_samples`` posterior draws at once, as a list, one after
+    another: sample s from ``default_rng`` of the s-th of ``num_samples``
+    children spawned together from ``SeedSequence(seed)``, each drawing its
+    columns in the order phi, theta, xi, pi."""
     return [ModelParams(phi=_dirichlet_columns(rng, post.beta_t),
                         theta=_dirichlet_columns(rng, post.alpha_t),
                         xi=_dirichlet_columns(rng, post.gamma_t),
                         pi=_dirichlet_columns(rng, post.eta_t))
-            for _ in range(num_samples)]
+            for rng in map(np.random.default_rng,
+                           np.random.SeedSequence(seed).spawn(num_samples))]
 
 
 @dataclass

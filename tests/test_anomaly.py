@@ -1,6 +1,7 @@
 import itertools
 
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -109,7 +110,7 @@ class TestStreamedSamples:
 
     def test_each_sample_freed_before_next_draw(self, rng):
         # init_state keeps what scoring reads of a sample and lets the sample
-        # go, so S draws never hold S phi matrices at once.
+        # go, and the draws keep no reference to a sample they have yielded.
         refs, alive = [], []
 
         def watched(samples):
@@ -122,6 +123,42 @@ class TestStreamedSamples:
         anomaly.init_state(watched(vb.sample_posterior(self._posterior(rng), 4, seed=0)))
         assert len(refs) == 4
         assert alive == [False] * 4
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_at_most_workers_plus_one_samples_alive(self, rng, monkeypatch, cpus):
+        # init_state keeps what scoring reads of a sample and lets the sample
+        # go, and the pool draws at most workers + 1 ahead of it, so S draws
+        # never hold more than workers + 1 phi matrices at once.  A phi
+        # appears only when a draw ends, so the peak is seen there.
+        monkeypatch.setattr(vb, "_usable_cpus", lambda: cpus)
+        draw, lock, refs, alive = vb._draw, threading.Lock(), [], []
+
+        def watched(post, seed):
+            p = draw(post, seed)
+            with lock:
+                refs.append(weakref.ref(p.phi))
+                alive.append(sum(r() is not None for r in refs))
+            return p
+
+        monkeypatch.setattr(vb, "_draw", watched)
+        state = anomaly.init_state(vb.sample_posterior(self._posterior(rng), 12, seed=0))
+        assert len(refs) == len(state.log_mix) == 12
+        assert max(alive) <= cpus + 1
+        assert all(r() is None for r in refs)
+
+    def test_same_state_for_any_pool_size(self, rng, monkeypatch):
+        post, last = self._posterior(rng), np.array([0.3, 0.7])
+        states = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(vb, "_usable_cpus", lambda n=cpus: n)
+            states.append(anomaly.init_state(vb.sample_posterior(post, 9, seed=6),
+                                             last_filtered=last))
+        for other in states[1:]:
+            assert len(other.log_mix) == 9
+            for a, b in zip(states[0].log_mix, other.log_mix):
+                assert np.array_equal(a, b)
+            for name in ("xi", "pi", "behaviour_belief"):
+                assert np.array_equal(getattr(states[0], name), getattr(other, name))
 
 
 def _underflow_params():
@@ -517,6 +554,23 @@ class TestLocalise:
     def test_nonpositive_top_n_rejected(self):
         with pytest.raises(ValueError):
             self._localise([0], [-1.0], top_n=0)
+
+    @pytest.mark.parametrize("num_docs", [256, 65537])
+    def test_long_streams_keep_lexsort_order(self, rng, num_docs):
+        # Past 255 and 65535 documents the document key needs a wider type.
+        layout = self._layout()
+        lengths = rng.integers(0, 4, num_docs)
+        words = rng.integers(0, layout.vocabulary_size, lengths.sum())
+        docs = np.split(words, np.cumsum(lengths)[:-1])
+        corpus = corpus_from_lists(docs, ModelSpec(layout.vocabulary_size, 1, 1))
+        lls = rng.choice([-np.inf, -3.0, -1.0, -0.5], size=len(corpus.tokens))
+        doc, token, *_ = anomaly.localise(lls, corpus, layout, top_n=2)
+        of_doc = np.repeat(np.arange(num_docs), np.diff(corpus.offsets))
+        order = np.lexsort((lls, of_doc))
+        rank = np.arange(len(order)) - corpus.offsets[of_doc]
+        keep = order[rank < 2]
+        assert np.array_equal(doc, of_doc[keep])
+        assert np.array_equal(token, keep - corpus.offsets[of_doc[keep]])
 
 
 @st.composite

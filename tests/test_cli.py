@@ -1,9 +1,12 @@
 import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -171,6 +174,46 @@ class TestDeterminism:
             outputs.append((train.read_bytes(), model.read_bytes(),
                             scores.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_mc_scores_identical_for_any_pool_size(self, tmp_path, monkeypatch):
+        train = _generate(tmp_path)
+        test = _generate(tmp_path, docs=5, seed=9, name="test.txt")
+        model = _train(tmp_path, train, algo="vb")
+        outputs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(vb, "_usable_cpus", lambda n=cpus: n)
+            scores = tmp_path / f"scores{cpus}.jsonl"
+            assert main(["score", "--model", str(model), "--corpus", str(test),
+                         "--mode", "mc", "--mc-samples", "11", "--seed", "3",
+                         "--train-corpus", str(train), "--out", str(scores)]) == 0
+            outputs.append(scores.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_package_functions_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # Only private draws run on the pool, so a tracer that wraps every
+        # public function with one span stack sees every call on one thread.
+        train = _generate(tmp_path)
+        test = _generate(tmp_path, docs=5, seed=9, name="test.txt")
+        model = _train(tmp_path, train, algo="vb")
+        monkeypatch.setattr(vb, "_usable_cpus", lambda: 4)
+        threads = set()
+
+        def recorded(fn):
+            def call(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return call
+
+        for info in pkgutil.iter_modules(markovtopics.__path__):
+            module = importlib.import_module(f"markovtopics.{info.name}")
+            for name, value in list(vars(module).items()):
+                if (not name.startswith("_") and inspect.isfunction(value)
+                        and value.__module__.startswith("markovtopics.")):
+                    monkeypatch.setattr(module, name, recorded(value))
+        assert main(["score", "--model", str(model), "--corpus", str(test),
+                     "--mode", "mc", "--mc-samples", "12", "--train-corpus", str(train),
+                     "--out", str(tmp_path / "scores.jsonl")]) == 0
+        assert threads == {threading.get_ident()}
 
 
 class TestMethodMatrix:

@@ -1,6 +1,10 @@
 import itertools
+import threading
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import digamma, logsumexp
 from scipy.stats import beta as beta_dist
@@ -127,8 +131,8 @@ class TestSamplePosterior:
             assert np.array_equal(pa.phi, pb.phi)
 
     def test_generator_matches_list_of_draws(self, rng):
-        # The generator makes the same gamma calls in the same order as the
-        # list-building reference, so the MC RNG stream does not move.
+        # The pool's draws, each from its own spawned stream, equal the same
+        # draws made one after another with every child spawned up front.
         spec = ModelSpec(7, 3, 2)
         post = vb.vb_m_step(zero_counts(spec), make_prior("1", spec))
         post.beta_t += rng.random(post.beta_t.shape)
@@ -138,6 +142,34 @@ class TestSamplePosterior:
         for g, w in zip(got, want):
             for name in ("phi", "theta", "xi", "pi"):
                 assert np.array_equal(getattr(g, name), getattr(w, name))
+
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_fewer_samples_are_a_prefix(self, k, extra, seed):
+        spec = ModelSpec(4, 2, 3)
+        post = vb.vb_m_step(zero_counts(spec), make_prior("1", spec))
+        short = list(vb.sample_posterior(post, k, seed))
+        longer = list(vb.sample_posterior(post, k + extra, seed))
+        assert len(short) == k
+        for a, b in zip(short, longer):
+            for name in ("phi", "theta", "xi", "pi"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_early_close_joins_the_pool(self, monkeypatch, cpus):
+        monkeypatch.setattr(vb, "_usable_cpus", lambda: cpus)
+        spec = ModelSpec(50, 3, 2)
+        post = vb.vb_m_step(zero_counts(spec), make_prior("1", spec))
+        before = set(threading.enumerate())
+        draws = vb.sample_posterior(post, 100, seed=3)
+        (first,) = itertools.islice(draws, 1)
+        started = set(threading.enumerate()) - before
+        # One CPU draws on the calling thread.
+        assert bool(started) == (cpus > 1)
+        assert all(t.name.startswith("sample_posterior") for t in started)
+        draws.close()
+        assert not any(t.is_alive() for t in started)
+        assert validate_params(first, spec) == []
 
     def test_concentrated_posterior_mean(self):
         # Dirichlet(5000, 5000) column: samples average to 0.5 tightly.
