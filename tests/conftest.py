@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from markovtopics import ModelParams, ModelSpec, corpus_from_lists, make_prior, random_init
+from markovtopics import inference
 
 
 def random_instance(rng, max_dim=3, max_docs=4, max_len=3):
@@ -114,6 +115,25 @@ def swinging_streams(draw):
         evidence += step
         docs.append([int(step < 0)] * max(1, round(abs(step) / math.log(odds))))
     return params, corpus_from_lists(docs, ModelSpec(2, 2, 2))
+
+
+class Crossover:
+    """Base of test classes that pin ``inference.forward``'s regime: the
+    crossover sits at ``stepped_from`` chains for the class's tests.  The
+    default, beyond any test's chain count, scans every chain; a subclass
+    with ``stepped_from = 1`` runs the same tests with every chain stepped.
+    A hypothesis test in such a class runs on instances of both classes, so
+    it suppresses hypothesis's ``differing_executors`` health check; it is
+    derandomized and keeps no example database, so nothing is replayed from
+    one class in the other."""
+
+    stepped_from = 10**9
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _crossover(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_STEPPED_FROM", request.cls.stepped_from)
+            yield
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -25,6 +25,7 @@ from _oracles import (
     zero_counts,
 )
 from conftest import (
+    Crossover,
     block_underflow_instance,
     gradual_instance,
     random_instance,
@@ -176,7 +177,7 @@ def _with_impossible_word(p):
     return ModelParams(phi=phi / phi.sum(axis=0), theta=p.theta, xi=p.xi, pi=p.pi)
 
 
-class TestFilteredBelief:
+class TestFilteredBelief(Crossover):
     def test_matches_forward_column(self, rng):
         spec, p, corpus = random_instance(rng)
         b = anomaly.filtered_belief(p, corpus)
@@ -230,7 +231,8 @@ class TestFilteredBelief:
         assert np.argmax(got) == np.argmax(log_alpha)
         assert len(log_forward_calls) == 1
 
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(steep_streams())
     def test_steep_stream_matches_forward_column(self, instance):
         p, corpus = instance
@@ -238,7 +240,8 @@ class TestFilteredBelief:
         np.testing.assert_allclose(anomaly.filtered_belief(p, corpus),
                                    np.exp(log_alpha - logsumexp(log_alpha)), rtol=1e-10, atol=1e-12)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(swinging_streams())
     def test_swinging_stream_matches_loop_reference(self, instance):
         p, corpus = instance
@@ -262,7 +265,8 @@ class TestFilteredBelief:
         else:
             assert np.array_equal(got, expected)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(st.integers(2, 4), st.integers(1, 3), st.booleans(), st.sampled_from([0.0, 0.3, 0.6]),
            st.integers(0, 2**32 - 1))
     def test_matches_loop_reference(self, X, Z, impossible_word, zero_rate, seed):
@@ -299,6 +303,10 @@ class TestFilteredBelief:
         assert anomaly.filtered_belief(p, corpus_from_lists([], spec)) is None
 
 
+class TestFilteredBeliefStepped(TestFilteredBelief):
+    stepped_from = 1
+
+
 def _with_zeros(m, keep):
     """Column-stochastic ``m`` with the entries outside ``keep`` zeroed; a
     column left empty is kept whole."""
@@ -308,7 +316,7 @@ def _with_zeros(m, keep):
     return out / out.sum(axis=0)
 
 
-class TestScorePlugin:
+class TestScorePlugin(Crossover):
     def test_uniform_model_score(self, tmp_path):
         X = 4
         p = _uniform_params(X, 1, 2)
@@ -415,7 +423,32 @@ class TestScorePlugin:
         assert np.allclose(st.behaviour_belief, [0.9, 0.1])
 
 
-class TestScoreMc:
+class TestScorePluginStepped(TestScorePlugin):
+    stepped_from = 1
+
+
+def _assert_revival_sample_redone(spy, num_draws):
+    """Score the revival stream under the revival parameters and
+    ``num_draws`` random draws.  The revival chain's messages cannot be
+    trusted, the draws' can, so :func:`inference._log_forward` runs once; and
+    each sample's likelihoods and final belief are those of its own
+    one-sample run."""
+    p, corpus = revival_instance()
+    samples = [p] + [random_init(p.spec, make_prior("1", p.spec), s) for s in range(num_draws)]
+    log_forward_calls = spy(inference, "_log_forward")
+    log_liks, after = _score_stream(samples, corpus)
+    assert len(log_forward_calls) == 1
+    single = [_score_stream([q], corpus) for q in samples]
+    per = np.array([lls for lls, _ in single])
+    np.testing.assert_allclose(log_liks, logsumexp(per, axis=0) - np.log(len(samples)),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(after.behaviour_belief,
+                               [state.behaviour_belief[0] for _, state in single],
+                               rtol=1e-12, atol=0)
+    assert math.isclose(per[0].sum(), _oracles.messages(p, corpus).log_K, rel_tol=1e-12)
+
+
+class TestScoreMc(Crossover):
     def test_identical_samples_reduce_to_plugin(self, rng):
         spec, p, corpus = random_instance(rng)
         doc = _one_doc(corpus[0], spec)
@@ -457,21 +490,7 @@ class TestScoreMc:
         assert len(set(beliefs)) == 3
 
     def test_sample_redone_in_log_domain_beside_scanned_ones(self, spy):
-        # Under the revival parameters the scan of the revival stream cannot
-        # be trusted; under the two random draws it can.  Each sample's
-        # likelihoods and final belief are those of its own one-sample run.
-        p, corpus = revival_instance()
-        samples = [p] + [random_init(p.spec, make_prior("1", p.spec), s) for s in (0, 1)]
-        log_forward_calls = spy(inference, "_log_forward")
-        log_liks, after = _score_stream(samples, corpus)
-        assert len(log_forward_calls) == 1
-        single = [_score_stream([q], corpus) for q in samples]
-        per = np.array([lls for lls, _ in single])
-        np.testing.assert_allclose(log_liks, logsumexp(per, axis=0) - np.log(3), rtol=1e-12, atol=0)
-        np.testing.assert_allclose(after.behaviour_belief,
-                                   [state.behaviour_belief[0] for _, state in single],
-                                   rtol=1e-12, atol=0)
-        assert math.isclose(per[0].sum(), _oracles.messages(p, corpus).log_K, rel_tol=1e-12)
+        _assert_revival_sample_redone(spy, num_draws=2)
 
     def test_matches_independent_single_sample_streams(self):
         # Sample 1 gives word 2 probability zero, so document 3 is
@@ -500,6 +519,17 @@ class TestScoreMc:
         assert np.array_equal(after[1], samples[1].pi)
         assert not np.allclose(after[0], samples[0].pi)
         assert not np.allclose(after[2], samples[2].pi)
+
+
+class TestScoreMcStepped(TestScoreMc):
+    stepped_from = 1
+
+
+def test_revival_sample_among_stepped_draws(spy):
+    # As many draws as the crossover: the first call steps every chain.
+    step_calls = spy(inference, "_step")
+    _assert_revival_sample_redone(spy, num_draws=inference._STEPPED_FROM)
+    assert step_calls[0][0].shape[1] == inference._STEPPED_FROM + 1
 
 
 class TestWordLogLiks:
@@ -634,7 +664,7 @@ class TestChainRuleProperty:
         assert math.isclose(total, log_both - log_train, rel_tol=1e-10, abs_tol=1e-10)
 
 
-class TestChainRulePastFloatRange:
+class TestChainRulePastFloatRange(Crossover):
     """Plug-in scoring from pi sums to the oracle's log K on streams whose
     beliefs or emissions span more than a float carries."""
 
@@ -644,15 +674,21 @@ class TestChainRulePastFloatRange:
         assert math.isclose(log_liks.sum(), _oracles.messages(params, corpus).log_K,
                             rel_tol=1e-10)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(steep_streams())
     def test_steep_streams(self, instance):
         self._assert_chain_rule(*instance)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(swinging_streams())
     def test_swinging_streams(self, instance):
         self._assert_chain_rule(*instance)
+
+
+class TestChainRulePastFloatRangeStepped(TestChainRulePastFloatRange):
+    stepped_from = 1
 
 
 @st.composite
@@ -729,7 +765,7 @@ def _assert_matches_reference(tmp_path, samples, corpus, min_words, last_filtere
     return log_liks, records
 
 
-class TestMatchesPerDocumentReference:
+class TestMatchesPerDocumentReference(Crossover):
     @pytest.mark.parametrize("num_samples", [1, 3])
     def test_random_instances(self, rng, tmp_path, num_samples):
         for _ in range(25):
@@ -779,6 +815,10 @@ class TestMatchesPerDocumentReference:
             _, records = _assert_matches_reference(tmp_path, group, corpus, min_words)
             assert ([r["evaluated"] for r in records]
                     == [n >= max(min_words, 1) for n in (2, 0, 1, 3, 2)])
+
+
+class TestMatchesPerDocumentReferenceStepped(TestMatchesPerDocumentReference):
+    stepped_from = 1
 
 
 @st.composite

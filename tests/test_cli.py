@@ -191,7 +191,8 @@ class TestDeterminism:
 
     def test_package_functions_run_on_the_calling_thread(self, tmp_path, monkeypatch):
         # Only private draws run on the pool, so a tracer that wraps every
-        # public function with one span stack sees every call on one thread.
+        # public function with one span stack sees every call on one thread;
+        # with more samples than the crossover the chains are stepped.
         train = _generate(tmp_path)
         test = _generate(tmp_path, docs=5, seed=9, name="test.txt")
         model = _train(tmp_path, train, algo="vb")
@@ -211,7 +212,8 @@ class TestDeterminism:
                         and value.__module__.startswith("markovtopics.")):
                     monkeypatch.setattr(module, name, recorded(value))
         assert main(["score", "--model", str(model), "--corpus", str(test),
-                     "--mode", "mc", "--mc-samples", "12", "--train-corpus", str(train),
+                     "--mode", "mc", "--mc-samples", str(inference._STEPPED_FROM + 1),
+                     "--train-corpus", str(train),
                      "--out", str(tmp_path / "scores.jsonl")]) == 0
         assert threads == {threading.get_ident()}
 

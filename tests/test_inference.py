@@ -272,6 +272,80 @@ class TestRunningProducts:
             assert not np.any(np.isfinite(out[k + 1:]))
 
 
+class TestLse:
+    @pytest.mark.parametrize("shape, axis", [
+        ((1000, 4), 1), ((1000, 4), -1), ((1000, 1), 1), ((5, 3, 4), 2), ((5, 3, 4), 1),
+        ((7, 6), 0), ((4,), 0), ((1000, 100), 1), ((100, 1000), 0)])
+    def test_bit_equal_to_max_and_sum_form(self, rng, shape, axis):
+        # Short axes are reduced column by column, long ones by np.max and
+        # np.sum; both give what np.max and np.sum give, all -inf slices
+        # included.
+        a = rng.normal(scale=50.0, size=shape)
+        a[rng.random(shape) < 0.2] = -np.inf
+        if a.ndim > 1:
+            np.moveaxis(a, axis, -1)[(0,) * (a.ndim - 1)] = -np.inf
+        m = np.max(a, axis=axis, keepdims=True)
+        m_safe = np.where(np.isfinite(m), m, 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = np.squeeze(m_safe, axis=axis) + np.log(np.sum(np.exp(a - m_safe), axis=axis))
+        assert np.array_equal(inference._lse(a, axis), want)
+
+
+@st.composite
+def _chains(draw):
+    """Emission logs (T, S, Z), start beliefs, xi and pi of 1-40 chains of
+    random tiny parameters (Z = 1 among them) on one stream, whose documents
+    repeat up to 300 times so that beliefs and emissions can pass float
+    range.  With a word impossible under one chain, a document using it is
+    impossible under that chain alone."""
+    spec = ModelSpec(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    hyper = make_prior(draw(st.sampled_from(["1", "H", "H+1"])), spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = [random_init(spec, hyper, int(seed))
+              for seed in rng.integers(2**31, size=draw(st.integers(1, 40)))]
+    if spec.num_words > 1 and draw(st.booleans()):
+        phi = params[0].phi.copy()
+        phi[0] = 0.0
+        params[0] = ModelParams(phi=phi / phi.sum(axis=0), theta=params[0].theta,
+                                xi=params[0].xi, pi=params[0].pi)
+    docs = [rng.integers(0, spec.num_words, size=rng.integers(0, 4)).tolist()
+            * int(rng.integers(1, 300)) for _ in range(rng.integers(1, 12))]
+    corpus = corpus_from_lists(docs, spec)
+    loge = np.stack([inference.emission_logs(inference.word_mixture_logs(p), corpus)
+                     for p in params], axis=1)
+    start = rng.dirichlet(np.ones(spec.num_behaviours), size=len(params))
+    return (loge, start, np.stack([p.xi for p in params]), np.stack([p.pi for p in params]))
+
+
+class TestForwardRegimes:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_chains())
+    def test_stepped_matches_scanned(self, chains):
+        # Messages and beliefs to 1e-12 relative, or both below the normal
+        # float range, where a trusted message entry carries few bits in
+        # either regime; log likelihoods to 1e-12 relative or absolute.
+        out = {}
+        for stepped_from in (1, 10**9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(inference, "_STEPPED_FROM", stepped_from)
+                out[stepped_from] = inference.forward(chains[0].copy(), *chains[1:])
+        (log_alpha, log_prior, log_lik), scanned = out[1], out[10**9]
+        np.testing.assert_allclose(np.exp(log_alpha), np.exp(scanned[0]), rtol=1e-12,
+                                   atol=np.finfo(float).tiny)
+        np.testing.assert_allclose(np.exp(log_prior), np.exp(scanned[1]), rtol=1e-12,
+                                   atol=np.finfo(float).tiny)
+        np.testing.assert_allclose(log_lik, scanned[2], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("num_chains", [1, 2 * inference._STEPPED_FROM])
+    def test_empty_stream_needs_no_fallback(self, spy, num_chains):
+        log_forward_calls = spy(inference, "_log_forward")
+        half = np.full((num_chains, 2), 0.5)
+        out = inference.forward(np.empty((0, num_chains, 2)), half,
+                                np.full((num_chains, 2, 2), 0.5), half)
+        assert [a.shape for a in out] == [(0, num_chains, 2)] * 2 + [(0, num_chains)]
+        assert not log_forward_calls
+
+
 class TestEStep:
     def test_matches_token_level_reference_mid_size(self):
         spec = ModelSpec(240, 5, 3)
