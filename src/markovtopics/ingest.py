@@ -14,7 +14,6 @@ import numpy as np
 from .model import Corpus, DataError, ModelSpec, corpus_from_lists
 
 DIRECTIONS = ("up", "left", "down", "right")
-DIRECTION_INDEX = {d: i for i, d in enumerate(DIRECTIONS)}
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ class ModelSpec:
     def __post_init__(self):
         for name in ("num_words", "num_topics", "num_behaviours"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 

@@ -8,12 +8,13 @@ exponent below 1, VB's after one iteration) is written as ``null``.  Model files
 dimensions, hyperparameters, matrices in row-major order with explicit
 shapes, a format-version field and the matrix orientation ("column =
 conditioning variable") spelled out; Gibbs count samples are whole numbers.
-Corpus files are plain text, one document per line of whitespace-separated
-integer word ids; blank lines are forbidden.
+Corpus files are plain text, one document per line of word ids separated by
+spaces or tabs; blank lines are forbidden.
 """
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 import orjson
 
 from .gibbs import point_estimate
-from .ingest import DIRECTION_INDEX, DIRECTIONS
+from .ingest import DIRECTIONS
 from .model import (
     Corpus,
     DataError,
@@ -30,7 +31,6 @@ from .model import (
     ModelSpec,
     NumericalError,
     SufficientCounts,
-    corpus_from_lists,
     validate_params,
 )
 from .vb import PosteriorHyperparams
@@ -182,70 +182,66 @@ def write_corpus(path, corpus: Corpus) -> None:
 
 #: Byte to byte table that keeps the ASCII digits and makes every other byte a space.
 _DIGITS_ONLY = bytes(b if 48 <= b < 58 else 32 for b in range(256))
+#: The grammar of a corpus file and of an event file after its header, as the
+#: array checks of the readers apply it.  It runs only once they refuse a
+#: file: its match spans the lines before the first bad one.
+_CORPUS_LINES = re.compile(rb"(?: *[0-9]{1,18}(?: +[0-9]{1,18})* *(?:\n|\Z))*")
+_EVENT_LINES = re.compile(rb"(?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18},(?:up|left|down|right)"
+                          rb"(?:\n|\Z))*")
 
 
-def _digit_runs(path, alphabet: bytes | None, header: bytes = b""):
-    """One array pass over the bytes of ``path`` after ``header``.
-
-    Returns the bytes (uint8), the start and end of each run of ASCII digits,
-    the end of each line (a last line without its newline included) and
-    each run's value.  Returns None, for the reader's text path, when the
-    file does not start with ``header``, holds a byte that is neither a
-    digit nor in ``alphabet`` (unchecked when None), or has a run of more
-    than 18 digits: every run read is then an int64, and ``np.fromstring``
-    sees only digit runs and spaces, so it can neither stop early nor clamp.
-    """
+def _read_lines(path) -> bytes:
+    """The bytes of ``path``, each ``\\r\\n`` made ``\\n`` and each tab a space."""
     raw = Path(path).read_bytes()
-    if not raw.startswith(header):
-        return None
-    buf = np.frombuffer(raw, np.uint8, offset=len(header))
+    if b"\r" in raw or b"\t" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\t", b" ")
+    return raw
+
+
+def _digit_runs(raw: bytes):
+    """One array pass over ``raw``: its bytes (uint8), the mask of its ASCII
+    digits (padded by one byte on each side), the start and end of each run
+    of digits and the end of each line (a last line without its newline
+    included)."""
+    buf = np.frombuffer(raw, np.uint8)
     digit = np.zeros(len(buf) + 2, dtype=bool)  # padded, so every run has two edges
     np.less(buf - np.uint8(48), 10, out=digit[1:-1])
-    if alphabet is not None and (np.count_nonzero(digit) + sum(
-            np.count_nonzero(buf == b) for b in alphabet) != len(buf)):
-        return None
     edges = np.flatnonzero(digit[1:] != digit[:-1])
-    starts, ends = edges[0::2], edges[1::2]
-    if np.any(ends - starts > 18):
-        return None
     line_ends = np.flatnonzero(buf == 10)
     if len(buf) and buf[-1] != 10:
         line_ends = np.append(line_ends, len(buf))
-    values = (np.fromstring(raw.translate(_DIGITS_ONLY)[len(header):], dtype=np.int64, sep=" ")
-              if len(starts) else np.zeros(0, dtype=np.int64))
-    return buf, starts, ends, line_ends, values
+    return buf, digit, edges[0::2], edges[1::2], line_ends
+
+
+def _values(raw: bytes) -> np.ndarray:
+    """The value of each run of digits in ``raw``, a file that passed its
+    reader's checks: it holds a run, or no byte at all.  Every run has at
+    most 18 digits, so it is an int64, and ``np.fromstring`` sees only digit
+    runs and spaces, so it can neither stop early nor clamp."""
+    return np.fromstring(raw.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
+
+
+def _first_bad_line(lines: re.Pattern, raw: bytes, line_ends: np.ndarray) -> int:
+    """The 0-based number of the first line of ``raw`` that ``lines`` refuses."""
+    return int(np.searchsorted(line_ends, lines.match(raw).end()))
 
 
 def read_corpus(path, spec: ModelSpec) -> Corpus:
-    """One document per line of whitespace-separated integer word ids.
-
-    A file of digits, spaces and newlines without a blank line (what
-    :func:`write_corpus` writes) is read in one array pass over its bytes;
-    any other goes through the text path, which defines the grammar and
-    names the bad document.  Both give the same corpus.
-    """
-    parsed = _digit_runs(path, b" \n")
-    if parsed is not None:
-        _, starts, _, line_ends, tokens = parsed
-        ends = np.searchsorted(starts, line_ends)  # tokens before each line's end
-        if len(ends) and np.all(np.diff(ends, prepend=0)):
-            return Corpus(tokens, np.concatenate(([0], ends)), spec)
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
-    docs = []
-    for t, line in enumerate(lines, start=1):
-        try:  # int() on each token, refusing values beyond int64
-            words = np.array(line.split(), dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
-            raise DataError(f"word id at document {t} in {path} is not a 64-bit "
-                            "integer") from exc
-        if not words.size:
-            raise DataError(f"blank line at document position {t} in {path}")
-        docs.append(words)
-    if not docs:
+    """One document per line: word ids of 1 to 18 ASCII digits, separated by
+    spaces or tabs, lines ended by ``\\n`` or ``\\r\\n`` (the last one
+    optionally), read in one array pass over the file's bytes.  Any other
+    file is a DataError naming its first bad line."""
+    raw = _read_lines(path)
+    buf, digit, starts, ends, line_ends = _digit_runs(raw)
+    if not len(line_ends):
         raise DataError(f"corpus file {path} holds no documents")
-    return corpus_from_lists(docs, spec)
+    counts = np.searchsorted(starts, line_ends)  # runs before each line's end
+    if (np.count_nonzero(digit) + np.count_nonzero(buf == 32) + np.count_nonzero(buf == 10)
+            != len(buf) or np.any(ends - starts > 18) or not np.all(np.diff(counts, prepend=0))):
+        t = _first_bad_line(_CORPUS_LINES, raw, line_ends) + 1
+        raise DataError(f"line {t} of {path}: expected word ids of 1 to 18 ASCII digits "
+                        "separated by spaces or tabs")
+    return Corpus(_values(raw), np.concatenate(([0], counts)), spec)
 
 
 def write_ground_truth(path, dataset) -> None:
@@ -331,68 +327,43 @@ def read_events(path) -> np.ndarray:
     int64 array: each event's frame, cell_x, cell_y and direction index (into
     :data:`ingest.DIRECTIONS`), in file order.
 
-    A file with that exact header whose lines are ``digits,digits,digits,
-    direction`` is read in one array pass over its bytes; any other goes
-    through the text path, which defines the grammar and names the first
-    bad line.  Both give the same columns.
+    Every line after the header is ``digits,digits,digits,direction``: three
+    runs of 1 to 18 ASCII digits and one of ``up``, ``left``, ``down``,
+    ``right``; lines end in ``\\n`` or ``\\r\\n`` (the last one optionally).
+    The file is read in one array pass over its bytes; any other file is a
+    DataError naming its first bad line.
     """
-    events = _event_bytes(path)
-    if events is not None:
-        return events
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip().lower() != "frame,cell_x,cell_y,dir":
-        raise DataError(f"event file {path} must start with header 'frame,cell_x,cell_y,dir'")
-    try:
-        return _event_columns(lines[1:])
-    except ValueError:  # name the first bad line
-        for i, line in enumerate(lines[1:], start=2):
-            try:
-                _event_columns([line])
-            except ValueError as exc:
-                raise DataError(f"line {i} of {path}: {exc}") from None
-        raise
+    raw = _read_lines(path)
+    # A file of the header alone may lack its newline.
+    if raw[:len(_EVENT_HEADER)] not in (_EVENT_HEADER, _EVENT_HEADER[:-1]):
+        raise DataError(f"line 1 of {path}: expected the header 'frame,cell_x,cell_y,dir'")
+    raw = raw[len(_EVENT_HEADER):]
+    buf, _, starts, ends, line_ends = _digit_runs(raw)
 
+    def bad_line():
+        i = _first_bad_line(_EVENT_LINES, raw, line_ends) + 2
+        return DataError(f"line {i} of {path}: expected digits,digits,digits,direction (1 to 18 "
+                         "ASCII digits each; up, left, down or right)")
 
-def _event_bytes(path) -> np.ndarray | None:
-    """:func:`read_events`' array pass, or None for its text path."""
-    parsed = _digit_runs(path, None, _EVENT_HEADER)
-    if parsed is None:
-        return None
-    buf, starts, ends, line_ends, values = parsed
     commas = np.flatnonzero(buf == 44)
-    if not (len(commas) == len(starts) == 3 * len(line_ends) and np.array_equal(ends, commas)):
-        return None
+    if not (len(commas) == len(starts) == 3 * len(line_ends) and np.array_equal(ends, commas)
+            and np.all(ends - starts <= 18)):
+        raise bad_line()
     # Line i's three digit runs start at its start and after its first two
     # commas and end at its three commas; what follows holds neither.
     c, s = commas.reshape(-1, 3), starts.reshape(-1, 3)
     line_starts = np.concatenate(([0], line_ends + 1))[:-1]
     if not (np.array_equal(s[:, 0], line_starts) and np.array_equal(s[:, 1:], c[:, :2] + 1)):
-        return None
+        raise bad_line()
     word = c[:, 2] + 1
     length = line_ends - word
     if np.any(length < 2):
-        return None
+        raise bad_line()
     direction = _DIRECTION_BY_FIRST_BYTE[buf[word]]
     if np.any(direction < 0) or np.any(_DIRECTION_LENGTH[direction] != length):
-        return None
+        raise bad_line()
     for d, name in enumerate(DIRECTIONS):
         at = word[direction == d]
         if any(np.any(buf[at + j] != ord(ch)) for j, ch in enumerate(name[1:], start=1)):
-            return None
-    return np.vstack((values.reshape(-1, 3).T, direction))
-
-
-def _event_columns(lines: list[str]) -> np.ndarray:
-    """Parse event lines in one pass; ValueError says what is wrong."""
-    if any(line.count(",") != 3 for line in lines):
-        raise ValueError("expected 4 comma-separated fields")
-    fields = ",".join(lines).split(",") if lines else []
-    try:
-        numbers = np.array([fields[0::4], fields[1::4], fields[2::4]], dtype=np.int64)
-    except (ValueError, OverflowError):
-        raise ValueError("field is not a 64-bit integer") from None
-    try:
-        directions = [DIRECTION_INDEX[d.strip()] for d in fields[3::4]]
-    except KeyError as exc:
-        raise ValueError(f"unknown direction {exc.args[0]!r}") from None
-    return np.vstack((numbers, np.array(directions, dtype=np.int64)))
+            raise bad_line()
+    return np.vstack((_values(raw).reshape(-1, 3).T, direction))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from scipy.special import gammaln, logsumexp
 from markovtopics.em import _log_map
 from markovtopics.generate import GeneratedDataset, _stream
 from markovtopics.inference import _counts, _log_forward, _lse, emission_logs, word_mixture_logs
-from markovtopics.ingest import DIRECTION_INDEX, DIRECTIONS
+from markovtopics.ingest import DIRECTIONS
 from markovtopics.model import (
     Corpus,
     DataError,
@@ -645,45 +646,38 @@ def build_corpus_per_event(events, layout, fps, clip_seconds=1.0, min_words=20):
     return corpus_from_lists(docs, spec), index_map
 
 
+def _lines(path) -> list[bytes]:
+    """The lines of ``path`` after making each ``\\r\\n`` a ``\\n``; the
+    last newline is optional."""
+    lines = Path(path).read_bytes().replace(b"\r\n", b"\n").split(b"\n")
+    return lines[:-1] if lines[-1] == b"" else lines
+
+
 def read_corpus_per_token(path, spec):
-    """``serialize.read_corpus`` one token at a time with ``int()``."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
+    """``serialize.read_corpus`` one line at a time: a ``re.fullmatch`` of
+    the grammar, then ``int()`` per token."""
     docs = []
-    for t, line in enumerate(lines, start=1):
-        if line.strip() == "":
-            raise DataError(f"blank line at document position {t} in {path}")
-        try:
-            words = np.asarray([int(tok) for tok in line.split()], dtype=np.int64)
-        except (ValueError, OverflowError) as exc:
-            raise DataError(f"word id at document {t} in {path} is not a 64-bit "
-                            "integer") from exc
-        docs.append(words)
+    for t, line in enumerate(_lines(path), start=1):
+        if not re.fullmatch(rb"[ \t]*[0-9]{1,18}(?:[ \t]+[0-9]{1,18})*[ \t]*", line):
+            raise DataError(f"line {t} of {path}: expected word ids of 1 to 18 ASCII digits "
+                            "separated by spaces or tabs")
+        docs.append([int(tok) for tok in line.split()])
     if not docs:
         raise DataError(f"corpus file {path} holds no documents")
     return corpus_from_lists(docs, spec)
 
 
 def read_events_per_line(path):
-    """``serialize.read_events`` one line at a time: ``int()`` per field and
-    a dict lookup per direction."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip().lower() != "frame,cell_x,cell_y,dir":
-        raise DataError(f"event file {path} must start with header 'frame,cell_x,cell_y,dir'")
+    """``serialize.read_events`` one line at a time: a ``re.fullmatch`` of
+    the grammar, then ``int()`` per field and a tuple lookup per direction."""
+    lines = _lines(path)
+    if lines[:1] != [b"frame,cell_x,cell_y,dir"]:
+        raise DataError(f"line 1 of {path}: expected the header 'frame,cell_x,cell_y,dir'")
     rows = []
     for i, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise DataError(f"line {i} of {path}: expected 4 comma-separated fields")
-        try:
-            numbers = [int(f) for f in fields[:3]]
-            if not all(-2**63 <= n < 2**63 for n in numbers):
-                raise ValueError
-        except ValueError:
-            raise DataError(f"line {i} of {path}: field is not a 64-bit integer") from None
-        direction = fields[3].strip()
-        if direction not in DIRECTION_INDEX:
-            raise DataError(f"line {i} of {path}: unknown direction {direction!r}")
-        rows.append(numbers + [DIRECTION_INDEX[direction]])
+        if not re.fullmatch(rb"[0-9]{1,18},[0-9]{1,18},[0-9]{1,18},(up|left|down|right)", line):
+            raise DataError(f"line {i} of {path}: expected digits,digits,digits,direction (1 to "
+                            "18 ASCII digits each; up, left, down or right)")
+        *numbers, direction = line.decode().split(",")
+        rows.append([int(f) for f in numbers] + [DIRECTIONS.index(direction)])
     return np.array(rows, dtype=np.int64).reshape(-1, 4).T

@@ -186,3 +186,5 @@ class TestHyperparams:
     def test_spec_requires_positive_dims(self):
         with pytest.raises(ValueError):
             ModelSpec(0, 1, 1)
+        with pytest.raises(ValueError, match="num_words"):
+            ModelSpec(True, 1, 1)
