@@ -104,8 +104,8 @@ def _filter(state: PredictiveState, corpus: Corpus,
     document is impossible restarts from its own initial distribution.
     """
     num_samples, num_behaviours = state.behaviour_belief.shape
-    # One sparse product per four samples, 30% faster than one per sample;
-    # each column comes out as it does alone.
+    # One sparse product per four samples (S = 100, 1000 x 100 tokens: 29.5 ms, against
+    # 42.4 per two and 32.3 per eight; 2-core host); each column comes out as it does alone.
     loge = np.empty((len(corpus), num_samples, num_behaviours))
     for s in range(0, num_samples, 4):
         block = loge[:, s:s + 4]

@@ -74,7 +74,7 @@ def em_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
     try:
         return inference.fit(corpus, hyper, spec, seed, max_iters, tol, step, _log_map)
     except NumericalError as exc:
-        in_corpus = np.diff(corpus.doc_term.indptr) > 0  # rows of doc_term are words
+        in_corpus = np.bincount(corpus.tokens, minlength=spec.num_words) > 0
         lost = np.count_nonzero(in_corpus & ~estimates[0].phi.any(axis=1)) if estimates else 0
         if not lost:
             raise

@@ -210,13 +210,12 @@ class Corpus:
         return int(self.offsets[-1])
 
     @cached_property
-    def doc_term(self) -> scipy.sparse.csr_matrix:
-        """Sparse (num_words, T) matrix of word counts per document, built
-        once.  Tokens are exchangeable within a document, so the emission and
-        the expected counts of a fit depend on the corpus only through it."""
-        docs = np.repeat(np.arange(len(self)), np.diff(self.offsets))
-        return scipy.sparse.csr_matrix((np.ones(len(self.tokens)), (self.tokens, docs)),
-                                       shape=(self.spec.num_words, len(self)))
+    def doc_term(self) -> scipy.sparse.csc_matrix:
+        """Sparse (num_words, T) word counts per document, built once: the
+        transpose of the CSR matrix over ``offsets`` and ``tokens``, one entry
+        per token.  Tokens are exchangeable, so a fit sees the corpus only through it."""
+        return scipy.sparse.csr_matrix((np.ones(len(self.tokens)), self.tokens, self.offsets),
+                                       shape=(len(self), self.spec.num_words)).T
 
 
 def corpus_from_lists(word_lists, spec: ModelSpec) -> Corpus:

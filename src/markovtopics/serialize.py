@@ -191,11 +191,9 @@ _EVENT_LINES = re.compile(rb"(?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18},(?:up|left|d
 
 
 def _read_lines(path) -> bytes:
-    """The bytes of ``path``, each ``\\r\\n`` made ``\\n`` and each tab a space."""
+    """The bytes of ``path`` with each ``\\r\\n`` made ``\\n``: lines end in ``\\n``."""
     raw = Path(path).read_bytes()
-    if b"\r" in raw or b"\t" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\t", b" ")
-    return raw
+    return raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
 
 
 def _digit_runs(raw: bytes):
@@ -231,7 +229,7 @@ def read_corpus(path, spec: ModelSpec) -> Corpus:
     spaces or tabs, lines ended by ``\\n`` or ``\\r\\n`` (the last one
     optionally), read in one array pass over the file's bytes.  Any other
     file is a DataError naming its first bad line."""
-    raw = _read_lines(path)
+    raw = _read_lines(path).replace(b"\t", b" ")
     buf, digit, starts, ends, line_ends = _digit_runs(raw)
     if not len(line_ends):
         raise DataError(f"corpus file {path} holds no documents")
@@ -279,11 +277,17 @@ def write_scores(path, log_liks: np.ndarray, lengths: np.ndarray, min_words: int
     Path(path).write_bytes(b"\n".join(lines) + b"\n")
 
 
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 file (:func:`_read_lines`), the last newline optional."""
+    lines = _read_lines(path).decode("utf-8").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def read_scores(path) -> list[dict]:
     """Score records: each line one JSON object whose ``score`` is null or a
     finite number.  ``NaN`` and ``Infinity`` are refused anywhere."""
     records = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for i, line in enumerate(_text_lines(path), start=1):
         if line.strip() == "":
             raise DataError(f"blank line {i} in score file {path}")
         try:
@@ -299,14 +303,12 @@ def read_scores(path) -> list[dict]:
 
 
 def read_labels(path) -> np.ndarray:
-    """One boolean (0/1) per line."""
-    values = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        tok = line.strip()
+    """One 0 or 1 per line, optionally between spaces or tabs, as booleans."""
+    labels = [line.strip(" \t") for line in _text_lines(path)]
+    for i, tok in enumerate(labels, start=1):
         if tok not in ("0", "1"):
             raise DataError(f"label line {i} in {path} must be 0 or 1, got {tok!r}")
-        values.append(tok == "1")
-    return np.asarray(values, dtype=bool)
+    return np.array(labels, dtype=str) == "1"
 
 
 def write_pr_curve(path, curve: np.ndarray) -> None:

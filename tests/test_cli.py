@@ -596,6 +596,38 @@ class TestDataErrors:
         assert capsys.readouterr().err.startswith("data error: ")
 
 
+#: Characters that ``str.splitlines`` takes as line ends, besides ``\n``.
+_NOT_LINE_ENDS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineGrammar:
+    """Label and score files end lines as corpus and event files do: at
+    ``\\n`` or ``\\r\\n`` only."""
+
+    # Last on the line, "\r" would make "\r\n": a space follows it there.
+    @pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
+    @pytest.mark.parametrize("line", ["1{}0", "{}1", "1{} "])
+    def test_label_line_holding_char_is_a_data_error(self, tmp_path, capsys, char, line):
+        argv = _eval_with_record(tmp_path, '{"index": 2, "score": -2.0, "evaluated": true}')
+        (tmp_path / "labels.txt").write_text("0\n" + line.format(char) + "\n")
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"data error: label line 2 in {tmp_path}")
+
+    @pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=ascii)
+    def test_score_line_holding_char_is_a_data_error(self, tmp_path, capsys, char):
+        argv = _eval_with_record(tmp_path, '{"score": -2.0}' + char + '{"score": -3.0}')
+        (tmp_path / "labels.txt").write_text("0\n1\n0\n")
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("data error: bad score record on line 2 ")
+
+    def test_crlf_and_unterminated_last_line_accepted(self, tmp_path, capsys):
+        argv = _eval_with_record(tmp_path, '{"score": -2.0}\r\n{"score": -3.0}')
+        (tmp_path / "s.jsonl").write_bytes((tmp_path / "s.jsonl").read_bytes().rstrip())
+        (tmp_path / "labels.txt").write_bytes(b"0\r\n1\r\n\t0 ")
+        assert main(argv) == 0
+        assert "pr_auc=" in capsys.readouterr().out
+
+
 def _reject_constant(token):
     raise ValueError(f"non-finite number {token}")
 
@@ -690,15 +722,19 @@ class TestTruncatedEm:
         # truncates at 0.  Each of the eight words, seen once, splits its
         # count over two topics; one below 0.95 in both gets probability 0
         # under every topic, and the second E-step finds the corpus impossible.
+        # At seed 0 that is word 3 alone (its larger share is 0.88).  Word 8
+        # is in no document: it also has probability 0, but is not counted.
+        # Two documents over nine words, so a count along the documents
+        # cannot pass.
         corpus = tmp_path / "c.txt"
-        corpus.write_text("0 1 2 3 4 5 6 7\n")
-        argv = ["train", "--corpus", str(corpus), "--num-words", "8", "--num-topics", "2",
+        corpus.write_text("0 1 2 3\n4 5 6 7\n")
+        argv = ["train", "--corpus", str(corpus), "--num-words", "9", "--num-topics", "2",
                 "--num-behaviours", "1", "--algo", "em", "--iterations", "2", "--seed", "0",
                 "--out", str(tmp_path / "m.json")]
         assert main(argv + ["--prior", "H"]) == 4
         err = capsys.readouterr().err
         assert re.fullmatch(r"numerical failure: corpus impossible under model: after a MAP "
-                            r"M-step [1-8] corpus word\(s\) have zero probability under every "
+                            r"M-step 1 corpus word\(s\) have zero probability under every "
                             r"topic \(.*use --prior H\+1 or 1\)\n", err), err
         for prior in ("H+1", "1"):
             assert main(argv + ["--prior", prior]) == 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -63,6 +63,65 @@ class TestEmissionLogs:
                         pi=np.array([1.0]))
         corpus = corpus_from_lists([[1]], ModelSpec(2, 1, 1))
         assert inference.emission_logs(inference.word_mixture_logs(p), corpus)[0, 0] == -np.inf
+
+
+def _doc_term_case(docs, spec, seed, zero_word):
+    """Parameters drawn from the flat prior, with no topic emitting
+    ``zero_word`` (unless None), the corpus ``docs`` and behaviour
+    posteriors for its documents."""
+    rng = np.random.default_rng(seed)
+    params = random_init(spec, make_prior("1", spec), rng)
+    if zero_word is not None:
+        params.phi[zero_word] = 0.0
+    gamma = rng.dirichlet(np.ones(spec.num_behaviours), size=len(docs))
+    return params, corpus_from_lists(docs, spec), gamma
+
+
+@st.composite
+def _doc_term_cases(draw):
+    """Corpora with empty documents, words repeated in a document and
+    possibly no document at all, over vocabularies from one word up."""
+    spec = ModelSpec(draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    docs = draw(st.lists(st.lists(st.integers(0, spec.num_words - 1), max_size=6), max_size=6))
+    return _doc_term_case(docs, spec, draw(st.integers(0, 2**32 - 1)),
+                          draw(st.none() | st.integers(0, spec.num_words - 1)))
+
+
+class TestDocTermMatrix:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_doc_term_cases())
+    @example(_doc_term_case([[0, 0], [], [0]], ModelSpec(1, 1, 2), 0, None))
+    @example(_doc_term_case([[0, 0, 0], [0]], ModelSpec(1, 2, 1), 1, 0))
+    @example(_doc_term_case([[1, 2, 1], [], [0, 1]], ModelSpec(3, 2, 2), 2, 1))
+    @example(_doc_term_case([], ModelSpec(3, 2, 2), 3, None))
+    def test_matches_dense_forms(self, case):
+        params, corpus, gamma = case
+        X, T, Z = len(params.phi), len(corpus), len(params.pi)
+        dense = np.array([np.bincount(doc, minlength=X) for doc in corpus]).reshape(T, X).T
+        assert corpus.doc_term.shape == (X, T)
+        assert np.array_equal(corpus.doc_term.toarray(), dense)
+        # The flat corpus is the matrix's CSR form: one entry per token, in
+        # corpus order, so nothing was sorted or merged.
+        assert np.array_equal(corpus.doc_term.T.indptr, corpus.offsets)
+        assert np.array_equal(corpus.doc_term.T.indices, corpus.tokens)
+
+        log_mix = inference.word_mixture_logs(params)
+        loge = inference.emission_logs(log_mix, corpus)
+        mix = params.phi @ params.theta
+        # A word of zero mixture probability makes its document -inf, never NaN.
+        impossible = np.array([(mix[doc] == 0).any(axis=0) for doc in corpus]).reshape(T, Z)
+        assert np.array_equal(loge == -np.inf, impossible) and not np.isnan(loge).any()
+        np.testing.assert_allclose(
+            loge, np.array([log_mix[doc].sum(axis=0) for doc in corpus]).reshape(T, Z),
+            rtol=1e-12, atol=0)
+
+        if T:  # ``_counts`` reads the first document's posterior
+            counts = inference._counts(params, corpus, mix, gamma, np.eye(Z))
+            c = np.divide(dense @ gamma, mix, out=np.zeros((X, Z)), where=mix > 0)
+            np.testing.assert_allclose(counts.n_xy, params.phi * (c @ params.theta.T),
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(counts.n_yz, params.theta * (params.phi.T @ c),
+                                       rtol=1e-12, atol=0)
 
 
 class TestForwardBackward:
