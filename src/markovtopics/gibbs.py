@@ -56,12 +56,12 @@ def tally(y_flat, z_assign, corpus: Corpus) -> SufficientCounts:
 def gibbs_init(corpus: Corpus, spec: ModelSpec, seed: int) -> GibbsState:
     """Uniform-random assignments with consistent tallies.
 
-    The topics are drawn one document at a time: a single draw for every
-    token would give a different stream.
+    Every token's topic comes from one ``rng.integers`` call: numpy draws
+    these from 32-bit values that PCG64 cuts from 64-bit outputs, keeping a
+    spare half in its state, so stream and state are those of a call per document.
     """
     rng = np.random.default_rng(seed)
-    y_flat = np.concatenate([rng.integers(0, spec.num_topics, size=n)
-                             for n in np.diff(corpus.offsets).tolist()])
+    y_flat = rng.integers(0, spec.num_topics, size=corpus.num_tokens)
     z_assign = rng.integers(0, spec.num_behaviours, size=len(corpus))
     return GibbsState(y_flat=y_flat, z_assign=z_assign,
                       counts=tally(y_flat, z_assign, corpus), rng=rng)

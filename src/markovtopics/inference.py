@@ -218,7 +218,7 @@ def e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts
     in one document share a posterior, so with ``C = (B gamma) / mix`` the
     counts are ``n_xy = phi * (C theta^T)`` and ``n_yz = theta * (phi^T C)``.
     Raises :class:`NumericalError` when the corpus is impossible under the
-    model.
+    model; a corpus with no documents gives log K = 0 and all-zero counts.
     """
     mix = params.phi @ params.theta
     ones = np.ones_like(params.pi)
@@ -232,7 +232,7 @@ def e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts
         raise NumericalError("corpus impossible under model: normalisation constant is zero")
     # A scan drops what falls below e^-745 of a message's largest entry, which
     # the posterior may ignore only beside belief entries of at least _FLOOR.
-    if prior.min() >= np.log(_FLOOR):
+    if np.all(prior >= np.log(_FLOOR)):
         post = forward(loge[::-1, None], ones[None], params.xi.T[None], ones[None])[0][::-1, 0]
     else:
         post = _log_forward(loge[::-1], ones, params.xi.T, ones)[0][::-1]
@@ -251,7 +251,7 @@ def _counts(params: ModelParams, corpus: Corpus, mix: np.ndarray, gamma: np.ndar
     c = np.divide(corpus.doc_term @ gamma, mix, out=np.zeros_like(mix), where=mix > 0)
     return SufficientCounts(n_xy=params.phi * (c @ params.theta.T),
                             n_yz=params.theta * (params.phi.T @ c),
-                            n_zz=n_zz, n_z1=gamma[0].copy())
+                            n_zz=n_zz, n_z1=gamma[:1].sum(axis=0))
 
 
 def init_e_step(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Corpus, DataError, ModelSpec, corpus_from_lists
+from .model import Corpus, DataError, ModelSpec
 
 DIRECTIONS = ("up", "left", "down", "right")
 
@@ -82,9 +82,9 @@ def build_corpus(events: np.ndarray, layout: FrameLayout, fps: float,
     # A window past the int64 range holds all frames >= 0 in window 0, the rest in -1.
     win = frame // window if window < 2**63 else frame >> 63
     # Events are in frame order, so each window's events are one run.
-    windows, starts = np.unique(win, return_index=True)
-    kept = np.flatnonzero(np.diff(starts, append=len(win)) >= min_words)
-    runs = np.split(words, starts[1:])
+    windows, counts = np.unique(win, return_counts=True)
+    kept = counts >= min_words
+    offsets = np.append(0, np.cumsum(counts[kept]))
     spec = ModelSpec(num_words=layout.vocabulary_size, num_topics=1, num_behaviours=1)
     index_map = dict(enumerate(windows[kept].tolist(), start=1))
-    return corpus_from_lists([runs[k] for k in kept], spec), index_map
+    return Corpus(words[np.repeat(kept, counts)], offsets, spec), index_map

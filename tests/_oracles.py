@@ -4,14 +4,14 @@ These are deliberately independent of the library's dynamic-programming
 implementations: exhaustive enumeration over behaviour paths (and, for the
 collapsed sampler, over complete hidden assignments).  The token-level
 log-domain forward-backward (``messages``, ``posteriors``,
-``expected_counts``, ``infer``), the per-token generator, the per-token
-Gibbs topic step, the numpy Gibbs behaviour step, the per-document scorer,
-the per-record score writer, the per-document localiser, the per-event
-``build_corpus``, the per-token corpus reader, the per-line event reader,
-the list-building posterior sampler, the per-document scaled loops of the
-E-step and of the filtered belief, and the E-step on the log-domain forward
-recursion alone are the straightforward versions the fast library paths
-must match.  ``zero_counts`` builds the all-zero counts that the M-step
+``expected_counts``, ``infer``), the per-token generator, the per-document
+Gibbs initial draw, the per-token Gibbs topic step, the numpy Gibbs
+behaviour step, the per-document scorer, the per-record score writer, the
+per-document localiser, the per-event ``build_corpus``, the per-token
+corpus reader, the per-line event reader, the list-building posterior
+sampler, the per-document scaled loops of the E-step and of the filtered
+belief, and the E-step on the log-domain forward recursion alone are the
+straightforward versions the fast library paths must match.  ``zero_counts`` builds the all-zero counts that the M-step
 tests start from.
 """
 from __future__ import annotations
@@ -28,6 +28,7 @@ from scipy.special import gammaln, logsumexp
 
 from markovtopics.em import _log_map
 from markovtopics.generate import GeneratedDataset, _stream
+from markovtopics.gibbs import GibbsState, tally
 from markovtopics.inference import _counts, _log_forward, _lse, emission_logs, word_mixture_logs
 from markovtopics.ingest import DIRECTIONS
 from markovtopics.model import (
@@ -230,6 +231,19 @@ def per_token_generate_from(params: ModelParams, num_docs: int, doc_lengths: lis
         topics.append(np.asarray(y, dtype=np.int64))
     return GeneratedDataset(corpus=corpus_from_lists(docs, spec), true_params=params,
                             true_topics=topics, true_behaviours=behaviours)
+
+
+def per_document_gibbs_init(corpus: Corpus, spec: ModelSpec, seed: int):
+    """``gibbs.gibbs_init`` with one ``rng.integers`` call per document for
+    the topics: the reference the one-call draw must match, the state the
+    generator is left in included."""
+    rng = np.random.default_rng(seed)
+    y_flat = np.concatenate([np.empty(0, dtype=np.int64)]
+                            + [rng.integers(0, spec.num_topics, size=n)
+                               for n in np.diff(corpus.offsets).tolist()])
+    z_assign = rng.integers(0, spec.num_behaviours, size=len(corpus))
+    return GibbsState(y_flat=y_flat, z_assign=z_assign,
+                      counts=tally(y_flat, z_assign, corpus), rng=rng)
 
 
 def vectorised_topic_step(state, corpus, hyper):

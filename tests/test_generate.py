@@ -141,6 +141,10 @@ class TestPerTokenReference:
     @example(_case(1, 3, 2, "H+1", [3, 1, 12, 5], 7))
     @example(_case(6, 1, 2, "H", [3, 1, 12, 5], 7))
     @example(_case(6, 3, 1, "1", [3, 1, 12, 5], 7))
+    # Across the blocks of one uniform draw each: a document longer than a
+    # block, then short documents over several blocks.
+    @example(_case(9, 4, 3, "H", [5, generate_module._BLOCK_TOKENS + 7, 2, 1], 13))
+    @example(_case(7, 3, 4, "H+1", [1, 4, 2, 9] * (generate_module._BLOCK_TOKENS // 6), 17))
     def test_equals_per_token_generator(self, case):
         params, lengths, seed = case
         new, new_next = _recording_run(generate_module, generate_from, params, lengths, seed)

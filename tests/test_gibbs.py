@@ -7,7 +7,8 @@ from markovtopics import Hyperparams, ModelSpec, corpus_from_lists, make_prior
 from markovtopics import generate, gibbs
 from markovtopics.model import validate_params
 
-from _oracles import enum_collapsed_posterior, vectorised_behaviour_step, vectorised_topic_step
+from _oracles import (enum_collapsed_posterior, per_document_gibbs_init,
+                      vectorised_behaviour_step, vectorised_topic_step)
 
 
 def _reference_chain(corpus, hyper, seed, sweeps):
@@ -59,6 +60,40 @@ class TestTally:
         assert c.n_yz.sum() == ds.corpus.num_tokens
         assert c.n_zz.sum() == len(ds.corpus) - 1
         assert c.n_z1.sum() == 1
+
+
+@st.composite
+def _init_cases(draw):
+    """Uneven document lengths (empty documents and an empty corpus
+    included), 1 to 8 topics and a seed."""
+    spec = ModelSpec(draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, 5, 8])),
+                     draw(st.integers(1, 3)))
+    lengths = draw(st.lists(st.integers(0, 9), max_size=8))
+    docs = [[t % spec.num_words] * n for t, n in enumerate(lengths)]
+    return corpus_from_lists(docs, spec), draw(st.integers(0, 2**32 - 1))
+
+
+class TestInit:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_init_cases())
+    @example((corpus_from_lists([], ModelSpec(2, 3, 2)), 0))
+    @example((corpus_from_lists([[], [], []], ModelSpec(2, 5, 2)), 1))
+    @example((corpus_from_lists([[0] * 3, [], [1] * 7, [0]], ModelSpec(2, 7, 3)), 2))
+    @example((corpus_from_lists([[0] * 41, [1] * 2, [0] * 13], ModelSpec(2, 8, 4)), 3))
+    def test_one_draw_equals_per_document_draws(self, case):
+        # numpy draws these topics as 32-bit halves of PCG64's 64-bit outputs
+        # and keeps an unused half in the generator: the draws after the
+        # topics show whether the state matches too.
+        corpus, seed = case
+        new = gibbs.gibbs_init(corpus, corpus.spec, seed)
+        old = per_document_gibbs_init(corpus, corpus.spec, seed)
+        assert new.y_flat.dtype == old.y_flat.dtype and np.array_equal(new.y_flat, old.y_flat)
+        assert np.array_equal(new.z_assign, old.z_assign)
+        for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+            assert np.array_equal(getattr(new.counts, name), getattr(old.counts, name)), name
+        assert new.rng.integers(0, 7, size=3).tolist() == old.rng.integers(0, 7, size=3).tolist()
+        assert new.rng.random() == old.rng.random()
+        assert new.rng.integers(0, 2**40) == old.rng.integers(0, 2**40)
 
 
 class TestSweep:

@@ -1,0 +1,54 @@
+"""The fixed-seed outputs of ``golden.py`` equal the committed ones.
+
+Integers, strings and the corpus text must be equal byte for byte; floats
+(parameters, hyperparameters, objectives) agree to 1e-12 relative, since a
+change of summation order may move their last bits.  The integer outputs
+(corpus, hidden assignments, Gibbs count samples) come from the token
+stream and the Gibbs chain, so equality shows that neither moved.
+"""
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+import orjson
+import pytest
+
+import golden
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+RTOL = 1e-12
+
+
+def _assert_same(got, want, where: str) -> None:
+    assert type(got) is type(want), f"{where}: {type(got).__name__} != {type(want).__name__}"
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_same(a, b, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=RTOL, abs_tol=0.0), f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
+
+
+@pytest.fixture(scope="module")
+def rerun(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
+    golden.write(out)
+    return out
+
+
+def test_corpus_is_byte_identical(rerun):
+    assert (rerun / "corpus.txt").read_bytes() == (GOLDEN / "corpus.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["truth.json", "gs.json"])
+def test_json_output_matches(rerun, name):
+    got, want = (orjson.loads((d / name).read_bytes()) for d in (rerun, GOLDEN))
+    _assert_same(got, want, name)
+

@@ -13,8 +13,8 @@ from markovtopics import (
     make_prior,
     random_init,
 )
-from markovtopics import generate, inference
-from markovtopics.model import NumericalError
+from markovtopics import em, generate, gibbs, inference, vb
+from markovtopics.model import NumericalError, validate_params
 
 import _oracles
 from _oracles import enum_expected_counts, enum_marginal_and_posteriors, log_marginal_likelihood
@@ -678,3 +678,56 @@ class TestLogForward:
     @given(_vb_like_streams())
     def test_matches_oracle_on_vb_like_streams(self, instance):
         self._assert_matches_oracle(*instance)
+
+
+def _fit_all(corpus, hyper):
+    """The parameters EM, VB and GS fit to ``corpus``, by learner, and the
+    GS count samples."""
+    spec = corpus.spec
+    em_params, _ = em.em_fit(corpus, hyper, spec, seed=3, max_iters=3)
+    _, vb_params, _ = vb.vb_fit(corpus, hyper, spec, seed=3, max_iters=3)
+    samples, gs_params = gibbs.gs_fit(corpus, hyper, spec, seed=3, burn_in=2,
+                                      num_samples=2, spacing=1)
+    return {"em": em_params, "vb": vb_params, "gs": gs_params}, samples
+
+
+def _prior_estimates(hyper, spec):
+    """What each learner estimates from all-zero counts: EM's mode, the
+    posterior mean of VB and GS."""
+    zero = _oracles.zero_counts(spec)
+    return {"em": em.m_step(zero, hyper), "vb": vb.point_estimates(vb.vb_m_step(zero, hyper)),
+            "gs": gibbs.point_estimate(zero, hyper)}
+
+
+class TestCorpusWithoutTokens:
+    @pytest.mark.parametrize("prior", ["1", "H", "H+1"])
+    def test_e_step_on_no_documents(self, prior):
+        spec = ModelSpec(3, 2, 2)
+        params = random_init(spec, make_prior(prior, spec), 0)
+        log_k, counts = inference.e_step(params, corpus_from_lists([], spec))
+        assert log_k == 0.0
+        for got, want in zip(vars(counts).values(), vars(_oracles.zero_counts(spec)).values()):
+            assert got.shape == want.shape and np.all(got == 0)
+
+    @pytest.mark.parametrize("prior", ["1", "H", "H+1"])
+    def test_no_documents_fit_the_prior(self, prior):
+        spec = ModelSpec(3, 2, 2)
+        hyper = make_prior(prior, spec)
+        fitted, samples = _fit_all(corpus_from_lists([], spec), hyper)
+        for name, want in _prior_estimates(hyper, spec).items():
+            for got, expected in zip(vars(fitted[name]).values(), vars(want).values()):
+                assert np.array_equal(got, expected), name
+        assert all(np.all(a == 0) for c in samples for a in vars(c).values())
+
+    @pytest.mark.parametrize("prior", ["1", "H", "H+1"])
+    def test_empty_documents_fit_the_prior_word_and_topic_columns(self, prior):
+        spec = ModelSpec(3, 2, 2)
+        hyper = make_prior(prior, spec)
+        fitted, samples = _fit_all(corpus_from_lists([[], [], []], spec), hyper)
+        for name, want in _prior_estimates(hyper, spec).items():
+            assert np.array_equal(fitted[name].phi, want.phi), name
+            assert np.array_equal(fitted[name].theta, want.theta), name
+            assert validate_params(fitted[name], spec) == [], name
+        for c in samples:
+            assert c.n_xy.sum() == c.n_yz.sum() == 0
+            assert c.n_zz.sum() == 2 and c.n_z1.sum() == 1
