@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 
@@ -197,10 +199,82 @@ def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
     state.z_assign[...] = z
 
 
-def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
-    """Resample every token's topic, in corpus order.
+#: Flags of the compiled topic step.  ``-ffp-contract=off`` keeps every
+#: multiply and add separately rounded, as Python does, so that the chains
+#: of both steps are bit-identical.
+_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
-    A loop over Python scalars: per token the conditional is
+
+@cache
+def _topic_kernel():
+    """``_topics.c`` built with the C compiler Python names (``cc`` if none)
+    into a fresh temporary directory, loaded with ``ctypes``, and the
+    directory removed (the loaded mapping survives): once per process, with
+    nothing kept between processes.  None where no compiler or loader works;
+    the Python loop then runs, with the same bytes."""
+    # Imported here: EM, VB and scoring never build the kernel.
+    import ctypes
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            lib = str(Path(tmp, "_topics.so"))
+            subprocess.run([*cc, *_CFLAGS, "-o", lib, str(Path(__file__).with_name("_topics.c"))],
+                           check=True, capture_output=True, timeout=60)
+            kernel = ctypes.CDLL(lib).resample_topics
+    except (OSError, subprocess.SubprocessError):
+        return None
+    # Raw addresses: numpy's ndpointer checks cost more than a small
+    # corpus's whole topic step, and the caller makes the same checks.
+    kernel.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_double] + [ctypes.c_void_p] * 11
+    kernel.restype = None
+    return kernel
+
+
+def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
+    """Resample every token's topic, in corpus order, with the compiled
+    kernel where it builds and the Python loop where it does not.
+
+    The kernel indexes without bounds checks, so the arrays it writes and
+    the indices it reads are checked first, on either path.
+    """
+    counts = state.counts
+    n_xy, n_yz, ys, z = counts.n_xy, counts.n_yz, state.y_flat, state.z_assign
+    num_topics, num_behaviours = n_yz.shape
+    num_words = corpus.spec.num_words
+    for name, a, shape in (("n_xy", n_xy, (num_words, num_topics)),
+                           ("n_yz", n_yz, (num_topics, num_behaviours)),
+                           ("y_flat", ys, (corpus.num_tokens,))):
+        if not (a.dtype == np.int64 and a.flags.c_contiguous and a.flags.writeable
+                and a.shape == shape):
+            raise ValueError(f"{name} must be a writeable C-contiguous int64 array of shape {shape}")
+    if ys.size and not 0 <= ys.min() <= ys.max() < num_topics:
+        raise ValueError(f"y_flat holds topics outside [0, {num_topics})")
+    if z.dtype != np.int64 or z.shape != (len(corpus),) or (
+            z.size and not 0 <= z.min() <= z.max() < num_behaviours):
+        raise ValueError(f"z_assign must be {len(corpus)} int64 behaviours in [0, {num_behaviours})")
+    if hyper.alpha.shape != (num_topics,) or hyper.beta.shape != (num_words,):
+        raise ValueError("alpha and beta must have one entry per topic and per word")
+
+    kernel = _topic_kernel()
+    if kernel is None:
+        _resample_topics_in_python(state, corpus, hyper)
+        return
+    # The list holds every buffer until the kernel returns.
+    buffers = [np.ascontiguousarray(a) for a in (
+        corpus.offsets, corpus.tokens, z, state.rng.random(len(ys)), hyper.alpha, hyper.beta,
+        n_xy, n_yz, n_xy.sum(axis=0), ys, np.empty(num_topics))]
+    kernel(len(corpus), num_topics, num_behaviours, float(hyper.beta.sum()),
+           *[a.ctypes.data for a in buffers])
+
+
+def _resample_topics_in_python(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
+    """The topic step as a loop over Python scalars, for hosts where the
+    kernel does not build: per token the conditional is
     ``(n_xy[x, k] + beta_x) / (tot_k + sum(beta)) * (n_yz[k, z] + alpha_k)``,
     summed as it goes, and the topic is the first whose running sum exceeds
     ``u * total``.  These are the float64 operations, in the same order, of

@@ -1,3 +1,7 @@
+import dataclasses
+import sysconfig
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,7 +9,8 @@ from hypothesis import strategies as st
 
 from markovtopics import Hyperparams, ModelSpec, corpus_from_lists, make_prior
 from markovtopics import generate, gibbs
-from markovtopics.model import validate_params
+from markovtopics.cli import main
+from markovtopics.model import SufficientCounts, validate_params
 
 from _oracles import (enum_collapsed_posterior, per_document_gibbs_init,
                       vectorised_behaviour_step, vectorised_topic_step)
@@ -142,6 +147,201 @@ class TestTopicStep:
         for _ in range(5):
             gibbs.gibbs_sweep(new, corpus, h)
         _assert_same_chain(_reference_chain(corpus, h, seed=12, sweeps=5), new)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """Skips a test that compares the compiled topic step where it does not build."""
+    if gibbs._topic_kernel() is None:
+        pytest.skip("no C compiler builds the compiled topic step on this host")
+
+
+def _topic_chain(step, corpus, hyper, seed, sweeps):
+    """The chain with ``step`` as its topic step, every sweep audited."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gibbs, "_resample_topics", step)
+        state = gibbs.gibbs_init(corpus, corpus.spec, seed)
+        for _ in range(sweeps):
+            _audited_sweep(state, corpus, hyper)
+    return state
+
+
+@st.composite
+def _topic_cases(draw):
+    """Uneven document lengths (empty documents and corpora included), 1,
+    2, 3 or 8 topics, uneven priors and a seed."""
+    num_topics = draw(st.sampled_from([1, 2, 3, 8]))
+    spec = ModelSpec(draw(st.integers(1, 6)), num_topics, draw(st.integers(1, 3)))
+    docs = draw(st.lists(st.lists(st.integers(0, spec.num_words - 1), max_size=12), max_size=8))
+    priors = [np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))
+              for n in (num_topics, spec.num_words, spec.num_behaviours, spec.num_behaviours)]
+    return corpus_from_lists(docs, spec), Hyperparams(*priors), draw(st.integers(0, 2**32 - 1))
+
+
+_UNEVEN_PRIOR_8 = Hyperparams(alpha=np.linspace(0.1, 4.0, 8), beta=np.array([0.05, 2.5, 0.7]),
+                              gamma=np.array([1.2, 0.8]), eta=np.array([3.0, 1.0]))
+
+
+class _FixedUniforms:
+    """Stands in for a chain's generator: every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+class TestCompiledTopicStep:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_topic_cases())
+    @example((corpus_from_lists([], ModelSpec(2, 3, 2)), make_prior("H", ModelSpec(2, 3, 2)), 0))
+    @example((corpus_from_lists([[], [], []], ModelSpec(2, 2, 2)),
+              make_prior("1", ModelSpec(2, 2, 2)), 1))
+    @example((corpus_from_lists([[0, 1, 2, 2, 0, 1, 1], [], [2] * 11, [1]], ModelSpec(3, 8, 2)),
+              _UNEVEN_PRIOR_8, 2))
+    def test_kernel_python_loop_and_reference_agree(self, kernel, case):
+        corpus, h, seed = case
+        compiled, loop, reference = (
+            _topic_chain(step, corpus, h, seed, sweeps=4)
+            for step in (gibbs._resample_topics, gibbs._resample_topics_in_python,
+                         vectorised_topic_step))
+        for other in (loop, reference):
+            assert compiled.y_flat.dtype == other.y_flat.dtype
+            assert np.array_equal(compiled.y_flat, other.y_flat)
+            assert np.array_equal(compiled.z_assign, other.z_assign)
+            for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+                a, b = getattr(compiled.counts, name), getattr(other.counts, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert np.array_equal(compiled.counts.n_xy.sum(axis=0), other.counts.n_xy.sum(axis=0))
+        assert np.array_equal(compiled.counts.n_xy.sum(axis=0), compiled.counts.n_yz.sum(axis=1))
+        assert compiled.rng.random() == loop.rng.random() == reference.rng.random()
+
+    def test_draws_on_exact_boundaries_agree(self, kernel):
+        # One token in a random count state, and a uniform that puts
+        # u * s exactly on the running sum cw[j]: bisect_right draws topic
+        # j + 1.  A weight that differs in its last bit (another operation
+        # order, a fused multiply-add) or another comparison moves such
+        # draws, which random uniforms almost never hit.
+        rng = np.random.default_rng(2)
+        boundaries = 0
+        for _ in range(150):
+            spec = ModelSpec(3, int(rng.choice([2, 3, 8])), 2)
+            Y = spec.num_topics
+            x, y_old, z = int(rng.integers(3)), int(rng.integers(Y)), int(rng.integers(2))
+            n_xy, n_yz = rng.integers(0, 40, size=(3, Y)), rng.integers(0, 40, size=(Y, 2))
+            n_xy[x, y_old] += 1
+            n_yz[y_old, z] += 1
+            h = Hyperparams(alpha=rng.uniform(0.05, 5.0, Y), beta=rng.uniform(0.05, 5.0, 3),
+                            gamma=np.ones(2), eta=np.ones(2))
+            less = np.eye(Y, dtype=np.int64)[y_old]
+            cw = np.cumsum((n_xy[x] - less + h.beta[x]) / (n_xy.sum(axis=0) - less + h.beta.sum())
+                           * (n_yz[:, z] - less + h.alpha))
+            for j in range(Y - 1):
+                u = next((u for u in (cw[j] / cw[-1], np.nextafter(cw[j] / cw[-1], 0),
+                                      np.nextafter(cw[j] / cw[-1], 1)) if u * cw[-1] == cw[j]), None)
+                if u is None:
+                    continue
+                boundaries += 1
+                for step in (gibbs._resample_topics, gibbs._resample_topics_in_python,
+                             vectorised_topic_step):
+                    counts = SufficientCounts(n_xy.copy(), n_yz.copy(), np.zeros((2, 2), np.int64),
+                                              np.zeros(2, np.int64))
+                    state = gibbs.GibbsState(np.array([y_old]), np.array([z]), counts,
+                                             _FixedUniforms(u))
+                    step(state, corpus_from_lists([[x]], spec), h)
+                    assert state.y_flat[0] == j + 1, (step.__name__, j)
+                    assert counts.n_xy[x, j + 1] == n_xy[x, j + 1] + (j + 1 != y_old)
+        assert boundaries > 300
+
+
+def _set(index, v):
+    def value(a):
+        a = a.copy()
+        a[index] = v
+        return a
+    return value
+
+
+def _read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+class TestTopicStepGuard:
+    @pytest.mark.parametrize("name,value", [
+        pytest.param("n_xy", lambda a: a.astype(np.int32), id="n_xy-int32"),
+        pytest.param("n_xy", np.asfortranarray, id="n_xy-fortran"),
+        pytest.param("n_xy", lambda a: a[:-1].copy(), id="n_xy-shape"),
+        pytest.param("n_xy", _read_only, id="n_xy-read-only"),
+        pytest.param("n_yz", lambda a: a.astype(np.int32), id="n_yz-int32"),
+        pytest.param("n_yz", np.asfortranarray, id="n_yz-fortran"),
+        pytest.param("n_yz", _read_only, id="n_yz-read-only"),
+        pytest.param("y_flat", lambda a: a.astype(np.int32), id="y_flat-int32"),
+        pytest.param("y_flat", lambda a: a[:-1].copy(), id="y_flat-length"),
+        pytest.param("y_flat", lambda a: np.repeat(a, 2)[::2], id="y_flat-strided"),
+        pytest.param("y_flat", _read_only, id="y_flat-read-only"),
+        pytest.param("y_flat", _set(2, 3), id="y_flat-topic-too-large"),
+        pytest.param("y_flat", _set(0, -1), id="y_flat-negative"),
+        pytest.param("z_assign", _set(3, 2), id="z_assign-too-large"),
+        pytest.param("z_assign", _set(0, -1), id="z_assign-negative"),
+        pytest.param("z_assign", lambda a: a.astype(np.int32), id="z_assign-int32"),
+        pytest.param("alpha", lambda a: a[:-1], id="alpha-length"),
+        pytest.param("beta", lambda a: a[:-1], id="beta-length"),
+    ])
+    def test_rejects_before_any_draw(self, name, value):
+        # A valid topic step's inputs with one of them replaced by
+        # ``value(old)``; on either path no array is written and no uniform drawn.
+        spec = ModelSpec(4, 3, 2)
+        corpus = corpus_from_lists([[0, 1, 2], [3], [], [1, 1]], spec)
+        state = gibbs.gibbs_init(corpus, spec, seed=0)
+        h = make_prior("1", spec)
+        if name in ("alpha", "beta"):
+            h = dataclasses.replace(h, **{name: value(getattr(h, name))})
+        else:
+            owner = state.counts if name.startswith("n_") else state
+            setattr(owner, name, value(getattr(owner, name)))
+        before = state.counts.copy(), state.y_flat.copy(), state.rng.bit_generator.state
+        with pytest.raises(ValueError, match=name):
+            gibbs._resample_topics(state, corpus, h)
+        for tally in ("n_xy", "n_yz"):
+            assert np.array_equal(getattr(state.counts, tally), getattr(before[0], tally))
+        assert np.array_equal(state.y_flat, before[1])
+        assert state.rng.bit_generator.state == before[2]
+
+
+class TestWithoutCompiler:
+    def test_train_gs_falls_back_with_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus.txt"
+        assert main(["generate", "--num-words", "6", "--num-topics", "3", "--num-behaviours", "2",
+                     "--docs", "10", "--doc-length", "12", "--seed", "4",
+                     "--out-corpus", str(corpus)]) == 0
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+        def train(out):
+            gibbs._topic_kernel.cache_clear()
+            try:
+                status = main(["train", "--corpus", str(corpus), "--num-words", "6",
+                               "--num-topics", "3", "--num-behaviours", "2", "--algo", "gs",
+                               "--burn-in", "15", "--spacing", "3", "--samples", "2",
+                               "--seed", "5", "--out", str(out)])
+                return status, gibbs._topic_kernel()
+            finally:
+                gibbs._topic_kernel.cache_clear()
+
+        status, _ = train(tmp_path / "compiled.json")
+        assert status == 0 and list(scratch.iterdir()) == []
+        cc = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: str(tmp_path / "no-such-cc") if name == "CC" else cc(name))
+        status, built = train(tmp_path / "fallback.json")
+        assert status == 0 and built is None and list(scratch.iterdir()) == []
+        assert (tmp_path / "fallback.json").read_bytes() == (tmp_path / "compiled.json").read_bytes()
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
 
 
 #: Uneven documents with empty ones; more than eight topics, so that a
