@@ -11,7 +11,7 @@ import numpy as np
 
 from . import inference
 from .model import (Corpus, Hyperparams, ModelParams, ModelSpec, NumericalError,
-                    SufficientCounts)
+                    SufficientCounts, _columns, _from_columns, _priors)
 
 
 def _map_columns(counts: np.ndarray, prior: np.ndarray) -> np.ndarray:
@@ -30,11 +30,7 @@ def _map_columns(counts: np.ndarray, prior: np.ndarray) -> np.ndarray:
 
 def m_step(counts: SufficientCounts, hyper: Hyperparams) -> ModelParams:
     """Closed-form M-step: truncated (prior + count - 1) normalization."""
-    phi = _map_columns(counts.n_xy, hyper.beta)
-    theta = _map_columns(counts.n_yz, hyper.alpha)
-    xi = _map_columns(counts.n_zz, hyper.gamma)
-    pi = _map_columns(counts.n_z1[:, None], hyper.eta)[:, 0]
-    return ModelParams(phi=phi, theta=theta, xi=xi, pi=pi)
+    return _from_columns(ModelParams, map(_map_columns, _columns(counts), _priors(hyper)))
 
 
 def _log_map(params: ModelParams, log_lik: float, hyper: Hyperparams) -> float:
@@ -43,8 +39,7 @@ def _log_map(params: ModelParams, log_lik: float, hyper: Hyperparams) -> float:
     Dirichlet normalizers.  Exponent-zero terms contribute nothing even at
     zero entries."""
     total = 0.0
-    for mat, prior in ((params.phi, hyper.beta), (params.theta, hyper.alpha),
-                       (params.xi, hyper.gamma), (params.pi[:, None], hyper.eta)):
+    for mat, prior in zip(_columns(params), _priors(hyper)):
         expo = prior - 1.0
         active = expo != 0.0
         if not np.any(active):

@@ -26,6 +26,8 @@ from .model import (
     ModelParams,
     ModelSpec,
     SufficientCounts,
+    _columns,
+    _from_columns,
 )
 from .vb import point_estimates, vb_m_step
 
@@ -351,10 +353,6 @@ def gs_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
                 gibbs_sweep(state, corpus, hyper)
         samples.append(state.counts.copy())
     per_sample = [point_estimate(c, hyper) for c in samples]
-    pooled = ModelParams(
-        phi=np.mean([p.phi for p in per_sample], axis=0),
-        theta=np.mean([p.theta for p in per_sample], axis=0),
-        xi=np.mean([p.xi for p in per_sample], axis=0),
-        pi=np.mean([p.pi for p in per_sample], axis=0),
-    )
+    pooled = _from_columns(ModelParams, [np.mean(group, axis=0)
+                                         for group in zip(*map(_columns, per_sample))])
     return samples, pooled

@@ -7,7 +7,7 @@ Serialized model files record this orientation explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -110,28 +110,50 @@ class ModelParams:
         return ModelSpec(self.phi.shape[0], self.phi.shape[1], self.pi.shape[0])
 
 
+def _columns(x) -> list[np.ndarray]:
+    """The four arrays of a ModelParams, SufficientCounts or
+    vb.PosteriorHyperparams in the order phi, theta, xi, pi, with pi's
+    vector as one (Z, 1) column: every group is then a matrix whose columns
+    are its distributions, and one expression serves all four."""
+    *mats, vec = (getattr(x, f.name) for f in fields(x))
+    return [*mats, vec[..., None]]
+
+
+def _from_columns(cls, cols):
+    """The container ``cls`` of the four arrays ``cols``, in the order of
+    :func:`_columns`; pi's column becomes a vector again."""
+    *mats, col = cols
+    return cls(*mats, col[..., 0])
+
+
+def _priors(hyper: Hyperparams) -> tuple[np.ndarray, ...]:
+    """The prior vector of each group in the order of :func:`_columns`: one
+    entry per row of every column it is the prior of."""
+    return hyper.beta, hyper.alpha, hyper.gamma, hyper.eta
+
+
+def _shapes(spec: ModelSpec) -> tuple[tuple[int, int], ...]:
+    """The shape of each group's array in the order of :func:`_columns`."""
+    X, Y, Z = spec.num_words, spec.num_topics, spec.num_behaviours
+    return (X, Y), (Y, Z), (Z, Z), (Z, 1)
+
+
 def validate_params(params: ModelParams, spec: ModelSpec | None = None) -> list[str]:
     """Return a list of violated invariants (empty when valid).
 
     Violation classes: ``dimension:``, ``column-sum:``, ``entry-range:``.
+    Each group is checked as a matrix of columns, pi as one (Z, 1) column.
     """
+    names = [f.name for f in fields(ModelParams)]
+    cols = _columns(params)
     violations = []
-    phi, theta, xi, pi = params.phi, params.theta, params.xi, params.pi
-
     if spec is not None:
-        expected = {
-            "phi": (spec.num_words, spec.num_topics),
-            "theta": (spec.num_topics, spec.num_behaviours),
-            "xi": (spec.num_behaviours, spec.num_behaviours),
-            "pi": (spec.num_behaviours,),
-        }
-        for name, shape in expected.items():
-            actual = getattr(params, name).shape
-            if actual != shape:
-                violations.append(f"dimension: {name} has shape {actual}, expected {shape}")
-    if phi.ndim != 2 or theta.ndim != 2 or xi.ndim != 2 or pi.ndim != 1:
+        violations = [f"dimension: {name} has shape {col.shape}, expected {shape}"
+                      for name, col, shape in zip(names, cols, _shapes(spec)) if col.shape != shape]
+    if any(col.ndim != 2 for col in cols):
         violations.append("dimension: matrices must be 2-d and pi 1-d")
         return violations
+    phi, theta, xi, pi = cols
     if phi.shape[1] != theta.shape[0]:
         violations.append("dimension: phi columns do not match theta rows")
     if theta.shape[1] != xi.shape[0] or xi.shape[0] != xi.shape[1] or pi.shape[0] != xi.shape[0]:
@@ -141,7 +163,7 @@ def validate_params(params: ModelParams, spec: ModelSpec | None = None) -> list[
 
     # Every comparison with NaN is false, so the range checks alone would
     # pass NaN entries.
-    for name, mat in (("phi", phi), ("theta", theta), ("xi", xi)):
+    for name, mat in zip(names, cols):
         if not np.all(np.isfinite(mat)):
             violations.append(f"entry-range: {name} has non-finite entries")
         elif np.any(mat < 0) or np.any(mat > 1):
@@ -150,12 +172,6 @@ def validate_params(params: ModelParams, spec: ModelSpec | None = None) -> list[
         bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_TOL)
         for j in bad:
             violations.append(f"column-sum: {name} column {j} sums to {sums[j]!r}")
-    if not np.all(np.isfinite(pi)):
-        violations.append("entry-range: pi has non-finite entries")
-    elif np.any(pi < 0) or np.any(pi > 1):
-        violations.append("entry-range: pi has entries outside [0, 1]")
-    if abs(pi.sum() - 1.0) > PROB_TOL:
-        violations.append(f"column-sum: pi sums to {pi.sum()!r}")
     return violations
 
 
@@ -167,11 +183,8 @@ def random_init(spec: ModelSpec, hyper: Hyperparams,
     from in place.
     """
     rng = np.random.default_rng(seed)
-    phi = rng.dirichlet(hyper.beta, size=spec.num_topics).T
-    theta = rng.dirichlet(hyper.alpha, size=spec.num_behaviours).T
-    xi = rng.dirichlet(hyper.gamma, size=spec.num_behaviours).T
-    pi = rng.dirichlet(hyper.eta)
-    return ModelParams(phi=phi, theta=theta, xi=xi, pi=pi)
+    return _from_columns(ModelParams, [rng.dirichlet(prior, size=shape[1]).T
+                                       for prior, shape in zip(_priors(hyper), _shapes(spec))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +249,4 @@ class SufficientCounts:
     n_z1: np.ndarray  # (num_behaviours,)
 
     def copy(self) -> "SufficientCounts":
-        return SufficientCounts(
-            n_xy=self.n_xy.copy(), n_yz=self.n_yz.copy(),
-            n_zz=self.n_zz.copy(), n_z1=self.n_z1.copy(),
-        )
+        return _from_columns(SufficientCounts, [c.copy() for c in _columns(self)])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,10 @@ from .model import (
     ModelSpec,
     NumericalError,
     SufficientCounts,
+    _columns,
+    _from_columns,
+    _priors,
+    _shapes,
     validate_params,
 )
 from .vb import PosteriorHyperparams
@@ -102,26 +107,24 @@ def save_model(path, spec: ModelSpec, hyper: Hyperparams, params: ModelParams,
     Path(path).write_bytes(to_json(doc))
 
 
-def _checked_matrices(section: str, obj: dict, spec: ModelSpec) -> dict:
-    """The posterior or count-sample matrices of ``obj``, checked for their
-    shapes under ``spec``, finiteness and sign: a posterior is > 0, counts are
-    whole numbers >= 0 and load as int64."""
-    X, Y, Z = spec.num_words, spec.num_topics, spec.num_behaviours
-    shapes = {"beta_t": (X, Y), "alpha_t": (Y, Z), "eta_t": (Z,), "gamma_t": (Z, Z),
-              "n_xy": (X, Y), "n_yz": (Y, Z), "n_zz": (Z, Z), "n_z1": (Z,)}
-    counts = section == "count sample"
-    out = {}
-    for name, mat in _matrices_from_json(obj, _COUNTS if counts else _POSTERIOR).items():
-        if mat.shape != shapes[name]:
-            raise DataError(f"model {section} {name} has shape {mat.shape}, "
-                            f"expected {shapes[name]}")
+def _checked_matrices(cls, obj: dict, spec: ModelSpec):
+    """The posterior or a count sample stored in ``obj``, as a ``cls``, its
+    arrays checked for their shapes under ``spec`` (:func:`model._shapes`),
+    finiteness and sign: a posterior is > 0, counts are whole numbers >= 0
+    and load as int64."""
+    counts = cls is SufficientCounts
+    section = "count sample" if counts else "posterior"
+    names = tuple(f.name for f in fields(cls))
+    cols = _columns(cls(**_matrices_from_json(obj, names)))
+    for name, mat, shape in zip(names, cols, _shapes(spec)):
+        if mat.shape != shape:
+            raise DataError(f"model {section} {name} has shape {mat.shape}, expected {shape}")
         if not np.all(np.isfinite(mat)) or np.any(mat < 0 if counts else mat <= 0):
             raise DataError(f"model {section} {name} must be finite and "
                             f"{'>= 0' if counts else '> 0'}")
         if counts and np.any((mat != np.floor(mat)) | (mat >= 2.0**63)):
             raise DataError(f"model {section} {name} must hold whole numbers")
-        out[name] = mat.astype(np.int64) if counts else mat
-    return out
+    return _from_columns(cls, [mat.astype(np.int64) for mat in cols] if counts else cols)
 
 
 class LoadedModel:
@@ -134,11 +137,10 @@ class LoadedModel:
         self.spec = ModelSpec(**doc["spec"])
         h = doc["hyperparams"]
         self.hyper = Hyperparams(**{k: np.asarray(v, dtype=float) for k, v in h.items()})
-        spec = self.spec
-        for name, size in (("alpha", spec.num_topics), ("beta", spec.num_words),
-                           ("gamma", spec.num_behaviours), ("eta", spec.num_behaviours)):
-            if (entries := len(getattr(self.hyper, name))) != size:
-                raise DataError(f"model hyperparameter {name} has {entries} entries, not {size}")
+        for f, prior, (size, _) in zip(fields(ModelParams), _priors(self.hyper),
+                                       _shapes(self.spec)):
+            if len(prior) != size:
+                raise DataError(f"model prior of {f.name} has {len(prior)} entries, not {size}")
         self.params = ModelParams(**_matrices_from_json(doc["params"], _PARAMS))
         violations = validate_params(self.params, self.spec)
         if violations:
@@ -146,11 +148,9 @@ class LoadedModel:
         self.metadata = doc.get("metadata", {})
         self.posterior = None
         if "posterior" in doc:
-            self.posterior = PosteriorHyperparams(
-                **_checked_matrices("posterior", doc["posterior"], self.spec))
-        self.count_samples = [
-            SufficientCounts(**_checked_matrices("count sample", c, self.spec))
-            for c in doc["samples"]] if "samples" in doc else None
+            self.posterior = _checked_matrices(PosteriorHyperparams, doc["posterior"], self.spec)
+        self.count_samples = [_checked_matrices(SufficientCounts, c, self.spec)
+                              for c in doc["samples"]] if "samples" in doc else None
         if self.count_samples == []:
             raise DataError("model samples list is empty")
 

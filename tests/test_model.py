@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,18 @@ from markovtopics import (
     random_init,
     validate_params,
 )
-from markovtopics.model import DataError
+from markovtopics.model import (DataError, SufficientCounts, _columns, _from_columns, _priors,
+                                _shapes)
+from markovtopics.vb import PosteriorHyperparams
+
+#: One row per parameter group: the parameter, its prior, its count, its
+#: posterior and the shape of its column matrix under ModelSpec(5, 3, 2).
+_GROUPS = [
+    ("phi", "beta", "n_xy", "beta_t", (5, 3)),
+    ("theta", "alpha", "n_yz", "alpha_t", (3, 2)),
+    ("xi", "gamma", "n_zz", "gamma_t", (2, 2)),
+    ("pi", "eta", "n_z1", "eta_t", (2, 1)),
+]
 
 
 class TestMakePrior:
@@ -45,6 +58,33 @@ class TestMakePrior:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             make_prior("H+2", ModelSpec(2, 2, 2))
+
+
+class TestColumnTable:
+    """The table pairs each parameter with its prior, count, posterior and
+    shape by position, so a reordered field must fail here rather than pair
+    one group with another's prior."""
+
+    def test_every_container_lists_the_groups_in_one_order(self):
+        spec = ModelSpec(5, 3, 2)
+        hyper = make_prior("H+1", spec)
+        for i, (param, prior, count, post, shape) in enumerate(_GROUPS):
+            assert [f.name for f in fields(ModelParams)][i] == param
+            assert _priors(hyper)[i] is getattr(hyper, prior)
+            assert [f.name for f in fields(SufficientCounts)][i] == count
+            assert [f.name for f in fields(PosteriorHyperparams)][i] == post
+            assert _shapes(spec)[i] == shape
+
+    @pytest.mark.parametrize("cls", [ModelParams, SufficientCounts, PosteriorHyperparams])
+    def test_columns_round_trip_with_pi_as_one_column(self, cls):
+        rng = np.random.default_rng(0)
+        x = cls(*(rng.random(shape) for *_, shape in _GROUPS[:3]), rng.random(2))
+        cols = _columns(x)
+        assert tuple(c.shape for c in cols) == _shapes(ModelSpec(5, 3, 2))
+        back = _from_columns(cls, cols)
+        for f in fields(cls):
+            assert np.array_equal(getattr(back, f.name), getattr(x, f.name))
+            assert getattr(back, f.name).shape == getattr(x, f.name).shape
 
 
 class TestValidateParams:
