@@ -1,5 +1,5 @@
 /* The collapsed Gibbs topic step over every token, in corpus order: the
- * float64 operations of gibbs._resample_topics_in_python, in the same order
+ * float64 operations of gibbs._topics_in_python, in the same order
  * and with the same uniforms.  gibbs._topic_kernel builds it with
  * -ffp-contract=off, so no multiply and add are fused into one rounding.
  * The caller checks every shape, dtype and index bound. */

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 import time
@@ -283,7 +282,8 @@ def cmd_score(argv):
     elif model.posterior is not None:
         samples = vb.sample_posterior(model.posterior, args.mc_samples, args.seed)
     elif model.count_samples is not None:
-        samples = itertools.islice(model.sample_params(), args.mc_samples)
+        samples = (gibbs.point_estimate(c, model.hyper)
+                   for c in model.count_samples[:args.mc_samples])
     else:
         raise DataError("mc scoring requires a model with a posterior or samples "
                         "(train with vb or gs)")

@@ -89,8 +89,8 @@ def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
     so only the used topics are visited), then the transition into the
     document, then the transitions out of it over their column total, with
     the self-transition correction.  ``gammaln`` of every ``n_yz + alpha``
-    entry and of the column totals is cached and refreshed in the columns a
-    move touches.  The transition logs come from tables built with one
+    entry and of the column totals is cached and refreshed in the columns
+    ``place`` touches.  The transition logs come from tables built with one
     ``np.log`` call per sweep, and each document's conditional is
     exponentiated with one ``np.exp`` call; the float64 operations are
     those, in the same order, of the numpy conditional the tests keep as the
@@ -133,35 +133,35 @@ def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
     lg_totals = [gammaln(s) for s in totals]
     uniforms = state.rng.random(T).tolist()
 
-    def move(k, used, sign):
+    def place(k, sign):
+        """Add (+1) or remove (-1) document t under behaviour k."""
         col, lg_k = columns[k], lg[k]
         for y, c in used:
             col[y] += sign * c
             lg_k[y] = gammaln(col[y] + alpha[y])
         totals[k] = _column_total(col, alpha)
         lg_totals[k] = gammaln(totals[k])
+        if first:
+            n_z1[k] += sign
+        else:
+            n_zz[k][z_prev] += sign
+            leaving[z_prev] += sign
+        if not final:
+            n_zz[z_next][k] += sign
+            leaving[k] += sign
 
     for t in range(T):
-        z_old = z[t]
         used = [(y, c) for y, c in enumerate(histograms[t]) if c]
         n_t = lengths[t]
         first, final = t == 0, t == T - 1
-
-        # Exclude document t's own contributions before scoring candidates.
-        if used:
-            move(z_old, used, -1)
-        if first:
-            n_z1[z_old] -= 1
-        else:
+        if not first:
             z_prev = z[t - 1]
-            n_zz[z_old][z_prev] -= 1
-            leaving[z_prev] -= 1
         if not final:
             z_next = z[t + 1]
-            n_zz[z_next][z_old] -= 1
-            leaving[z_old] -= 1
             next_row = n_zz[z_next]
 
+        # Exclude document t's own contributions before scoring candidates.
+        place(z[t], -1)
         logp = []
         for k in behaviours:
             col, lg_k = columns[k], lg[k]
@@ -182,17 +182,7 @@ def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
         top = max(logp)
         cw = list(accumulate(np.exp([v - top for v in logp]).tolist()))
         k = min(bisect_right(cw, uniforms[t] * cw[-1]), last)
-
-        if used:
-            move(k, used, 1)
-        if first:
-            n_z1[k] += 1
-        else:
-            n_zz[k][z_prev] += 1
-            leaving[z_prev] += 1
-        if not final:
-            next_row[k] += 1
-            leaving[k] += 1
+        place(k, 1)
         z[t] = k
 
     counts.n_yz[...] = np.array(columns).T
@@ -239,10 +229,12 @@ def _topic_kernel():
 
 def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
     """Resample every token's topic, in corpus order, with the compiled
-    kernel where it builds and the Python loop where it does not.
+    kernel where it builds and the Python loop where it does not: one
+    argument list, the same bytes.
 
-    The kernel indexes without bounds checks, so the arrays it writes and
-    the indices it reads are checked first, on either path.
+    The uniforms are drawn in one call, which gives the same stream as one
+    draw per token.  The kernel indexes without bounds checks, so the arrays
+    it writes and the indices it reads are checked first, on either path.
     """
     counts = state.counts
     n_xy, n_yz, ys, z = counts.n_xy, counts.n_yz, state.y_flat, state.z_assign
@@ -262,63 +254,50 @@ def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
     if hyper.alpha.shape != (num_topics,) or hyper.beta.shape != (num_words,):
         raise ValueError("alpha and beta must have one entry per topic and per word")
 
-    kernel = _topic_kernel()
-    if kernel is None:
-        _resample_topics_in_python(state, corpus, hyper)
-        return
-    # The list holds every buffer until the kernel returns.
-    buffers = [np.ascontiguousarray(a) for a in (
+    # The arguments of resample_topics in _topics.c, for either
+    # implementation; the list holds every buffer until the kernel returns.
+    arrays = [np.ascontiguousarray(a) for a in (
         corpus.offsets, corpus.tokens, z, state.rng.random(len(ys)), hyper.alpha, hyper.beta,
         n_xy, n_yz, n_xy.sum(axis=0), ys, np.empty(num_topics))]
-    kernel(len(corpus), num_topics, num_behaviours, float(hyper.beta.sum()),
-           *[a.ctypes.data for a in buffers])
+    scalars = (len(corpus), num_topics, num_behaviours, float(hyper.beta.sum()))
+    kernel = _topic_kernel()
+    if kernel is None:
+        _topics_in_python(*scalars, *arrays)
+    else:
+        kernel(*scalars, *[a.ctypes.data for a in arrays])
 
 
-def _resample_topics_in_python(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
-    """The topic step as a loop over Python scalars, for hosts where the
-    kernel does not build: per token the conditional is
-    ``(n_xy[x, k] + beta_x) / (tot_k + sum(beta)) * (n_yz[k, z] + alpha_k)``,
-    summed as it goes, and the topic is the first whose running sum exceeds
-    ``u * total``.  These are the float64 operations, in the same order, of
-    the per-token numpy conditional the tests keep as the reference, so the
-    chain matches it bit for bit.  The uniforms are drawn in one call, which
-    gives the same stream as one draw per token.
-    """
-    counts = state.counts
-    last = counts.n_xy.shape[1] - 1
-    topics = range(last + 1)
-    n_xy = counts.n_xy.tolist()
-    n_zy = counts.n_yz.T.tolist()
-    totals = counts.n_xy.sum(axis=0).tolist()
-    alpha = hyper.alpha.tolist()
-    beta = hyper.beta.tolist()
-    beta_sum = float(hyper.beta.sum())
-    words = corpus.tokens.tolist()
-    behaviours = np.repeat(state.z_assign, np.diff(corpus.offsets)).tolist()
-    ys = state.y_flat.tolist()
-    uniforms = state.rng.random(len(ys)).tolist()
-    cw = [0.0] * (last + 1)
-
-    for i in range(len(ys)):
-        x, y_old = words[i], ys[i]
-        row, col = n_xy[x], n_zy[behaviours[i]]
-        row[y_old] -= 1
-        totals[y_old] -= 1
-        col[y_old] -= 1
-        b = beta[x]
-        s = 0.0
-        for k in topics:
-            s += (row[k] + b) / (totals[k] + beta_sum) * (col[k] + alpha[k])
-            cw[k] = s
-        k = min(bisect_right(cw, uniforms[i] * s), last)
-        row[k] += 1
-        totals[k] += 1
-        col[k] += 1
-        ys[i] = k
-
-    counts.n_xy[...] = n_xy
-    counts.n_yz[...] = np.array(n_zy).T
-    state.y_flat[...] = ys
+def _topics_in_python(num_docs, num_topics, num_behaviours, beta_sum, offsets, words, z,
+                      uniforms, alpha, beta, n_xy, n_yz, totals, ys, cw):
+    """``resample_topics`` of ``_topics.c`` line for line, over lists, with
+    ``col[k]`` for the kernel's ``col[k * num_behaviours]``: per token the
+    conditional ``(n_xy[x, k] + beta_x) / (tot_k + beta_sum) * (n_yz[k, z] +
+    alpha_k)`` is summed as it goes, and the topic is the first whose running
+    sum exceeds ``u * s``; the float64 operations, in the same order, of the
+    per-token numpy conditional the tests keep as the reference."""
+    offsets, words, z, uniforms, alpha, beta, totals, cw = (
+        a.tolist() for a in (offsets, words, z, uniforms, alpha, beta, totals, cw))
+    rows, columns, y = n_xy.tolist(), n_yz.T.tolist(), ys.tolist()
+    topics, last = range(num_topics), num_topics - 1
+    for t in range(num_docs):
+        col = columns[z[t]]
+        for i in range(offsets[t], offsets[t + 1]):
+            row, k = rows[words[i]], y[i]
+            b, s = beta[words[i]], 0.0
+            row[k] -= 1
+            totals[k] -= 1
+            col[k] -= 1
+            for k in topics:
+                s += (row[k] + b) / (totals[k] + beta_sum) * (col[k] + alpha[k])
+                cw[k] = s
+            k = min(bisect_right(cw, uniforms[i] * s), last)
+            row[k] += 1
+            totals[k] += 1
+            col[k] += 1
+            y[i] = k
+    n_xy[...] = rows
+    n_yz[...] = np.array(columns).T
+    ys[...] = y
 
 
 def gibbs_sweep(state: GibbsState, corpus: Corpus, hyper: Hyperparams) -> GibbsState:
@@ -344,13 +323,10 @@ def gs_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
     their point estimates.
     """
     state = gibbs_init(corpus, spec, seed)
-    for _ in range(burn_in):
-        gibbs_sweep(state, corpus, hyper)
     samples = []
     for s in range(num_samples):
-        if s > 0:
-            for _ in range(spacing):
-                gibbs_sweep(state, corpus, hyper)
+        for _ in range(spacing if s else burn_in):
+            gibbs_sweep(state, corpus, hyper)
         samples.append(state.counts.copy())
     per_sample = [point_estimate(c, hyper) for c in samples]
     pooled = _from_columns(ModelParams, [np.mean(group, axis=0)

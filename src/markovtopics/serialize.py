@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterator
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import orjson
 
-from .gibbs import point_estimate
 from .ingest import DIRECTIONS
 from .model import (
     Corpus,
@@ -153,10 +151,6 @@ class LoadedModel:
                               for c in doc["samples"]] if "samples" in doc else None
         if self.count_samples == []:
             raise DataError("model samples list is empty")
-
-    def sample_params(self) -> Iterator[ModelParams]:
-        """Per-sample point estimates from the stored GS count samples, made lazily."""
-        return (point_estimate(c, self.hyper) for c in self.count_samples)
 
 
 def load_model(path) -> LoadedModel:

@@ -1,6 +1,9 @@
 import dataclasses
+import inspect
+import re
 import sysconfig
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +159,18 @@ def kernel():
         pytest.skip("no C compiler builds the compiled topic step on this host")
 
 
+#: Taken at import: ``_topic_chain`` patches ``gibbs._resample_topics`` with
+#: the step it runs, so a lookup at call time would find the patch.
+_resample_topics = gibbs._resample_topics
+
+
+def _python_topic_step(state, corpus, hyper):
+    """The topic step where no kernel builds: the Python loop."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gibbs, "_topic_kernel", lambda: None)
+        _resample_topics(state, corpus, hyper)
+
+
 def _topic_chain(step, corpus, hyper, seed, sweeps):
     """The chain with ``step`` as its topic step, every sweep audited."""
     with pytest.MonkeyPatch.context() as m:
@@ -204,8 +219,7 @@ class TestCompiledTopicStep:
         corpus, h, seed = case
         compiled, loop, reference = (
             _topic_chain(step, corpus, h, seed, sweeps=4)
-            for step in (gibbs._resample_topics, gibbs._resample_topics_in_python,
-                         vectorised_topic_step))
+            for step in (gibbs._resample_topics, _python_topic_step, vectorised_topic_step))
         for other in (loop, reference):
             assert compiled.y_flat.dtype == other.y_flat.dtype
             assert np.array_equal(compiled.y_flat, other.y_flat)
@@ -243,8 +257,7 @@ class TestCompiledTopicStep:
                 if u is None:
                     continue
                 boundaries += 1
-                for step in (gibbs._resample_topics, gibbs._resample_topics_in_python,
-                             vectorised_topic_step):
+                for step in (gibbs._resample_topics, _python_topic_step, vectorised_topic_step):
                     counts = SufficientCounts(n_xy.copy(), n_yz.copy(), np.zeros((2, 2), np.int64),
                                               np.zeros(2, np.int64))
                     state = gibbs.GibbsState(np.array([y_old]), np.array([z]), counts,
@@ -253,6 +266,16 @@ class TestCompiledTopicStep:
                     assert state.y_flat[0] == j + 1, (step.__name__, j)
                     assert counts.n_xy[x, j + 1] == n_xy[x, j + 1] + (j + 1 != y_old)
         assert boundaries > 300
+
+    def test_kernel_and_python_loop_take_one_argument_list(self):
+        # An argument added to one implementation only fails here.
+        source = Path(gibbs.__file__).with_name("_topics.c").read_text()
+        params = re.search(r"void resample_topics\(([^)]*)\)", source).group(1).split(",")
+        names = [re.search(r"(\w+)\s*$", p).group(1) for p in params]
+        assert names == list(inspect.signature(gibbs._topics_in_python).parameters)
+        kernel = gibbs._topic_kernel()
+        if kernel is not None:
+            assert len(names) == len(kernel.argtypes)
 
 
 def _set(index, v):
@@ -270,6 +293,12 @@ def _read_only(a):
 
 
 class TestTopicStepGuard:
+    """The guard on the compiled kernel; skipped where it does not build."""
+
+    @pytest.fixture(autouse=True)
+    def topic_path(self, kernel):
+        pass
+
     @pytest.mark.parametrize("name,value", [
         pytest.param("n_xy", lambda a: a.astype(np.int32), id="n_xy-int32"),
         pytest.param("n_xy", np.asfortranarray, id="n_xy-fortran"),
@@ -309,6 +338,14 @@ class TestTopicStepGuard:
             assert np.array_equal(getattr(state.counts, tally), getattr(before[0], tally))
         assert np.array_equal(state.y_flat, before[1])
         assert state.rng.bit_generator.state == before[2]
+
+
+class TestTopicStepGuardInPythonLoop(TestTopicStepGuard):
+    """The same cases on the Python loop, which runs where no kernel builds."""
+
+    @pytest.fixture(autouse=True)
+    def topic_path(self, monkeypatch):
+        monkeypatch.setattr(gibbs, "_topic_kernel", lambda: None)
 
 
 class TestWithoutCompiler:

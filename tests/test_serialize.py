@@ -103,7 +103,7 @@ class TestModelFiles:
             assert back.dtype == np.int64
             assert np.array_equal(back, getattr(state.counts, name))
         assert loaded.metadata == {"seed_used": 1}
-        derived = list(loaded.sample_params())
+        derived = [point_estimate(c, loaded.hyper) for c in loaded.count_samples]
         assert len(derived) == 2
         assert np.array_equal(derived[0].phi, p.phi)
         # Counts load as integers, so a re-save writes the same bytes.
