@@ -9,12 +9,13 @@ There is one scorer, and it takes a whole stream.  The predictive state
 holds S parameter samples and carries, per sample, the behaviour belief for
 the *upcoming* document, i.e. p(z_next | history, sample).  Every sample's
 chain is filtered from that belief by one call of the fit's forward
-recursion, ``inference.forward``, which steps many chains along the stream
-together: it gives each document's likelihood under each sample and the
-belief before it, in the log domain, so a behaviour whose belief fell far
-below the others can revive.  The reported likelihood is the mean over the
-samples.  Plug-in scoring with a point estimate is the case S = 1.  Scoring a
-stream in consecutive chunks gives the same result as one call, to rounding.
+recursion, ``inference.forward``: it gives each document's likelihood under
+each sample and the belief before it, in the log domain, so a behaviour
+whose belief fell far below the others can revive, and the belief after the
+last document.  The reported likelihood is the mean over the samples.
+Plug-in scoring with a point estimate is the case S = 1.  Scoring a stream
+in consecutive chunks gives the bytes of one call while no belief entry
+carried between chunks is below 1e-280.
 :func:`filtered_belief` gives the last filtered posterior of a training
 stream by the same recursion.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -81,17 +81,12 @@ def filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | None:
 
     The training stream is filtered from ``params.pi`` as :func:`score`
     filters a stream: a document impossible under the belief before it
-    restarts the belief from ``params.pi``.  ``inference.forward`` filters
-    the documents after the last one impossible under every behaviour.
+    restarts the belief from ``params.pi``.
     """
     loge = inference.emission_logs(inference.word_mixture_logs(params), corpus)
-    # Column by column, as in ``inference.forward``.
-    start = np.flatnonzero(np.append(True, reduce(np.maximum, loge.T) == -np.inf))[-1]
-    if start == len(corpus):
-        return None
-    log_alpha, _, log_lik = inference.forward(loge[start:, None], params.pi[None],
-                                              params.xi[None], params.pi[None])
-    return None if log_lik[-1, 0] == -np.inf else np.exp(log_alpha[-1, 0])
+    log_alpha, _, log_lik, _ = inference.forward(np.ascontiguousarray(loge[:, None]),
+                                                 params.pi[None], params.xi[None], params.pi[None])
+    return None if not len(corpus) or log_lik[-1, 0] == -np.inf else np.exp(log_alpha[-1, 0])
 
 
 def _filter(state: PredictiveState, corpus: Corpus,
@@ -111,13 +106,8 @@ def _filter(state: PredictiveState, corpus: Corpus,
         block = loge[:, s:s + 4]
         block[...] = inference.emission_logs(np.hstack(state.log_mix[s:s + 4]),
                                              corpus).reshape(block.shape)
-    log_alpha, log_beliefs, per_sample = inference.forward(
+    _, log_beliefs, per_sample, belief = inference.forward(
         loge, state.behaviour_belief, state.xi, state.pi)
-    belief = state.behaviour_belief.copy()
-    if len(corpus):
-        after = (state.xi @ np.exp(log_alpha[-1])[:, :, None])[:, :, 0]
-        belief = np.where(per_sample[-1, :, None] == -np.inf, state.pi,
-                          after / after.sum(axis=1, keepdims=True))
     return per_sample, log_beliefs, belief
 
 

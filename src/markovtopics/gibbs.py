@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
-from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .model import (
     Corpus,
     Hyperparams,
@@ -191,42 +190,6 @@ def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
     state.z_assign[...] = z
 
 
-#: Flags of the compiled topic step.  ``-ffp-contract=off`` keeps every
-#: multiply and add separately rounded, as Python does, so that the chains
-#: of both steps are bit-identical.
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
-
-
-@cache
-def _topic_kernel():
-    """``_topics.c`` built with the C compiler Python names (``cc`` if none)
-    into a fresh temporary directory, loaded with ``ctypes``, and the
-    directory removed (the loaded mapping survives): once per process, with
-    nothing kept between processes.  None where no compiler or loader works;
-    the Python loop then runs, with the same bytes."""
-    # Imported here: EM, VB and scoring never build the kernel.
-    import ctypes
-    import shlex
-    import subprocess
-    import sysconfig
-    import tempfile
-
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            lib = str(Path(tmp, "_topics.so"))
-            subprocess.run([*cc, *_CFLAGS, "-o", lib, str(Path(__file__).with_name("_topics.c"))],
-                           check=True, capture_output=True, timeout=60)
-            kernel = ctypes.CDLL(lib).resample_topics
-    except (OSError, subprocess.SubprocessError):
-        return None
-    # Raw addresses: numpy's ndpointer checks cost more than a small
-    # corpus's whole topic step, and the caller makes the same checks.
-    kernel.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_double] + [ctypes.c_void_p] * 11
-    kernel.restype = None
-    return kernel
-
-
 def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
     """Resample every token's topic, in corpus order, with the compiled
     kernel where it builds and the Python loop where it does not: one
@@ -254,22 +217,22 @@ def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
     if hyper.alpha.shape != (num_topics,) or hyper.beta.shape != (num_words,):
         raise ValueError("alpha and beta must have one entry per topic and per word")
 
-    # The arguments of resample_topics in _topics.c, for either
+    # The arguments of resample_topics in _kernels.c, for either
     # implementation; the list holds every buffer until the kernel returns.
     arrays = [np.ascontiguousarray(a) for a in (
         corpus.offsets, corpus.tokens, z, state.rng.random(len(ys)), hyper.alpha, hyper.beta,
         n_xy, n_yz, n_xy.sum(axis=0), ys, np.empty(num_topics))]
     scalars = (len(corpus), num_topics, num_behaviours, float(hyper.beta.sum()))
-    kernel = _topic_kernel()
-    if kernel is None:
+    lib = _kernels.load()
+    if lib is None:
         _topics_in_python(*scalars, *arrays)
     else:
-        kernel(*scalars, *[a.ctypes.data for a in arrays])
+        lib.resample_topics(*scalars, *[a.ctypes.data for a in arrays])
 
 
 def _topics_in_python(num_docs, num_topics, num_behaviours, beta_sum, offsets, words, z,
                       uniforms, alpha, beta, n_xy, n_yz, totals, ys, cw):
-    """``resample_topics`` of ``_topics.c`` line for line, over lists, with
+    """``resample_topics`` of ``_kernels.c`` line for line, over lists, with
     ``col[k]`` for the kernel's ``col[k * num_behaviours]``: per token the
     conditional ``(n_xy[x, k] + beta_x) / (tot_k + beta_sum) * (n_yz[k, z] +
     alpha_k)`` is summed as it goes, and the topic is the first whose running

@@ -1,10 +1,9 @@
 """Forward-backward engine for the behaviour chain, and the EM/VB fit loop.
 
 :func:`forward` is the one forward recursion, shared by the fits and the
-anomaly scorer: a few chains are each scanned as running products of
-per-document maps (Blelloch 1990), many are stepped along the documents
-together, and a chain whose messages one trust rule rejects is redone in the
-log domain, where nothing underflows.
+anomaly scorer: the scaled per-document recursion (Rabiner 1989) of S chains
+in the log domain, compiled from ``_kernels.c`` once per process, with a
+line-for-line Python copy that gives the same bytes where no compiler works.
 Fits use :func:`e_step`: the forward pass and the same pass on the reversed
 stream, on the per-document emission block ``(T, Z)`` of the corpus's sparse
 doc-term matrix, yield the four expected count arrays without per-token
@@ -18,12 +17,15 @@ way.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
+from . import _kernels
 from .model import (
     Corpus,
     Hyperparams,
@@ -74,140 +76,76 @@ def emission_logs(log_mix: np.ndarray, corpus: Corpus) -> np.ndarray:
     return corpus.doc_term.T @ log_mix
 
 
-def _running_products(maps: np.ndarray) -> np.ndarray:
-    """Running products ``maps[t] @ ... @ maps[0]`` of a nonnegative (T, Z, Z)
-    stack, each divided by the sum of its entries, by an odd-even prefix scan
-    (Blelloch 1990): multiply adjacent pairs, scan the half-length stack, fill
-    in the even entries.  A vanished product and all later ones are NaN."""
-    with np.errstate(invalid="ignore"):
-        out = maps / np.einsum("tij->t", maps)[:, None, None]
-        if len(maps) > 1:
-            out[1::2] = _running_products(out[1::2] @ out[:-1:2])
-            even = out[2::2] @ out[1:-1:2]
-            out[2::2] = even / np.einsum("tij->t", even)[:, None, None]
-    return out
-
-
-#: Smallest belief entry a scan is trusted with.  A linear message drops
-#: mass below 1e-323, which cannot move an entry this large by one rounding.
-_FLOOR = 1e-280
-
-#: Chains from which :func:`forward` steps every chain along the documents
-#: at once instead of scanning each: a scan costs per chain and document, a
-#: step per document.  Scanned vs stepped, T = 1000, Z = 4, 2-core host, best
-#: of 15 with the trust rule: 4.4 vs 9.1 ms for 8 chains, 9.0 vs 9.8 for 16,
-#: 11.7 vs 10.7 for 20, 18.2 vs 12.9 for 32 and 57.9 vs 21.0 for 100.
-_STEPPED_FROM = 20
-
-
 def forward(loge: np.ndarray, start: np.ndarray, xi: np.ndarray, pi: np.ndarray,
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Normalised log forward messages (T, S, Z) of S chains with emission
     logs ``loge`` (T, S, Z) under ``xi`` (S, Z, Z), from the beliefs ``start``
     (S, Z) before document 0, written over ``loge``; the log belief before
-    each document (T, S, Z); and each document's log likelihood given those
-    before it (T, S).  A document impossible under the belief before it (log
-    likelihood -inf) restarts the chain's belief from its ``pi`` (S, Z).
+    each document (T, S, Z); each document's log likelihood given those
+    before it (T, S); and the belief after the last document (S, Z).  A
+    document impossible under the belief before it has log likelihood -inf
+    and NaN messages, and restarts the chain's belief from its ``pi`` (S, Z).
 
-    Each document's emissions are shifted by their largest.  Fewer than
-    ``_STEPPED_FROM`` chains are each scanned from ``diag(emit[0] * start)``
-    over ``diag(emit[t]) xi``; more are stepped together, one normalised step
-    per document.  A chain's messages stand when every belief entry is at
-    least ``_FLOOR`` and every message entry is within 1e-12 relative of its
-    one-step update taken from the exponents, ``exp(loge - shift - log scale
-    + log prior)``: the floor catches a behaviour a message dropped
-    gradually, and the step one dropped within a single document, or by a
-    product of documents that underflowed where no single step does.  A
-    document impossible under every behaviour has no finite shift, so its
-    update is NaN and fails.  Otherwise :func:`_log_forward` redoes the
-    chain.
+    ``forward`` of ``_kernels.c`` runs where it builds and its line-for-line
+    copy :func:`_forward_in_python` elsewhere, with the same bytes; the
+    kernel indexes without bounds checks, so the inputs are checked first.
     """
-    log_prior = np.empty_like(loge)
-    log_lik = np.empty(loge.shape[:2])
-    # Column by column: numpy reduces and broadcasts along a short last axis
-    # one row at a time, twenty times slower at Z = 4.  A copy, since at Z = 1
-    # the reduction is a view of ``loge``, which the messages overwrite.
-    shift = reduce(np.maximum, np.moveaxis(loge, -1, 0)).copy()
-    with np.errstate(all="ignore"):
-        regime = _scan if len(loge) and len(start) < _STEPPED_FROM else _step
-        trusted = regime(loge, shift, start, xi, log_prior, log_lik)
-        log_lik += shift
-    for s in np.flatnonzero(~trusted):
-        loge[:, s], log_prior[:, s], log_lik[:, s] = _log_forward(
-            loge[:, s], start[s], xi[s], pi[s])
-    return loge, log_prior, log_lik
+    if not (loge.ndim == 3 and loge.dtype == np.float64 and loge.flags.c_contiguous
+            and loge.flags.writeable):
+        raise ValueError("loge must be a writeable C-contiguous float64 array of shape (T, S, Z)")
+    T, S, Z = loge.shape
+    start, xi, pi = (np.ascontiguousarray(a, dtype=np.float64) for a in (start, xi, pi))
+    if (start.shape, xi.shape, pi.shape) != ((S, Z), (S, Z, Z), (S, Z)):
+        raise ValueError("start, xi and pi must have shapes (S, Z), (S, Z, Z) and (S, Z)")
+    # The arguments of forward in _kernels.c; log_prior has a row for the
+    # belief after the last document.
+    arrays = [loge, start, xi, pi, np.empty((T + 1, S, Z)), np.empty((T, S)), start.copy()]
+    lib = _kernels.load()
+    if lib is None:
+        _forward_in_python(T, S, Z, *arrays)
+    else:
+        lib.forward(T, S, Z, *[a.ctypes.data for a in arrays])
+    return loge, arrays[4][:-1], arrays[5], arrays[6]
 
 
-def _scan(loge, shift, start, xi, log_prior, log_lik) -> np.ndarray:
-    """Scan each chain; a trusted chain's messages overwrite its ``loge``."""
-    trusted = np.empty(len(start), dtype=bool)
-    for s in range(len(start)):
-        shifted = loge[:, s] - shift[:, s, None]
-        emit = np.exp(shifted)
-        maps = np.einsum("tz,zy->tzy", emit, xi[s])
-        maps[0] = np.diag(emit[0] * start[s])
-        rows = np.einsum("tij->ti", _running_products(maps))
-        alpha = rows / np.einsum("ti->t", rows)[:, None]
-        prior = np.vstack([start[s], alpha[:-1] @ xi[s].T])
-        trusted[s] = _settle(shifted, alpha, prior, np.einsum("tz,tz->t", emit, prior),
-                             log_prior[:, s], log_lik[:, s])
-        if trusted[s]:
-            np.log(alpha, out=loge[:, s])
-    return trusted
+def _log0(v: float) -> float:
+    return math.log(v) if v > 0.0 else -math.inf
 
 
-def _step(loge, shift, start, xi, log_prior, log_lik) -> np.ndarray:
-    """Step every chain together, 32 documents at a time to keep temporaries
-    small; a trusted chain's messages, from the exponents, overwrite its ``loge``."""
-    chunks = [slice(lo, lo + 32) for lo in range(0, len(loge), 32)]
-    trusted, prior = np.ones(len(start), dtype=bool), start
-    for docs in chunks:
-        shifted = loge[docs] - shift[docs, :, None]
-        emit = np.exp(shifted)
-        alpha, beliefs, scale = np.empty_like(emit), log_prior[docs], log_lik[docs]
-        for t in range(len(emit)):
-            beliefs[t] = prior
-            joint = emit[t] * prior
-            scale[t] = reduce(np.add, joint.T)
-            np.divide(joint, scale[t, :, None], out=alpha[t])
-            prior = np.einsum("sij,sj->si", xi, alpha[t])
-        trusted &= _settle(shifted, alpha, beliefs, scale, beliefs, scale)
-    for docs in chunks:
-        step = loge[docs] - shift[docs, :, None] - log_lik[docs, :, None] + log_prior[docs]
-        loge[docs] = np.where(trusted[:, None], step, loge[docs])
-    return trusted
+def _log_sum(x: list, e: list) -> float:
+    """``log_sum`` of ``_kernels.c``: log sum_j x[j] exp(e[j]) in the log domain."""
+    top = max(_log0(a) + b for a, b in zip(x, e))
+    return top if top == -math.inf else top + math.log(
+        reduce(add, (math.exp(_log0(a) + b - top) for a, b in zip(x, e)), 0.0))
 
 
-def _settle(shifted, alpha, prior, scale, log_prior, log_lik):
-    """Write the logs of linear beliefs ``prior`` and scales ``scale`` into
-    ``log_prior`` and ``log_lik``, which may be the same arrays, and return
-    whether each chain's linear messages ``alpha`` stand by :func:`forward`'s
-    trust rule."""
-    above = prior >= _FLOOR
-    np.log(prior, out=log_prior)
-    np.log(scale, out=log_lik)
-    step = np.exp(shifted - log_lik[..., None] + log_prior)
-    ok = above & (np.abs(alpha - step) <= 1e-12 * step)
-    # Over the documents first: numpy reduces a short last axis row by row.
-    return ok.all() if ok.ndim == 2 else ok.all(axis=0).all(axis=-1)
-
-
-def _log_forward(loge: np.ndarray, start: np.ndarray, xi: np.ndarray, pi: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`forward` in the log domain, one document at a time.  An
-    impossible document has a NaN message."""
-    with np.errstate(divide="ignore"):
-        log_xi, log_pi = np.log(xi), np.log(pi)
-        prior = np.log(start)
-    log_alpha, log_prior, scale = np.empty_like(loge), np.empty_like(loge), np.empty(len(loge))
-    with np.errstate(invalid="ignore"):
-        for t in range(len(loge)):
-            log_prior[t] = prior
-            joint = loge[t] + prior
-            scale[t] = _lse(joint, axis=0)
-            log_alpha[t] = joint - scale[t]
-            prior = log_pi if scale[t] == -np.inf else _lse(log_alpha[t] + log_xi, axis=1)
-    return log_alpha, log_prior, scale
+def _forward_in_python(num_docs, num_chains, num_behaviours, loge, start, xi, pi, log_prior,
+                       log_lik, belief):
+    """``forward`` of ``_kernels.c`` line for line, over lists, with a new
+    list where the kernel overwrites a row in place.  Sums run left to right
+    from 0.0 as in C, with ``reduce``: ``sum`` compensates since Python 3.12."""
+    messages, beliefs, log_liks, finals = out = [
+        a.tolist() for a in (loge, log_prior, log_lik, belief)]
+    for s, (x, p) in enumerate(zip(xi.tolist(), pi.tolist())):
+        beliefs[0][s] = [_log0(v) for v in start[s].tolist()]
+        for t in range(num_docs):
+            e = [a + b for a, b in zip(messages[t][s], beliefs[t][s])]
+            top = max(e)
+            if top == -math.inf:
+                log_liks[t][s], messages[t][s] = -math.inf, [math.nan] * num_behaviours
+                beliefs[t + 1][s], finals[s] = [_log0(v) for v in p], p
+                continue
+            w = [math.exp(v - top) for v in e]
+            total = reduce(add, w, 0.0)
+            log_total = math.log(total)
+            log_liks[t][s] = top + log_total
+            messages[t][s] = e = [v - top - log_total for v in e]
+            w = [v / total for v in w]
+            finals[s] = [reduce(add, map(mul, row, w), 0.0) for row in x]
+            beliefs[t + 1][s] = [math.log(v) if v >= 1e-280 else _log_sum(row, e)
+                                 for v, row in zip(finals[s], x)]
+    for a, values in zip((loge, log_prior, log_lik, belief), out):
+        a[...] = np.reshape(values, a.shape)  # an empty list has no shape
 
 
 def e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts]:
@@ -226,16 +164,11 @@ def e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts
         loge = emission_logs(np.log(mix), corpus)
         log_xi = np.log(params.xi)
     la, prior, log_lik = (a[:, 0] for a in forward(
-        loge[:, None].copy(), params.pi[None], params.xi[None], params.pi[None]))
+        loge[:, None].copy(), params.pi[None], params.xi[None], params.pi[None])[:3])
     log_K = float(log_lik.sum())
     if log_K == -np.inf:
         raise NumericalError("corpus impossible under model: normalisation constant is zero")
-    # A scan drops what falls below e^-745 of a message's largest entry, which
-    # the posterior may ignore only beside belief entries of at least _FLOOR.
-    if np.all(prior >= np.log(_FLOOR)):
-        post = forward(loge[::-1, None], ones[None], params.xi.T[None], ones[None])[0][::-1, 0]
-    else:
-        post = _log_forward(loge[::-1], ones, params.xi.T, ones)[0][::-1]
+    post = forward(loge[::-1, None].copy(), ones[None], params.xi.T[None], ones[None])[0][::-1, 0]
     # Posterior post[t] + prior[t] - norm[t]; pair posterior of documents
     # t - 1, t: log xi + la[t - 1] + post[t] - norm[t].
     norm = _lse(post + prior, axis=1)[:, None]

@@ -131,6 +131,10 @@ class LoadedModel:
     def __init__(self, doc: dict):
         if doc.get("format_version") != FORMAT_VERSION:
             raise DataError(f"unsupported model format version {doc.get('format_version')!r}")
+        if doc["orientation"] != ORIENTATION:
+            raise DataError(f"unsupported model orientation {doc['orientation']!r}")
+        if doc["algorithm"] not in ("em", "vb", "gs"):
+            raise DataError(f"unknown model algorithm {doc['algorithm']!r}")
         self.algorithm = doc["algorithm"]
         self.spec = ModelSpec(**doc["spec"])
         h = doc["hyperparams"]

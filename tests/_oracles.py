@@ -29,7 +29,7 @@ from scipy.special import gammaln, logsumexp
 from markovtopics.em import _log_map
 from markovtopics.generate import GeneratedDataset, _stream
 from markovtopics.gibbs import GibbsState, tally
-from markovtopics.inference import _counts, _log_forward, _lse, emission_logs, word_mixture_logs
+from markovtopics.inference import _counts, _lse, emission_logs, word_mixture_logs
 from markovtopics.ingest import DIRECTIONS
 from markovtopics.model import (
     Corpus,
@@ -467,8 +467,8 @@ def scaled_e_step(params: ModelParams, corpus: Corpus) -> tuple[float, Sufficien
     """The scaled forward-backward (Rabiner 1989) as a loop over the
     documents, on the emissions shifted by their per-document maximum, with
     no log-domain fallback: its log K and counts are NaN or infinite where
-    the scaled messages under- or overflow.  The reference the scanned
-    ``inference.e_step`` must match."""
+    the scaled messages under- or overflow.  A reference that
+    ``inference.e_step`` must match where it is finite."""
     mix = params.phi @ params.theta
     xi = params.xi
     with np.errstate(all="ignore"):
@@ -525,9 +525,29 @@ def scaled_filtered_belief(params: ModelParams, corpus: Corpus) -> np.ndarray | 
     return post
 
 
+def log_forward(loge: np.ndarray, start: np.ndarray, xi: np.ndarray, pi: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``inference.forward`` of one chain in the log domain with numpy, one
+    document at a time: the normalised log messages (T, Z), the log belief
+    before each document and each document's log likelihood.  An impossible
+    document has a NaN message and restarts the belief from ``pi``."""
+    with np.errstate(divide="ignore"):
+        log_xi, log_pi = np.log(xi), np.log(pi)
+        prior = np.log(start)
+    log_alpha, log_prior, scale = np.empty_like(loge), np.empty_like(loge), np.empty(len(loge))
+    with np.errstate(invalid="ignore"):
+        for t in range(len(loge)):
+            log_prior[t] = prior
+            joint = loge[t] + prior
+            scale[t] = _lse(joint, axis=0)
+            log_alpha[t] = joint - scale[t]
+            prior = log_pi if scale[t] == -np.inf else _lse(log_alpha[t] + log_xi, axis=1)
+    return log_alpha, log_prior, scale
+
+
 def log_e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCounts]:
     """``inference.e_step`` on the log-domain forward recursion alone:
-    ``inference._log_forward`` forward, and on the reversed stream under
+    :func:`log_forward` forward, and on the reversed stream under
     ``xi^T`` from a uniform belief, with the belief before each document
     recomputed from the messages.  Raises :class:`NumericalError` when the
     corpus is impossible under the model."""
@@ -536,11 +556,11 @@ def log_e_step(params: ModelParams, corpus: Corpus) -> tuple[float, SufficientCo
     with np.errstate(divide="ignore"):
         loge = emission_logs(np.log(mix), corpus)
         log_pi, log_xi = np.log(params.pi), np.log(params.xi)
-    la, _, scale = _log_forward(loge, params.pi, params.xi, params.pi)
+    la, _, scale = log_forward(loge, params.pi, params.xi, params.pi)
     log_K = float(scale.sum())
     if log_K == -np.inf:
         raise NumericalError("corpus impossible under model: normalisation constant is zero")
-    post = _log_forward(loge[::-1], ones, params.xi.T, ones)[0][::-1]
+    post = log_forward(loge[::-1], ones, params.xi.T, ones)[0][::-1]
     prior = np.vstack([log_pi, _lse(la[:-1, None, :] + log_xi, axis=2)])
     norm = _lse(post + prior, axis=1)[:, None]
     gamma = np.exp(post + prior - norm)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from markovtopics import ModelParams, ModelSpec, corpus_from_lists, make_prior, random_init
-from markovtopics import inference
+from markovtopics import _kernels
 
 
 def random_instance(rng, max_dim=3, max_docs=4, max_len=3):
@@ -117,40 +117,43 @@ def swinging_streams(draw):
     return params, corpus_from_lists(docs, ModelSpec(2, 2, 2))
 
 
-class Crossover:
-    """Base of test classes that pin ``inference.forward``'s regime: the
-    crossover sits at ``stepped_from`` chains for the class's tests.  The
-    default, beyond any test's chain count, scans every chain; a subclass
-    with ``stepped_from = 1`` runs the same tests with every chain stepped.
-    A hypothesis test in such a class runs on instances of both classes, so
-    it suppresses hypothesis's ``differing_executors`` health check; it is
-    derandomized and keeps no example database, so nothing is replayed from
-    one class in the other."""
+def with_zeros(m, keep):
+    """Column-stochastic ``m`` with the entries outside ``keep`` zeroed; a
+    column left empty is kept whole."""
+    out = np.where(keep, m, 0.0)
+    empty = ~out.any(axis=0)
+    out[..., empty] = m[..., empty]
+    return out / out.sum(axis=0)
 
-    stepped_from = 10**9
+
+class Implementations:
+    """Base of test classes that run on the compiled forward recursion (the
+    Python copy where no kernel builds).  A subclass with ``compiled =
+    False`` runs the same tests on the Python copy.  A hypothesis test in
+    such a class runs on instances of both classes, so it suppresses
+    hypothesis's ``differing_executors`` health check; it is derandomized and
+    keeps no example database, so nothing is replayed from one class in the
+    other."""
+
+    compiled = True
 
     @pytest.fixture(autouse=True, scope="class")
-    def _crossover(self, request):
+    def _implementation(self, request):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(inference, "_STEPPED_FROM", request.cls.stepped_from)
+            if not request.cls.compiled:
+                patch.setattr(_kernels, "load", lambda: None)
             yield
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """The compiled kernels; skips a test that compares them where they do not build."""
+    lib = _kernels.load()
+    if lib is None:
+        pytest.skip("no C compiler builds the compiled kernels on this host")
+    return lib
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-@pytest.fixture
-def spy(monkeypatch):
-    """``spy(module, name)`` wraps ``module.name`` for the test and returns
-    the list that the arguments of each of its calls are appended to."""
-    def install(module, name):
-        calls, real = [], getattr(module, name)
-
-        def wrapper(*args):
-            calls.append(args)
-            return real(*args)
-        monkeypatch.setattr(module, name, wrapper)
-        return calls
-    return install

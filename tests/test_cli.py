@@ -6,6 +6,8 @@ import pkgutil
 import re
 import subprocess
 import sys
+import sysconfig
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import markovtopics
-from markovtopics import inference, serialize, vb
+from markovtopics import _kernels, inference, serialize, vb
 from markovtopics.cli import main
 from markovtopics.ingest import DIRECTIONS
 
@@ -191,8 +193,8 @@ class TestDeterminism:
 
     def test_package_functions_run_on_the_calling_thread(self, tmp_path, monkeypatch):
         # Only private draws run on the pool, so a tracer that wraps every
-        # public function with one span stack sees every call on one thread;
-        # with more samples than the crossover the chains are stepped.
+        # public function with one span stack sees every call on one thread,
+        # with many chains in the forward recursion.
         train = _generate(tmp_path)
         test = _generate(tmp_path, docs=5, seed=9, name="test.txt")
         model = _train(tmp_path, train, algo="vb")
@@ -212,10 +214,62 @@ class TestDeterminism:
                         and value.__module__.startswith("markovtopics.")):
                     monkeypatch.setattr(module, name, recorded(value))
         assert main(["score", "--model", str(model), "--corpus", str(test),
-                     "--mode", "mc", "--mc-samples", str(inference._STEPPED_FROM + 1),
+                     "--mode", "mc", "--mc-samples", "21",
                      "--train-corpus", str(train),
                      "--out", str(tmp_path / "scores.jsonl")]) == 0
         assert threads == {threading.get_ident()}
+
+
+class TestWithoutCompiler:
+    def test_every_command_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys):
+        # EM and VB training, plug-in and MC-4 scoring and localise run the
+        # forward recursion, GS training and scoring both kernels; where no
+        # compiler works the Python copies write the same bytes, and the
+        # build leaves no file behind.
+        corpus = tmp_path / "corpus.txt"
+        assert main(["generate", "--num-words", "16", "--num-topics", "3", "--num-behaviours", "2",
+                     "--docs", "12", "--doc-length", "15", "--seed", "4",
+                     "--out-corpus", str(corpus)]) == 0
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+        def run(out):
+            out.mkdir()
+            _kernels.load.cache_clear()
+            try:
+                for algo in ("em", "vb", "gs"):
+                    assert main(["train", "--corpus", str(corpus), "--num-words", "16",
+                                 "--num-topics", "3", "--num-behaviours", "2", "--algo", algo,
+                                 "--iterations", "6", "--burn-in", "6", "--spacing", "2",
+                                 "--samples", "2", "--seed", "5",
+                                 "--out", str(out / f"{algo}.json")]) == 0
+                for algo, mode in (("em", "plugin"), ("vb", "mc"), ("gs", "mc")):
+                    assert main(["score", "--model", str(out / f"{algo}.json"),
+                                 "--corpus", str(corpus), "--train-corpus", str(corpus),
+                                 "--mode", mode, "--mc-samples", "4", "--seed", "6",
+                                 "--min-words", "0", "--out", str(out / f"{algo}.jsonl")]) == 0
+                assert main(["localise", "--model", str(out / "vb.json"), "--corpus", str(corpus),
+                             "--frame-w", "16", "--frame-h", "16", "--top-n", "3",
+                             "--out", str(out / "localised.jsonl")]) == 0
+                return _kernels.load()
+            finally:
+                _kernels.load.cache_clear()
+
+        run(tmp_path / "compiled")
+        assert list(scratch.iterdir()) == []
+        cc = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: str(tmp_path / "no-such-cc") if name == "CC" else cc(name))
+        assert run(tmp_path / "fallback") is None
+        assert list(scratch.iterdir()) == []
+        compiled = sorted((tmp_path / "compiled").iterdir())
+        assert [p.name for p in compiled] == sorted(p.name for p in (tmp_path / "fallback").iterdir())
+        assert len(compiled) == 7
+        for path in compiled:
+            assert (tmp_path / "fallback" / path.name).read_bytes() == path.read_bytes(), path.name
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestMethodMatrix:
@@ -433,6 +487,20 @@ class TestExitCodes:
         scores = tmp_path / "s.jsonl"
         assert main(["score", "--model", str(model), "--corpus", str(train),
                      "--train-corpus", str(train), "--out", str(scores)]) == 3
+        assert not scores.exists()
+
+    @pytest.mark.parametrize("key,value", [("orientation", "row-conditional"),
+                                           ("algorithm", "nonsense")])
+    def test_unknown_orientation_or_algorithm_is_data_error(self, tmp_path, capsys, key, value):
+        train = _generate(tmp_path)
+        model = _train(tmp_path, train)
+        doc = json.loads(model.read_text())
+        doc[key] = value
+        model.write_text(json.dumps(doc))
+        scores = tmp_path / "s.jsonl"
+        assert main(["score", "--model", str(model), "--corpus", str(train),
+                     "--train-corpus", str(train), "--out", str(scores)]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
         assert not scores.exists()
 
     @pytest.mark.parametrize("cut", ["beta", "samples"])

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markovtopics import Hyperparams, ModelSpec, corpus_from_lists, make_prior
-from markovtopics import generate, gibbs
+from markovtopics import _kernels, generate, gibbs
 from markovtopics.cli import main
 from markovtopics.model import SufficientCounts, validate_params
 
@@ -152,13 +152,6 @@ class TestTopicStep:
         _assert_same_chain(_reference_chain(corpus, h, seed=12, sweeps=5), new)
 
 
-@pytest.fixture(scope="module")
-def kernel():
-    """Skips a test that compares the compiled topic step where it does not build."""
-    if gibbs._topic_kernel() is None:
-        pytest.skip("no C compiler builds the compiled topic step on this host")
-
-
 #: Taken at import: ``_topic_chain`` patches ``gibbs._resample_topics`` with
 #: the step it runs, so a lookup at call time would find the patch.
 _resample_topics = gibbs._resample_topics
@@ -167,7 +160,7 @@ _resample_topics = gibbs._resample_topics
 def _python_topic_step(state, corpus, hyper):
     """The topic step where no kernel builds: the Python loop."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(gibbs, "_topic_kernel", lambda: None)
+        m.setattr(_kernels, "load", lambda: None)
         _resample_topics(state, corpus, hyper)
 
 
@@ -269,13 +262,13 @@ class TestCompiledTopicStep:
 
     def test_kernel_and_python_loop_take_one_argument_list(self):
         # An argument added to one implementation only fails here.
-        source = Path(gibbs.__file__).with_name("_topics.c").read_text()
+        source = Path(_kernels.__file__).with_name("_kernels.c").read_text()
         params = re.search(r"void resample_topics\(([^)]*)\)", source).group(1).split(",")
         names = [re.search(r"(\w+)\s*$", p).group(1) for p in params]
         assert names == list(inspect.signature(gibbs._topics_in_python).parameters)
-        kernel = gibbs._topic_kernel()
-        if kernel is not None:
-            assert len(names) == len(kernel.argtypes)
+        lib = _kernels.load()
+        if lib is not None:
+            assert len(names) == len(lib.resample_topics.argtypes)
 
 
 def _set(index, v):
@@ -345,7 +338,7 @@ class TestTopicStepGuardInPythonLoop(TestTopicStepGuard):
 
     @pytest.fixture(autouse=True)
     def topic_path(self, monkeypatch):
-        monkeypatch.setattr(gibbs, "_topic_kernel", lambda: None)
+        monkeypatch.setattr(_kernels, "load", lambda: None)
 
 
 class TestWithoutCompiler:
@@ -359,15 +352,15 @@ class TestWithoutCompiler:
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
 
         def train(out):
-            gibbs._topic_kernel.cache_clear()
+            _kernels.load.cache_clear()
             try:
                 status = main(["train", "--corpus", str(corpus), "--num-words", "6",
                                "--num-topics", "3", "--num-behaviours", "2", "--algo", "gs",
                                "--burn-in", "15", "--spacing", "3", "--samples", "2",
                                "--seed", "5", "--out", str(out)])
-                return status, gibbs._topic_kernel()
+                return status, _kernels.load()
             finally:
-                gibbs._topic_kernel.cache_clear()
+                _kernels.load.cache_clear()
 
         status, _ = train(tmp_path / "compiled.json")
         assert status == 0 and list(scratch.iterdir()) == []

@@ -169,6 +169,16 @@ class TestModelFiles:
         with pytest.raises(DataError):
             serialize.load_model(path)
 
+    @pytest.mark.parametrize("key,value", [("orientation", "row-conditional"),
+                                           ("algorithm", "nonsense")])
+    def test_unknown_orientation_or_algorithm_rejected(self, tmp_path, key, value):
+        doc = json.loads(_V1_FIXTURE.read_text())
+        doc[key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=repr(value)):
+            serialize.load_model(path)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
