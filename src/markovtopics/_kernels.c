@@ -1,9 +1,11 @@
 /* The compiled kernels.  Each does the float64 operations of its Python copy
- * in the same order: resample_topics those of gibbs._topics_in_python and
- * forward those of inference._forward_in_python.  _kernels.load builds them
- * with -ffp-contract=off, so no multiply and add are fused into one rounding;
- * exp and log come from libm, as Python's math.exp and math.log do.  The
- * callers check every shape, dtype and index bound. */
+ * in the same order: resample_topics those of gibbs._topics_in_python,
+ * resample_behaviours those of gibbs._behaviours_in_python and forward those
+ * of inference._forward_in_python.  _kernels.load builds them with
+ * -ffp-contract=off, so no multiply and add are fused into one rounding; exp
+ * and log come from libm, as Python's math.exp and math.log do, and gammaln
+ * is scipy's own routine, passed in.  The callers check every shape, dtype
+ * and index bound. */
 #include <math.h>
 #include <stdint.h>
 
@@ -33,6 +35,118 @@ void resample_topics(int64_t num_docs, int64_t num_topics, int64_t num_behaviour
             row[k]++, totals[k]++, col[k * num_behaviours]++;
             ys[i] = k;
         }
+    }
+}
+
+/* The arrays of the behaviour step, as resample_behaviours gets them. */
+struct chain {
+    int64_t num_docs, num_topics, num_behaviours;
+    double (*gammaln)(double, int);
+    const double *alpha;
+    const int64_t *hist;
+    int64_t *z, *n_yz, *n_zz, *n_z1, *leaving;
+    double *lg, *totals, *lg_totals;
+};
+
+/* Adds (sign 1) or removes (sign -1) document t, whose topic counts are hist,
+ * under behaviour k: column k of n_yz with its gammaln cache, its total over
+ * every topic and that total's gammaln, then the transitions into and out of
+ * the document. */
+static void place(const struct chain *c, int64_t t, int64_t k, int64_t sign)
+{
+    int64_t Y = c->num_topics, Z = c->num_behaviours;
+    double total = 0.0;
+    for (int64_t y = 0; y < Y; y++)
+        if (c->hist[y]) {
+            c->n_yz[y * Z + k] += sign * c->hist[y];
+            c->lg[k * Y + y] = c->gammaln(c->n_yz[y * Z + k] + c->alpha[y], 0);
+        }
+    for (int64_t y = 0; y < Y; y++)
+        total += c->n_yz[y * Z + k] + c->alpha[y];
+    c->totals[k] = total;
+    c->lg_totals[k] = c->gammaln(total, 0);
+    if (t == 0)
+        c->n_z1[k] += sign;
+    else
+        c->n_zz[k * Z + c->z[t - 1]] += sign, c->leaving[c->z[t - 1]] += sign;
+    if (t < c->num_docs - 1)
+        c->n_zz[c->z[t + 1] * Z + k] += sign, c->leaving[k] += sign;
+}
+
+/* The collapsed Gibbs behaviour step over every document, in time order.  The
+ * conditional of behaviour k is the Dirichlet-multinomial term of the
+ * document's topic counts under column k of n_yz + alpha, over the used
+ * topics, then the transition into the document, then the transition out of
+ * it over its column total, with the self-transition correction.  Over counts
+ * n in [0, num_docs], logs holds the rows log(n + gamma_j) for each j and
+ * log(n + sum(gamma)), then the same with n + 1 for a self transition.
+ * leaving starts as the column sums of n_zz; hist (num_topics entries) and
+ * work (num_behaviours * (num_topics + 3)) are scratch.  gammaln is scipy's
+ * cython_special routine, called with its skip-dispatch flag 0. */
+void resample_behaviours(int64_t num_docs, int64_t num_topics, int64_t num_behaviours,
+                         double (*gammaln)(double, int), const int64_t *offsets,
+                         const int64_t *ys, const double *uniforms, const double *alpha,
+                         const double *log_eta, const double *logs, int64_t *z, int64_t *n_yz,
+                         int64_t *n_zz, int64_t *n_z1, int64_t *leaving, int64_t *hist,
+                         double *work)
+{
+    int64_t T = num_docs, Y = num_topics, Z = num_behaviours, n = T + 1;
+    double *lg = work, *totals = lg + Z * Y, *lg_totals = totals + Z, *cw = lg_totals + Z;
+    const double *log_into = logs, *log_out = logs + Z * n, *log_self = log_out + n,
+                 *log_out_self = log_self + Z * n;
+    struct chain c = {T, Y, Z, gammaln, alpha, hist, z, n_yz, n_zz, n_z1, leaving, lg, totals,
+                      lg_totals};
+    for (int64_t k = 0; k < Z; k++) {
+        double total = 0.0;
+        for (int64_t y = 0; y < Y; y++) {
+            lg[k * Y + y] = gammaln(n_yz[y * Z + k] + alpha[y], 0);
+            total += n_yz[y * Z + k] + alpha[y];
+        }
+        totals[k] = total;
+        lg_totals[k] = gammaln(total, 0);
+    }
+    for (int64_t t = 0; t < T; t++) {
+        int64_t n_t = offsets[t + 1] - offsets[t], first = t == 0, final = t == T - 1;
+        int64_t z_prev = first ? 0 : z[t - 1], z_next = final ? 0 : z[t + 1], k, lo = 0, hi = Z;
+        const int64_t *next_row = n_zz + z_next * Z;
+        double top, s = 0.0, target;
+        for (int64_t y = 0; y < Y; y++)
+            hist[y] = 0;
+        for (int64_t i = offsets[t]; i < offsets[t + 1]; i++)
+            hist[ys[i]]++;
+
+        /* Exclude document t's own contributions before scoring candidates. */
+        place(&c, t, z[t], -1);
+        for (k = 0; k < Z; k++) {
+            double dm = 0.0, v;
+            for (int64_t y = 0; y < Y; y++)
+                if (hist[y])
+                    dm += gammaln(n_yz[y * Z + k] + alpha[y] + hist[y], 0) - lg[k * Y + y];
+            dm -= gammaln(totals[k] + n_t, 0) - lg_totals[k];
+            v = dm + (first ? log_eta[k] : log_into[k * n + n_zz[k * Z + z_prev]]);
+            if (!final) {
+                if (first || k != z_prev)
+                    v = v + log_into[z_next * n + next_row[k]] - log_out[leaving[k]];
+                else if (z_next == z_prev)
+                    v = v + log_self[z_next * n + next_row[k]] - log_out_self[leaving[k]];
+                else
+                    v = v + log_into[z_next * n + next_row[k]] - log_out_self[leaving[k]];
+            }
+            cw[k] = v;
+        }
+        top = cw[0];
+        for (k = 1; k < Z; k++)
+            if (cw[k] > top) top = cw[k];
+        for (k = 0; k < Z; k++)
+            s += exp(cw[k] - top), cw[k] = s;
+        target = uniforms[t] * s;
+        while (lo < hi) {  /* bisect.bisect_right(cw, target) */
+            int64_t mid = (lo + hi) / 2;
+            if (target < cw[mid]) hi = mid; else lo = mid + 1;
+        }
+        k = lo < Z ? lo : Z - 1;
+        place(&c, t, k, 1);
+        z[t] = k;
     }
 }
 

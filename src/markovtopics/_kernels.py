@@ -1,6 +1,7 @@
 """``_kernels.c``, built once per process.  Each kernel has a line-for-line
-Python copy, ``gibbs._topics_in_python`` and ``inference._forward_in_python``,
-which runs with the same bytes where no compiler or loader works."""
+Python copy, ``gibbs._topics_in_python``, ``gibbs._behaviours_in_python`` and
+``inference._forward_in_python``, which runs with the same bytes where no
+compiler or loader works."""
 from functools import cache
 from pathlib import Path
 
@@ -33,7 +34,9 @@ def load():
         return None
     # Raw addresses: numpy's ndpointer checks cost more than a small
     # corpus's whole topic step, and the callers make the same checks.
+    # resample_behaviours' fourth argument is the address of a C function.
     lib.resample_topics.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_double] + [ctypes.c_void_p] * 11
+    lib.resample_behaviours.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 14
     lib.forward.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7
-    lib.resample_topics.restype = lib.forward.restype = None
+    lib.resample_topics.restype = lib.resample_behaviours.restype = lib.forward.restype = None
     return lib

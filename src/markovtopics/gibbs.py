@@ -12,8 +12,10 @@ observation contributes a term proportional to the prior vector.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -49,11 +51,10 @@ def tally(y_flat, z_assign, corpus: Corpus) -> SufficientCounts:
     y = np.asarray(y_flat, dtype=np.int64)
     z = np.asarray(z_assign, dtype=np.int64)
     z_tokens = np.repeat(z, np.diff(corpus.offsets))
+    n_zz, n_z1 = _transitions(z, Z)
     return SufficientCounts(
         n_xy=np.bincount(corpus.tokens * Y + y, minlength=spec.num_words * Y).reshape(-1, Y),
-        n_yz=np.bincount(y * Z + z_tokens, minlength=Y * Z).reshape(Y, Z),
-        n_zz=np.bincount(z[1:] * Z + z[:-1], minlength=Z * Z).reshape(Z, Z),
-        n_z1=np.bincount(z[:1], minlength=Z))
+        n_yz=np.bincount(y * Z + z_tokens, minlength=Y * Z).reshape(Y, Z), n_zz=n_zz, n_z1=n_z1)
 
 
 def gibbs_init(corpus: Corpus, spec: ModelSpec, seed: int) -> GibbsState:
@@ -70,97 +71,149 @@ def gibbs_init(corpus: Corpus, spec: ModelSpec, seed: int) -> GibbsState:
                       counts=tally(y_flat, z_assign, corpus), rng=rng)
 
 
-def _column_total(column, alpha) -> float:
-    """``sum(n_y + alpha_y)`` over topics, added in topic order as numpy's
-    column sum of the (topics, behaviours) array adds its rows."""
-    total = 0.0
-    for n, a in zip(column, alpha):
-        total += n + a
-    return total
+def _transitions(z, num_behaviours):
+    """``n_zz`` ([z_new, z_old]) and ``n_z1`` recounted from the behaviours ``z``."""
+    Z = num_behaviours
+    return (np.bincount(z[1:] * Z + z[:-1], minlength=Z * Z).reshape(Z, Z),
+            np.bincount(z[:1], minlength=Z))
+
+
+def _check_written(*arrays):
+    """Raise ``ValueError`` unless each ``(name, array, shape)`` is a
+    writeable C-contiguous int64 array of that shape, as a kernel that
+    writes it in place needs."""
+    for name, a, shape in arrays:
+        if not (a.dtype == np.int64 and a.flags.c_contiguous and a.flags.writeable
+                and a.shape == shape):
+            raise ValueError(f"{name} must be a writeable C-contiguous int64 array of shape {shape}")
+
+
+#: The signature scipy's capsule names for the C routine of
+#: ``cython_special.gammaln``: ``gl(x, 0)`` is ``gammaln(x)``.
+_GAMMALN = b"double (double, int __pyx_skip_dispatch)"
+
+
+@cache
+def _gammaln_address(capsule):
+    """The address ``capsule`` holds where it names the signature of
+    ``cython_special.gammaln``'s C routine; None otherwise, and for None."""
+    import ctypes
+
+    if capsule is None:
+        return None
+    api = ctypes.pythonapi
+    is_valid = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_IsValid", api))
+    if not is_valid(capsule, _GAMMALN):
+        return None
+    return ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, _GAMMALN)
 
 
 def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
-    """Resample every document's behaviour, in time order.
+    """Resample every document's behaviour, in time order, with the compiled
+    kernel where it builds and scipy's ``gammaln`` capsule is found, and the
+    Python copy where not: one argument list, the same bytes.
 
-    A loop over Python scalars.  The conditional of behaviour ``k`` is the
-    Dirichlet-multinomial term of the document's topic counts ``m`` under
-    column ``k`` of ``n_yz + alpha`` (rows with ``m_y = 0`` add exactly 0,
-    so only the used topics are visited), then the transition into the
-    document, then the transitions out of it over their column total, with
-    the self-transition correction.  ``gammaln`` of every ``n_yz + alpha``
-    entry and of the column totals is cached and refreshed in the columns
-    ``place`` touches.  The transition logs come from tables built with one
-    ``np.log`` call per sweep, and each document's conditional is
-    exponentiated with one ``np.exp`` call; the float64 operations are
-    those, in the same order, of the numpy conditional the tests keep as the
-    reference, so the chain matches it bit for bit.  The uniforms are drawn
-    in one call, which gives the same stream as one draw per document.
+    The transition logs, ``log(n + gamma_j)`` and ``log(n + sum(gamma))``
+    for counts ``n`` in ``[0, T]`` and the same plus one (a self transition),
+    and ``log(eta)`` come from ``np.log``, as in the numpy conditional the
+    tests keep as the reference.  Each document's conditional is
+    exponentiated with libm's ``exp``, which may differ from ``np.exp`` in
+    the last bit, so a draw could move only where a uniform falls within
+    that bit.  The uniforms are drawn in one call, which gives the same
+    stream as one draw per document.  The kernel indexes without bounds
+    checks, and indexes the log tables by ``n_zz``'s entries and column sums,
+    so the arrays and indices are checked first, on either path.
     """
-    # The ufunc's own scalar routine, imported here: the extension maps
-    # about 1 MB that only a Gibbs fit needs.
-    from scipy.special.cython_special import gammaln
-
     counts = state.counts
-    num_topics, num_behaviours = counts.n_yz.shape
-    T = len(corpus)
-    last = num_behaviours - 1
-    behaviours = range(num_behaviours)
-    alpha = hyper.alpha.tolist()
-    lengths = np.diff(corpus.offsets)
-    docs = np.repeat(np.arange(T) * num_topics, lengths)
-    histograms = np.bincount(docs + state.y_flat, minlength=T * num_topics)
-    histograms = histograms.reshape(T, num_topics).tolist()
-    lengths = lengths.tolist()
+    z, n_yz, n_zz, n_z1, ys = state.z_assign, counts.n_yz, counts.n_zz, counts.n_z1, state.y_flat
+    T, num_topics, num_behaviours = len(corpus), corpus.spec.num_topics, corpus.spec.num_behaviours
+    _check_written(("z_assign", z, (T,)), ("n_yz", n_yz, (num_topics, num_behaviours)),
+                   ("n_zz", n_zz, (num_behaviours, num_behaviours)),
+                   ("n_z1", n_z1, (num_behaviours,)))
+    if T and not 0 <= z.min() <= z.max() < num_behaviours:
+        raise ValueError(f"z_assign holds behaviours outside [0, {num_behaviours})")
+    if ys.dtype != np.int64 or ys.shape != (corpus.num_tokens,) or (
+            ys.size and not 0 <= ys.min() <= ys.max() < num_topics):
+        raise ValueError(f"y_flat must be {corpus.num_tokens} int64 topics in [0, {num_topics})")
+    recount = _transitions(z, num_behaviours)
+    if not (np.array_equal(n_zz, recount[0]) and np.array_equal(n_z1, recount[1])):
+        raise ValueError("n_zz and n_z1 must equal their recount from z_assign")
+    if (hyper.alpha.shape, hyper.gamma.shape, hyper.eta.shape) != (
+            (num_topics,), (num_behaviours,), (num_behaviours,)):
+        raise ValueError("alpha must have one entry per topic, gamma and eta one per behaviour")
 
-    # Transition logs by count n in [0, T]: log(n + gamma_j), the same plus
-    # one (a self transition), log(n + sum(gamma)) and the same plus one.
-    grid = np.arange(T + 1)
-    into = grid + hyper.gamma[:, None]
-    out_of = grid + hyper.gamma.sum()
-    logs = np.log(np.vstack([into, into + 1.0, out_of, out_of + 1.0])).tolist()
-    log_into, log_self = logs[:num_behaviours], logs[num_behaviours:-2]
-    log_out, log_out_self = logs[-2], logs[-1]
-    log_eta = np.log(hyper.eta).tolist()
+    # The arguments of resample_behaviours in _kernels.c, for either
+    # implementation; the list holds every buffer until the kernel returns.
+    sums = np.arange(T + 1) + np.append(hyper.gamma, hyper.gamma.sum())[:, None]
+    arrays = [np.ascontiguousarray(a) for a in (
+        corpus.offsets, ys, state.rng.random(T), hyper.alpha, np.log(hyper.eta),
+        np.log(np.concatenate((sums, sums + 1.0))), z, n_yz, n_zz, n_z1, n_zz.sum(axis=0),
+        np.empty(num_topics, np.int64), np.empty(num_behaviours * (num_topics + 3)))]
+    scalars = (T, num_topics, num_behaviours)
+    # Imported here: the extension maps about 1 MB that only a Gibbs fit needs.
+    from scipy.special import cython_special
 
-    z = state.z_assign.tolist()
-    n_zz = counts.n_zz.tolist()  # [z_new][z_old]
-    n_z1 = counts.n_z1.tolist()
-    leaving = counts.n_zz.sum(axis=0).tolist()
-    columns = counts.n_yz.T.tolist()  # [z][y]
-    lg = [[gammaln(n + a) for n, a in zip(col, alpha)] for col in columns]
-    totals = [_column_total(col, alpha) for col in columns]
-    lg_totals = [gammaln(s) for s in totals]
-    uniforms = state.rng.random(T).tolist()
+    lib = _kernels.load()
+    gammaln = None if lib is None else _gammaln_address(cython_special.__pyx_capi__.get("gammaln"))
+    if gammaln is not None:
+        lib.resample_behaviours(*scalars, gammaln, *[a.ctypes.data for a in arrays])
+    else:
+        _behaviours_in_python(*scalars, cython_special.gammaln, *arrays)
 
-    def place(k, sign):
+
+def _behaviours_in_python(num_docs, num_topics, num_behaviours, gammaln, offsets, ys, uniforms,
+                          alpha, log_eta, logs, z, n_yz, n_zz, n_z1, leaving, hist, work):
+    """``resample_behaviours`` of ``_kernels.c`` line for line, over lists,
+    with ``columns[k][y]`` for the kernel's ``n_yz[y * Z + k]``, a document's
+    used topics listed once rather than tested for each behaviour,
+    ``gammaln(x)`` for the kernel's ``gammaln(x, 0)``, and lists of its own
+    for the scratch ``hist`` and ``work``."""
+    offsets, ys, uniforms, alpha, log_eta, zs, z1, leaving = (
+        a.tolist() for a in (offsets, ys, uniforms, alpha, log_eta, z, n_z1, leaving))
+    columns, rows = n_yz.T.tolist(), n_zz.tolist()
+    (*log_into, log_out), (*log_self, log_out_self) = logs.reshape(
+        2, num_behaviours + 1, num_docs + 1).tolist()
+    topics, behaviours, last = range(num_topics), range(num_behaviours), num_behaviours - 1
+
+    def total(col):
+        s = 0.0
+        for y in topics:
+            s += col[y] + alpha[y]
+        return s
+
+    def place(t, k, sign):
         """Add (+1) or remove (-1) document t under behaviour k."""
         col, lg_k = columns[k], lg[k]
         for y, c in used:
             col[y] += sign * c
             lg_k[y] = gammaln(col[y] + alpha[y])
-        totals[k] = _column_total(col, alpha)
+        totals[k] = total(col)
         lg_totals[k] = gammaln(totals[k])
-        if first:
-            n_z1[k] += sign
+        if t == 0:
+            z1[k] += sign
         else:
-            n_zz[k][z_prev] += sign
-            leaving[z_prev] += sign
-        if not final:
-            n_zz[z_next][k] += sign
+            rows[k][zs[t - 1]] += sign
+            leaving[zs[t - 1]] += sign
+        if t < num_docs - 1:
+            rows[zs[t + 1]][k] += sign
             leaving[k] += sign
 
-    for t in range(T):
-        used = [(y, c) for y, c in enumerate(histograms[t]) if c]
-        n_t = lengths[t]
-        first, final = t == 0, t == T - 1
-        if not first:
-            z_prev = z[t - 1]
-        if not final:
-            z_next = z[t + 1]
-            next_row = n_zz[z_next]
+    lg = [[gammaln(col[y] + alpha[y]) for y in topics] for col in columns]
+    totals = [total(col) for col in columns]
+    lg_totals = [gammaln(s) for s in totals]
+    for t in range(num_docs):
+        n_t, first, final = offsets[t + 1] - offsets[t], t == 0, t == num_docs - 1
+        z_prev, z_next = 0 if first else zs[t - 1], 0 if final else zs[t + 1]
+        next_row = rows[z_next]
+        hist = [0] * num_topics
+        for i in range(offsets[t], offsets[t + 1]):
+            hist[ys[i]] += 1
+        used = [(y, c) for y, c in enumerate(hist) if c]
 
         # Exclude document t's own contributions before scoring candidates.
-        place(z[t], -1)
+        place(t, zs[t], -1)
         logp = []
         for k in behaviours:
             col, lg_k = columns[k], lg[k]
@@ -168,7 +221,7 @@ def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
             for y, c in used:
                 dm += gammaln(col[y] + alpha[y] + c) - lg_k[y]
             dm -= gammaln(totals[k] + n_t) - lg_totals[k]
-            v = dm + (log_eta[k] if first else log_into[k][n_zz[k][z_prev]])
+            v = dm + (log_eta[k] if first else log_into[k][rows[k][z_prev]])
             if not final:
                 if first or k != z_prev:
                     v = v + log_into[z_next][next_row[k]] - log_out[leaving[k]]
@@ -177,17 +230,15 @@ def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
                 else:
                     v = v + log_into[z_next][next_row[k]] - log_out_self[leaving[k]]
             logp.append(v)
-
         top = max(logp)
-        cw = list(accumulate(np.exp([v - top for v in logp]).tolist()))
+        cw = list(accumulate(math.exp(v - top) for v in logp))
         k = min(bisect_right(cw, uniforms[t] * cw[-1]), last)
-        place(k, 1)
-        z[t] = k
-
-    counts.n_yz[...] = np.array(columns).T
-    counts.n_zz[...] = n_zz
-    counts.n_z1[...] = n_z1
-    state.z_assign[...] = z
+        place(t, k, 1)
+        zs[t] = k
+    n_yz[...] = np.array(columns).T
+    n_zz[...] = rows
+    n_z1[...] = z1
+    z[...] = zs
 
 
 def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
@@ -203,12 +254,9 @@ def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
     n_xy, n_yz, ys, z = counts.n_xy, counts.n_yz, state.y_flat, state.z_assign
     num_topics, num_behaviours = n_yz.shape
     num_words = corpus.spec.num_words
-    for name, a, shape in (("n_xy", n_xy, (num_words, num_topics)),
-                           ("n_yz", n_yz, (num_topics, num_behaviours)),
-                           ("y_flat", ys, (corpus.num_tokens,))):
-        if not (a.dtype == np.int64 and a.flags.c_contiguous and a.flags.writeable
-                and a.shape == shape):
-            raise ValueError(f"{name} must be a writeable C-contiguous int64 array of shape {shape}")
+    _check_written(("n_xy", n_xy, (num_words, num_topics)),
+                   ("n_yz", n_yz, (num_topics, num_behaviours)),
+                   ("y_flat", ys, (corpus.num_tokens,)))
     if ys.size and not 0 <= ys.min() <= ys.max() < num_topics:
         raise ValueError(f"y_flat holds topics outside [0, {num_topics})")
     if z.dtype != np.int64 or z.shape != (len(corpus),) or (

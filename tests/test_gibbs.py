@@ -1,14 +1,18 @@
+import ctypes
 import dataclasses
 import inspect
+import math
 import re
 import sysconfig
 import tempfile
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import cython_special
 
 from markovtopics import Hyperparams, ModelSpec, corpus_from_lists, make_prior
 from markovtopics import _kernels, generate, gibbs
@@ -175,11 +179,12 @@ def _topic_chain(step, corpus, hyper, seed, sweeps):
 
 
 @st.composite
-def _topic_cases(draw):
-    """Uneven document lengths (empty documents and corpora included), 1,
-    2, 3 or 8 topics, uneven priors and a seed."""
-    num_topics = draw(st.sampled_from([1, 2, 3, 8]))
-    spec = ModelSpec(draw(st.integers(1, 6)), num_topics, draw(st.integers(1, 3)))
+def _chain_cases(draw, topics=(1, 2, 3, 8), max_behaviours=3):
+    """Uneven document lengths (empty documents and corpora included), one
+    of ``topics`` topics, 1 to ``max_behaviours`` behaviours, uneven priors
+    and a seed."""
+    num_topics = draw(st.sampled_from(topics))
+    spec = ModelSpec(draw(st.integers(1, 6)), num_topics, draw(st.integers(1, max_behaviours)))
     docs = draw(st.lists(st.lists(st.integers(0, spec.num_words - 1), max_size=12), max_size=8))
     priors = [np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))
               for n in (num_topics, spec.num_words, spec.num_behaviours, spec.num_behaviours)]
@@ -191,7 +196,8 @@ _UNEVEN_PRIOR_8 = Hyperparams(alpha=np.linspace(0.1, 4.0, 8), beta=np.array([0.0
 
 
 class _FixedUniforms:
-    """Stands in for a chain's generator: every uniform is ``u``."""
+    """Stands in for a chain's generator: every uniform is ``u``, or a draw
+    of ``len(u)`` uniforms is the array ``u``."""
 
     def __init__(self, u):
         self.u = u
@@ -200,9 +206,18 @@ class _FixedUniforms:
         return self.u if size is None else np.full(size, self.u)
 
 
+def _c_parameters(function):
+    """The parameter names of ``function`` in ``_kernels.c``, in order; a
+    function pointer ``double (*f)(double, int)`` is named ``f``."""
+    source = Path(_kernels.__file__).with_name("_kernels.c").read_text()
+    params = re.search(rf"void {function}\((.*?)\)\s*{{", source, re.S).group(1)
+    params = re.sub(r"\(\*(\w+)\)\([^)]*\)", r"\1", params)
+    return [re.search(r"(\w+)\s*$", p).group(1) for p in params.split(",")]
+
+
 class TestCompiledTopicStep:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(_topic_cases())
+    @given(_chain_cases())
     @example((corpus_from_lists([], ModelSpec(2, 3, 2)), make_prior("H", ModelSpec(2, 3, 2)), 0))
     @example((corpus_from_lists([[], [], []], ModelSpec(2, 2, 2)),
               make_prior("1", ModelSpec(2, 2, 2)), 1))
@@ -262,9 +277,7 @@ class TestCompiledTopicStep:
 
     def test_kernel_and_python_loop_take_one_argument_list(self):
         # An argument added to one implementation only fails here.
-        source = Path(_kernels.__file__).with_name("_kernels.c").read_text()
-        params = re.search(r"void resample_topics\(([^)]*)\)", source).group(1).split(",")
-        names = [re.search(r"(\w+)\s*$", p).group(1) for p in params]
+        names = _c_parameters("resample_topics")
         assert names == list(inspect.signature(gibbs._topics_in_python).parameters)
         lib = _kernels.load()
         if lib is not None:
@@ -341,6 +354,12 @@ class TestTopicStepGuardInPythonLoop(TestTopicStepGuard):
         monkeypatch.setattr(_kernels, "load", lambda: None)
 
 
+#: A capsule keeps a pointer to its name, so the name must outlive it.
+_OTHER_SIGNATURE = b"double (double)"
+_new_capsule = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p,
+                                 ctypes.c_void_p)(("PyCapsule_New", ctypes.pythonapi))
+
+
 class TestWithoutCompiler:
     def test_train_gs_falls_back_with_the_same_bytes(self, tmp_path, monkeypatch, capsys):
         corpus = tmp_path / "corpus.txt"
@@ -364,6 +383,21 @@ class TestWithoutCompiler:
 
         status, _ = train(tmp_path / "compiled.json")
         assert status == 0 and list(scratch.iterdir()) == []
+        # The kernels build, but scipy's gammaln capsule is missing or names
+        # another signature: the behaviour step runs the Python copy.
+        capi = cython_special.__pyx_capi__
+        renamed = _new_capsule(gibbs._gammaln_address(capi["gammaln"]), _OTHER_SIGNATURE, None)
+        for case, capsule in (("missing", None), ("renamed", renamed)):
+            with monkeypatch.context() as m:
+                if capsule is None:
+                    m.delitem(capi, "gammaln")
+                else:
+                    m.setitem(capi, "gammaln", capsule)
+                assert gibbs._gammaln_address(capi.get("gammaln")) is None
+                status, built = train(tmp_path / f"{case}.json")
+            assert status == 0 and built is not None
+            assert (tmp_path / f"{case}.json").read_bytes() == (
+                tmp_path / "compiled.json").read_bytes()
         cc = sysconfig.get_config_var
         monkeypatch.setattr(sysconfig, "get_config_var",
                             lambda name: str(tmp_path / "no-such-cc") if name == "CC" else cc(name))
@@ -380,23 +414,62 @@ _UNEVEN_DOCS = [[0, 1, 2, 3, 4, 5, 0], [], [3], [5, 5, 4, 1], [], [2, 4, 0, 0, 1
                 [1, 0], [4], [0, 0, 0, 0, 0, 0, 0, 0, 0], [5, 2], []]
 
 
-def _exponentiated(step, corpus, hyper, seed, sweeps):
-    """The bytes of every array ``np.exp`` receives in a chain whose
-    behaviour step is ``step``: one shifted log conditional per document."""
+#: Taken at import, as ``_resample_topics`` is.
+_resample_behaviours = gibbs._resample_behaviours
+
+
+def _python_behaviour_step(state, corpus, hyper):
+    """The behaviour step where no kernel builds: the Python copy."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernels, "load", lambda: None)
+        _resample_behaviours(state, corpus, hyper)
+
+
+def _behaviour_chain(step, corpus, hyper, seed, sweeps):
+    """The chain with ``step`` as its behaviour step, every sweep audited."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gibbs, "_resample_behaviours", step)
+        state = gibbs.gibbs_init(corpus, corpus.spec, seed)
+        for _ in range(sweeps):
+            _audited_sweep(state, corpus, hyper)
+    return state
+
+
+def _searched_sums(state, corpus, hyper):
+    """The running sums each document's draw searches in the Python copy of
+    the behaviour step, run on a copy of ``state``."""
     seen = []
-    exp = np.exp
+
+    def recording(cw, target):
+        seen.append(list(cw))
+        return bisect_right(cw, target)
+
+    copy = gibbs.GibbsState(state.y_flat.copy(), state.z_assign.copy(), state.counts.copy(),
+                            state.rng)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gibbs, "bisect_right", recording)
+        _python_behaviour_step(copy, corpus, hyper)
+    return seen
+
+
+def _exponentiated(step, module, corpus, hyper, seed, sweeps):
+    """The bytes of every argument ``module.exp`` receives in a chain whose
+    behaviour step is ``step``, one after another: each document's shifted
+    log conditional."""
+    seen = []
+    exp = module.exp
 
     def recording(x, *args, **kwargs):
-        seen.append(np.asarray(x, dtype=float).tobytes())
+        seen.extend(np.ravel(x).tolist())
         return exp(x, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(gibbs, "_resample_behaviours", step)
-        m.setattr(np, "exp", recording)
+        m.setattr(module, "exp", recording)
         state = gibbs.gibbs_init(corpus, corpus.spec, seed)
         for _ in range(sweeps):
             gibbs.gibbs_sweep(state, corpus, hyper)
-    return seen
+    return np.array(seen, dtype=float).tobytes()
 
 
 class TestBehaviourStep:
@@ -421,10 +494,166 @@ class TestBehaviourStep:
         for _ in range(8):
             _audited_sweep(new, corpus, h)
         _assert_same_chain(_reference_chain(corpus, h, seed=21, sweeps=8), new)
-        # The conditionals themselves, not only the draws they lead to.
-        new_logs = _exponentiated(gibbs._resample_behaviours, corpus, h, seed=21, sweeps=8)
-        assert len(new_logs) == 8 * len(docs)
-        assert new_logs == _exponentiated(vectorised_behaviour_step, corpus, h, seed=21, sweeps=8)
+        # The conditionals themselves, not only the draws they lead to: the
+        # Python copy's math.exp arguments are the reference's np.exp ones.
+        # The kernel's libm exp, like math.exp, may differ from np.exp in the
+        # last bit, which moves a draw only where a uniform falls within it.
+        copy_logs = _exponentiated(_python_behaviour_step, math, corpus, h, seed=21, sweeps=8)
+        assert len(copy_logs) == 8 * len(docs) * num_behaviours * 8
+        assert copy_logs == _exponentiated(vectorised_behaviour_step, np, corpus, h, seed=21,
+                                           sweeps=8)
+
+
+def _uneven_prior(spec):
+    """Uneven, non-integer priors of every length ``spec`` needs."""
+    return Hyperparams(alpha=np.linspace(0.3, 2.6, spec.num_topics),
+                       beta=np.linspace(0.05, 3.0, spec.num_words),
+                       gamma=np.linspace(0.3, 2.5, spec.num_behaviours),
+                       eta=np.linspace(3.0, 0.4, spec.num_behaviours))
+
+
+class TestCompiledBehaviourStep:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_chain_cases(topics=(1, 2, 3, 8, 11), max_behaviours=4))
+    @example((corpus_from_lists([], ModelSpec(2, 3, 2)), _uneven_prior(ModelSpec(2, 3, 2)), 0))
+    @example((corpus_from_lists([[1, 1, 0]], ModelSpec(2, 3, 3)),
+              _uneven_prior(ModelSpec(2, 3, 3)), 1))
+    @example((corpus_from_lists([[], [0, 1]], ModelSpec(2, 3, 3)),
+              _uneven_prior(ModelSpec(2, 3, 3)), 2))
+    @example((corpus_from_lists(_UNEVEN_DOCS, ModelSpec(6, 3, 1)),
+              _uneven_prior(ModelSpec(6, 3, 1)), 3))
+    @example((corpus_from_lists(_UNEVEN_DOCS, ModelSpec(6, 11, 3)),
+              _uneven_prior(ModelSpec(6, 11, 3)), 4))
+    def test_kernel_python_copy_and_reference_agree(self, kernel, case):
+        # Empty documents, 0, 1 and 2 documents, one behaviour and more than
+        # eight topics, where a column total summed pairwise would differ.
+        corpus, h, seed = case
+        compiled, copy, reference = (
+            _behaviour_chain(step, corpus, h, seed, sweeps=4)
+            for step in (gibbs._resample_behaviours, _python_behaviour_step,
+                         vectorised_behaviour_step))
+        for other in (copy, reference):
+            assert np.array_equal(compiled.z_assign, other.z_assign)
+            assert np.array_equal(compiled.y_flat, other.y_flat)
+            for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
+                a, b = getattr(compiled.counts, name), getattr(other.counts, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert compiled.rng.random() == copy.rng.random() == reference.rng.random()
+
+    def test_draws_on_exact_boundaries_agree(self, kernel):
+        # A random state, random uniforms, and document t's uniform put so
+        # that u * s is exactly the running sum cw[j] its draw searches:
+        # bisect_right draws behaviour j + 1.  A weight that differs in its
+        # last bit between kernel and copy, or another comparison, moves
+        # such draws, which random uniforms almost never hit.
+        rng = np.random.default_rng(3)
+        boundaries = 0
+        for _ in range(100):
+            spec = ModelSpec(4, int(rng.choice([1, 3, 9])), int(rng.choice([2, 3, 5])))
+            docs = [rng.integers(0, 4, size=rng.integers(0, 6)) for _ in range(rng.integers(1, 6))]
+            corpus = corpus_from_lists(docs, spec)
+            h = Hyperparams(alpha=rng.uniform(0.05, 5.0, spec.num_topics), beta=np.ones(4),
+                            gamma=rng.uniform(0.05, 5.0, spec.num_behaviours),
+                            eta=rng.uniform(0.05, 5.0, spec.num_behaviours))
+            start = gibbs.gibbs_init(corpus, spec, int(rng.integers(2**32)))
+            t, uniforms = int(rng.integers(len(docs))), rng.random(len(docs))
+            start.rng = _FixedUniforms(uniforms)
+            cw = _searched_sums(start, corpus, h)[t]
+            for j in range(spec.num_behaviours - 1):
+                u = next((u for u in (cw[j] / cw[-1], np.nextafter(cw[j] / cw[-1], 0),
+                                      np.nextafter(cw[j] / cw[-1], 1)) if u * cw[-1] == cw[j]), None)
+                if u is None:
+                    continue
+                boundaries += 1
+                uniforms[t] = u
+                drawn = bisect_right(cw, cw[j])
+                assert drawn > j
+                compiled, copy = (
+                    gibbs.GibbsState(start.y_flat.copy(), start.z_assign.copy(),
+                                     start.counts.copy(), _FixedUniforms(uniforms.copy()))
+                    for _ in range(2))
+                gibbs._resample_behaviours(compiled, corpus, h)
+                _python_behaviour_step(copy, corpus, h)
+                assert compiled.z_assign[t] == copy.z_assign[t] == drawn, j
+                assert np.array_equal(compiled.z_assign, copy.z_assign)
+                for name in ("n_yz", "n_zz", "n_z1"):
+                    assert np.array_equal(getattr(compiled.counts, name),
+                                          getattr(copy.counts, name)), name
+        assert boundaries > 150
+
+    def test_kernel_and_python_copy_take_one_argument_list(self):
+        # An argument added to one implementation only fails here.
+        names = _c_parameters("resample_behaviours")
+        assert names == list(inspect.signature(gibbs._behaviours_in_python).parameters)
+        lib = _kernels.load()
+        if lib is not None:
+            assert len(names) == len(lib.resample_behaviours.argtypes)
+
+
+class TestBehaviourStepGuard:
+    """The guard on the compiled kernel; skipped where it does not build."""
+
+    @pytest.fixture(autouse=True)
+    def behaviour_path(self, kernel):
+        pass
+
+    @pytest.mark.parametrize("name,value", [
+        pytest.param("z_assign", lambda a: a.astype(np.int32), id="z_assign-int32"),
+        pytest.param("z_assign", lambda a: a[:-1].copy(), id="z_assign-length"),
+        pytest.param("z_assign", lambda a: np.repeat(a, 2)[::2], id="z_assign-strided"),
+        pytest.param("z_assign", _read_only, id="z_assign-read-only"),
+        pytest.param("z_assign", _set(3, 2), id="z_assign-too-large"),
+        pytest.param("z_assign", _set(0, -1), id="z_assign-negative"),
+        pytest.param("n_yz", lambda a: a.astype(np.int32), id="n_yz-int32"),
+        pytest.param("n_yz", np.asfortranarray, id="n_yz-fortran"),
+        pytest.param("n_yz", lambda a: a[:-1].copy(), id="n_yz-shape"),
+        pytest.param("n_yz", _read_only, id="n_yz-read-only"),
+        pytest.param("n_zz", lambda a: a.astype(np.int32), id="n_zz-int32"),
+        pytest.param("n_zz", np.asfortranarray, id="n_zz-fortran"),
+        pytest.param("n_zz", lambda a: a[:, :1].copy(), id="n_zz-shape"),
+        pytest.param("n_zz", _read_only, id="n_zz-read-only"),
+        pytest.param("n_zz", lambda a: a + 1, id="n_zz-miscounted"),
+        pytest.param("n_z1", lambda a: a.astype(np.int32), id="n_z1-int32"),
+        pytest.param("n_z1", lambda a: np.repeat(a, 2)[::2], id="n_z1-strided"),
+        pytest.param("n_z1", _read_only, id="n_z1-read-only"),
+        pytest.param("n_z1", lambda a: a + 1, id="n_z1-miscounted"),
+        pytest.param("y_flat", lambda a: a.astype(np.int32), id="y_flat-int32"),
+        pytest.param("y_flat", lambda a: a[:-1].copy(), id="y_flat-length"),
+        pytest.param("y_flat", _set(2, 3), id="y_flat-topic-too-large"),
+        pytest.param("y_flat", _set(0, -1), id="y_flat-negative"),
+        pytest.param("alpha", lambda a: a[:-1], id="alpha-length"),
+        pytest.param("gamma", lambda a: a[:-1], id="gamma-length"),
+        pytest.param("eta", lambda a: np.append(a, 1.0), id="eta-length"),
+    ])
+    def test_rejects_before_any_draw(self, name, value):
+        # A valid behaviour step's inputs with one of them replaced by
+        # ``value(old)``; on either path no array is written and no uniform drawn.
+        spec = ModelSpec(4, 3, 2)
+        corpus = corpus_from_lists([[0, 1, 2], [3], [], [1, 1]], spec)
+        state = gibbs.gibbs_init(corpus, spec, seed=0)
+        h = make_prior("1", spec)
+        if name in ("alpha", "gamma", "eta"):
+            h = dataclasses.replace(h, **{name: value(getattr(h, name))})
+        else:
+            owner = state.counts if name.startswith("n_") else state
+            setattr(owner, name, value(getattr(owner, name)))
+        before = (state.counts.copy(), state.z_assign.copy(), state.y_flat.copy(),
+                  state.rng.bit_generator.state)
+        with pytest.raises(ValueError, match=name):
+            gibbs._resample_behaviours(state, corpus, h)
+        for tally in ("n_xy", "n_yz", "n_zz", "n_z1"):
+            assert np.array_equal(getattr(state.counts, tally), getattr(before[0], tally))
+        assert np.array_equal(state.z_assign, before[1])
+        assert np.array_equal(state.y_flat, before[2])
+        assert state.rng.bit_generator.state == before[3]
+
+
+class TestBehaviourStepGuardInPythonLoop(TestBehaviourStepGuard):
+    """The same cases on the Python copy, which runs where no kernel builds."""
+
+    @pytest.fixture(autouse=True)
+    def behaviour_path(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "load", lambda: None)
 
 
 @st.composite
