@@ -1,11 +1,14 @@
-/* The compiled kernels.  Each does the float64 operations of its Python copy
- * in the same order: resample_topics those of gibbs._topics_in_python,
- * resample_behaviours those of gibbs._behaviours_in_python and forward those
- * of inference._forward_in_python.  _kernels.load builds them with
+/* The compiled kernels.  The three float64 kernels do the operations of their
+ * Python copies in the same order: resample_topics those of
+ * gibbs._topics_in_python, resample_behaviours those of
+ * gibbs._behaviours_in_python and forward those of
+ * inference._forward_in_python.  _kernels.load builds them with
  * -ffp-contract=off, so no multiply and add are fused into one rounding; exp
  * and log come from libm, as Python's math.exp and math.log do, and gammaln
- * is scipy's own routine, passed in.  The callers check every shape, dtype
- * and index bound. */
+ * is scipy's own routine, passed in.  parse_corpus applies the grammar of
+ * serialize._corpus_in_python, the numpy reader, and gives the same tokens,
+ * offsets and first bad line.  The callers check every shape, dtype and index
+ * bound and size every output. */
 #include <math.h>
 #include <stdint.h>
 
@@ -216,4 +219,42 @@ void forward(int64_t num_docs, int64_t num_chains, int64_t num_behaviours, doubl
                 next[i] = b[i] >= 1e-280 ? log(b[i]) : log_sum(x + i * Z, e, Z);
         }
     }
+}
+
+/* A corpus file's bytes, raw[0 .. size - 1], read in one pass: one document
+ * per line, each a run of 1 to 18 ASCII digits (a word id) and then runs
+ * separated by spaces or tabs, any of which may also open or close the line;
+ * a line ends in \n or \r\n, the last one optionally.  tokens gets the ids
+ * and offsets the T + 1 starts of the documents, then the number of tokens.
+ * Returns T, or -(1 + l) where line l (0-based) is the first outside the
+ * grammar: it holds another byte, a lone \r, a run of 19 or more digits or no
+ * run at all.  raw[size] is read and must not be a digit, space or tab: a
+ * Python bytes object ends in a NUL byte, which stops each run at the end. */
+int64_t parse_corpus(const char *raw, int64_t size, int64_t *tokens, int64_t *offsets)
+{
+    const unsigned char *p = (const unsigned char *)raw, *end = p + size;
+    int64_t n = 0, t = 0;
+    offsets[0] = 0;
+    while (p < end) {
+        for (;;) {
+            const unsigned char *start;
+            uint64_t v;  /* unsigned: a run too long to keep wraps harmlessly */
+            while (*p == ' ' || *p == '\t')
+                p++;
+            if ((unsigned)(*p - '0') > 9)
+                break;
+            for (start = p, v = 0; (unsigned)(*p - '0') <= 9; p++)
+                v = v * 10 + (*p - '0');
+            if (p - start > 18)
+                return -1 - t;
+            tokens[n++] = (int64_t)v;
+        }
+        if (p[0] == '\r' && p[1] == '\n')
+            p++;
+        if (n == offsets[t] || (p < end && *p != '\n'))
+            return -1 - t;
+        p++;
+        offsets[++t] = n;
+    }
+    return t;
 }

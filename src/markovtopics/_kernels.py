@@ -1,7 +1,9 @@
-"""``_kernels.c``, built once per process.  Each kernel has a line-for-line
-Python copy, ``gibbs._topics_in_python``, ``gibbs._behaviours_in_python`` and
-``inference._forward_in_python``, which runs with the same bytes where no
-compiler or loader works."""
+"""``_kernels.c``, built once per process.  Each kernel has a Python copy,
+which runs with the same bytes where no compiler or loader works: the
+line-for-line copies ``gibbs._topics_in_python``,
+``gibbs._behaviours_in_python`` and ``inference._forward_in_python``, and
+``serialize._corpus_in_python``, the numpy corpus reader, whose grammar
+``parse_corpus`` applies in one pass."""
 from functools import cache
 from pathlib import Path
 
@@ -39,4 +41,7 @@ def load():
     lib.resample_behaviours.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 14
     lib.forward.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7
     lib.resample_topics.restype = lib.resample_behaviours.restype = lib.forward.restype = None
+    # A bytes object passes as its own buffer, with no copy.
+    lib.parse_corpus.argtypes = [ctypes.c_char_p, ctypes.c_int64] + [ctypes.c_void_p] * 2
+    lib.parse_corpus.restype = ctypes.c_int64
     return lib

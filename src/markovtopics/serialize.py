@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
+from . import _kernels
 from .ingest import DIRECTIONS
 from .model import (
     Corpus,
@@ -222,22 +223,50 @@ def _first_bad_line(lines: re.Pattern, raw: bytes, line_ends: np.ndarray) -> int
     return int(np.searchsorted(line_ends, lines.match(raw).end()))
 
 
-def read_corpus(path, spec: ModelSpec) -> Corpus:
-    """One document per line: word ids of 1 to 18 ASCII digits, separated by
-    spaces or tabs, lines ended by ``\\n`` or ``\\r\\n`` (the last one
-    optionally), read in one array pass over the file's bytes.  Any other
-    file is a DataError naming its first bad line."""
+def _bad_corpus_line(path, line: int) -> DataError:
+    """The error for line ``line`` (0-based) of corpus file ``path``."""
+    return DataError(f"line {line + 1} of {path}: expected word ids of 1 to 18 ASCII digits "
+                     "separated by spaces or tabs")
+
+
+def _corpus_in_python(path) -> tuple[np.ndarray, np.ndarray]:
+    """The copy of ``parse_corpus`` in ``_kernels.c``: the tokens and offsets
+    of corpus file ``path`` from one array pass over its bytes, or a
+    DataError naming its first bad line."""
     raw = _read_lines(path).replace(b"\t", b" ")
     buf, digit, starts, ends, line_ends = _digit_runs(raw)
-    if not len(line_ends):
-        raise DataError(f"corpus file {path} holds no documents")
     counts = np.searchsorted(starts, line_ends)  # runs before each line's end
     if (np.count_nonzero(digit) + np.count_nonzero(buf == 32) + np.count_nonzero(buf == 10)
             != len(buf) or np.any(ends - starts > 18) or not np.all(np.diff(counts, prepend=0))):
-        t = _first_bad_line(_CORPUS_LINES, raw, line_ends) + 1
-        raise DataError(f"line {t} of {path}: expected word ids of 1 to 18 ASCII digits "
-                        "separated by spaces or tabs")
-    return Corpus(_values(raw), np.concatenate(([0], counts)), spec)
+        raise _bad_corpus_line(path, _first_bad_line(_CORPUS_LINES, raw, line_ends))
+    return _values(raw), np.concatenate(([0], counts))
+
+
+def read_corpus(path, spec: ModelSpec) -> Corpus:
+    """One document per line: word ids of 1 to 18 ASCII digits, separated by
+    spaces or tabs, lines ended by ``\\n`` or ``\\r\\n`` (the last one
+    optionally), read in one pass over the file's bytes by ``parse_corpus`` of
+    ``_kernels.c``, or by its copy :func:`_corpus_in_python` where that does not
+    build.  Any other file is a DataError naming its first bad line."""
+    lib = _kernels.load()
+    if lib is None:
+        tokens, offsets = _corpus_in_python(path)
+    else:
+        raw = Path(path).read_bytes()
+        # Every token and every document but the last takes at least a digit
+        # and a separator, so neither count exceeds len(raw) // 2 + 1.  The
+        # kernel never touches an array's tail, and realloc gives it back in
+        # place: both arrays end up their exact size, filled in one pass.
+        bound = len(raw) // 2 + 2
+        tokens, offsets = np.empty(bound, dtype=np.int64), np.empty(bound, dtype=np.int64)
+        t = lib.parse_corpus(raw, len(raw), tokens.ctypes.data, offsets.ctypes.data)
+        if t < 0:
+            raise _bad_corpus_line(path, -1 - t)
+        tokens.resize(offsets[t], refcheck=False)
+        offsets.resize(t + 1, refcheck=False)
+    if len(offsets) == 1:
+        raise DataError(f"corpus file {path} holds no documents")
+    return Corpus(tokens, offsets, spec)
 
 
 def write_ground_truth(path, dataset) -> None:

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +145,16 @@ class Implementations:
             if not request.cls.compiled:
                 patch.setattr(_kernels, "load", lambda: None)
             yield
+
+
+def c_parameters(function):
+    """The parameter names of ``function`` in ``_kernels.c``, in order,
+    whatever its return type; a function pointer ``double (*f)(double,
+    int)`` is named ``f``."""
+    source = Path(_kernels.__file__).with_name("_kernels.c").read_text()
+    params = re.search(rf"\w+ {function}\((.*?)\)\s*{{", source, re.S).group(1)
+    params = re.sub(r"\(\*(\w+)\)\([^)]*\)", r"\1", params)
+    return [re.search(r"(\w+)\s*$", p).group(1) for p in params.split(",")]
 
 
 @pytest.fixture(scope="module")

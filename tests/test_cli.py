@@ -220,6 +220,23 @@ class TestDeterminism:
         assert threads == {threading.get_ident()}
 
 
+class TestColdCommands:
+    def test_generate_featurize_and_eval_never_build_the_kernels(self, tmp_path, monkeypatch):
+        # Only train, score and localise, which read corpora and run the
+        # kernels, pay for the build.
+        calls = []
+        monkeypatch.setattr(_kernels, "load", lambda: calls.append(1))
+        _generate(tmp_path)
+        assert main(_featurize(tmp_path, "".join(f"{f},{f % 2},0,up\n" for f in range(50)))) == 0
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"index": 1, "length": 25, "log_lik": -40.0, "score": -1.6}\n'
+                          '{"index": 2, "length": 25, "log_lik": -60.0, "score": -2.4}\n')
+        (tmp_path / "labels.txt").write_text("0\n1\n")
+        assert main(["eval", "--scores", str(scores), "--labels",
+                     str(tmp_path / "labels.txt")]) == 0
+        assert calls == []
+
+
 class TestWithoutCompiler:
     def test_every_command_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys):
         # EM and VB training, plug-in and MC-4 scoring and localise run the

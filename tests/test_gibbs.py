@@ -2,11 +2,9 @@ import ctypes
 import dataclasses
 import inspect
 import math
-import re
 import sysconfig
 import tempfile
 from bisect import bisect_right
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +19,7 @@ from markovtopics.model import SufficientCounts, validate_params
 
 from _oracles import (enum_collapsed_posterior, per_document_gibbs_init,
                       vectorised_behaviour_step, vectorised_topic_step)
+from conftest import c_parameters
 
 
 def _reference_chain(corpus, hyper, seed, sweeps):
@@ -206,15 +205,6 @@ class _FixedUniforms:
         return self.u if size is None else np.full(size, self.u)
 
 
-def _c_parameters(function):
-    """The parameter names of ``function`` in ``_kernels.c``, in order; a
-    function pointer ``double (*f)(double, int)`` is named ``f``."""
-    source = Path(_kernels.__file__).with_name("_kernels.c").read_text()
-    params = re.search(rf"void {function}\((.*?)\)\s*{{", source, re.S).group(1)
-    params = re.sub(r"\(\*(\w+)\)\([^)]*\)", r"\1", params)
-    return [re.search(r"(\w+)\s*$", p).group(1) for p in params.split(",")]
-
-
 class TestCompiledTopicStep:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(_chain_cases())
@@ -277,7 +267,7 @@ class TestCompiledTopicStep:
 
     def test_kernel_and_python_loop_take_one_argument_list(self):
         # An argument added to one implementation only fails here.
-        names = _c_parameters("resample_topics")
+        names = c_parameters("resample_topics")
         assert names == list(inspect.signature(gibbs._topics_in_python).parameters)
         lib = _kernels.load()
         if lib is not None:
@@ -583,7 +573,7 @@ class TestCompiledBehaviourStep:
 
     def test_kernel_and_python_copy_take_one_argument_list(self):
         # An argument added to one implementation only fails here.
-        names = _c_parameters("resample_behaviours")
+        names = c_parameters("resample_behaviours")
         assert names == list(inspect.signature(gibbs._behaviours_in_python).parameters)
         lib = _kernels.load()
         if lib is not None:

@@ -1,7 +1,5 @@
 import inspect
 import math
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +21,7 @@ import _oracles
 from _oracles import enum_expected_counts, enum_marginal_and_posteriors, log_marginal_likelihood
 from conftest import (
     block_underflow_instance,
+    c_parameters,
     gradual_instance,
     random_instance,
     revival_instance,
@@ -409,9 +408,7 @@ class TestForwardRegimes:
 
     def test_kernel_and_python_copy_take_one_argument_list(self):
         # An argument added to one implementation only fails here.
-        source = Path(_kernels.__file__).with_name("_kernels.c").read_text()
-        params = re.search(r"void forward\(([^)]*)\)", source).group(1).split(",")
-        names = [re.search(r"(\w+)\s*$", p).group(1) for p in params]
+        names = c_parameters("forward")
         assert names == list(inspect.signature(inference._forward_in_python).parameters)
         lib = _kernels.load()
         if lib is not None:

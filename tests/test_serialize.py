@@ -5,16 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from markovtopics import ModelSpec, corpus_from_lists, make_prior, random_init
-from markovtopics import generate, serialize, vb
+from markovtopics import _kernels, generate, serialize, vb
 from markovtopics.gibbs import gibbs_init
 from markovtopics.ingest import DIRECTIONS
 from markovtopics.model import DataError, ModelParams, NumericalError
 
 from _oracles import read_corpus_per_token, read_events_per_line, score_record, zero_counts
+from conftest import Implementations, c_parameters
 
 
 @pytest.fixture
@@ -315,8 +316,12 @@ def _corpus_text(draw):
     return _perturbed(draw, slots)
 
 
-class TestCorpusFileProperties:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+class TestCorpusFileProperties(Implementations):
+    """On the compiled reader; :class:`TestCorpusFilePropertiesInPython` runs
+    the same tests on its numpy copy."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(st.lists(st.lists(st.integers(0, _SPEC.num_words - 1), min_size=1, max_size=8),
                     min_size=1, max_size=8))
     def test_write_then_read_gives_the_corpus_back(self, tmp_path_factory, docs):
@@ -328,7 +333,8 @@ class TestCorpusFileProperties:
         assert np.array_equal(back.tokens, corpus.tokens)
         assert np.array_equal(back.offsets, corpus.offsets)
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(_corpus_text())
     def test_read_matches_per_token_reference(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("corpus") / "c.txt"
@@ -353,6 +359,65 @@ class TestCorpusFileProperties:
         back = serialize.read_corpus(path, spec)
         assert np.array_equal(back.tokens, corpus.tokens)
         assert np.array_equal(back.offsets, corpus.offsets)
+
+
+class TestCorpusFilePropertiesInPython(TestCorpusFileProperties):
+    compiled = False
+
+
+#: Files at the edges of the corpus grammar, with what both readers give:
+#: the documents, a DataError naming a line, or None for no documents.
+_CORPUS_EDGES = {
+    "empty-file": (b"", None),
+    "one-digit-lines": (b"1\n2\n3", [[1], [2], [3]]),  # as many documents as the bound allows
+    "lone-newline": (b"\n", 1),
+    "whitespace-last-line": (b"1 2\n \t", 2),
+    "cr-cr-lf": (b"1\n2\r\r\n", 2),
+    "lone-cr": (b"1\r", 1),
+    "nul": (b"1\n2 \x003\n", 2),
+    "non-ascii-digit": ("4\n5\n\u0663\n".encode(), 3),
+    "18-digits": (b"9" * 18 + b" 0" * 17 + b"1", [[10**18 - 1] + [0] * 16 + [1]]),
+    "19-digits": (b"1\n" + b"1" + b"0" * 18 + b"\n", 2),
+    "tabs": (b"\t3\t\t4 \t\n\t5\t", [[3, 4], [5]]),
+    "long-line": (" ".join(map(str, range(10**5))).encode() + b"\r\n7", [list(range(10**5)), [7]]),
+}
+
+
+def _read_outcome(path, spec):
+    """What ``read_corpus`` gives: tokens and offsets, or its DataError text."""
+    try:
+        corpus = serialize.read_corpus(path, spec)
+    except DataError as exc:
+        return str(exc)
+    return corpus.tokens.tolist(), corpus.offsets.tolist()
+
+
+class TestCorpusReaders:
+    """The compiled reader and its numpy copy."""
+
+    @pytest.mark.parametrize("raw,expected", _CORPUS_EDGES.values(), ids=_CORPUS_EDGES.keys())
+    def test_agree_at_the_edges_of_the_grammar(self, tmp_path, monkeypatch, kernel, raw,
+                                               expected):
+        path, spec = tmp_path / "c.txt", ModelSpec(10**18, 1, 1)
+        path.write_bytes(raw)
+        compiled = _read_outcome(path, spec)
+        monkeypatch.setattr(_kernels, "load", lambda: None)
+        assert _read_outcome(path, spec) == compiled
+        if expected is None:
+            assert compiled == f"corpus file {path} holds no documents"
+        elif isinstance(expected, int):
+            assert compiled == (f"line {expected} of {path}: expected word ids of 1 to 18 ASCII "
+                                "digits separated by spaces or tabs")
+        else:
+            corpus = corpus_from_lists(expected, spec)
+            assert compiled == (corpus.tokens.tolist(), corpus.offsets.tolist())
+
+    def test_kernel_and_its_argument_types_take_one_argument_list(self):
+        # An argument added to the C function only fails here.
+        names = c_parameters("parse_corpus")
+        lib = _kernels.load()
+        if lib is not None:
+            assert len(names) == len(lib.parse_corpus.argtypes)
 
 
 class TestGroundTruthFiles:
