@@ -8,11 +8,15 @@
  * is scipy's own routine, passed in.  parse_corpus applies the grammar of
  * serialize._corpus_in_python, the numpy reader, and gives the same tokens,
  * offsets and first bad line.  The callers check every shape, dtype and index
- * bound and size every output. */
+ * bound and size every output; _kernels.bind then binds a kernel to those
+ * arrays by address.  gibbs.chain checks the Gibbs steps' arrays once per chain,
+ * and the two Gibbs kernels keep the column sums they are given current from
+ * one call to the next. */
 #include <math.h>
 #include <stdint.h>
 
-/* The collapsed Gibbs topic step over every token, in corpus order. */
+/* The collapsed Gibbs topic step over every token, in corpus order.  totals
+ * holds the column sums of n_xy, kept current; cw (num_topics) is scratch. */
 void resample_topics(int64_t num_docs, int64_t num_topics, int64_t num_behaviours,
                      double beta_sum, const int64_t *offsets, const int64_t *words,
                      const int64_t *z, const double *uniforms, const double *alpha,
@@ -83,7 +87,7 @@ static void place(const struct chain *c, int64_t t, int64_t k, int64_t sign)
  * it over its column total, with the self-transition correction.  Over counts
  * n in [0, num_docs], logs holds the rows log(n + gamma_j) for each j and
  * log(n + sum(gamma)), then the same with n + 1 for a self transition.
- * leaving starts as the column sums of n_zz; hist (num_topics entries) and
+ * leaving holds the column sums of n_zz, kept current; hist (num_topics) and
  * work (num_behaviours * (num_topics + 3)) are scratch.  gammaln is scipy's
  * cython_special routine, called with its skip-dispatch flag 0. */
 void resample_behaviours(int64_t num_docs, int64_t num_topics, int64_t num_behaviours,

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -78,99 +78,15 @@ def _transitions(z, num_behaviours):
             np.bincount(z[:1], minlength=Z))
 
 
-def _check_written(*arrays):
-    """Raise ``ValueError`` unless each ``(name, array, shape)`` is a
-    writeable C-contiguous int64 array of that shape, as a kernel that
-    writes it in place needs."""
-    for name, a, shape in arrays:
-        if not (a.dtype == np.int64 and a.flags.c_contiguous and a.flags.writeable
-                and a.shape == shape):
-            raise ValueError(f"{name} must be a writeable C-contiguous int64 array of shape {shape}")
-
-
-#: The signature scipy's capsule names for the C routine of
-#: ``cython_special.gammaln``: ``gl(x, 0)`` is ``gammaln(x)``.
-_GAMMALN = b"double (double, int __pyx_skip_dispatch)"
-
-
-@cache
-def _gammaln_address(capsule):
-    """The address ``capsule`` holds where it names the signature of
-    ``cython_special.gammaln``'s C routine; None otherwise, and for None."""
-    import ctypes
-
-    if capsule is None:
-        return None
-    api = ctypes.pythonapi
-    is_valid = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_IsValid", api))
-    if not is_valid(capsule, _GAMMALN):
-        return None
-    return ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))(capsule, _GAMMALN)
-
-
-def _resample_behaviours(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
-    """Resample every document's behaviour, in time order, with the compiled
-    kernel where it builds and scipy's ``gammaln`` capsule is found, and the
-    Python copy where not: one argument list, the same bytes.
-
-    The transition logs, ``log(n + gamma_j)`` and ``log(n + sum(gamma))``
-    for counts ``n`` in ``[0, T]`` and the same plus one (a self transition),
-    and ``log(eta)`` come from ``np.log``, as in the numpy conditional the
-    tests keep as the reference.  Each document's conditional is
-    exponentiated with libm's ``exp``, which may differ from ``np.exp`` in
-    the last bit, so a draw could move only where a uniform falls within
-    that bit.  The uniforms are drawn in one call, which gives the same
-    stream as one draw per document.  The kernel indexes without bounds
-    checks, and indexes the log tables by ``n_zz``'s entries and column sums,
-    so the arrays and indices are checked first, on either path.
-    """
-    counts = state.counts
-    z, n_yz, n_zz, n_z1, ys = state.z_assign, counts.n_yz, counts.n_zz, counts.n_z1, state.y_flat
-    T, num_topics, num_behaviours = len(corpus), corpus.spec.num_topics, corpus.spec.num_behaviours
-    _check_written(("z_assign", z, (T,)), ("n_yz", n_yz, (num_topics, num_behaviours)),
-                   ("n_zz", n_zz, (num_behaviours, num_behaviours)),
-                   ("n_z1", n_z1, (num_behaviours,)))
-    if T and not 0 <= z.min() <= z.max() < num_behaviours:
-        raise ValueError(f"z_assign holds behaviours outside [0, {num_behaviours})")
-    if ys.dtype != np.int64 or ys.shape != (corpus.num_tokens,) or (
-            ys.size and not 0 <= ys.min() <= ys.max() < num_topics):
-        raise ValueError(f"y_flat must be {corpus.num_tokens} int64 topics in [0, {num_topics})")
-    recount = _transitions(z, num_behaviours)
-    if not (np.array_equal(n_zz, recount[0]) and np.array_equal(n_z1, recount[1])):
-        raise ValueError("n_zz and n_z1 must equal their recount from z_assign")
-    if (hyper.alpha.shape, hyper.gamma.shape, hyper.eta.shape) != (
-            (num_topics,), (num_behaviours,), (num_behaviours,)):
-        raise ValueError("alpha must have one entry per topic, gamma and eta one per behaviour")
-
-    # The arguments of resample_behaviours in _kernels.c, for either
-    # implementation; the list holds every buffer until the kernel returns.
-    sums = np.arange(T + 1) + np.append(hyper.gamma, hyper.gamma.sum())[:, None]
-    arrays = [np.ascontiguousarray(a) for a in (
-        corpus.offsets, ys, state.rng.random(T), hyper.alpha, np.log(hyper.eta),
-        np.log(np.concatenate((sums, sums + 1.0))), z, n_yz, n_zz, n_z1, n_zz.sum(axis=0),
-        np.empty(num_topics, np.int64), np.empty(num_behaviours * (num_topics + 3)))]
-    scalars = (T, num_topics, num_behaviours)
-    # Imported here: the extension maps about 1 MB that only a Gibbs fit needs.
-    from scipy.special import cython_special
-
-    lib = _kernels.load()
-    gammaln = None if lib is None else _gammaln_address(cython_special.__pyx_capi__.get("gammaln"))
-    if gammaln is not None:
-        lib.resample_behaviours(*scalars, gammaln, *[a.ctypes.data for a in arrays])
-    else:
-        _behaviours_in_python(*scalars, cython_special.gammaln, *arrays)
-
-
 def _behaviours_in_python(num_docs, num_topics, num_behaviours, gammaln, offsets, ys, uniforms,
                           alpha, log_eta, logs, z, n_yz, n_zz, n_z1, leaving, hist, work):
     """``resample_behaviours`` of ``_kernels.c`` line for line, over lists,
     with ``columns[k][y]`` for the kernel's ``n_yz[y * Z + k]``, a document's
     used topics listed once rather than tested for each behaviour,
-    ``gammaln(x)`` for the kernel's ``gammaln(x, 0)``, and lists of its own
-    for the scratch ``hist`` and ``work``."""
-    offsets, ys, uniforms, alpha, log_eta, zs, z1, leaving = (
+    ``gammaln(x)`` for the kernel's ``gammaln(x, 0)``, lists of its own for
+    the scratch ``hist`` and ``work``, and ``left`` for ``leaving``, written
+    back as the kernel keeps it."""
+    offsets, ys, uniforms, alpha, log_eta, zs, z1, left = (
         a.tolist() for a in (offsets, ys, uniforms, alpha, log_eta, z, n_z1, leaving))
     columns, rows = n_yz.T.tolist(), n_zz.tolist()
     (*log_into, log_out), (*log_self, log_out_self) = logs.reshape(
@@ -195,10 +111,10 @@ def _behaviours_in_python(num_docs, num_topics, num_behaviours, gammaln, offsets
             z1[k] += sign
         else:
             rows[k][zs[t - 1]] += sign
-            leaving[zs[t - 1]] += sign
+            left[zs[t - 1]] += sign
         if t < num_docs - 1:
             rows[zs[t + 1]][k] += sign
-            leaving[k] += sign
+            left[k] += sign
 
     lg = [[gammaln(col[y] + alpha[y]) for y in topics] for col in columns]
     totals = [total(col) for col in columns]
@@ -224,11 +140,11 @@ def _behaviours_in_python(num_docs, num_topics, num_behaviours, gammaln, offsets
             v = dm + (log_eta[k] if first else log_into[k][rows[k][z_prev]])
             if not final:
                 if first or k != z_prev:
-                    v = v + log_into[z_next][next_row[k]] - log_out[leaving[k]]
+                    v = v + log_into[z_next][next_row[k]] - log_out[left[k]]
                 elif z_next == z_prev:
-                    v = v + log_self[z_next][next_row[k]] - log_out_self[leaving[k]]
+                    v = v + log_self[z_next][next_row[k]] - log_out_self[left[k]]
                 else:
-                    v = v + log_into[z_next][next_row[k]] - log_out_self[leaving[k]]
+                    v = v + log_into[z_next][next_row[k]] - log_out_self[left[k]]
             logp.append(v)
         top = max(logp)
         cw = list(accumulate(math.exp(v - top) for v in logp))
@@ -238,57 +154,22 @@ def _behaviours_in_python(num_docs, num_topics, num_behaviours, gammaln, offsets
     n_yz[...] = np.array(columns).T
     n_zz[...] = rows
     n_z1[...] = z1
+    leaving[...] = left
     z[...] = zs
-
-
-def _resample_topics(state: GibbsState, corpus: Corpus, hyper: Hyperparams):
-    """Resample every token's topic, in corpus order, with the compiled
-    kernel where it builds and the Python loop where it does not: one
-    argument list, the same bytes.
-
-    The uniforms are drawn in one call, which gives the same stream as one
-    draw per token.  The kernel indexes without bounds checks, so the arrays
-    it writes and the indices it reads are checked first, on either path.
-    """
-    counts = state.counts
-    n_xy, n_yz, ys, z = counts.n_xy, counts.n_yz, state.y_flat, state.z_assign
-    num_topics, num_behaviours = n_yz.shape
-    num_words = corpus.spec.num_words
-    _check_written(("n_xy", n_xy, (num_words, num_topics)),
-                   ("n_yz", n_yz, (num_topics, num_behaviours)),
-                   ("y_flat", ys, (corpus.num_tokens,)))
-    if ys.size and not 0 <= ys.min() <= ys.max() < num_topics:
-        raise ValueError(f"y_flat holds topics outside [0, {num_topics})")
-    if z.dtype != np.int64 or z.shape != (len(corpus),) or (
-            z.size and not 0 <= z.min() <= z.max() < num_behaviours):
-        raise ValueError(f"z_assign must be {len(corpus)} int64 behaviours in [0, {num_behaviours})")
-    if hyper.alpha.shape != (num_topics,) or hyper.beta.shape != (num_words,):
-        raise ValueError("alpha and beta must have one entry per topic and per word")
-
-    # The arguments of resample_topics in _kernels.c, for either
-    # implementation; the list holds every buffer until the kernel returns.
-    arrays = [np.ascontiguousarray(a) for a in (
-        corpus.offsets, corpus.tokens, z, state.rng.random(len(ys)), hyper.alpha, hyper.beta,
-        n_xy, n_yz, n_xy.sum(axis=0), ys, np.empty(num_topics))]
-    scalars = (len(corpus), num_topics, num_behaviours, float(hyper.beta.sum()))
-    lib = _kernels.load()
-    if lib is None:
-        _topics_in_python(*scalars, *arrays)
-    else:
-        lib.resample_topics(*scalars, *[a.ctypes.data for a in arrays])
 
 
 def _topics_in_python(num_docs, num_topics, num_behaviours, beta_sum, offsets, words, z,
                       uniforms, alpha, beta, n_xy, n_yz, totals, ys, cw):
     """``resample_topics`` of ``_kernels.c`` line for line, over lists, with
-    ``col[k]`` for the kernel's ``col[k * num_behaviours]``: per token the
+    ``col[k]`` for the kernel's ``col[k * num_behaviours]`` and ``tot`` for
+    ``totals``, written back as the kernel keeps it: per token the
     conditional ``(n_xy[x, k] + beta_x) / (tot_k + beta_sum) * (n_yz[k, z] +
     alpha_k)`` is summed as it goes, and the topic is the first whose running
     sum exceeds ``u * s``; the float64 operations, in the same order, of the
     per-token numpy conditional the tests keep as the reference."""
-    offsets, words, z, uniforms, alpha, beta, totals, cw = (
-        a.tolist() for a in (offsets, words, z, uniforms, alpha, beta, totals, cw))
-    rows, columns, y = n_xy.tolist(), n_yz.T.tolist(), ys.tolist()
+    offsets, words, z, uniforms, alpha, beta, cw = (
+        a.tolist() for a in (offsets, words, z, uniforms, alpha, beta, cw))
+    rows, columns, tot, y = n_xy.tolist(), n_yz.T.tolist(), totals.tolist(), ys.tolist()
     topics, last = range(num_topics), num_topics - 1
     for t in range(num_docs):
         col = columns[z[t]]
@@ -296,26 +177,93 @@ def _topics_in_python(num_docs, num_topics, num_behaviours, beta_sum, offsets, w
             row, k = rows[words[i]], y[i]
             b, s = beta[words[i]], 0.0
             row[k] -= 1
-            totals[k] -= 1
+            tot[k] -= 1
             col[k] -= 1
             for k in topics:
-                s += (row[k] + b) / (totals[k] + beta_sum) * (col[k] + alpha[k])
+                s += (row[k] + b) / (tot[k] + beta_sum) * (col[k] + alpha[k])
                 cw[k] = s
             k = min(bisect_right(cw, uniforms[i] * s), last)
             row[k] += 1
-            totals[k] += 1
+            tot[k] += 1
             col[k] += 1
             y[i] = k
     n_xy[...] = rows
     n_yz[...] = np.array(columns).T
+    totals[...] = tot
     ys[...] = y
 
 
-def gibbs_sweep(state: GibbsState, corpus: Corpus, hyper: Hyperparams) -> GibbsState:
-    """One full pass: behaviours in time order, then topics in corpus order."""
-    _resample_behaviours(state, corpus, hyper)
-    _resample_topics(state, corpus, hyper)
-    return state
+@dataclass
+class GibbsChain:
+    """A state with its two steps bound once by :func:`chain`, the behaviour
+    step and then the topic step, each with the buffer its uniforms are drawn
+    into; and the column sums of ``n_xy`` (``totals``) and ``n_zz``
+    (``leaving``), which the steps keep current."""
+
+    state: GibbsState
+    steps: tuple[tuple[np.ndarray, Callable[[], None]], ...]
+    totals: np.ndarray
+    leaving: np.ndarray
+
+
+def chain(state: GibbsState, corpus: Corpus, hyper: Hyperparams) -> GibbsChain:
+    """``state``'s behaviour and topic steps, each bound once by
+    ``_kernels.bind`` to its kernel's argument list: one guard first, on
+    either path, since the kernels index without bounds checks and the
+    behaviour step indexes log tables by ``n_zz``'s entries and column sums
+    (``ValueError``).  The chain then owns the state's arrays: a state changed
+    other than by :func:`gibbs_sweep` needs a new chain.
+
+    The transition logs, ``log(n + gamma_j)`` and ``log(n + sum(gamma))`` for
+    counts ``n`` in ``[0, T]`` and the same plus one (a self transition), and
+    ``log(eta)`` come from ``np.log``, as in the numpy reference; the kernel
+    and the copy exponentiate with libm's ``exp``, which may differ from
+    ``np.exp`` in the last bit, so a draw could move only where a uniform
+    falls within that bit."""
+    counts, ys, z = state.counts, state.y_flat, state.z_assign
+    T, X = len(corpus), corpus.spec.num_words
+    Y, Z = corpus.spec.num_topics, corpus.spec.num_behaviours
+    for name, a, shape in (("y_flat", ys, (corpus.num_tokens,)), ("z_assign", z, (T,)),
+                           ("n_xy", counts.n_xy, (X, Y)), ("n_yz", counts.n_yz, (Y, Z)),
+                           ("n_zz", counts.n_zz, (Z, Z)), ("n_z1", counts.n_z1, (Z,))):
+        if not (a.dtype == np.int64 and a.flags.c_contiguous and a.flags.writeable
+                and a.shape == shape):
+            raise ValueError(f"{name} must be a writeable C-contiguous int64 array of shape {shape}")
+    if ys.size and not 0 <= ys.min() <= ys.max() < Y:
+        raise ValueError(f"y_flat holds topics outside [0, {Y})")
+    if T and not 0 <= z.min() <= z.max() < Z:
+        raise ValueError(f"z_assign holds behaviours outside [0, {Z})")
+    recount = _transitions(z, Z)
+    if not (np.array_equal(counts.n_zz, recount[0]) and np.array_equal(counts.n_z1, recount[1])):
+        raise ValueError("n_zz and n_z1 must equal their recount from z_assign")
+    if (hyper.alpha.shape, hyper.beta.shape, hyper.gamma.shape, hyper.eta.shape) != (
+            (Y,), (X,), (Z,), (Z,)):
+        raise ValueError(f"alpha, beta, gamma and eta must have lengths {Y}, {X}, {Z} and {Z}")
+
+    offsets, words, alpha, beta = (np.ascontiguousarray(a) for a in (
+        corpus.offsets, corpus.tokens, hyper.alpha, hyper.beta))
+    totals, leaving = counts.n_xy.sum(axis=0), counts.n_zz.sum(axis=0)
+    sums = np.arange(T + 1) + np.append(hyper.gamma, hyper.gamma.sum())[:, None]
+    per_doc, per_token = np.empty(T), np.empty(corpus.num_tokens)  # uniforms
+    behaviours = _kernels.bind(
+        "resample_behaviours", _behaviours_in_python, T, Y, Z, _kernels.GAMMALN, offsets, ys,
+        per_doc, alpha, np.log(hyper.eta), np.log(np.concatenate((sums, sums + 1.0))), z,
+        counts.n_yz, counts.n_zz, counts.n_z1, leaving, np.empty(Y, np.int64),
+        np.empty(Z * (Y + 3)))
+    topics = _kernels.bind(
+        "resample_topics", _topics_in_python, T, Y, Z, float(hyper.beta.sum()), offsets, words, z,
+        per_token, alpha, beta, counts.n_xy, counts.n_yz, totals, ys, np.empty(Y))
+    return GibbsChain(state, ((per_doc, behaviours), (per_token, topics)), totals, leaving)
+
+
+def gibbs_sweep(chain: GibbsChain) -> GibbsState:
+    """One full pass: behaviours in time order, then topics in corpus order,
+    each step's uniforms drawn first into its buffer, with the values and
+    generator state of one draw per document or token."""
+    for uniforms, resample in chain.steps:
+        chain.state.rng.random(out=uniforms)
+        resample()
+    return chain.state
 
 
 def point_estimate(counts: SufficientCounts, hyper: Hyperparams) -> ModelParams:
@@ -334,10 +282,11 @@ def gs_fit(corpus: Corpus, hyper: Hyperparams, spec: ModelSpec, seed: int,
     their point estimates.
     """
     state = gibbs_init(corpus, spec, seed)
+    kept = chain(state, corpus, hyper)
     samples = []
     for s in range(num_samples):
         for _ in range(spacing if s else burn_in):
-            gibbs_sweep(state, corpus, hyper)
+            gibbs_sweep(kept)
         samples.append(state.counts.copy())
     per_sample = [point_estimate(c, hyper) for c in samples]
     pooled = _from_columns(ModelParams, [np.mean(group, axis=0)

@@ -97,15 +97,11 @@ def forward(loge: np.ndarray, start: np.ndarray, xi: np.ndarray, pi: np.ndarray,
     start, xi, pi = (np.ascontiguousarray(a, dtype=np.float64) for a in (start, xi, pi))
     if (start.shape, xi.shape, pi.shape) != ((S, Z), (S, Z, Z), (S, Z)):
         raise ValueError("start, xi and pi must have shapes (S, Z), (S, Z, Z) and (S, Z)")
-    # The arguments of forward in _kernels.c; log_prior has a row for the
-    # belief after the last document.
-    arrays = [loge, start, xi, pi, np.empty((T + 1, S, Z)), np.empty((T, S)), start.copy()]
-    lib = _kernels.load()
-    if lib is None:
-        _forward_in_python(T, S, Z, *arrays)
-    else:
-        lib.forward(T, S, Z, *[a.ctypes.data for a in arrays])
-    return loge, arrays[4][:-1], arrays[5], arrays[6]
+    # log_prior has a row for the belief after the last document.
+    log_prior, log_lik, belief = np.empty((T + 1, S, Z)), np.empty((T, S)), start.copy()
+    _kernels.bind("forward", _forward_in_python, T, S, Z, loge, start, xi, pi, log_prior, log_lik,
+                  belief)()
+    return loge, log_prior[:-1], log_lik, belief
 
 
 def _log0(v: float) -> float:

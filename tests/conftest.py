@@ -129,9 +129,9 @@ def with_zeros(m, keep):
 
 
 class Implementations:
-    """Base of test classes that run on the compiled forward recursion (the
-    Python copy where no kernel builds).  A subclass with ``compiled =
-    False`` runs the same tests on the Python copy.  A hypothesis test in
+    """Base of test classes that run on the compiled kernels (the Python
+    copies where they do not build).  A subclass with ``compiled = False``
+    runs the same tests on the Python copies.  A hypothesis test in
     such a class runs on instances of both classes, so it suppresses
     hypothesis's ``differing_executors`` health check; it is derandomized and
     keeps no example database, so nothing is replayed from one class in the

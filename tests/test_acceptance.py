@@ -174,12 +174,13 @@ def test_gibbs_matches_enumerated_collapsed_posterior():
     h = make_prior("1", spec)
     exact = enum_collapsed_posterior(corpus, h)
     state = gibbs.gibbs_init(corpus, spec, seed=23)
+    kept = gibbs.chain(state, corpus, h)
     for _ in range(1000):
-        gibbs.gibbs_sweep(state, corpus, h)
+        gibbs.gibbs_sweep(kept)
     keep = 100_000
     freq = {}
     for _ in range(keep):
-        gibbs.gibbs_sweep(state, corpus, h)
+        gibbs.gibbs_sweep(kept)
         key = (tuple(int(v) for v in state.z_assign),
                tuple(state.y_flat.tolist()))
         freq[key] = freq.get(key, 0) + 1

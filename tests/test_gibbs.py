@@ -19,19 +19,26 @@ from markovtopics.model import SufficientCounts, validate_params
 
 from _oracles import (enum_collapsed_posterior, per_document_gibbs_init,
                       vectorised_behaviour_step, vectorised_topic_step)
-from conftest import c_parameters
+from conftest import Implementations, c_parameters
 
 
 def _reference_chain(corpus, hyper, seed, sweeps):
     """The chain with the vectorised references as its behaviour and topic
     steps."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(gibbs, "_resample_behaviours", vectorised_behaviour_step)
-        m.setattr(gibbs, "_resample_topics", vectorised_topic_step)
-        state = gibbs.gibbs_init(corpus, corpus.spec, seed)
-        for _ in range(sweeps):
-            gibbs.gibbs_sweep(state, corpus, hyper)
+    state = gibbs.gibbs_init(corpus, corpus.spec, seed)
+    for _ in range(sweeps):
+        vectorised_behaviour_step(state, corpus, hyper)
+        vectorised_topic_step(state, corpus, hyper)
     return state
+
+
+def _kept_chain(state, corpus, hyper, compiled=True):
+    """``gibbs.chain`` on the compiled kernels (the Python copies where they
+    do not build), or on the Python copies where ``compiled`` is false."""
+    with pytest.MonkeyPatch.context() as m:
+        if not compiled:
+            m.setattr(_kernels, "load", lambda: None)
+        return gibbs.chain(state, corpus, hyper)
 
 
 def _assert_same_chain(a, b):
@@ -42,12 +49,31 @@ def _assert_same_chain(a, b):
     assert a.rng.random() == b.rng.random()
 
 
-def _audited_sweep(state, corpus, hyper):
-    """One sweep, then every tally recounted from the assignments."""
-    gibbs.gibbs_sweep(state, corpus, hyper)
+def _only(chain, index):
+    """Step ``index`` of ``chain`` alone, as a sweep runs it: 0 the
+    behaviours, 1 the topics."""
+    gibbs.gibbs_sweep(dataclasses.replace(chain, steps=chain.steps[index:index + 1]))
+
+
+def _audited_sweep(chain, corpus):
+    """One sweep, then every tally, and the column sums the chain keeps,
+    recounted from the assignments."""
+    state = gibbs.gibbs_sweep(chain)
     fresh = gibbs.tally(state.y_flat, state.z_assign, corpus)
     for name in ("n_xy", "n_yz", "n_zz", "n_z1"):
         assert np.array_equal(getattr(fresh, name), getattr(state.counts, name)), name
+    assert np.array_equal(chain.totals, fresh.n_xy.sum(axis=0))
+    assert np.array_equal(chain.leaving, fresh.n_zz.sum(axis=0))
+
+
+def _audited_chain(corpus, hyper, seed, sweeps, compiled=True):
+    """The state after ``sweeps`` audited sweeps of one kept chain from
+    ``gibbs_init``, on the kernels or (``compiled`` false) the Python copies."""
+    state = gibbs.gibbs_init(corpus, corpus.spec, seed)
+    kept = _kept_chain(state, corpus, hyper, compiled)
+    for _ in range(sweeps):
+        _audited_sweep(kept, corpus)
+    return state
 
 
 class TestTally:
@@ -112,9 +138,9 @@ class TestSweep:
         spec = ModelSpec(4, 3, 3)
         ds = generate.generate(spec, make_prior("1", spec), 8, [4] * 8, seed=2)
         h = make_prior("1", spec)
-        state = gibbs.gibbs_init(ds.corpus, spec, seed=0)
-        for _ in range(25):
-            _audited_sweep(state, ds.corpus, h)
+        compiled, copy = (_audited_chain(ds.corpus, h, 0, 25, on_kernels)
+                          for on_kernels in (True, False))
+        _assert_same_chain(compiled, copy)
 
     def test_deterministic_in_seed(self):
         spec = ModelSpec(3, 2, 2)
@@ -122,9 +148,10 @@ class TestSweep:
         h = make_prior("1", spec)
         a = gibbs.gibbs_init(ds.corpus, spec, seed=7)
         b = gibbs.gibbs_init(ds.corpus, spec, seed=7)
+        chains = gibbs.chain(a, ds.corpus, h), gibbs.chain(b, ds.corpus, h)
         for _ in range(10):
-            gibbs.gibbs_sweep(a, ds.corpus, h)
-            gibbs.gibbs_sweep(b, ds.corpus, h)
+            for kept in chains:
+                gibbs.gibbs_sweep(kept)
         assert np.array_equal(a.z_assign, b.z_assign)
         assert np.array_equal(a.y_flat, b.y_flat)
 
@@ -134,7 +161,7 @@ class TestSweep:
         h = make_prior("1", spec)
         state = gibbs.gibbs_init(corpus, spec, seed=0)
         before = state.counts.copy()
-        _audited_sweep(state, corpus, h)
+        _audited_sweep(gibbs.chain(state, corpus, h), corpus)
         assert np.array_equal(before.n_xy, state.counts.n_xy)
         assert np.all(state.z_assign == 0)
 
@@ -149,32 +176,8 @@ class TestTopicStep:
         h = Hyperparams(alpha=np.array([0.3, 2.0, 1.1]),
                         beta=np.array([0.05, 0.5, 1.5, 0.1, 0.7, 0.05, 3.0]),
                         gamma=np.array([1.2, 0.8]), eta=np.array([3.0, 1.0]))
-        new = gibbs.gibbs_init(corpus, spec, seed=12)
-        for _ in range(5):
-            gibbs.gibbs_sweep(new, corpus, h)
+        new = _audited_chain(corpus, h, seed=12, sweeps=5)
         _assert_same_chain(_reference_chain(corpus, h, seed=12, sweeps=5), new)
-
-
-#: Taken at import: ``_topic_chain`` patches ``gibbs._resample_topics`` with
-#: the step it runs, so a lookup at call time would find the patch.
-_resample_topics = gibbs._resample_topics
-
-
-def _python_topic_step(state, corpus, hyper):
-    """The topic step where no kernel builds: the Python loop."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_kernels, "load", lambda: None)
-        _resample_topics(state, corpus, hyper)
-
-
-def _topic_chain(step, corpus, hyper, seed, sweeps):
-    """The chain with ``step`` as its topic step, every sweep audited."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(gibbs, "_resample_topics", step)
-        state = gibbs.gibbs_init(corpus, corpus.spec, seed)
-        for _ in range(sweeps):
-            _audited_sweep(state, corpus, hyper)
-    return state
 
 
 @st.composite
@@ -201,7 +204,10 @@ class _FixedUniforms:
     def __init__(self, u):
         self.u = u
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
+        if out is not None:
+            out[...] = self.u
+            return out
         return self.u if size is None else np.full(size, self.u)
 
 
@@ -215,9 +221,9 @@ class TestCompiledTopicStep:
               _UNEVEN_PRIOR_8, 2))
     def test_kernel_python_loop_and_reference_agree(self, kernel, case):
         corpus, h, seed = case
-        compiled, loop, reference = (
-            _topic_chain(step, corpus, h, seed, sweeps=4)
-            for step in (gibbs._resample_topics, _python_topic_step, vectorised_topic_step))
+        compiled, loop = (_audited_chain(corpus, h, seed, 4, on_kernels)
+                          for on_kernels in (True, False))
+        reference = _reference_chain(corpus, h, seed, sweeps=4)
         for other in (loop, reference):
             assert compiled.y_flat.dtype == other.y_flat.dtype
             assert np.array_equal(compiled.y_flat, other.y_flat)
@@ -255,13 +261,17 @@ class TestCompiledTopicStep:
                 if u is None:
                     continue
                 boundaries += 1
-                for step in (gibbs._resample_topics, _python_topic_step, vectorised_topic_step):
+                corpus = corpus_from_lists([[x]], spec)
+                for compiled in (True, False, None):
                     counts = SufficientCounts(n_xy.copy(), n_yz.copy(), np.zeros((2, 2), np.int64),
-                                              np.zeros(2, np.int64))
+                                              np.eye(2, dtype=np.int64)[z])
                     state = gibbs.GibbsState(np.array([y_old]), np.array([z]), counts,
                                              _FixedUniforms(u))
-                    step(state, corpus_from_lists([[x]], spec), h)
-                    assert state.y_flat[0] == j + 1, (step.__name__, j)
+                    if compiled is None:
+                        vectorised_topic_step(state, corpus, h)
+                    else:
+                        _only(_kept_chain(state, corpus, h, compiled), 1)
+                    assert state.y_flat[0] == j + 1, (compiled, j)
                     assert counts.n_xy[x, j + 1] == n_xy[x, j + 1] + (j + 1 != y_old)
         assert boundaries > 300
 
@@ -288,8 +298,41 @@ def _read_only(a):
     return a
 
 
+def _valid_inputs():
+    """A chain's state, corpus and prior that the guard accepts."""
+    spec = ModelSpec(4, 3, 2)
+    corpus = corpus_from_lists([[0, 1, 2], [3], [], [1, 1]], spec)
+    return gibbs.gibbs_init(corpus, spec, seed=0), corpus, make_prior("1", spec)
+
+
+def _replaced(name, value):
+    """:func:`_valid_inputs` with ``name`` replaced by ``value(old)``."""
+    state, corpus, h = _valid_inputs()
+    if name in ("alpha", "beta", "gamma", "eta"):
+        h = dataclasses.replace(h, **{name: value(getattr(h, name))})
+    else:
+        owner = state.counts if name.startswith("n_") else state
+        setattr(owner, name, value(getattr(owner, name)))
+    return state, corpus, h
+
+
+def _assert_chain_rejects(state, corpus, hyper, name):
+    """``gibbs.chain`` raises ``ValueError`` naming ``name``, with no array
+    written and no uniform drawn."""
+    before = (state.counts.copy(), state.z_assign.copy(), state.y_flat.copy(),
+              state.rng.bit_generator.state)
+    with pytest.raises(ValueError, match=name):
+        gibbs.chain(state, corpus, hyper)
+    for tally in ("n_xy", "n_yz", "n_zz", "n_z1"):
+        assert np.array_equal(getattr(state.counts, tally), getattr(before[0], tally))
+    assert np.array_equal(state.z_assign, before[1])
+    assert np.array_equal(state.y_flat, before[2])
+    assert state.rng.bit_generator.state == before[3]
+
+
 class TestTopicStepGuard:
-    """The guard on the compiled kernel; skipped where it does not build."""
+    """The chain guard on the topic step's arrays, with the kernels bound;
+    skipped where they do not build."""
 
     @pytest.fixture(autouse=True)
     def topic_path(self, kernel):
@@ -316,24 +359,7 @@ class TestTopicStepGuard:
         pytest.param("beta", lambda a: a[:-1], id="beta-length"),
     ])
     def test_rejects_before_any_draw(self, name, value):
-        # A valid topic step's inputs with one of them replaced by
-        # ``value(old)``; on either path no array is written and no uniform drawn.
-        spec = ModelSpec(4, 3, 2)
-        corpus = corpus_from_lists([[0, 1, 2], [3], [], [1, 1]], spec)
-        state = gibbs.gibbs_init(corpus, spec, seed=0)
-        h = make_prior("1", spec)
-        if name in ("alpha", "beta"):
-            h = dataclasses.replace(h, **{name: value(getattr(h, name))})
-        else:
-            owner = state.counts if name.startswith("n_") else state
-            setattr(owner, name, value(getattr(owner, name)))
-        before = state.counts.copy(), state.y_flat.copy(), state.rng.bit_generator.state
-        with pytest.raises(ValueError, match=name):
-            gibbs._resample_topics(state, corpus, h)
-        for tally in ("n_xy", "n_yz"):
-            assert np.array_equal(getattr(state.counts, tally), getattr(before[0], tally))
-        assert np.array_equal(state.y_flat, before[1])
-        assert state.rng.bit_generator.state == before[2]
+        _assert_chain_rejects(*_replaced(name, value), name)
 
 
 class TestTopicStepGuardInPythonLoop(TestTopicStepGuard):
@@ -376,14 +402,14 @@ class TestWithoutCompiler:
         # The kernels build, but scipy's gammaln capsule is missing or names
         # another signature: the behaviour step runs the Python copy.
         capi = cython_special.__pyx_capi__
-        renamed = _new_capsule(gibbs._gammaln_address(capi["gammaln"]), _OTHER_SIGNATURE, None)
+        renamed = _new_capsule(_kernels._gammaln_address(capi["gammaln"]), _OTHER_SIGNATURE, None)
         for case, capsule in (("missing", None), ("renamed", renamed)):
             with monkeypatch.context() as m:
                 if capsule is None:
                     m.delitem(capi, "gammaln")
                 else:
                     m.setitem(capi, "gammaln", capsule)
-                assert gibbs._gammaln_address(capi.get("gammaln")) is None
+                assert _kernels._gammaln_address(capi.get("gammaln")) is None
                 status, built = train(tmp_path / f"{case}.json")
             assert status == 0 and built is not None
             assert (tmp_path / f"{case}.json").read_bytes() == (
@@ -404,27 +430,6 @@ _UNEVEN_DOCS = [[0, 1, 2, 3, 4, 5, 0], [], [3], [5, 5, 4, 1], [], [2, 4, 0, 0, 1
                 [1, 0], [4], [0, 0, 0, 0, 0, 0, 0, 0, 0], [5, 2], []]
 
 
-#: Taken at import, as ``_resample_topics`` is.
-_resample_behaviours = gibbs._resample_behaviours
-
-
-def _python_behaviour_step(state, corpus, hyper):
-    """The behaviour step where no kernel builds: the Python copy."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_kernels, "load", lambda: None)
-        _resample_behaviours(state, corpus, hyper)
-
-
-def _behaviour_chain(step, corpus, hyper, seed, sweeps):
-    """The chain with ``step`` as its behaviour step, every sweep audited."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(gibbs, "_resample_behaviours", step)
-        state = gibbs.gibbs_init(corpus, corpus.spec, seed)
-        for _ in range(sweeps):
-            _audited_sweep(state, corpus, hyper)
-    return state
-
-
 def _searched_sums(state, corpus, hyper):
     """The running sums each document's draw searches in the Python copy of
     the behaviour step, run on a copy of ``state``."""
@@ -438,14 +443,14 @@ def _searched_sums(state, corpus, hyper):
                             state.rng)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(gibbs, "bisect_right", recording)
-        _python_behaviour_step(copy, corpus, hyper)
+        _only(_kept_chain(copy, corpus, hyper, compiled=False), 0)
     return seen
 
 
-def _exponentiated(step, module, corpus, hyper, seed, sweeps):
-    """The bytes of every argument ``module.exp`` receives in a chain whose
-    behaviour step is ``step``, one after another: each document's shifted
-    log conditional."""
+def _exponentiated(module, run):
+    """The bytes of every argument ``module.exp`` receives while ``run()``
+    runs a chain, one after another: each document's shifted log
+    conditional."""
     seen = []
     exp = module.exp
 
@@ -454,11 +459,8 @@ def _exponentiated(step, module, corpus, hyper, seed, sweeps):
         return exp(x, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(gibbs, "_resample_behaviours", step)
         m.setattr(module, "exp", recording)
-        state = gibbs.gibbs_init(corpus, corpus.spec, seed)
-        for _ in range(sweeps):
-            gibbs.gibbs_sweep(state, corpus, hyper)
+        run()
     return np.array(seen, dtype=float).tobytes()
 
 
@@ -480,18 +482,15 @@ class TestBehaviourStep:
                         beta=np.array([0.05, 0.5, 1.5, 0.1, 0.7, 3.0]),
                         gamma=np.array([0.3, 1.7, 2.5])[:num_behaviours],
                         eta=np.array([3.0, 1.0, 0.4])[:num_behaviours])
-        new = gibbs.gibbs_init(corpus, spec, seed=21)
-        for _ in range(8):
-            _audited_sweep(new, corpus, h)
+        new = _audited_chain(corpus, h, seed=21, sweeps=8)
         _assert_same_chain(_reference_chain(corpus, h, seed=21, sweeps=8), new)
         # The conditionals themselves, not only the draws they lead to: the
         # Python copy's math.exp arguments are the reference's np.exp ones.
         # The kernel's libm exp, like math.exp, may differ from np.exp in the
         # last bit, which moves a draw only where a uniform falls within it.
-        copy_logs = _exponentiated(_python_behaviour_step, math, corpus, h, seed=21, sweeps=8)
+        copy_logs = _exponentiated(math, lambda: _audited_chain(corpus, h, 21, 8, compiled=False))
         assert len(copy_logs) == 8 * len(docs) * num_behaviours * 8
-        assert copy_logs == _exponentiated(vectorised_behaviour_step, np, corpus, h, seed=21,
-                                           sweeps=8)
+        assert copy_logs == _exponentiated(np, lambda: _reference_chain(corpus, h, 21, 8))
 
 
 def _uneven_prior(spec):
@@ -518,10 +517,9 @@ class TestCompiledBehaviourStep:
         # Empty documents, 0, 1 and 2 documents, one behaviour and more than
         # eight topics, where a column total summed pairwise would differ.
         corpus, h, seed = case
-        compiled, copy, reference = (
-            _behaviour_chain(step, corpus, h, seed, sweeps=4)
-            for step in (gibbs._resample_behaviours, _python_behaviour_step,
-                         vectorised_behaviour_step))
+        compiled, copy = (_audited_chain(corpus, h, seed, 4, on_kernels)
+                          for on_kernels in (True, False))
+        reference = _reference_chain(corpus, h, seed, sweeps=4)
         for other in (copy, reference):
             assert np.array_equal(compiled.z_assign, other.z_assign)
             assert np.array_equal(compiled.y_flat, other.y_flat)
@@ -562,8 +560,8 @@ class TestCompiledBehaviourStep:
                     gibbs.GibbsState(start.y_flat.copy(), start.z_assign.copy(),
                                      start.counts.copy(), _FixedUniforms(uniforms.copy()))
                     for _ in range(2))
-                gibbs._resample_behaviours(compiled, corpus, h)
-                _python_behaviour_step(copy, corpus, h)
+                _only(_kept_chain(compiled, corpus, h), 0)
+                _only(_kept_chain(copy, corpus, h, compiled=False), 0)
                 assert compiled.z_assign[t] == copy.z_assign[t] == drawn, j
                 assert np.array_equal(compiled.z_assign, copy.z_assign)
                 for name in ("n_yz", "n_zz", "n_z1"):
@@ -581,7 +579,8 @@ class TestCompiledBehaviourStep:
 
 
 class TestBehaviourStepGuard:
-    """The guard on the compiled kernel; skipped where it does not build."""
+    """The chain guard on the behaviour step's arrays, with the kernels
+    bound; skipped where they do not build."""
 
     @pytest.fixture(autouse=True)
     def behaviour_path(self, kernel):
@@ -616,26 +615,7 @@ class TestBehaviourStepGuard:
         pytest.param("eta", lambda a: np.append(a, 1.0), id="eta-length"),
     ])
     def test_rejects_before_any_draw(self, name, value):
-        # A valid behaviour step's inputs with one of them replaced by
-        # ``value(old)``; on either path no array is written and no uniform drawn.
-        spec = ModelSpec(4, 3, 2)
-        corpus = corpus_from_lists([[0, 1, 2], [3], [], [1, 1]], spec)
-        state = gibbs.gibbs_init(corpus, spec, seed=0)
-        h = make_prior("1", spec)
-        if name in ("alpha", "gamma", "eta"):
-            h = dataclasses.replace(h, **{name: value(getattr(h, name))})
-        else:
-            owner = state.counts if name.startswith("n_") else state
-            setattr(owner, name, value(getattr(owner, name)))
-        before = (state.counts.copy(), state.z_assign.copy(), state.y_flat.copy(),
-                  state.rng.bit_generator.state)
-        with pytest.raises(ValueError, match=name):
-            gibbs._resample_behaviours(state, corpus, h)
-        for tally in ("n_xy", "n_yz", "n_zz", "n_z1"):
-            assert np.array_equal(getattr(state.counts, tally), getattr(before[0], tally))
-        assert np.array_equal(state.z_assign, before[1])
-        assert np.array_equal(state.y_flat, before[2])
-        assert state.rng.bit_generator.state == before[3]
+        _assert_chain_rejects(*_replaced(name, value), name)
 
 
 class TestBehaviourStepGuardInPythonLoop(TestBehaviourStepGuard):
@@ -644,6 +624,51 @@ class TestBehaviourStepGuardInPythonLoop(TestBehaviourStepGuard):
     @pytest.fixture(autouse=True)
     def behaviour_path(self, monkeypatch):
         monkeypatch.setattr(_kernels, "load", lambda: None)
+
+
+class TestChainAfterOutsideChange(Implementations):
+    """A chain owns its state's arrays.  A state changed other than by a
+    sweep needs a new chain, whose guard checks it again."""
+
+    @pytest.mark.parametrize("name,index,by", [("n_zz", (0, 0), 1), ("n_z1", 0, 1),
+                                               ("z_assign", -1, 2), ("y_flat", 0, 3)],
+                             ids=["n_zz-miscounted", "n_z1-miscounted", "z_assign-too-large",
+                                  "y_flat-topic-too-large"])
+    def test_next_chain_rejects_before_any_draw(self, name, index, by):
+        # A kept chain's state with one entry changed in place, outside it.
+        state, corpus, h = _valid_inputs()
+        kept = gibbs.chain(state, corpus, h)
+        for _ in range(3):
+            _audited_sweep(kept, corpus)
+        getattr(state.counts if name.startswith("n_") else state, name)[index] += by
+        _assert_chain_rejects(state, corpus, h, name)
+
+    def test_next_chain_takes_new_arrays(self):
+        # Tallies replaced by equal copies: the new chain writes the copies
+        # and keeps its own column sums; the old arrays stay as they were.
+        state, corpus, h = _valid_inputs()
+        kept = gibbs.chain(state, corpus, h)
+        _audited_sweep(kept, corpus)
+        old = state.counts
+        state.counts = old.copy()
+        frozen = old.copy()
+        renewed = gibbs.chain(state, corpus, h)
+        for _ in range(4):
+            _audited_sweep(renewed, corpus)
+        for tally in ("n_xy", "n_yz", "n_zz", "n_z1"):
+            assert np.array_equal(getattr(old, tally), getattr(frozen, tally))
+        # One chain over the same five sweeps gives the same state.
+        again = gibbs.gibbs_init(corpus, corpus.spec, seed=0)
+        one = gibbs.chain(again, corpus, h)
+        for _ in range(5):
+            gibbs.gibbs_sweep(one)
+        _assert_same_chain(again, state)
+
+
+class TestChainAfterOutsideChangeInPython(TestChainAfterOutsideChange):
+    """The same tests on the Python copies."""
+
+    compiled = False
 
 
 @st.composite
@@ -668,9 +693,7 @@ class TestSweepProperties:
               make_prior("H", ModelSpec(3, 3, 2)), 9))
     def test_mass_conserved_and_equal_to_reference(self, chain):
         corpus, h, seed = chain
-        state = gibbs.gibbs_init(corpus, corpus.spec, seed)
-        for _ in range(3):
-            _audited_sweep(state, corpus, h)
+        state = _audited_chain(corpus, h, seed, sweeps=3)
         c = state.counts
         assert c.n_xy.sum() == corpus.num_tokens and c.n_yz.sum() == corpus.num_tokens
         assert c.n_zz.sum() == len(corpus) - 1 and c.n_z1.sum() == 1
@@ -697,11 +720,12 @@ class TestPointEstimate:
 class TestStationaryDistribution:
     def _empirical(self, corpus, spec, hyper, seed, burn, keep):
         state = gibbs.gibbs_init(corpus, spec, seed)
+        kept = gibbs.chain(state, corpus, hyper)
         for _ in range(burn):
-            gibbs.gibbs_sweep(state, corpus, hyper)
+            gibbs.gibbs_sweep(kept)
         freq = {}
         for _ in range(keep):
-            gibbs.gibbs_sweep(state, corpus, hyper)
+            gibbs.gibbs_sweep(kept)
             key = (tuple(int(v) for v in state.z_assign),
                    tuple(state.y_flat.tolist()))
             freq[key] = freq.get(key, 0) + 1
@@ -743,12 +767,13 @@ class TestStationaryDistribution:
         for (zs, _), p in exact.items():
             z_exact[zs] = z_exact.get(zs, 0.0) + p
         state = gibbs.gibbs_init(corpus, spec, seed=5)
+        kept = gibbs.chain(state, corpus, h)
         for _ in range(500):
-            gibbs.gibbs_sweep(state, corpus, h)
+            gibbs.gibbs_sweep(kept)
         freq = {}
         keep = 40_000
         for _ in range(keep):
-            gibbs.gibbs_sweep(state, corpus, h)
+            gibbs.gibbs_sweep(kept)
             key = tuple(int(v) for v in state.z_assign)
             freq[key] = freq.get(key, 0) + 1
         tv = 0.5 * sum(abs(freq.get(k, 0) / keep - p) for k, p in z_exact.items())
