@@ -1,17 +1,19 @@
-/* The compiled kernels.  The three float64 kernels do the operations of their
- * Python copies in the same order: resample_topics those of
- * gibbs._topics_in_python, resample_behaviours those of
- * gibbs._behaviours_in_python and forward those of
+/* The compiled kernels.  Each has a Python copy that takes its argument list
+ * and gives the same bytes where this file does not build.  The three float64
+ * kernels do the operations of their copies in the same order:
+ * resample_topics those of gibbs._topics_in_python, resample_behaviours those
+ * of gibbs._behaviours_in_python and forward those of
  * inference._forward_in_python.  _kernels.load builds them with
  * -ffp-contract=off, so no multiply and add are fused into one rounding; exp
  * and log come from libm, as Python's math.exp and math.log do, and gammaln
- * is scipy's own routine, passed in.  parse_corpus applies the grammar of
- * serialize._corpus_in_python, the numpy reader, and gives the same tokens,
- * offsets and first bad line.  The callers check every shape, dtype and index
- * bound and size every output; _kernels.bind then binds a kernel to those
- * arrays by address.  gibbs.chain checks the Gibbs steps' arrays once per chain,
- * and the two Gibbs kernels keep the column sums they are given current from
- * one call to the next. */
+ * is scipy's own routine, passed in.  parse_corpus applies, byte by byte, the
+ * grammar that serialize._corpus_in_python applies in numpy passes, and
+ * writes the same tokens and offsets or returns the same first bad line.  The
+ * callers check every shape, dtype and index bound and size every output;
+ * _kernels.bind, the one kernel dispatch, then binds a kernel, or its copy,
+ * to those arrays by address.  gibbs.chain checks the Gibbs steps' arrays
+ * once per chain, and the two Gibbs kernels keep the column sums they are
+ * given current from one call to the next. */
 #include <math.h>
 #include <stdint.h>
 

@@ -1,10 +1,10 @@
-"""``_kernels.c``, built once per process, and :func:`bind`, which binds a
-kernel or its Python copy to one argument list.  Each kernel has a Python
-copy, which runs with the same bytes where no compiler or loader works: the
-line-for-line copies ``gibbs._topics_in_python``,
-``gibbs._behaviours_in_python`` and ``inference._forward_in_python``, and
-``serialize._corpus_in_python``, the numpy corpus reader, whose grammar
-``parse_corpus`` applies in one pass."""
+"""``_kernels.c``, built once per process, and :func:`bind`, the one kernel
+dispatch, which binds a kernel or its Python copy to one argument list.  Each
+kernel has a Python copy, which takes the kernel's argument list and runs with
+the same bytes where no compiler or loader works: the line-for-line copies
+``gibbs._topics_in_python``, ``gibbs._behaviours_in_python`` and
+``inference._forward_in_python``, and ``serialize._corpus_in_python``, a numpy
+pass that applies the grammar ``parse_corpus`` applies byte by byte."""
 from functools import cache, partial
 from pathlib import Path
 
@@ -74,10 +74,10 @@ def _gammaln_address(capsule):
 def bind(name, copy, *args):
     """A call with no arguments of the kernel ``name`` on ``args``, each array
     by an address taken once and held, or of its Python copy ``copy`` on
-    ``args`` where no kernel builds: the same bytes.  :data:`GAMMALN` becomes
-    the address of scipy's C ``gammaln`` for the kernel and
-    ``cython_special.gammaln`` for the copy, which also runs where scipy's
-    capsule is missing or names another signature.  The kernels check
+    ``args`` where no kernel builds: the same bytes and the same return value.
+    :data:`GAMMALN` becomes the address of scipy's C ``gammaln`` for the
+    kernel and ``cython_special.gammaln`` for the copy, which also runs where
+    scipy's capsule is missing or names another signature.  The kernels check
     nothing: the caller checks the arrays and keeps them valid."""
     lib, gammaln, native = load(), None, None
     if any(a is GAMMALN for a in args):
@@ -95,4 +95,4 @@ def bind(name, copy, *args):
 
 def _call(kernel, args, addresses):
     """``kernel(*addresses)``; ``args`` holds the arrays they point into."""
-    kernel(*addresses)
+    return kernel(*addresses)

@@ -223,23 +223,21 @@ def _first_bad_line(lines: re.Pattern, raw: bytes, line_ends: np.ndarray) -> int
     return int(np.searchsorted(line_ends, lines.match(raw).end()))
 
 
-def _bad_corpus_line(path, line: int) -> DataError:
-    """The error for line ``line`` (0-based) of corpus file ``path``."""
-    return DataError(f"line {line + 1} of {path}: expected word ids of 1 to 18 ASCII digits "
-                     "separated by spaces or tabs")
-
-
-def _corpus_in_python(path) -> tuple[np.ndarray, np.ndarray]:
-    """The copy of ``parse_corpus`` in ``_kernels.c``: the tokens and offsets
-    of corpus file ``path`` from one array pass over its bytes, or a
-    DataError naming its first bad line."""
-    raw = _read_lines(path).replace(b"\t", b" ")
+def _corpus_in_python(raw: bytes, size: int, tokens: np.ndarray, offsets: np.ndarray) -> int:
+    """The copy of ``parse_corpus`` in ``_kernels.c``, by one array pass over
+    the ``size`` bytes of ``raw``: writes its T documents' tokens and T + 1
+    offsets into the first entries of ``tokens`` and ``offsets`` and returns
+    T, or -1 - (the 0-based number of its first bad line), writing nothing."""
+    raw = raw[:size].replace(b"\r\n", b"\n").replace(b"\t", b" ")
     buf, digit, starts, ends, line_ends = _digit_runs(raw)
     counts = np.searchsorted(starts, line_ends)  # runs before each line's end
     if (np.count_nonzero(digit) + np.count_nonzero(buf == 32) + np.count_nonzero(buf == 10)
             != len(buf) or np.any(ends - starts > 18) or not np.all(np.diff(counts, prepend=0))):
-        raise _bad_corpus_line(path, _first_bad_line(_CORPUS_LINES, raw, line_ends))
-    return _values(raw), np.concatenate(([0], counts))
+        return -1 - _first_bad_line(_CORPUS_LINES, raw, line_ends)
+    values = _values(raw)
+    tokens[:len(values)] = values
+    offsets[0], offsets[1:len(counts) + 1] = 0, counts
+    return len(counts)
 
 
 def read_corpus(path, spec: ModelSpec) -> Corpus:
@@ -248,24 +246,21 @@ def read_corpus(path, spec: ModelSpec) -> Corpus:
     optionally), read in one pass over the file's bytes by ``parse_corpus`` of
     ``_kernels.c``, or by its copy :func:`_corpus_in_python` where that does not
     build.  Any other file is a DataError naming its first bad line."""
-    lib = _kernels.load()
-    if lib is None:
-        tokens, offsets = _corpus_in_python(path)
-    else:
-        raw = Path(path).read_bytes()
-        # Every token and every document but the last takes at least a digit
-        # and a separator, so neither count exceeds len(raw) // 2 + 1.  The
-        # kernel never touches an array's tail, and realloc gives it back in
-        # place: both arrays end up their exact size, filled in one pass.
-        bound = len(raw) // 2 + 2
-        tokens, offsets = np.empty(bound, dtype=np.int64), np.empty(bound, dtype=np.int64)
-        t = lib.parse_corpus(raw, len(raw), tokens.ctypes.data, offsets.ctypes.data)
-        if t < 0:
-            raise _bad_corpus_line(path, -1 - t)
-        tokens.resize(offsets[t], refcheck=False)
-        offsets.resize(t + 1, refcheck=False)
-    if len(offsets) == 1:
+    raw = Path(path).read_bytes()
+    # Every token and every document but the last takes at least a digit and
+    # a separator, so neither count exceeds len(raw) // 2 + 1.  The parser
+    # never touches an array's tail, and realloc gives it back in place: both
+    # arrays end up their exact size, filled in one pass.
+    bound = len(raw) // 2 + 2
+    tokens, offsets = np.empty(bound, dtype=np.int64), np.empty(bound, dtype=np.int64)
+    t = _kernels.bind("parse_corpus", _corpus_in_python, raw, len(raw), tokens, offsets)()
+    if t < 0:
+        raise DataError(f"line {-t} of {path}: expected word ids of 1 to 18 ASCII digits "
+                        "separated by spaces or tabs")
+    if t == 0:
         raise DataError(f"corpus file {path} holds no documents")
+    tokens.resize(offsets[t], refcheck=False)
+    offsets.resize(t + 1, refcheck=False)
     return Corpus(tokens, offsets, spec)
 
 

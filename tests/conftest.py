@@ -1,5 +1,6 @@
 import math
 import re
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -141,10 +142,17 @@ class Implementations:
 
     @pytest.fixture(autouse=True, scope="class")
     def _implementation(self, request):
-        with pytest.MonkeyPatch.context() as patch:
-            if not request.cls.compiled:
-                patch.setattr(_kernels, "load", lambda: None)
+        with nullcontext() if request.cls.compiled else without_kernels():
             yield
+
+
+@contextmanager
+def without_kernels():
+    """The Python copies in place of the compiled kernels, as where no
+    compiler or loader works: ``_kernels.load`` gives None."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "load", lambda: None)
+        yield
 
 
 def c_parameters(function):

@@ -296,7 +296,7 @@ class TestFilteredBelief(Implementations):
         assert anomaly.filtered_belief(p, corpus_from_lists([], spec)) is None
 
 
-class TestFilteredBeliefStepped(TestFilteredBelief):
+class TestFilteredBeliefInPython(TestFilteredBelief):
     """The same tests on the Python copy of the forward recursion."""
 
     compiled = False
@@ -409,7 +409,7 @@ class TestScorePlugin(Implementations):
         assert np.allclose(st.behaviour_belief, [0.9, 0.1])
 
 
-class TestScorePluginStepped(TestScorePlugin):
+class TestScorePluginInPython(TestScorePlugin):
     """The same tests on the Python copy of the forward recursion."""
 
     compiled = False
@@ -506,13 +506,13 @@ class TestScoreMc(Implementations):
         assert not np.allclose(after[2], samples[2].pi)
 
 
-class TestScoreMcStepped(TestScoreMc):
+class TestScoreMcInPython(TestScoreMc):
     """The same tests on the Python copy of the forward recursion."""
 
     compiled = False
 
 
-def test_revival_sample_among_stepped_draws():
+def test_revival_sample_among_many_draws():
     # Many chains, as Monte Carlo scoring filters them.
     _assert_revival_sample_redone(num_draws=21)
 
@@ -672,7 +672,7 @@ class TestChainRulePastFloatRange(Implementations):
         self._assert_chain_rule(*instance)
 
 
-class TestChainRulePastFloatRangeStepped(TestChainRulePastFloatRange):
+class TestChainRulePastFloatRangeInPython(TestChainRulePastFloatRange):
     """The same tests on the Python copy of the forward recursion."""
 
     compiled = False
@@ -804,7 +804,7 @@ class TestMatchesPerDocumentReference(Implementations):
                     == [n >= max(min_words, 1) for n in (2, 0, 1, 3, 2)])
 
 
-class TestMatchesPerDocumentReferenceStepped(TestMatchesPerDocumentReference):
+class TestMatchesPerDocumentReferenceInPython(TestMatchesPerDocumentReference):
     """The same tests on the Python copy of the forward recursion."""
 
     compiled = False

@@ -1,10 +1,10 @@
 import ctypes
 import dataclasses
-import inspect
 import math
 import sysconfig
 import tempfile
 from bisect import bisect_right
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from markovtopics.model import SufficientCounts, validate_params
 
 from _oracles import (enum_collapsed_posterior, per_document_gibbs_init,
                       vectorised_behaviour_step, vectorised_topic_step)
-from conftest import Implementations, c_parameters
+from conftest import Implementations, without_kernels
 
 
 def _reference_chain(corpus, hyper, seed, sweeps):
@@ -35,9 +35,7 @@ def _reference_chain(corpus, hyper, seed, sweeps):
 def _kept_chain(state, corpus, hyper, compiled=True):
     """``gibbs.chain`` on the compiled kernels (the Python copies where they
     do not build), or on the Python copies where ``compiled`` is false."""
-    with pytest.MonkeyPatch.context() as m:
-        if not compiled:
-            m.setattr(_kernels, "load", lambda: None)
+    with nullcontext() if compiled else without_kernels():
         return gibbs.chain(state, corpus, hyper)
 
 
@@ -275,14 +273,6 @@ class TestCompiledTopicStep:
                     assert counts.n_xy[x, j + 1] == n_xy[x, j + 1] + (j + 1 != y_old)
         assert boundaries > 300
 
-    def test_kernel_and_python_loop_take_one_argument_list(self):
-        # An argument added to one implementation only fails here.
-        names = c_parameters("resample_topics")
-        assert names == list(inspect.signature(gibbs._topics_in_python).parameters)
-        lib = _kernels.load()
-        if lib is not None:
-            assert len(names) == len(lib.resample_topics.argtypes)
-
 
 def _set(index, v):
     def value(a):
@@ -330,7 +320,7 @@ def _assert_chain_rejects(state, corpus, hyper, name):
     assert state.rng.bit_generator.state == before[3]
 
 
-class TestTopicStepGuard:
+class TestTopicStepGuard(Implementations):
     """The chain guard on the topic step's arrays, with the kernels bound;
     skipped where they do not build."""
 
@@ -365,9 +355,11 @@ class TestTopicStepGuard:
 class TestTopicStepGuardInPythonLoop(TestTopicStepGuard):
     """The same cases on the Python loop, which runs where no kernel builds."""
 
+    compiled = False
+
     @pytest.fixture(autouse=True)
-    def topic_path(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "load", lambda: None)
+    def topic_path(self):
+        pass
 
 
 #: A capsule keeps a pointer to its name, so the name must outlive it.
@@ -569,16 +561,8 @@ class TestCompiledBehaviourStep:
                                           getattr(copy.counts, name)), name
         assert boundaries > 150
 
-    def test_kernel_and_python_copy_take_one_argument_list(self):
-        # An argument added to one implementation only fails here.
-        names = c_parameters("resample_behaviours")
-        assert names == list(inspect.signature(gibbs._behaviours_in_python).parameters)
-        lib = _kernels.load()
-        if lib is not None:
-            assert len(names) == len(lib.resample_behaviours.argtypes)
 
-
-class TestBehaviourStepGuard:
+class TestBehaviourStepGuard(Implementations):
     """The chain guard on the behaviour step's arrays, with the kernels
     bound; skipped where they do not build."""
 
@@ -621,9 +605,11 @@ class TestBehaviourStepGuard:
 class TestBehaviourStepGuardInPythonLoop(TestBehaviourStepGuard):
     """The same cases on the Python copy, which runs where no kernel builds."""
 
+    compiled = False
+
     @pytest.fixture(autouse=True)
-    def behaviour_path(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "load", lambda: None)
+    def behaviour_path(self):
+        pass
 
 
 class TestChainAfterOutsideChange(Implementations):

@@ -9,13 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from markovtopics import ModelSpec, corpus_from_lists, make_prior, random_init
-from markovtopics import _kernels, generate, serialize, vb
+from markovtopics import generate, serialize, vb
 from markovtopics.gibbs import gibbs_init
 from markovtopics.ingest import DIRECTIONS
 from markovtopics.model import DataError, ModelParams, NumericalError
 
 from _oracles import read_corpus_per_token, read_events_per_line, score_record, zero_counts
-from conftest import Implementations, c_parameters
+from conftest import Implementations, without_kernels
 
 
 @pytest.fixture
@@ -396,13 +396,12 @@ class TestCorpusReaders:
     """The compiled reader and its numpy copy."""
 
     @pytest.mark.parametrize("raw,expected", _CORPUS_EDGES.values(), ids=_CORPUS_EDGES.keys())
-    def test_agree_at_the_edges_of_the_grammar(self, tmp_path, monkeypatch, kernel, raw,
-                                               expected):
+    def test_agree_at_the_edges_of_the_grammar(self, tmp_path, kernel, raw, expected):
         path, spec = tmp_path / "c.txt", ModelSpec(10**18, 1, 1)
         path.write_bytes(raw)
         compiled = _read_outcome(path, spec)
-        monkeypatch.setattr(_kernels, "load", lambda: None)
-        assert _read_outcome(path, spec) == compiled
+        with without_kernels():
+            assert _read_outcome(path, spec) == compiled
         if expected is None:
             assert compiled == f"corpus file {path} holds no documents"
         elif isinstance(expected, int):
@@ -411,13 +410,6 @@ class TestCorpusReaders:
         else:
             corpus = corpus_from_lists(expected, spec)
             assert compiled == (corpus.tokens.tolist(), corpus.offsets.tolist())
-
-    def test_kernel_and_its_argument_types_take_one_argument_list(self):
-        # An argument added to the C function only fails here.
-        names = c_parameters("parse_corpus")
-        lib = _kernels.load()
-        if lib is not None:
-            assert len(names) == len(lib.parse_corpus.argtypes)
 
 
 class TestGroundTruthFiles:
