@@ -7,7 +7,7 @@
  * -ffp-contract=off, so no multiply and add are fused into one rounding; exp
  * and log come from libm, as Python's math.exp and math.log do, and gammaln
  * is scipy's own routine, passed in.  parse_corpus applies, byte by byte, the
- * grammar that serialize._corpus_in_python applies in numpy passes, and
+ * grammar that serialize._corpus_in_python checks by its line regex, and
  * writes the same tokens and offsets or returns the same first bad line.  The
  * callers check every shape, dtype and index bound and size every output;
  * _kernels.bind, the one kernel dispatch, then binds a kernel, or its copy,

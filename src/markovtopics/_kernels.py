@@ -3,8 +3,9 @@ dispatch, which binds a kernel or its Python copy to one argument list.  Each
 kernel has a Python copy, which takes the kernel's argument list and runs with
 the same bytes where no compiler or loader works: the line-for-line copies
 ``gibbs._topics_in_python``, ``gibbs._behaviours_in_python`` and
-``inference._forward_in_python``, and ``serialize._corpus_in_python``, a numpy
-pass that applies the grammar ``parse_corpus`` applies byte by byte."""
+``inference._forward_in_python``, and ``serialize._corpus_in_python``, which
+checks a file by the line regex of the grammar that ``parse_corpus`` applies
+byte by byte and reads its numbers in numpy passes."""
 from functools import cache, partial
 from pathlib import Path
 

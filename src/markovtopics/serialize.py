@@ -179,61 +179,65 @@ def write_corpus(path, corpus: Corpus) -> None:
                                    for a, b in zip(bounds, bounds[1:])]), encoding="utf-8")
 
 
-#: Byte to byte table that keeps the ASCII digits and makes every other byte a space.
-_DIGITS_ONLY = bytes(b if 48 <= b < 58 else 32 for b in range(256))
-#: The grammar of a corpus file and of an event file after its header, as the
-#: array checks of the readers apply it.  It runs only once they refuse a
-#: file: its match spans the lines before the first bad one.
-_CORPUS_LINES = re.compile(rb"(?: *[0-9]{1,18}(?: +[0-9]{1,18})* *(?:\n|\Z))*")
-_EVENT_LINES = re.compile(rb"(?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18},(?:up|left|down|right)"
-                          rb"(?:\n|\Z))*")
+#: Byte to byte table of :func:`_values`: it keeps the ASCII digits, makes the
+#: first letter of each direction word (``u l d r``, which no other direction
+#: word holds) the digit of its index into :data:`ingest.DIRECTIONS` and every
+#: other byte a space.
+_FIELDS = np.full(256, 32, dtype=np.uint8)
+_FIELDS[48:58] = np.arange(48, 58)
+_FIELDS[[ord(d[0]) for d in DIRECTIONS]] = np.arange(48, 48 + len(DIRECTIONS))
+#: The grammar of a corpus file and of an event file after its header, each
+#: line ended by ``\n``: the readers accept a file that it matches to its end.
+_CORPUS_LINES = re.compile(rb"(?:[ \t]*[0-9]{1,18}(?:[ \t]+[0-9]{1,18})*[ \t]*\n)*")
+_EVENT_LINES = re.compile(rb"(?:[0-9]{1,18},[0-9]{1,18},[0-9]{1,18},(?:up|left|down|right)\n)*")
+#: About how many bytes of whole lines :func:`_first_bad_line` matches at
+#: once: ``re`` keeps a few hundred bytes of state for each line a match spans.
+_CHUNK = 1 << 16
 
 
-def _read_lines(path) -> bytes:
-    """The bytes of ``path`` with each ``\\r\\n`` made ``\\n``: lines end in ``\\n``."""
-    raw = Path(path).read_bytes()
-    return raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
+def _lines_of(raw: bytes) -> bytes:
+    """``raw`` with each ``\\r\\n`` made ``\\n`` and its last line, if any,
+    ended by ``\\n``: every line ends in ``\\n``."""
+    raw = raw.replace(b"\r\n", b"\n")
+    return raw + b"\n" if raw and raw[-1] != 10 else raw
 
 
-def _digit_runs(raw: bytes):
-    """One array pass over ``raw``: its bytes (uint8), the mask of its ASCII
-    digits (padded by one byte on each side), the start and end of each run
-    of digits and the end of each line (a last line without its newline
-    included)."""
-    buf = np.frombuffer(raw, np.uint8)
-    digit = np.zeros(len(buf) + 2, dtype=bool)  # padded, so every run has two edges
-    np.less(buf - np.uint8(48), 10, out=digit[1:-1])
-    edges = np.flatnonzero(digit[1:] != digit[:-1])
-    line_ends = np.flatnonzero(buf == 10)
-    if len(buf) and buf[-1] != 10:
-        line_ends = np.append(line_ends, len(buf))
-    return buf, digit, edges[0::2], edges[1::2], line_ends
+def _first_bad_line(lines: re.Pattern, raw: bytes) -> int:
+    """The 0-based number of the first line of ``raw`` (:func:`_lines_of`)
+    that ``lines`` refuses, or -1 where it accepts every line."""
+    start = 0
+    while start < len(raw):
+        stop = raw.find(b"\n", start + _CHUNK) + 1 or len(raw)
+        end = lines.match(raw, start, stop).end()
+        if end < stop:
+            return raw.count(b"\n", 0, end)
+        start = stop
+    return -1
 
 
 def _values(raw: bytes) -> np.ndarray:
-    """The value of each run of digits in ``raw``, a file that passed its
-    reader's checks: it holds a run, or no byte at all.  Every run has at
-    most 18 digits, so it is an int64, and ``np.fromstring`` sees only digit
-    runs and spaces, so it can neither stop early nor clamp."""
-    return np.fromstring(raw.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
-
-
-def _first_bad_line(lines: re.Pattern, raw: bytes, line_ends: np.ndarray) -> int:
-    """The 0-based number of the first line of ``raw`` that ``lines`` refuses."""
-    return int(np.searchsorted(line_ends, lines.match(raw).end()))
+    """The numbers of ``raw``, a file its reader's grammar accepts, through
+    :data:`_FIELDS`: each run of at most 18 digits is an int64, and
+    ``np.fromstring`` sees only digit runs and spaces, so it can neither stop
+    early nor clamp."""
+    return np.fromstring(raw.translate(_FIELDS), dtype=np.int64, sep=" ")
 
 
 def _corpus_in_python(raw: bytes, size: int, tokens: np.ndarray, offsets: np.ndarray) -> int:
-    """The copy of ``parse_corpus`` in ``_kernels.c``, by one array pass over
-    the ``size`` bytes of ``raw``: writes its T documents' tokens and T + 1
-    offsets into the first entries of ``tokens`` and ``offsets`` and returns
-    T, or -1 - (the 0-based number of its first bad line), writing nothing."""
-    raw = raw[:size].replace(b"\r\n", b"\n").replace(b"\t", b" ")
-    buf, digit, starts, ends, line_ends = _digit_runs(raw)
-    counts = np.searchsorted(starts, line_ends)  # runs before each line's end
-    if (np.count_nonzero(digit) + np.count_nonzero(buf == 32) + np.count_nonzero(buf == 10)
-            != len(buf) or np.any(ends - starts > 18) or not np.all(np.diff(counts, prepend=0))):
-        return -1 - _first_bad_line(_CORPUS_LINES, raw, line_ends)
+    """The copy of ``parse_corpus`` in ``_kernels.c``: checks the ``size``
+    bytes of ``raw`` by :data:`_CORPUS_LINES`, writes its T documents' tokens
+    and T + 1 offsets into the first entries of ``tokens`` and ``offsets`` and
+    returns T, or -1 - (the 0-based number of its first bad line), writing
+    nothing."""
+    raw = _lines_of(raw[:size])
+    bad = _first_bad_line(_CORPUS_LINES, raw)
+    if bad >= 0:
+        return -1 - bad
+    buf = np.frombuffer(raw, np.uint8)
+    starts = buf - np.uint8(48) < 10
+    starts[1:] &= ~starts[:-1]  # the first digit of each word id
+    # The word ids before each line's end.
+    counts = np.searchsorted(np.flatnonzero(starts), np.flatnonzero(buf == 10))
     values = _values(raw)
     tokens[:len(values)] = values
     offsets[0], offsets[1:len(counts) + 1] = 0, counts
@@ -300,9 +304,8 @@ def write_scores(path, log_liks: np.ndarray, lengths: np.ndarray, min_words: int
 
 
 def _text_lines(path) -> list[str]:
-    """The lines of a UTF-8 file (:func:`_read_lines`), the last newline optional."""
-    lines = _read_lines(path).decode("utf-8").split("\n")
-    return lines[:-1] if lines[-1] == "" else lines
+    """The lines of a UTF-8 file (:func:`_lines_of`), the last newline optional."""
+    return _lines_of(Path(path).read_bytes()).decode("utf-8").split("\n")[:-1]
 
 
 def read_scores(path) -> list[dict]:
@@ -340,10 +343,6 @@ def write_pr_curve(path, curve: np.ndarray) -> None:
 
 
 _EVENT_HEADER = b"frame,cell_x,cell_y,dir\n"
-#: Direction index by the first byte of its word (-1 for no direction), and word length.
-_DIRECTION_BY_FIRST_BYTE = np.full(256, -1, dtype=np.int64)
-_DIRECTION_BY_FIRST_BYTE[[ord(d[0]) for d in DIRECTIONS]] = np.arange(len(DIRECTIONS))
-_DIRECTION_LENGTH = np.array([len(d) for d in DIRECTIONS])
 
 
 def read_events(path) -> np.ndarray:
@@ -354,40 +353,15 @@ def read_events(path) -> np.ndarray:
     Every line after the header is ``digits,digits,digits,direction``: three
     runs of 1 to 18 ASCII digits and one of ``up``, ``left``, ``down``,
     ``right``; lines end in ``\\n`` or ``\\r\\n`` (the last one optionally).
-    The file is read in one array pass over its bytes; any other file is a
-    DataError naming its first bad line.
+    The file is checked by :data:`_EVENT_LINES` and its fields read in one
+    array pass; any other file is a DataError naming its first bad line.
     """
-    raw = _read_lines(path)
-    # A file of the header alone may lack its newline.
-    if raw[:len(_EVENT_HEADER)] not in (_EVENT_HEADER, _EVENT_HEADER[:-1]):
+    raw = _lines_of(Path(path).read_bytes())
+    if not raw.startswith(_EVENT_HEADER):
         raise DataError(f"line 1 of {path}: expected the header 'frame,cell_x,cell_y,dir'")
     raw = raw[len(_EVENT_HEADER):]
-    buf, _, starts, ends, line_ends = _digit_runs(raw)
-
-    def bad_line():
-        i = _first_bad_line(_EVENT_LINES, raw, line_ends) + 2
-        return DataError(f"line {i} of {path}: expected digits,digits,digits,direction (1 to 18 "
-                         "ASCII digits each; up, left, down or right)")
-
-    commas = np.flatnonzero(buf == 44)
-    if not (len(commas) == len(starts) == 3 * len(line_ends) and np.array_equal(ends, commas)
-            and np.all(ends - starts <= 18)):
-        raise bad_line()
-    # Line i's three digit runs start at its start and after its first two
-    # commas and end at its three commas; what follows holds neither.
-    c, s = commas.reshape(-1, 3), starts.reshape(-1, 3)
-    line_starts = np.concatenate(([0], line_ends + 1))[:-1]
-    if not (np.array_equal(s[:, 0], line_starts) and np.array_equal(s[:, 1:], c[:, :2] + 1)):
-        raise bad_line()
-    word = c[:, 2] + 1
-    length = line_ends - word
-    if np.any(length < 2):
-        raise bad_line()
-    direction = _DIRECTION_BY_FIRST_BYTE[buf[word]]
-    if np.any(direction < 0) or np.any(_DIRECTION_LENGTH[direction] != length):
-        raise bad_line()
-    for d, name in enumerate(DIRECTIONS):
-        at = word[direction == d]
-        if any(np.any(buf[at + j] != ord(ch)) for j, ch in enumerate(name[1:], start=1)):
-            raise bad_line()
-    return np.vstack((_values(raw).reshape(-1, 3).T, direction))
+    bad = _first_bad_line(_EVENT_LINES, raw)
+    if bad >= 0:
+        raise DataError(f"line {bad + 2} of {path}: expected digits,digits,digits,direction "
+                        "(1 to 18 ASCII digits each; up, left, down or right)")
+    return _values(raw).reshape(-1, 4).T

@@ -380,7 +380,7 @@ def _read_only(a):
     return a
 
 
-class TestForwardRegimes:
+class TestForwardImplementations:
     """The one forward recursion in its two implementations: the compiled
     kernel and its line-for-line Python copy."""
 
@@ -583,7 +583,7 @@ def _assert_same_e_step(got, want):
         assert np.abs(fast - slow).max() <= 1e-10 * np.abs(slow).max(), name
 
 
-class TestScannedEStep:
+class TestEStepPastFloatRange:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_block_underflow_falls_back_to_log_domain(self, reverse):
         # Every scale is normal and every message finite, but a product of

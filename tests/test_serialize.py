@@ -380,6 +380,9 @@ _CORPUS_EDGES = {
     "19-digits": (b"1\n" + b"1" + b"0" * 18 + b"\n", 2),
     "tabs": (b"\t3\t\t4 \t\n\t5\t", [[3, 4], [5]]),
     "long-line": (" ".join(map(str, range(10**5))).encode() + b"\r\n7", [list(range(10**5)), [7]]),
+    # Past the first 64 kB of lines that the copy matches its grammar over at once.
+    "lines-past-first-chunk": (b"1 2\n" * 17500 + b"3\t4", [[1, 2]] * 17500 + [[3, 4]]),
+    "bad-line-past-first-chunk": (b"1 2\n" * 17500 + b"3 x\n4\n", 17501),
 }
 
 
@@ -393,7 +396,7 @@ def _read_outcome(path, spec):
 
 
 class TestCorpusReaders:
-    """The compiled reader and its numpy copy."""
+    """The compiled reader and its Python copy."""
 
     @pytest.mark.parametrize("raw,expected", _CORPUS_EDGES.values(), ids=_CORPUS_EDGES.keys())
     def test_agree_at_the_edges_of_the_grammar(self, tmp_path, kernel, raw, expected):
@@ -591,10 +594,14 @@ class TestEventFiles:
         ("0,1,2,up\n-5,0,0,up\n", 3),
         ("0,1,2,up\n7,0,\t0,up\n", 3),
         ("0,1,2,up\n7,0,0,up\n7,0,0,u\u0440\n", 4),
+        ("0,1,2,up\n0,1", 3),
+        ("0,1,2,up\r", 2),
+        # Past the first 64 kB of lines that the grammar is matched over at once.
+        ("0,1,2,up\n" * 69999 + "0,1\n0,1,2,up\n", 70001),
     ], ids=["short-line", "long-line", "blank-line", "non-integer", "decimal", "overflow",
             "direction-case", "first-direction", "first-non-integer", "integers-first",
             "plus-sign", "underscore", "spaced-field", "19-digit-frame", "negative-frame",
-            "tab", "non-ascii"])
+            "tab", "non-ascii", "unended-last-line", "lone-cr-last", "past-first-chunk"])
     def test_error_names_first_bad_line(self, tmp_path, body, line):
         path = tmp_path / "e.csv"
         path.write_bytes(("frame,cell_x,cell_y,dir\n" + body).encode())
