@@ -394,7 +394,7 @@ class TestForwardImplementations:
     @pytest.mark.parametrize("instance", [
         block_underflow_instance(), block_underflow_instance(reverse=True), revival_instance(),
         steep_instance(), steep_instance(1e-200), gradual_instance()],
-        ids=["block-underflow", "block-underflow-reversed", "revival", "steep",
+        ids=["block-underflow", "reversed-block-underflow", "revival", "steep",
              "steep-off-1e-200", "gradual"])
     def test_underflow_instances_agree_bit_for_bit(self, kernel, instance):
         # Beliefs and emissions past float range: the forward pass, and the
