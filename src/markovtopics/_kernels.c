@@ -6,15 +6,18 @@
  * inference._forward_in_python.  _kernels.load builds them with
  * -ffp-contract=off, so no multiply and add are fused into one rounding; exp
  * and log come from libm, as Python's math.exp and math.log do, and gammaln
- * is scipy's own routine, passed in.  parse_corpus applies, byte by byte, the
- * grammar that serialize._corpus_in_python checks by its line regex, and
- * writes the same tokens and offsets or returns the same first bad line.  The
- * callers check every shape, dtype and index bound and size every output;
- * _kernels.bind, the one kernel dispatch, then binds a kernel, or its copy,
- * to those arrays by address.  gibbs.chain checks the Gibbs steps' arrays
- * once per chain, and the two Gibbs kernels keep the column sums they are
- * given current from one call to the next. */
+ * is scipy's own routine, passed in.  parse_corpus and parse_events apply,
+ * byte by byte, the grammars that serialize._corpus_in_python and
+ * serialize._events_in_python check by their line regexes, and write the same
+ * arrays or return the same first bad line; format_corpus writes the text
+ * that serialize._corpus_text_in_python joins.  The callers check every
+ * shape, dtype and index bound and size every output; _kernels.bind, the one
+ * kernel dispatch, then binds a kernel, or its copy, to those arrays by
+ * address.  gibbs.chain checks the Gibbs steps' arrays once per chain, and
+ * the two Gibbs kernels keep the column sums they are given current from one
+ * call to the next. */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 /* The collapsed Gibbs topic step over every token, in corpus order.  totals
@@ -227,6 +230,29 @@ void forward(int64_t num_docs, int64_t num_chains, int64_t num_behaviours, doubl
     }
 }
 
+/* The run of ASCII digits at p, whose first byte is a digit, as *value; the
+ * byte after it, or NULL where the run is longer than 18 digits.  A run stops
+ * at any other byte: a Python bytes object ends in a NUL byte, which stops
+ * the last run at the end of the buffer. */
+static const unsigned char *digit_run(const unsigned char *p, int64_t *value)
+{
+    const unsigned char *start = p;
+    uint64_t v = 0;  /* unsigned: a run too long to keep wraps harmlessly */
+    for (; (unsigned)(*p - '0') <= 9; p++)
+        v = v * 10 + (*p - '0');
+    *value = (int64_t)v;
+    return p - start > 18 ? NULL : p;
+}
+
+/* Past the \n or \r\n that ends the line at p, or past its end where p is
+ * end (the last line's newline is optional); NULL at any other byte. */
+static const unsigned char *line_end(const unsigned char *p, const unsigned char *end)
+{
+    if (p[0] == '\r' && p[1] == '\n')
+        p++;
+    return p < end && *p != '\n' ? NULL : p + 1;
+}
+
 /* A corpus file's bytes, raw[0 .. size - 1], read in one pass: one document
  * per line, each a run of 1 to 18 ASCII digits (a word id) and then runs
  * separated by spaces or tabs, any of which may also open or close the line;
@@ -234,8 +260,7 @@ void forward(int64_t num_docs, int64_t num_chains, int64_t num_behaviours, doubl
  * and offsets the T + 1 starts of the documents, then the number of tokens.
  * Returns T, or -(1 + l) where line l (0-based) is the first outside the
  * grammar: it holds another byte, a lone \r, a run of 19 or more digits or no
- * run at all.  raw[size] is read and must not be a digit, space or tab: a
- * Python bytes object ends in a NUL byte, which stops each run at the end. */
+ * run at all.  raw[size] is read and must not be a digit, space or tab. */
 int64_t parse_corpus(const char *raw, int64_t size, int64_t *tokens, int64_t *offsets)
 {
     const unsigned char *p = (const unsigned char *)raw, *end = p + size;
@@ -243,24 +268,71 @@ int64_t parse_corpus(const char *raw, int64_t size, int64_t *tokens, int64_t *of
     offsets[0] = 0;
     while (p < end) {
         for (;;) {
-            const unsigned char *start;
-            uint64_t v;  /* unsigned: a run too long to keep wraps harmlessly */
             while (*p == ' ' || *p == '\t')
                 p++;
             if ((unsigned)(*p - '0') > 9)
                 break;
-            for (start = p, v = 0; (unsigned)(*p - '0') <= 9; p++)
-                v = v * 10 + (*p - '0');
-            if (p - start > 18)
+            if (!(p = digit_run(p, tokens + n++)))
                 return -1 - t;
-            tokens[n++] = (int64_t)v;
         }
-        if (p[0] == '\r' && p[1] == '\n')
-            p++;
-        if (n == offsets[t] || (p < end && *p != '\n'))
+        if (n == offsets[t] || !(p = line_end(p, end)))
             return -1 - t;
-        p++;
         offsets[++t] = n;
     }
     return t;
+}
+
+/* The lines of an event file after its header, raw[0 .. size - 1], read in
+ * one pass: each is frame,cell_x,cell_y,direction, three runs of 1 to 18
+ * ASCII digits and one of up, left, down and right, ended by \n or \r\n, the
+ * last one optionally.  Event n's fields go to frame[n], cell_x[n], cell_y[n]
+ * and direction[n], the index of its word in ingest.DIRECTIONS.  Returns the
+ * number of events, or -(1 + l) where line l (0-based) is the first outside
+ * the grammar.  raw[size] is read and must be NUL, as a Python bytes object's
+ * is. */
+int64_t parse_events(const char *raw, int64_t size, int64_t *frame, int64_t *cell_x,
+                     int64_t *cell_y, int64_t *direction)
+{
+    static const char *const words[] = {"up", "left", "down", "right"};
+    const unsigned char *p = (const unsigned char *)raw, *end = p + size;
+    int64_t n = 0;
+    while (p < end) {
+        int64_t *fields[] = {frame + n, cell_x + n, cell_y + n}, k, i;
+        for (i = 0; i < 3; i++)
+            if ((unsigned)(*p - '0') > 9 || !(p = digit_run(p, fields[i])) || *p++ != ',')
+                return -1 - n;
+        for (k = 0; k < 4; k++) {  /* no word is the start of another */
+            for (i = 0; words[k][i] && p[i] == (unsigned char)words[k][i]; i++)
+                ;
+            if (!words[k][i])
+                break;
+        }
+        if (k == 4 || !(p = line_end(p + i, end)))
+            return -1 - n;
+        direction[n++] = k;
+    }
+    return n;
+}
+
+/* The text of a corpus file: document t (of num_docs) is one line of the ids
+ * tokens[offsets[t] .. offsets[t + 1] - 1] in decimal, separated by spaces
+ * and ended by \n.  Every document holds a token and every id is >= 0; out
+ * holds at least one byte more per token than the longest id has digits.
+ * Returns the number of bytes written. */
+int64_t format_corpus(int64_t num_docs, const int64_t *offsets, const int64_t *tokens, char *out)
+{
+    char *p = out;
+    for (int64_t t = 0; t < num_docs; t++)
+        for (int64_t i = offsets[t]; i < offsets[t + 1]; i++) {
+            char digits[20];
+            int n = 0;
+            uint64_t v = (uint64_t)tokens[i];
+            do
+                digits[n++] = (char)('0' + v % 10);
+            while (v /= 10);
+            while (n)
+                *p++ = digits[--n];
+            *p++ = i + 1 < offsets[t + 1] ? ' ' : '\n';
+        }
+    return p - out;
 }

@@ -18,7 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import anomaly, em, gibbs, metrics, serialize, vb
+# The learners and the scorer are imported by the commands that run them
+# (em, gibbs, vb, anomaly), and scipy by the functions that use it, so that
+# generate, featurize and eval never import scipy.
+from . import metrics, serialize
 from .generate import generate
 from .ingest import DIRECTIONS, FrameLayout, build_corpus
 from .model import (
@@ -170,6 +173,8 @@ def cmd_featurize(argv):
 def _train_one(args, corpus, hyper, spec, seed):
     """Fit one model; returns its parameters, what scoring reads besides
     them, and the metadata that says how the fit ran."""
+    from . import em, gibbs, vb
+
     if args.algo == "gs":
         count_samples, pooled = gibbs.gs_fit(corpus, hyper, spec, seed, burn_in=args.burn_in,
                                              num_samples=args.samples, spacing=args.spacing)
@@ -252,6 +257,8 @@ def _read_stream(args):
     """The model, the test corpus and, under ``--init propagate``, the filtered
     belief at the training stream's end that the test stream continues (None
     restarts from ``pi``, as after an impossible last training document)."""
+    from . import anomaly
+
     model = serialize.load_model(args.model)
     test_corpus = serialize.read_corpus(args.corpus, model.spec)
     last = None
@@ -264,6 +271,8 @@ def _read_stream(args):
 
 
 def cmd_score(argv):
+    from . import anomaly, gibbs, vb
+
     parser = argparse.ArgumentParser(prog="markovtopics score")
     _stream_args(parser, init="propagate")
     parser.add_argument("--mode", choices=["plugin", "mc"], default="plugin")
@@ -298,6 +307,8 @@ def cmd_score(argv):
 
 
 def cmd_localise(argv):
+    from . import anomaly
+
     parser = argparse.ArgumentParser(prog="markovtopics localise")
     _stream_args(parser, init="restart")
     _layout_args(parser)

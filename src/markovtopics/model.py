@@ -11,7 +11,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 # Tolerance for probability vectors after normalization.  Double-precision
 # accumulation over <= 1e4 terms stays well inside this.
@@ -227,6 +226,10 @@ class Corpus:
         """Sparse (num_words, T) word counts per document, built once: the
         transpose of the CSR matrix over ``offsets`` and ``tokens``, one entry
         per token.  Tokens are exchangeable, so a fit sees the corpus only through it."""
+        # Imported here: scipy.sparse takes about 0.19 s to import, which
+        # generate, featurize and eval never need.
+        import scipy.sparse
+
         return scipy.sparse.csr_matrix((np.ones(len(self.tokens)), self.tokens, self.offsets),
                                        shape=(len(self), self.spec.num_words)).T
 

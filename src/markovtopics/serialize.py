@@ -9,7 +9,10 @@ dimensions, hyperparameters, matrices in row-major order with explicit
 shapes, a format-version field and the matrix orientation ("column =
 conditioning variable") spelled out; Gibbs count samples are whole numbers.
 Corpus files are plain text, one document per line of word ids separated by
-spaces or tabs; blank lines are forbidden.
+spaces or tabs; blank lines are forbidden.  Corpus files are read and
+written, and event CSVs read, by kernels of ``_kernels.c`` in one pass over
+their bytes, or by the kernels' Python copies here, which take the same
+arguments and give the same bytes where the kernels do not build.
 """
 from __future__ import annotations
 
@@ -170,13 +173,35 @@ def load_model(path) -> LoadedModel:
 
 
 def write_corpus(path, corpus: Corpus) -> None:
+    """One document per line, its word ids in decimal separated by spaces,
+    written by ``format_corpus`` of ``_kernels.c``, or by its copy
+    :func:`_corpus_text_in_python` where that does not build.  A corpus with
+    no documents, or with an empty one, is a DataError and nothing is
+    written: :func:`read_corpus` would refuse its file."""
     lengths = np.diff(corpus.offsets)
-    if not lengths.all():  # its line would be blank, which read_corpus rejects
+    if not lengths.size:
+        raise DataError("the corpus holds no documents; a corpus file must hold at least one")
+    if not lengths.all():  # its line would be blank
         raise DataError(f"document {np.argmin(lengths) + 1} is empty; a corpus file cannot hold it")
-    tokens, bounds = corpus.tokens.tolist(), corpus.offsets.tolist()
-    text = list(map(str, range(corpus.spec.num_words)))
-    Path(path).write_text("".join([" ".join([text[w] for w in tokens[a:b]]) + "\n"
-                                   for a, b in zip(bounds, bounds[1:])]), encoding="utf-8")
+    offsets, tokens = np.ascontiguousarray(corpus.offsets), np.ascontiguousarray(corpus.tokens)
+    # Each id has at most the digits of num_words - 1, and a space or a newline.
+    out = np.empty(len(tokens) * (len(str(corpus.spec.num_words - 1)) + 1), dtype=np.uint8)
+    size = _kernels.bind("format_corpus", _corpus_text_in_python, len(lengths), offsets,
+                         tokens, out)()
+    Path(path).write_bytes(out[:size])
+
+
+def _corpus_text_in_python(num_docs: int, offsets: np.ndarray, tokens: np.ndarray,
+                           out: np.ndarray) -> int:
+    """The copy of ``format_corpus`` in ``_kernels.c``: writes the text of the
+    ``num_docs`` documents that ``offsets`` cuts ``tokens`` into at the start
+    of ``out`` and returns its length in bytes."""
+    tokens, bounds = tokens.tolist(), offsets[:num_docs + 1].tolist()
+    text = {w: str(w) for w in set(tokens)}  # one str per distinct id
+    words = list(map(text.__getitem__, tokens))
+    joined = "".join([" ".join(words[a:b]) + "\n" for a, b in zip(bounds, bounds[1:])]).encode()
+    out[:len(joined)] = np.frombuffer(joined, dtype=np.uint8)
+    return len(joined)
 
 
 #: Byte to byte table of :func:`_values`: it keeps the ASCII digits, makes the
@@ -342,7 +367,7 @@ def write_pr_curve(path, curve: np.ndarray) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-_EVENT_HEADER = b"frame,cell_x,cell_y,dir\n"
+_EVENT_HEADER = b"frame,cell_x,cell_y,dir"
 
 
 def read_events(path) -> np.ndarray:
@@ -353,15 +378,37 @@ def read_events(path) -> np.ndarray:
     Every line after the header is ``digits,digits,digits,direction``: three
     runs of 1 to 18 ASCII digits and one of ``up``, ``left``, ``down``,
     ``right``; lines end in ``\\n`` or ``\\r\\n`` (the last one optionally).
-    The file is checked by :data:`_EVENT_LINES` and its fields read in one
-    array pass; any other file is a DataError naming its first bad line.
+    The lines are read in one pass over their bytes by ``parse_events`` of
+    ``_kernels.c``, or by its copy :func:`_events_in_python` where that does
+    not build.  Any other file is a DataError naming its first bad line.
     """
-    raw = _lines_of(Path(path).read_bytes())
-    if not raw.startswith(_EVENT_HEADER):
+    header, newline, raw = Path(path).read_bytes().partition(b"\n")
+    if (header.removesuffix(b"\r") if newline else header) != _EVENT_HEADER:
         raise DataError(f"line 1 of {path}: expected the header 'frame,cell_x,cell_y,dir'")
-    raw = raw[len(_EVENT_HEADER):]
+    # A line the parser starts follows lines of at least 9 bytes each
+    # ("0,0,0,up\n"), so it starts at most len(raw) // 9 + 1 events.  The
+    # entries past the last event are never written.
+    events = np.empty((4, len(raw) // 9 + 1), dtype=np.int64)
+    n = _kernels.bind("parse_events", _events_in_python, raw, len(raw), *events)()
+    if n < 0:
+        raise DataError(f"line {1 - n} of {path}: expected digits,digits,digits,direction "
+                        "(1 to 18 ASCII digits each; up, left, down or right)")
+    return events[:, :n]
+
+
+def _events_in_python(raw: bytes, size: int, frame: np.ndarray, cell_x: np.ndarray,
+                      cell_y: np.ndarray, direction: np.ndarray) -> int:
+    """The copy of ``parse_events`` in ``_kernels.c``: checks the ``size``
+    bytes of ``raw``, an event file's lines after its header, by
+    :data:`_EVENT_LINES`, writes each event's fields into the first entries of
+    ``frame``, ``cell_x``, ``cell_y`` and ``direction`` and returns the number
+    of events, or -1 - (the 0-based number of its first bad line), writing
+    nothing."""
+    raw = _lines_of(raw[:size])
     bad = _first_bad_line(_EVENT_LINES, raw)
     if bad >= 0:
-        raise DataError(f"line {bad + 2} of {path}: expected digits,digits,digits,direction "
-                        "(1 to 18 ASCII digits each; up, left, down or right)")
-    return _values(raw).reshape(-1, 4).T
+        return -1 - bad
+    columns = _values(raw).reshape(-1, 4).T
+    for out, column in zip((frame, cell_x, cell_y, direction), columns):
+        out[:len(column)] = column
+    return columns.shape[1]

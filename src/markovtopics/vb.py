@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from . import inference
 from .model import (Corpus, Hyperparams, ModelParams, ModelSpec, SufficientCounts, _columns,
@@ -40,6 +39,10 @@ class PosteriorHyperparams:
 
 
 def _expected_log_columns(post: np.ndarray) -> np.ndarray:
+    # Imported here, as in _kl_columns: scipy.special takes about 0.19 s to
+    # import, which generate, featurize and eval never need.
+    from scipy.special import digamma
+
     return digamma(post) - digamma(post.sum(axis=0, keepdims=True))
 
 
@@ -62,6 +65,8 @@ def tilde_params(post: PosteriorHyperparams) -> ModelParams:
 def _kl_columns(post: np.ndarray, prior: np.ndarray, logs: np.ndarray) -> float:
     """Summed KL(Dir(column of ``post``) || Dir(``prior``)) over the columns
     of ``post``, whose expected logs are ``logs``."""
+    from scipy.special import gammaln
+
     log_norm_prior = gammaln(prior.sum()) - gammaln(prior).sum()
     return float(gammaln(post.sum(axis=0)).sum() - gammaln(post).sum()
                  - post.shape[1] * log_norm_prior

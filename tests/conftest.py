@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import markovtopics
 from markovtopics import ModelParams, ModelSpec, corpus_from_lists, make_prior, random_init
 from markovtopics import _kernels
 
@@ -163,6 +167,40 @@ def c_parameters(function):
     params = re.search(rf"\w+ {function}\((.*?)\)\s*{{", source, re.S).group(1)
     params = re.sub(r"\(\*(\w+)\)\([^)]*\)", r"\1", params)
     return [re.search(r"(\w+)\s*$", p).group(1) for p in params.split(",")]
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _kernel_cache(tmp_path_factory):
+    """The kernels built into a cache in a temporary directory, by this
+    process and by every process a test starts, never into the user's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        _kernels.load.cache_clear()
+        yield
+    _kernels.load.cache_clear()
+
+
+def run_python(args, **env):
+    """Python on ``args`` in a subprocess with this source tree first on its
+    path and ``env`` added to the environment."""
+    src = str(Path(markovtopics.__file__).parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=120)
+
+
+@pytest.fixture
+def compiler_runs(monkeypatch):
+    """A list that gets one entry for each compiler run that builds the
+    kernels in this process from now on."""
+    run, runs = subprocess.run, []
+
+    def counted(args, **kwargs):
+        runs.extend(["-o"] if "-o" in args else [])
+        return run(args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counted)
+    return runs
 
 
 @pytest.fixture(scope="module")

@@ -1,16 +1,12 @@
 import importlib
 import inspect
 import json
-import os
 import pkgutil
 import re
-import subprocess
-import sys
 import sysconfig
 import tempfile
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +15,8 @@ import markovtopics
 from markovtopics import _kernels, inference, serialize, vb
 from markovtopics.cli import main
 from markovtopics.ingest import DIRECTIONS
+
+from conftest import run_python, without_kernels
 
 
 def _generate(tmp_path, docs=12, length=30, seed=0, name="train.txt"):
@@ -220,21 +218,52 @@ class TestDeterminism:
         assert threads == {threading.get_ident()}
 
 
+#: Runs the command line on its arguments and prints the exit status, then
+#: every scipy module imported.
+_SCIPY_MODULES = """
+import sys
+from markovtopics.cli import main
+status = main(sys.argv[1:])
+print(status, *sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
 class TestColdCommands:
-    def test_generate_featurize_and_eval_never_build_the_kernels(self, tmp_path, monkeypatch):
-        # Only train, score and localise, which read corpora and run the
-        # kernels, pay for the build.
-        calls = []
-        monkeypatch.setattr(_kernels, "load", lambda: calls.append(1))
+    def test_generate_featurize_and_eval_never_build_the_kernels(self, kernel, tmp_path,
+                                                                   monkeypatch, compiler_runs):
+        # With the kernels in the cache, generate and featurize load them and
+        # compile nothing; eval never loads them.  Only a cold cache builds.
+        _kernels.load.cache_clear()
         _generate(tmp_path)
         assert main(_featurize(tmp_path, "".join(f"{f},{f % 2},0,up\n" for f in range(50)))) == 0
+        # generate loaded the kernels (one miss), then featurize (hits).
+        info = _kernels.load.cache_info()
+        assert compiler_runs == [] and info.misses == 1 and info.hits >= 1
+        assert _kernels.load() is not None
+        loads = []
+        monkeypatch.setattr(_kernels, "load", lambda: loads.append(1))
         scores = tmp_path / "scores.jsonl"
         scores.write_text('{"index": 1, "length": 25, "log_lik": -40.0, "score": -1.6}\n'
                           '{"index": 2, "length": 25, "log_lik": -60.0, "score": -2.4}\n')
         (tmp_path / "labels.txt").write_text("0\n1\n")
         assert main(["eval", "--scores", str(scores), "--labels",
                      str(tmp_path / "labels.txt")]) == 0
-        assert calls == []
+        assert loads == []
+
+    def test_generate_featurize_and_eval_never_import_scipy(self, tmp_path):
+        # Importing scipy.sparse or scipy.special alone takes about 0.19 s.
+        generate = ["generate", "--num-words", "6", "--num-topics", "2", "--num-behaviours",
+                    "2", "--docs", "4", "--doc-length", "5", "--out-corpus",
+                    str(tmp_path / "g.txt")]
+        featurize = _featurize(tmp_path, "".join(f"{f},{f % 2},0,up\n" for f in range(50)))
+        (tmp_path / "s.jsonl").write_text('{"score": -1.0}\n{"score": -2.0}\n')
+        (tmp_path / "labels.txt").write_text("0\n1\n")
+        evaluate = ["eval", "--scores", str(tmp_path / "s.jsonl"),
+                    "--labels", str(tmp_path / "labels.txt")]
+        for argv in (generate, featurize, evaluate):
+            done = run_python(["-c", _SCIPY_MODULES, *argv])
+            assert done.returncode == 0 and done.stdout.split("\n")[-2] == "0", done.stderr
+        assert (tmp_path / "g.txt").exists() and (tmp_path / "c.txt").exists()
 
 
 class TestWithoutCompiler:
@@ -325,6 +354,29 @@ class TestMultiRun:
         for p in summary["models"]:
             loaded = serialize.load_model(p)
             assert loaded.metadata["seed"] in (10, 11, 12)
+
+    @pytest.mark.parametrize("algo", ["em", "gs"])
+    def test_process_pool_writes_the_same_bytes_from_any_cache(self, kernel, tmp_path,
+                                                               monkeypatch, algo):
+        # The workers run the kernels from a cold cache, from a warm one, or
+        # the Python copies: the same model files.
+        train = _generate(tmp_path)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+        def fit(name):
+            (tmp_path / name).mkdir()
+            _train(tmp_path, train, algo=algo, name=f"{name}/m.json",
+                   extra=["--runs", "2", "--jobs", "2"])
+            return {p.name: p.read_bytes() for p in (tmp_path / name).glob("m.seed*.json")}
+
+        _kernels.load.cache_clear()
+        cold = fit("cold")
+        _kernels.load.cache_clear()
+        warm = fit("warm")
+        with without_kernels():
+            copies = fit("copies")
+        assert len(cold) == 2 and cold == warm == copies
+        assert len(list((tmp_path / "cache" / "markovtopics").iterdir())) == 1
 
     def test_eval_aggregates_multiple_score_files(self, tmp_path, capsys):
         train = _generate(tmp_path)
@@ -432,12 +484,8 @@ class TestConfigPrecedence:
 
 
 def _run_module(argv, **env):
-    """``python -m markovtopics`` in a subprocess with this source tree first
-    on its path and ``env`` added to the environment."""
-    src = str(Path(markovtopics.__file__).parents[1])
-    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
-    return subprocess.run([sys.executable, "-m", "markovtopics", *argv], capture_output=True,
-                          text=True, env={**os.environ, **env, "PYTHONPATH": path}, timeout=120)
+    """``python -m markovtopics`` in a subprocess (:func:`conftest.run_python`)."""
+    return run_python(["-m", "markovtopics", *argv], **env)
 
 
 class TestExitCodes:
@@ -683,6 +731,14 @@ class TestDataErrors:
     def test_exit_code_3_without_traceback(self, tmp_path, capsys, argv):
         assert main(argv(tmp_path)) == 3
         assert capsys.readouterr().err.startswith("data error: ")
+
+    @pytest.mark.parametrize("body", ["0,0,0,up\n30,1,1,down\n", ""],
+                             ids=["clips-below-min-words", "header-only"])
+    def test_featurize_with_no_clip_writes_nothing(self, tmp_path, capsys, body):
+        # read_corpus would refuse a corpus file with no documents.
+        assert main(_featurize(tmp_path, body)) == 3
+        assert "holds no documents" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists() and not (tmp_path / "m.json").exists()
 
 
 #: Characters that ``str.splitlines`` takes as line ends, besides ``\n``.

@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -268,10 +269,13 @@ class TestCorpusFiles:
         with pytest.raises(DataError, match="line 2 of .*: expected word ids of 1 to 18 ASCII"):
             serialize.read_corpus(path, spec)
 
-    def test_empty_corpus_written_as_empty_file(self, tmp_path, spec):
+    def test_empty_corpus_refused_on_write(self, tmp_path, spec):
+        # Its file would be empty, which read_corpus rejects.
         path = tmp_path / "c.txt"
-        serialize.write_corpus(path, corpus_from_lists([], spec))
-        assert path.read_text() == ""
+        with pytest.raises(DataError, match="holds no documents"):
+            serialize.write_corpus(path, corpus_from_lists([], spec))
+        assert not path.exists()
+        path.write_bytes(b"")
         with pytest.raises(DataError, match="holds no documents"):
             serialize.read_corpus(path, spec)
 
@@ -415,6 +419,44 @@ class TestCorpusReaders:
             assert compiled == (corpus.tokens.tolist(), corpus.offsets.tolist())
 
 
+#: Vocabularies whose largest id has 1 to 18 digits, at and beside the sizes
+#: where a digit is added.
+_VOCABULARIES = st.one_of(st.sampled_from([1, 2, 10, 11, 100, 101, 6480, 10**18]),
+                          st.integers(1, 10**18))
+
+
+@st.composite
+def _corpora(draw):
+    """A vocabulary and 1-6 documents of 1-6 of its word ids."""
+    num_words = draw(_VOCABULARIES)
+    words = st.integers(0, num_words - 1)
+    docs = draw(st.lists(st.lists(words, min_size=1, max_size=6), min_size=1, max_size=6))
+    return ModelSpec(num_words, 1, 1), docs
+
+
+class TestCorpusWriters:
+    """The compiled writer and its Python copy, each file read back by the
+    compiled reader and by its copy."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_corpora())
+    def test_round_trip_on_every_pairing(self, tmp_path_factory, kernel, case):
+        spec, docs = case
+        corpus = corpus_from_lists(docs, spec)
+        text = "".join(" ".join(map(str, d)) + "\n" for d in docs).encode()
+        out = tmp_path_factory.mktemp("corpus")
+        for writer in (nullcontext, without_kernels):
+            path = out / f"{writer.__name__}.txt"
+            with writer():
+                serialize.write_corpus(path, corpus)
+            assert path.read_bytes() == text
+            for reader in (nullcontext, without_kernels):
+                with reader():
+                    back = serialize.read_corpus(path, spec)
+                assert np.array_equal(back.tokens, corpus.tokens)
+                assert np.array_equal(back.offsets, corpus.offsets)
+
+
 class TestGroundTruthFiles:
     def test_round_trip(self, tmp_path, spec):
         ds = generate.generate(spec, make_prior("1", spec), 4, [2, 3, 1, 2],
@@ -533,7 +575,10 @@ _EVENT_GRAMMAR = re.escape("expected digits,digits,digits,direction (1 to 18 ASC
                            "up, left, down or right)")
 
 
-class TestEventFiles:
+class TestEventFiles(Implementations):
+    """On the compiled reader; :class:`TestEventFilesInPython` runs the same
+    tests on its numpy copy."""
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("frame,cell_x,cell_y,dir\n0,1,2,up\n3,0,0,right\n")
@@ -646,8 +691,16 @@ def _event_text(draw):
     return _perturbed(draw, slots)
 
 
-class TestEventFileProperties:
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+class TestEventFilesInPython(TestEventFiles):
+    compiled = False
+
+
+class TestEventFileProperties(Implementations):
+    """On the compiled reader; :class:`TestEventFilePropertiesInPython` runs
+    the same tests on its numpy copy."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(_event_text())
     def test_read_matches_per_line_reference(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("events") / "e.csv"
@@ -676,3 +729,7 @@ class TestEventFileProperties:
         expected = read_events_per_line(path)
         assert expected.shape == (4, frames.size)
         assert np.array_equal(serialize.read_events(path), expected)
+
+
+class TestEventFilePropertiesInPython(TestEventFileProperties):
+    compiled = False
