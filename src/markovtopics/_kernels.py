@@ -89,7 +89,7 @@ def _cached(cc):
         raise PermissionError(f"{directory} is not the current user's alone")
     path = directory / f"_kernels-{key.hexdigest()}.so"
     if not (_private(path) and _sealed(path)):
-        os.replace(_compile(cc, directory, seal=True), path)
+        os.replace(_compile(cc, directory), path)
     return _declared(str(path))
 
 
@@ -105,7 +105,7 @@ def _private(path):
 
 def _sealed(path):
     """Whether the file at ``path`` ends in the SHA-256 of its other bytes,
-    as :func:`_compile` seals a cached build: the loader would map a
+    as :func:`_compile` seals every build: the loader would map a
     truncated library past its end, and the process would die of SIGBUS."""
     import hashlib
 
@@ -113,11 +113,11 @@ def _sealed(path):
     return hashlib.sha256(data[:-32]).digest() == data[-32:]
 
 
-def _compile(cc, directory, seal=False):
+def _compile(cc, directory):
     """The path of a new file in ``directory`` that holds ``_kernels.c``
-    built by ``cc``, with mode 0700, and after the library, with ``seal``,
-    the SHA-256 of its bytes, which the loader ignores.  The file is removed
-    where the build fails."""
+    built by ``cc``, with mode 0700, and after the library the SHA-256 of its
+    bytes, which the loader ignores.  The file is removed where the build
+    fails."""
     import hashlib
     import subprocess
     import tempfile
@@ -127,10 +127,9 @@ def _compile(cc, directory, seal=False):
     try:
         subprocess.run([*cc, *_CFLAGS, "-o", path, str(_SOURCE), "-lm"], check=True,
                        capture_output=True, timeout=60)
-        if seal:
-            digest = hashlib.sha256(Path(path).read_bytes()).digest()
-            with open(path, "ab") as f:
-                f.write(digest)
+        digest = hashlib.sha256(Path(path).read_bytes()).digest()
+        with open(path, "ab") as f:
+            f.write(digest)
         os.chmod(path, 0o700)
     except BaseException:
         Path(path).unlink(missing_ok=True)

@@ -123,24 +123,15 @@ def sample_posterior(post: PosteriorHyperparams, num_samples: int,
 
     Sample s is drawn from its own stream, the s-th child of
     ``SeedSequence(seed)``, so the draws do not depend on where they run.
-    With one usable CPU they run on the calling thread, each when it is
-    requested.  Otherwise they run on a pool of one thread per usable CPU,
-    capped at ``num_samples`` (numpy's gamma sampler releases the GIL), with
-    at most ``workers + 1`` draws in flight: a consumer that drops each
-    sample before requesting the next holds at most ``workers + 1`` at a
-    time, counting those drawn ahead.  Closing the generator early cancels
-    the draws not yet started and joins the pool.
+    They run on a pool of one thread per usable CPU, capped at
+    ``num_samples`` (numpy's gamma sampler releases the GIL), with at most
+    ``workers + 1`` draws in flight: a consumer that drops each sample before
+    requesting the next holds at most ``workers + 1`` at a time, counting
+    those drawn ahead.  Closing the generator early cancels the draws not yet
+    started and joins the pool.
     """
-    workers = min(_usable_cpus(), num_samples)
+    workers = min(_usable_cpus(), max(num_samples, 1))
     seeds = np.random.SeedSequence(seed)
-    # On one CPU a pool adds only thread switches: pinned to one CPU of a
-    # 2-core host, 100 paper-scale draws through anomaly.init_state took a
-    # median 0.369 s inline and 0.393 s on a one-thread pool, which was faster
-    # in 2 of 16 interleaved runs.
-    if workers <= 1:
-        for _ in range(num_samples):
-            yield _draw(post, seeds.spawn(1)[0])
-        return
     pool = ThreadPoolExecutor(workers, thread_name_prefix="sample_posterior")
     pending: deque = deque()
     try:

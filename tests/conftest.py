@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -134,19 +134,20 @@ def with_zeros(m, keep):
 
 
 class Implementations:
-    """Base of test classes that run on the compiled kernels (the Python
-    copies where they do not build).  A subclass with ``compiled = False``
-    runs the same tests on the Python copies.  A hypothesis test in
-    such a class runs on instances of both classes, so it suppresses
-    hypothesis's ``differing_executors`` health check; it is derandomized and
-    keeps no example database, so nothing is replayed from one class in the
-    other."""
+    """Base of test classes whose every test runs twice: as ``[kernels]`` on
+    the compiled kernels, skipped where they do not build, and as
+    ``[copies]`` on their Python copies.  pytest gives each run its own
+    instance of the class, so a hypothesis test here suppresses hypothesis's
+    ``differing_executors`` health check; it is derandomized and keeps no
+    example database, so nothing is replayed from one run in the other."""
 
-    compiled = True
-
-    @pytest.fixture(autouse=True, scope="class")
+    @pytest.fixture(autouse=True, scope="class", params=["kernels", "copies"])
     def _implementation(self, request):
-        with nullcontext() if request.cls.compiled else without_kernels():
+        if request.param == "copies":
+            with without_kernels():
+                yield
+        else:
+            request.getfixturevalue("kernel")
             yield
 
 
@@ -205,7 +206,7 @@ def compiler_runs(monkeypatch):
 
 @pytest.fixture(scope="module")
 def kernel():
-    """The compiled kernels; skips a test that compares them where they do not build."""
+    """The compiled kernels; skips a test that needs them where they do not build."""
     lib = _kernels.load()
     if lib is None:
         pytest.skip("no C compiler builds the compiled kernels on this host")

@@ -296,12 +296,6 @@ class TestFilteredBelief(Implementations):
         assert anomaly.filtered_belief(p, corpus_from_lists([], spec)) is None
 
 
-class TestFilteredBeliefInPython(TestFilteredBelief):
-    """The same tests on the Python copy of the forward recursion."""
-
-    compiled = False
-
-
 class TestScorePlugin(Implementations):
     def test_uniform_model_score(self, tmp_path):
         X = 4
@@ -409,12 +403,6 @@ class TestScorePlugin(Implementations):
         assert np.allclose(st.behaviour_belief, [0.9, 0.1])
 
 
-class TestScorePluginInPython(TestScorePlugin):
-    """The same tests on the Python copy of the forward recursion."""
-
-    compiled = False
-
-
 def _assert_revival_sample_redone(num_draws):
     """Score the revival stream under the revival parameters, whose belief
     falls below the float range and revives, and ``num_draws`` random draws:
@@ -504,12 +492,6 @@ class TestScoreMc(Implementations):
         assert np.array_equal(after[1], samples[1].pi)
         assert not np.allclose(after[0], samples[0].pi)
         assert not np.allclose(after[2], samples[2].pi)
-
-
-class TestScoreMcInPython(TestScoreMc):
-    """The same tests on the Python copy of the forward recursion."""
-
-    compiled = False
 
 
 def test_revival_sample_among_many_draws():
@@ -672,12 +654,6 @@ class TestChainRulePastFloatRange(Implementations):
         self._assert_chain_rule(*instance)
 
 
-class TestChainRulePastFloatRangeInPython(TestChainRulePastFloatRange):
-    """The same tests on the Python copy of the forward recursion."""
-
-    compiled = False
-
-
 @st.composite
 def _streams_with_impossible_documents(draw):
     """Random tiny parameters, some with a word every topic gives
@@ -802,12 +778,6 @@ class TestMatchesPerDocumentReference(Implementations):
             _, records = _assert_matches_reference(tmp_path, group, corpus, min_words)
             assert ([r["evaluated"] for r in records]
                     == [n >= max(min_words, 1) for n in (2, 0, 1, 3, 2)])
-
-
-class TestMatchesPerDocumentReferenceInPython(TestMatchesPerDocumentReference):
-    """The same tests on the Python copy of the forward recursion."""
-
-    compiled = False
 
 
 @st.composite

@@ -1,18 +1,21 @@
+import functools
 import importlib
 import inspect
 import json
+import multiprocessing
 import pkgutil
 import re
 import sysconfig
 import tempfile
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 import markovtopics
-from markovtopics import _kernels, inference, serialize, vb
+from markovtopics import _kernels, cli, inference, serialize, vb
 from markovtopics.cli import main
 from markovtopics.ingest import DIRECTIONS
 
@@ -373,10 +376,18 @@ class TestMultiRun:
         cold = fit("cold")
         _kernels.load.cache_clear()
         warm = fit("warm")
+        assert len(list((tmp_path / "cache" / "markovtopics").iterdir())) == 1
+        # Only forked workers inherit the patched loader: under forkserver or
+        # spawn they would build the kernels into the empty cache and compare
+        # the kernels with themselves.
+        (tmp_path / "empty").mkdir()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "empty"))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         with without_kernels():
             copies = fit("copies")
         assert len(cold) == 2 and cold == warm == copies
-        assert len(list((tmp_path / "cache" / "markovtopics").iterdir())) == 1
+        assert list((tmp_path / "empty").iterdir()) == []
 
     def test_eval_aggregates_multiple_score_files(self, tmp_path, capsys):
         train = _generate(tmp_path)

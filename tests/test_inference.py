@@ -1,5 +1,4 @@
 import math
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from markovtopics.model import NumericalError, validate_params
 import _oracles
 from _oracles import enum_expected_counts, enum_marginal_and_posteriors, log_marginal_likelihood
 from conftest import (
+    Implementations,
     block_underflow_instance,
     gradual_instance,
     random_instance,
@@ -417,6 +417,27 @@ class TestForwardImplementations:
         assert np.array_equal(out[3], start)
         _assert_same_bytes(out, copied)
 
+
+class TestForwardRules(Implementations):
+    """The checks ``inference.forward`` makes before it writes, and the rule
+    by which it takes the log of each next belief."""
+
+    @pytest.mark.parametrize("scale, linear", [(2e-280, True), (1e-290, False)],
+                             ids=["at-least-1e-280", "below-1e-280"])
+    def test_next_belief_below_1e_280_redone_in_log_domain(self, scale, linear):
+        # Even weights over two behaviours, after which behaviour 1 comes
+        # with probability scale or 3 * scale: its linear belief is 2 * scale.
+        # Its log and the log-domain sum from the messages differ in the
+        # last bit here; the log is taken where the belief is at least 1e-280.
+        a, b = scale, 3.0 * scale
+        start = np.array([[0.5, 0.5]])
+        xi = np.array([[[1.0 - a, 1.0 - b], [a, b]]])
+        _, log_prior, _, _ = inference.forward(np.zeros((2, 1, 2)), start, xi, start)
+        by_log = math.log(0.0 + a * 0.5 + b * 0.5)
+        by_log_sum = inference._log_sum([a, b], [-math.log(2.0)] * 2)
+        assert by_log != by_log_sum
+        assert log_prior[1, 0, 1] == (by_log if linear else by_log_sum)
+
     @pytest.mark.parametrize("change", [
         pytest.param(lambda a: a.astype(np.float32), id="float32"),
         pytest.param(np.asfortranarray, id="fortran"),
@@ -426,15 +447,14 @@ class TestForwardImplementations:
         pytest.param(lambda a: a[..., :1].copy(), id="fewer-behaviours"),
         pytest.param(_read_only, id="read-only"),
     ])
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_rejects_before_any_write(self, change, compiled):
+    def test_rejects_before_any_write(self, change):
         # Emission logs the kernel cannot write over, or whose shape does not
         # match the other inputs' (S, Z), raise ValueError and are not written.
         start = np.tile([0.3, 0.7], (3, 1))
         loge = np.ascontiguousarray(np.arange(24.0).reshape(4, 3, 2) * -1.0)
         loge = change(loge)
         before = loge.copy()
-        with nullcontext() if compiled else without_kernels(), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             inference.forward(loge, start, np.full((3, 2, 2), 0.5), start)
         assert np.array_equal(loge, before)
 

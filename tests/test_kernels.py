@@ -30,8 +30,8 @@ def test_kernel_and_python_copy_take_one_argument_list(name, copy):
 
 
 def test_without_kernels_binds_the_python_copy():
-    # Every class with compiled = False relies on this switch: without it, it
-    # would run the kernels again and compare them with themselves.
+    # Every [copies] test of an Implementations class relies on this switch:
+    # without it, it would run the kernels again and compare them with themselves.
     tokens, offsets = np.empty(2, dtype=np.int64), np.empty(2, dtype=np.int64)
     with without_kernels():
         call = _kernels.bind("parse_corpus", lambda *args: "copy", b"1\n", 2, tokens, offsets)

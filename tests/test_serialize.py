@@ -321,8 +321,7 @@ def _corpus_text(draw):
 
 
 class TestCorpusFileProperties(Implementations):
-    """On the compiled reader; :class:`TestCorpusFilePropertiesInPython` runs
-    the same tests on its numpy copy."""
+    """On the compiled reader and on its numpy copy."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.differing_executors])
@@ -363,10 +362,6 @@ class TestCorpusFileProperties(Implementations):
         back = serialize.read_corpus(path, spec)
         assert np.array_equal(back.tokens, corpus.tokens)
         assert np.array_equal(back.offsets, corpus.offsets)
-
-
-class TestCorpusFilePropertiesInPython(TestCorpusFileProperties):
-    compiled = False
 
 
 #: Files at the edges of the corpus grammar, with what both readers give:
@@ -576,8 +571,7 @@ _EVENT_GRAMMAR = re.escape("expected digits,digits,digits,direction (1 to 18 ASC
 
 
 class TestEventFiles(Implementations):
-    """On the compiled reader; :class:`TestEventFilesInPython` runs the same
-    tests on its numpy copy."""
+    """On the compiled reader and on its numpy copy."""
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -691,13 +685,8 @@ def _event_text(draw):
     return _perturbed(draw, slots)
 
 
-class TestEventFilesInPython(TestEventFiles):
-    compiled = False
-
-
 class TestEventFileProperties(Implementations):
-    """On the compiled reader; :class:`TestEventFilePropertiesInPython` runs
-    the same tests on its numpy copy."""
+    """On the compiled reader and on its numpy copy."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.differing_executors])
@@ -729,7 +718,3 @@ class TestEventFileProperties(Implementations):
         expected = read_events_per_line(path)
         assert expected.shape == (4, frames.size)
         assert np.array_equal(serialize.read_events(path), expected)
-
-
-class TestEventFilePropertiesInPython(TestEventFileProperties):
-    compiled = False

@@ -164,9 +164,8 @@ class TestSamplePosterior:
         draws = vb.sample_posterior(post, 100, seed=3)
         (first,) = itertools.islice(draws, 1)
         started = set(threading.enumerate()) - before
-        # One CPU draws on the calling thread.
-        assert bool(started) == (cpus > 1)
-        assert all(t.name.startswith("sample_posterior") for t in started)
+        # One CPU draws on the pool too.
+        assert started and all(t.name.startswith("sample_posterior") for t in started)
         draws.close()
         assert not any(t.is_alive() for t in started)
         assert validate_params(first, spec) == []
