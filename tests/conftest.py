@@ -134,21 +134,36 @@ def with_zeros(m, keep):
 
 
 class Implementations:
-    """Base of test classes whose every test runs twice: as ``[kernels]`` on
-    the compiled kernels, skipped where they do not build, and as
-    ``[copies]`` on their Python copies.  pytest gives each run its own
-    instance of the class, so a hypothesis test here suppresses hypothesis's
-    ``differing_executors`` health check; it is derandomized and keeps no
-    example database, so nothing is replayed from one run in the other."""
+    """Base of test classes whose every test runs twice: under the class's
+    own name on the compiled kernels, skipped where they do not build, and
+    under its name with ``copies`` appended on their Python copies.
+    :func:`pytest_pycollect_makeitem` collects the second run from a subclass
+    it makes, so a hypothesis test here runs on instances of two classes and
+    suppresses hypothesis's ``differing_executors`` health check; it is
+    derandomized and keeps no example database, so nothing is replayed from
+    one run in the other."""
 
-    @pytest.fixture(autouse=True, scope="class", params=["kernels", "copies"])
+    copies = "InPython"
+    on_copies = False
+
+    @pytest.fixture(autouse=True, scope="class")
     def _implementation(self, request):
-        if request.param == "copies":
+        if request.cls.on_copies:
             with without_kernels():
                 yield
         else:
             request.getfixturevalue("kernel")
             yield
+
+
+def pytest_pycollect_makeitem(collector, name, obj):
+    """An :class:`Implementations` class, collected as itself and as the
+    subclass, set beside it, that runs its tests on the Python copies."""
+    if isinstance(obj, type) and issubclass(obj, Implementations) \
+            and collector.istestclass(obj, name):
+        twin = type(name + obj.copies, (obj,), {"on_copies": True, "__module__": obj.__module__})
+        setattr(collector.obj, twin.__name__, twin)
+        return [pytest.Class.from_parent(collector, name=n) for n in (name, twin.__name__)]
 
 
 @contextmanager

@@ -1,4 +1,5 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -417,10 +418,31 @@ class TestForwardImplementations:
         assert np.array_equal(out[3], start)
         _assert_same_bytes(out, copied)
 
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda a: a.astype(np.float32), id="float32"),
+        pytest.param(np.asfortranarray, id="fortran"),
+        pytest.param(lambda a: np.repeat(a, 2, axis=0)[::2], id="strided"),
+        pytest.param(lambda a: a[:, :, 0], id="two-dimensional"),
+        pytest.param(lambda a: a[:, :1].copy(), id="fewer-chains"),
+        pytest.param(lambda a: a[..., :1].copy(), id="fewer-behaviours"),
+        pytest.param(_read_only, id="read-only"),
+    ])
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_rejects_before_any_write(self, change, compiled):
+        # Emission logs the kernel cannot write over, or whose shape does not
+        # match the other inputs' (S, Z), raise ValueError and are not written.
+        start = np.tile([0.3, 0.7], (3, 1))
+        loge = np.ascontiguousarray(np.arange(24.0).reshape(4, 3, 2) * -1.0)
+        loge = change(loge)
+        before = loge.copy()
+        with nullcontext() if compiled else without_kernels(), pytest.raises(ValueError):
+            inference.forward(loge, start, np.full((3, 2, 2), 0.5), start)
+        assert np.array_equal(loge, before)
+
 
 class TestForwardRules(Implementations):
-    """The checks ``inference.forward`` makes before it writes, and the rule
-    by which it takes the log of each next belief."""
+    """The rule by which ``inference.forward`` takes the log of each next
+    belief."""
 
     @pytest.mark.parametrize("scale, linear", [(2e-280, True), (1e-290, False)],
                              ids=["at-least-1e-280", "below-1e-280"])
@@ -437,26 +459,6 @@ class TestForwardRules(Implementations):
         by_log_sum = inference._log_sum([a, b], [-math.log(2.0)] * 2)
         assert by_log != by_log_sum
         assert log_prior[1, 0, 1] == (by_log if linear else by_log_sum)
-
-    @pytest.mark.parametrize("change", [
-        pytest.param(lambda a: a.astype(np.float32), id="float32"),
-        pytest.param(np.asfortranarray, id="fortran"),
-        pytest.param(lambda a: np.repeat(a, 2, axis=0)[::2], id="strided"),
-        pytest.param(lambda a: a[:, :, 0], id="two-dimensional"),
-        pytest.param(lambda a: a[:, :1].copy(), id="fewer-chains"),
-        pytest.param(lambda a: a[..., :1].copy(), id="fewer-behaviours"),
-        pytest.param(_read_only, id="read-only"),
-    ])
-    def test_rejects_before_any_write(self, change):
-        # Emission logs the kernel cannot write over, or whose shape does not
-        # match the other inputs' (S, Z), raise ValueError and are not written.
-        start = np.tile([0.3, 0.7], (3, 1))
-        loge = np.ascontiguousarray(np.arange(24.0).reshape(4, 3, 2) * -1.0)
-        loge = change(loge)
-        before = loge.copy()
-        with pytest.raises(ValueError):
-            inference.forward(loge, start, np.full((3, 2, 2), 0.5), start)
-        assert np.array_equal(loge, before)
 
 
 class TestEStep:

@@ -30,7 +30,7 @@ def test_kernel_and_python_copy_take_one_argument_list(name, copy):
 
 
 def test_without_kernels_binds_the_python_copy():
-    # Every [copies] test of an Implementations class relies on this switch:
+    # The InPython run of every Implementations class relies on this switch:
     # without it, it would run the kernels again and compare them with themselves.
     tokens, offsets = np.empty(2, dtype=np.int64), np.empty(2, dtype=np.int64)
     with without_kernels():
