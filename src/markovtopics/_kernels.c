@@ -10,12 +10,14 @@
  * byte by byte, the grammars that serialize._corpus_in_python and
  * serialize._events_in_python check by their line regexes, and write the same
  * arrays or return the same first bad line; format_corpus writes the text
- * that serialize._corpus_text_in_python joins.  The callers check every
- * shape, dtype and index bound and size every output; _kernels.bind, the one
- * kernel dispatch, then binds a kernel, or its copy, to those arrays by
- * address.  gibbs.chain checks the Gibbs steps' arrays once per chain, and
- * the two Gibbs kernels keep the column sums they are given current from one
- * call to the next. */
+ * that serialize._corpus_text_in_python joins.  sample_chain draws the
+ * behaviours, topics and words of generate.generate_from from the uniforms
+ * its copy generate._chain_in_python takes, and finds the same indices: its
+ * searches only compare.  The callers check every shape, dtype and index
+ * bound and size every output; _kernels.bind, the one kernel dispatch, then
+ * binds a kernel, or its copy, to those arrays by address.  gibbs.chain checks
+ * the Gibbs steps' arrays once per chain, and the two Gibbs kernels keep the
+ * column sums they are given current from one call to the next. */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -227,6 +229,61 @@ void forward(int64_t num_docs, int64_t num_chains, int64_t num_behaviours, doubl
             for (int64_t i = 0; i < Z; i++)
                 next[i] = b[i] >= 1e-280 ? log(b[i]) : log_sum(x + i * Z, e, Z);
         }
+    }
+}
+
+/* bisect.bisect_right(a[lo .. hi - 1], v) on entries in ascending order: lo
+ * plus the number of them that are <= v.  The search halves the range with a
+ * select in place of a branch, which a uniform v would mispredict. */
+static int64_t bisect_right(const double *a, int64_t lo, int64_t hi, double v)
+{
+    const double *base = a + lo;
+    int64_t n = hi - lo;
+    if (n == 0)
+        return lo;
+    for (; n > 1; n -= n / 2)
+        base = v < base[n / 2] ? base : base + n / 2;
+    return base - a + !(v < *base);
+}
+
+/* The generative chain of generate.generate_from over documents span[0] ..
+ * span[1] - 1, from the behaviour of document span[0] - 1 (none before the
+ * first document).  uniforms holds, per document of n tokens, its behaviour's
+ * uniform, then n topic uniforms, then n word uniforms.  Row 0 of cum_z
+ * (num_behaviours + 1, num_behaviours) is pi's cumulative column and row z + 1
+ * that of xi from z; row z of cum_theta (num_behaviours, num_topics) and row y
+ * of cum_phi (num_topics, num_words) are those of theta and phi.  Each draw is
+ * bisect.bisect_right of its uniform on its row, clamped to the last index.
+ * A word's search is narrowed by guide (num_topics, num_words + 1), an indexed
+ * search (Chen and Asau 1974): with cell(v) = min(floor(X v), X - 1), which
+ * never decreases as v grows, guide[y * (X + 1) + j] counts the words x of
+ * topic y with cell(cum_phi[y, x]) < j.  An entry in a lower cell than u is
+ * < u and one in a higher cell is > u, so the index of u lies between the
+ * counts of cell(u) and the next: the same index as a search of the row.
+ * Ascending rows need non-negative parameters, which the caller checks. */
+void sample_chain(int64_t num_topics, int64_t num_behaviours, int64_t num_words,
+                  const int64_t *span, const int64_t *offsets, const double *uniforms,
+                  const double *cum_z, const double *cum_theta, const double *cum_phi,
+                  const int64_t *guide, int64_t *behaviours, int64_t *topics, int64_t *words)
+{
+    int64_t X = num_words, Y = num_topics, Z = num_behaviours;
+    int64_t z = span[0] ? behaviours[span[0] - 1] : -1;
+    const double *u = uniforms;
+    for (int64_t t = span[0]; t < span[1]; t++) {
+        int64_t n = offsets[t + 1] - offsets[t], *ys = topics + offsets[t];
+        int64_t *xs = words + offsets[t];
+        z = bisect_right(cum_z + (z + 1) * Z, 0, Z, *u++);
+        behaviours[t] = z = z < Z ? z : Z - 1;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t y = bisect_right(cum_theta + z * Y, 0, Y, u[i]), x;
+            double v = u[n + i] * X;
+            const int64_t *g;
+            y = y < Y ? y : Y - 1;
+            g = guide + y * (X + 1) + (v < X - 1 ? (int64_t)v : X - 1);
+            x = bisect_right(cum_phi + y * X, g[0], g[1], u[n + i]);
+            ys[i] = y, xs[i] = x < X ? x : X - 1;
+        }
+        u += 2 * n;
     }
 }
 

@@ -7,8 +7,11 @@ where no compiler or loader works: the line-for-line copies
 ``inference._forward_in_python``; ``serialize._corpus_in_python`` and
 ``serialize._events_in_python``, which check a file by the line regex of the
 grammar that ``parse_corpus`` or ``parse_events`` applies byte by byte and
-read its numbers in numpy passes; and ``serialize._corpus_text_in_python``,
-which joins the text that ``format_corpus`` writes.
+read its numbers in numpy passes; ``serialize._corpus_text_in_python``,
+which joins the text that ``format_corpus`` writes; and
+``generate._chain_in_python``, which draws with ``bisect_right`` and
+``searchsorted`` the indices that ``sample_chain`` finds by guide-table
+search.
 
 The cache is ``$XDG_CACHE_HOME/markovtopics`` (``~/.cache/markovtopics``
 where that is unset or not absolute).  A build's file name holds the SHA-256
@@ -150,7 +153,9 @@ def _declared(path):
     lib.resample_topics.argtypes = [int64] * 3 + [ctypes.c_double] + [address] * 11
     lib.resample_behaviours.argtypes = [int64] * 3 + [address] * 14
     lib.forward.argtypes = [int64] * 3 + [address] * 7
-    lib.resample_topics.restype = lib.resample_behaviours.restype = lib.forward.restype = None
+    lib.sample_chain.argtypes = [int64] * 3 + [address] * 10
+    lib.resample_topics.restype = lib.resample_behaviours.restype = None
+    lib.forward.restype = lib.sample_chain.restype = None
     # A bytes object passes as its own buffer, with no copy.
     lib.parse_corpus.argtypes = [ctypes.c_char_p, int64] + [address] * 2
     lib.parse_events.argtypes = [ctypes.c_char_p, int64] + [address] * 4

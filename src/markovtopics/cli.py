@@ -24,13 +24,7 @@ import numpy as np
 from . import metrics, serialize
 from .generate import generate
 from .ingest import DIRECTIONS, FrameLayout, build_corpus
-from .model import (
-    DataError,
-    Hyperparams,
-    ModelSpec,
-    NumericalError,
-    make_prior,
-)
+from .model import DataError, ModelSpec, NumericalError, make_prior
 
 
 def _int_at_least(minimum: int):

@@ -322,10 +322,12 @@ def write_scores(path, log_liks: np.ndarray, lengths: np.ndarray, min_words: int
     evaluated = lengths >= max(min_words, 1)
     # to_json writes -inf (an impossible document) and NaN (no score) as null.
     scores = np.where(evaluated, log_liks - np.log(np.maximum(lengths, 1)), np.nan)
-    lines = [to_json({"index": i, "length": n, "log_lik": ll, "score": sc, "evaluated": e})
-             for i, (n, ll, sc, e) in enumerate(zip(lengths.tolist(), log_liks.tolist(),
-                                                    scores.tolist(), evaluated.tolist()), 1)]
-    Path(path).write_bytes(b"\n".join(lines) + b"\n")
+    records = [{"index": i, "length": n, "log_lik": ll, "score": sc, "evaluated": e}
+               for i, (n, ll, sc, e) in enumerate(zip(lengths.tolist(), log_liks.tolist(),
+                                                      scores.tolist(), evaluated.tolist()), 1)]
+    # One dumps of the list; no record holds a string, so "},{" only ever
+    # separates two records.
+    Path(path).write_bytes(to_json(records)[1:-1].replace(b"},{", b"}\n{") + b"\n")
 
 
 def _text_lines(path) -> list[str]:

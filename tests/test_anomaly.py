@@ -1,5 +1,3 @@
-import itertools
-
 import math
 import threading
 import weakref

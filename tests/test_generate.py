@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from conftest import Implementations, without_kernels
 from markovtopics import ModelParams, ModelSpec, make_prior
 from markovtopics import generate as generate_module
 from markovtopics.generate import generate, generate_from
@@ -18,7 +19,7 @@ def _uniform_params(X, Y, Z):
     )
 
 
-class TestGenerateFrom:
+class TestGenerateFrom(Implementations):
     def test_absorbing_start(self):
         p = ModelParams(phi=np.full((2, 1), 0.5), theta=np.ones((1, 2)),
                         xi=np.eye(2), pi=np.array([1.0, 0.0]))
@@ -56,6 +57,30 @@ class TestGenerateFrom:
         p = _uniform_params(2, 1, 1)
         with pytest.raises(ValueError):
             generate_from(p, 2, [3, 0], seed=0)
+
+    @pytest.mark.parametrize("name,entry", [
+        ("phi", np.nan), ("phi", -0.25), ("theta", np.inf), ("xi", -1e-300), ("pi", np.nan),
+        ("pi", -np.inf)])
+    def test_invalid_entry_rejected_before_any_draw(self, name, entry, monkeypatch):
+        # C's < and numpy's searchsorted disagree on NaN and on a cumulative
+        # column that falls, so neither may reach a draw.
+        p, stream, made = _uniform_params(3, 2, 2), generate_module._stream, []
+        getattr(p, name).flat[1] = entry
+        monkeypatch.setattr(generate_module, "_stream",
+                            lambda *args: made.append(stream(*args)) or made[-1])
+        with pytest.raises(ValueError, match=f"{name} holds a negative or non-finite entry"):
+            generate_from(p, 2, [2, 3], seed=5)
+        assert all(rng.random() == stream(5, "tokens").random() for rng in made)
+
+    @pytest.mark.parametrize("name,shape", [
+        pytest.param("theta", (3, 2), id="theta-extra-row"),
+        pytest.param("xi", (2, 3), id="xi-extra-column"),
+        pytest.param("pi", (2, 1), id="pi-two-dimensional")])
+    def test_mismatched_shape_rejected_before_any_draw(self, name, shape):
+        p = _uniform_params(3, 2, 2)
+        p = ModelParams(**{**vars(p), name: np.full(shape, 0.5)})
+        with pytest.raises(ValueError, match=f"the shape of {name} does not match"):
+            generate_from(p, 2, [2, 3], seed=5)
 
     def test_transition_frequencies_match_xi(self):
         xi = np.array([[0.8, 0.3], [0.2, 0.7]])
@@ -133,8 +158,9 @@ def _generator_cases(draw):
                  draw(st.integers(0, 2**32 - 1)))
 
 
-class TestPerTokenReference:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+class TestPerTokenReference(Implementations):
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(_generator_cases())
     @example(_case(1, 1, 1, "1", [1], 0))
     @example(_case(5, 3, 2, "H", [1, 7, 1, 1, 30, 2], 4))
@@ -157,3 +183,93 @@ class TestPerTokenReference:
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert np.array_equal(new.true_behaviours, old.true_behaviours)
         assert new_next == old_next
+
+
+class _Placed:
+    """Stands in for the token stream: hands out ``uniforms`` in order, to
+    ``random()``, ``random(n)`` and ``random(out=...)`` alike."""
+
+    def __init__(self, uniforms):
+        self.uniforms, self.used = list(uniforms), 0
+
+    def random(self, size=None, out=None):
+        n = len(out) if out is not None else 1 if size is None else size
+        values = self.uniforms[self.used:self.used + n]
+        assert len(values) == n, "more uniforms drawn than placed"
+        self.used += n
+        if out is None:
+            return values[0] if size is None else np.array(values)
+        out[:] = values
+        return out
+
+
+def _on_edges(cells, *columns):
+    """Uniforms in [0, 1) on every entry of ``columns`` and on every cell edge
+    k / ``cells``, and one ulp either side of each."""
+    at = np.concatenate([*map(np.ravel, columns), np.arange(cells) / cells])
+    near = np.concatenate([at, np.nextafter(at, -1.0), np.nextafter(at, 2.0)])
+    return np.unique(near[(near >= 0.0) & (near < 1.0)])
+
+
+def _placed_case(phi, theta, xi, pi):
+    """Parameters, document lengths and uniforms: one document per uniform on
+    the edges of pi's and xi's cumulative columns, each holding every pair of
+    a uniform on the edges of theta's and of phi's, the latter also on the
+    guide's cell edges k / X."""
+    params = ModelParams(phi=phi, theta=theta, xi=xi, pi=pi)
+    on_z = _on_edges(1, np.cumsum(pi), np.cumsum(xi, axis=0))
+    on_y = _on_edges(1, np.cumsum(theta, axis=0))
+    on_x = _on_edges(len(phi), np.cumsum(phi, axis=0))
+    u_y, u_x = np.repeat(on_y, len(on_x)), np.tile(on_x, len(on_y))
+    uniforms = np.concatenate([[u, *u_y, *u_x] for u in on_z])
+    return params, [len(u_y)] * len(on_z), uniforms
+
+
+_THIRDS = np.array([[1.0, 0.5], [1.0, 0.0], [1.0, 0.5]]) / [[3.0, 1.0]]
+_PLACED_CASES = {
+    # Every cumulative phi value is a cell edge k / X.
+    "cumsums-on-cell-edges": (np.full((4, 2), 0.25), np.full((2, 2), 0.5),
+                              np.full((2, 2), 0.5), np.full(2, 0.5)),
+    "thirds": (_THIRDS, _THIRDS[:2, :], np.eye(2), np.array([0.5, 0.5])),
+    "zero-probability-words": (
+        np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                  [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([0.0, 1.0])),
+    # Many words in the cell of one cumulative value.
+    "tiny-words": (np.array([[0.5, 0.2], [1e-300, 0.2], [5e-324, 0.2], [1e-17, 0.2],
+                             [0.5 - 1e-17, 0.2]]), np.array([[0.3], [0.7]]), np.ones((1, 1)),
+                   np.ones(1)),
+    # Columns that sum to less than 1: a uniform past the sum draws the last entry.
+    "short-columns": (np.array([[0.2, 0.7], [0.3, 0.1]]), np.array([[0.3, 0.5], [0.4, 0.0]]),
+                      np.array([[0.6, 0.1], [0.3, 0.1]]), np.array([0.4, 0.4])),
+    "one-word": (np.ones((1, 2)), np.array([[0.25, 1.0], [0.75, 0.0]]), np.full((2, 2), 0.5),
+                 np.array([0.5, 0.5])),
+}
+
+
+def _placed_run(module, fn, params, lengths, uniforms):
+    """``fn``'s dataset with ``uniforms`` in place of its token stream, each
+    of them drawn."""
+    placed = _Placed(uniforms)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, "_stream", lambda seed, label: placed)
+        ds = fn(params, len(lengths), lengths, 0)
+    assert placed.used == len(uniforms)
+    return ds
+
+
+@pytest.mark.parametrize("case", list(_PLACED_CASES))
+def test_kernel_and_copy_agree_on_placed_uniforms(case, kernel):
+    # The kernel's guide table narrows each word search to one cell: a
+    # uniform on a cumulative value, on a cell edge or one ulp from either
+    # must find the index that bisect_right and searchsorted find.
+    case = _placed_case(*_PLACED_CASES[case])
+    want = _placed_run(_oracles, _oracles.per_token_generate_from, *case)
+    got = _placed_run(generate_module, generate_from, *case)
+    with without_kernels():
+        copy = _placed_run(generate_module, generate_from, *case)
+    for ds in (got, copy):
+        assert np.array_equal(ds.true_behaviours, want.true_behaviours)
+        assert np.array_equal(np.concatenate(ds.true_topics), np.concatenate(want.true_topics))
+        assert np.array_equal(ds.corpus.tokens, want.corpus.tokens)

@@ -16,6 +16,7 @@ import orjson
 import pytest
 
 import golden
+from conftest import without_kernels
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 RTOL = 1e-12
@@ -45,6 +46,15 @@ def rerun(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def rerun_on_copies(tmp_path_factory):
+    """The same steps on the kernels' Python copies, as where no compiler works."""
+    out = tmp_path_factory.mktemp("golden-copies")
+    with without_kernels():
+        golden.write(out)
+    return out
+
+
 def test_corpus_is_byte_identical(rerun):
     assert (rerun / "corpus.txt").read_bytes() == (GOLDEN / "corpus.txt").read_bytes()
 
@@ -65,3 +75,18 @@ def test_scores_match_line_by_line(rerun, name):
     assert len(got) == len(want), name
     for i, (a, b) in enumerate(zip(got, want), 1):
         _assert_same(orjson.loads(a), orjson.loads(b), f"{name} line {i}")
+
+
+def test_corpora_on_copies_are_byte_identical(rerun_on_copies):
+    for name in ("corpus.txt", "stream.txt"):
+        assert (rerun_on_copies / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", ["truth.json", "gs.json", "em.json", "vb.json"])
+def test_json_output_on_copies_matches(rerun_on_copies, name):
+    test_json_output_matches(rerun_on_copies, name)
+
+
+@pytest.mark.parametrize("name", ["em-plugin.jsonl", "vb-mc.jsonl", "gs-mc.jsonl"])
+def test_scores_on_copies_match_line_by_line(rerun_on_copies, name):
+    test_scores_match_line_by_line(rerun_on_copies, name)

@@ -6,7 +6,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from markovtopics import _kernels, gibbs, inference, serialize
+from markovtopics import _kernels, generate, gibbs, inference, serialize
 
 from conftest import c_parameters, run_python, without_kernels
 
@@ -18,6 +18,7 @@ from conftest import c_parameters, run_python, without_kernels
     pytest.param("parse_corpus", serialize._corpus_in_python, id="parse_corpus"),
     pytest.param("parse_events", serialize._events_in_python, id="parse_events"),
     pytest.param("format_corpus", serialize._corpus_text_in_python, id="format_corpus"),
+    pytest.param("sample_chain", generate._chain_in_python, id="sample_chain"),
 ])
 def test_kernel_and_python_copy_take_one_argument_list(name, copy):
     # An argument added to the C function, its argument types or its Python

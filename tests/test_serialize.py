@@ -515,6 +515,20 @@ class TestScoreFiles:
             serialize.write_scores(path, log_liks, lengths, min_words)
             assert path.read_bytes() == expected
 
+    @pytest.mark.parametrize("min_words", [0, 20])
+    def test_many_records_match_per_record_writer(self, tmp_path, min_words):
+        # write_scores dumps the whole record list at once and splits it
+        # between records: 4000 of them give the bytes of one dumps each.
+        rng = np.random.default_rng(min_words)
+        lengths = rng.integers(0, 41, 4000)
+        log_liks = np.choose(rng.integers(0, 4, 4000), [
+            -np.inf, -0.0, -rng.random(4000) * 1e3, -rng.random(4000) * 1e-300])
+        path = tmp_path / "s.jsonl"
+        serialize.write_scores(path, log_liks, lengths, min_words)
+        assert path.read_bytes() == b"".join(
+            serialize.to_json(score_record(t, n, ll, min_words)) + b"\n"
+            for t, (n, ll) in enumerate(zip(lengths.tolist(), log_liks.tolist()), start=1))
+
     @pytest.mark.parametrize("log_lik", [np.nan, np.inf])
     def test_non_finite_score_is_numerical_error_and_nothing_written(self, tmp_path, log_lik):
         path = tmp_path / "s.jsonl"
