@@ -13,9 +13,13 @@
  * that serialize._corpus_text_in_python joins.  sample_chain draws the
  * behaviours, topics and words of generate.generate_from from the uniforms
  * its copy generate._chain_in_python takes, and finds the same indices: its
- * searches only compare.  The callers check every shape, dtype and index
- * bound and size every output; _kernels.bind, the one kernel dispatch, then
- * binds a kernel, or its copy, to those arrays by address.  gibbs.chain checks
+ * searches only compare.  doc_sums and word_sums add the table rows of a
+ * corpus's tokens in the order that inference._doc_sums_in_python and
+ * inference._word_sums_in_python add them by numpy's bincount, which is the
+ * order of scipy's sparse products over one entry per token.  The callers
+ * check every shape, dtype and index bound and size every output;
+ * _kernels.bind, the one kernel dispatch, then binds a kernel, or its copy,
+ * to those arrays by address.  gibbs.chain checks
  * the Gibbs steps' arrays once per chain, and the two Gibbs kernels keep the
  * column sums they are given current from one call to the next. */
 #include <math.h>
@@ -229,6 +233,60 @@ void forward(int64_t num_docs, int64_t num_chains, int64_t num_behaviours, doubl
             for (int64_t i = 0; i < Z; i++)
                 next[i] = b[i] >= 1e-280 ? log(b[i]) : log_sum(x + i * Z, e, Z);
         }
+    }
+}
+
+/* The products of a corpus's doc-term matrix B (one entry of 1.0 per token)
+ * with a dense table, in the order of scipy's csr_matvecs and csc_matvecs,
+ * so each output keeps the bytes of those products.  doc_sums gives B^T table:
+ * row t of out, at out + t * stride, is the sum of row words[i] of table
+ * (num_words, num_cols) over document t's tokens, added in corpus order from
+ * 0.0.  word_sums gives B rows: for each token in corpus order, row t of rows
+ * (num_docs, num_cols) is added into row words[i] of out (num_words,
+ * num_cols), which the caller zeroes.  Each group of four columns is summed in
+ * local variables, which the compiler keeps in registers; a sum through the
+ * output pointer runs no faster than scipy. */
+void doc_sums(int64_t num_docs, int64_t num_cols, int64_t stride, const int64_t *offsets,
+              const int64_t *words, const double *table, double *out)
+{
+    int64_t C = num_cols;
+    for (int64_t t = 0; t < num_docs; t++) {
+        double *o = out + t * stride;
+        int64_t c = 0;
+        for (; c + 4 <= C; c += 4) {
+            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+            for (int64_t i = offsets[t]; i < offsets[t + 1]; i++) {
+                const double *row = table + words[i] * C + c;
+                s0 += row[0], s1 += row[1], s2 += row[2], s3 += row[3];
+            }
+            o[c] = s0, o[c + 1] = s1, o[c + 2] = s2, o[c + 3] = s3;
+        }
+        for (; c < C; c++) {
+            double s = 0.0;
+            for (int64_t i = offsets[t]; i < offsets[t + 1]; i++)
+                s += table[words[i] * C + c];
+            o[c] = s;
+        }
+    }
+}
+
+void word_sums(int64_t num_docs, int64_t num_cols, const int64_t *offsets, const int64_t *words,
+               const double *rows, double *out)
+{
+    int64_t C = num_cols;
+    for (int64_t t = 0; t < num_docs; t++) {
+        const double *r = rows + t * C;
+        int64_t c = 0;
+        for (; c + 4 <= C; c += 4) {
+            double r0 = r[c], r1 = r[c + 1], r2 = r[c + 2], r3 = r[c + 3];
+            for (int64_t i = offsets[t]; i < offsets[t + 1]; i++) {
+                double *o = out + words[i] * C + c;
+                o[0] += r0, o[1] += r1, o[2] += r2, o[3] += r3;
+            }
+        }
+        for (; c < C; c++)
+            for (int64_t i = offsets[t]; i < offsets[t + 1]; i++)
+                out[words[i] * C + c] += r[c];
     }
 }
 

@@ -8,24 +8,31 @@ where no compiler or loader works: the line-for-line copies
 ``serialize._events_in_python``, which check a file by the line regex of the
 grammar that ``parse_corpus`` or ``parse_events`` applies byte by byte and
 read its numbers in numpy passes; ``serialize._corpus_text_in_python``,
-which joins the text that ``format_corpus`` writes; and
+which joins the text that ``format_corpus`` writes;
 ``generate._chain_in_python``, which draws with ``bisect_right`` and
 ``searchsorted`` the indices that ``sample_chain`` finds by guide-table
-search.
+search; and ``inference._doc_sums_in_python`` and
+``inference._word_sums_in_python``, which add the tokens' rows that
+``doc_sums`` and ``word_sums`` add, in the same order, by one ``bincount``
+per column.
 
 The cache is ``$XDG_CACHE_HOME/markovtopics`` (``~/.cache/markovtopics``
 where that is unset or not absolute).  A build's file name holds the SHA-256
-of ``_kernels.c``, the compiler command, the compiler's ``--version`` output,
-:data:`_CFLAGS` and ``sysconfig.get_platform()``, so a build is never reused
-for another source, compiler or platform.  The directory is made with mode
-0700; a miss compiles into a ``mkstemp`` file in it, appends the SHA-256 of
-the library's bytes and moves it into place with ``os.replace``, so a
-process never loads a half-written build.  A cached directory or file that
-the current user does not own, or that group or others can write, is never
-loaded, and a file whose last 32 bytes are not the SHA-256 of the rest is
-built again.  Any other failure of the cache falls back to a build in a
-temporary directory that is removed once the library is loaded, and where
-that fails too, to the Python copies."""
+of ``_kernels.c``, the compiler command, the resolved path, size and
+modification time of the compiler's binary (its ``--version`` output where
+the command's first word resolves to no file), :data:`_CFLAGS` and
+``sysconfig.get_platform()``, so a build is never reused for another
+source, compiler or platform, and a warm load starts no process.  The
+directory is made with mode 0700; a miss compiles into a ``mkstemp`` file in
+it, appends the SHA-256 of the library's bytes and moves it into place with
+``os.replace``, so a process never loads a half-written build, and then
+removes the other keys' builds that it would trust, so the cache holds one
+library.  A cached directory or file that the current user does not own, or
+that group or others can write, is never loaded, and a file whose last 32
+bytes are not the SHA-256 of the rest is built again.  Any other failure of
+the cache falls back to a build in a temporary directory that is removed
+once the library is loaded, and where that fails too, to the Python
+copies."""
 import os
 from functools import cache, partial
 from pathlib import Path
@@ -55,7 +62,6 @@ def load():
     import shlex
     import subprocess
     import sysconfig
-    import tempfile
 
     cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
     # AttributeError: a library without one of the kernels.
@@ -64,6 +70,8 @@ def load():
         return _cached(cc)
     except (*failed, RuntimeError):  # RuntimeError: no home directory
         pass
+    import tempfile  # a warm load does without it
+
     try:
         with tempfile.TemporaryDirectory() as tmp:
             return _declared(_compile(cc, tmp))
@@ -76,13 +84,10 @@ def _cached(cc):
     into it where the file is missing, corrupt or not trusted.  Raises where
     the cache cannot be used."""
     import hashlib
-    import subprocess
     import sysconfig
 
-    version = subprocess.run([*cc, "--version"], check=True, capture_output=True,
-                             timeout=60).stdout
     key = hashlib.sha256()
-    for part in (_SOURCE.read_bytes(), "\0".join(cc).encode(), version,
+    for part in (_SOURCE.read_bytes(), "\0".join(cc).encode(), _compiler_id(cc),
                  "\0".join(_CFLAGS).encode(), sysconfig.get_platform().encode()):
         key.update(len(part).to_bytes(8, "little") + part)
     root = os.environ.get("XDG_CACHE_HOME", "")
@@ -93,7 +98,40 @@ def _cached(cc):
     path = directory / f"_kernels-{key.hexdigest()}.so"
     if not (_private(path) and _sealed(path)):
         os.replace(_compile(cc, directory), path)
+        _prune(directory, path)
     return _declared(str(path))
+
+
+def _compiler_id(cc):
+    """What names the compiler ``cc`` runs: the resolved path, size and
+    modification time of its binary, or where its first word resolves to no
+    file, the output of ``cc --version``."""
+    import shutil
+    import subprocess
+
+    found = shutil.which(cc[0])
+    if found is None:
+        return subprocess.run([*cc, "--version"], check=True, capture_output=True,
+                              timeout=60).stdout
+    binary = os.path.realpath(found)
+    st = os.stat(binary)
+    return f"{binary}\0{st.st_size}\0{st.st_mtime_ns}".encode()
+
+
+def _prune(directory, keep):
+    """Removes from ``directory`` every build but ``keep`` that the loader
+    would trust: a ``_kernels-<64 hex digits>.so`` file that the current user
+    owns and that group and others cannot write.  Where a file goes away
+    meanwhile or cannot be removed, the rest are left to the next build."""
+    import re
+
+    try:
+        for path in directory.iterdir():
+            if (path != keep and re.fullmatch(r"_kernels-[0-9a-f]{64}\.so", path.name)
+                    and _private(path)):
+                path.unlink()
+    except OSError:
+        pass
 
 
 def _private(path):
@@ -154,8 +192,11 @@ def _declared(path):
     lib.resample_behaviours.argtypes = [int64] * 3 + [address] * 14
     lib.forward.argtypes = [int64] * 3 + [address] * 7
     lib.sample_chain.argtypes = [int64] * 3 + [address] * 10
+    lib.doc_sums.argtypes = [int64] * 3 + [address] * 4
+    lib.word_sums.argtypes = [int64] * 2 + [address] * 4
     lib.resample_topics.restype = lib.resample_behaviours.restype = None
     lib.forward.restype = lib.sample_chain.restype = None
+    lib.doc_sums.restype = lib.word_sums.restype = None
     # A bytes object passes as its own buffer, with no copy.
     lib.parse_corpus.argtypes = [ctypes.c_char_p, int64] + [address] * 2
     lib.parse_events.argtypes = [ctypes.c_char_p, int64] + [address] * 4

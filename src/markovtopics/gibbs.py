@@ -240,8 +240,8 @@ def chain(state: GibbsState, corpus: Corpus, hyper: Hyperparams) -> GibbsChain:
             (Y,), (X,), (Z,), (Z,)):
         raise ValueError(f"alpha, beta, gamma and eta must have lengths {Y}, {X}, {Z} and {Z}")
 
-    offsets, words, alpha, beta = (np.ascontiguousarray(a) for a in (
-        corpus.offsets, corpus.tokens, hyper.alpha, hyper.beta))
+    offsets, words = corpus.offsets, corpus.tokens
+    alpha, beta = np.ascontiguousarray(hyper.alpha), np.ascontiguousarray(hyper.beta)
     totals, leaving = counts.n_xy.sum(axis=0), counts.n_zz.sum(axis=0)
     sums = np.arange(T + 1) + np.append(hyper.gamma, hyper.gamma.sum())[:, None]
     per_doc, per_token = np.empty(T), np.empty(corpus.num_tokens)  # uniforms

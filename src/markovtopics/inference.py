@@ -5,10 +5,13 @@ anomaly scorer: the scaled per-document recursion (Rabiner 1989) of S chains
 in the log domain, compiled from ``_kernels.c`` once per process, with a
 line-for-line Python copy that gives the same bytes where no compiler works.
 Fits use :func:`e_step`: the forward pass and the same pass on the reversed
-stream, on the per-document emission block ``(T, Z)`` of the corpus's sparse
-doc-term matrix, yield the four expected count arrays without per-token
-tensors.  The token-level recursions the oracle tests check against live in
-``tests/_oracles.py``.
+stream, on the per-document emission block ``(T, Z)``, yield the four
+expected count arrays without per-token tensors.  Both products with the
+corpus's doc-term matrix, the emission logs and the per-word posterior mass,
+are sums over the flat token array in two kernels, ``doc_sums`` and
+``word_sums``, each with a ``bincount`` copy, in the order and with the bytes
+of scipy's sparse products over one entry per token.  The token-level
+recursions the oracle tests check against live in ``tests/_oracles.py``.
 
 The engine also accepts the sub-stochastic "tilde" surrogate parameters used
 by variational inference; normalization by the overall constant absorbs the
@@ -64,16 +67,79 @@ def word_mixture_logs(params: ModelParams) -> np.ndarray:
         return np.log(mix)
 
 
-def emission_logs(log_mix: np.ndarray, corpus: Corpus) -> np.ndarray:
+def emission_logs(log_mix: np.ndarray, corpus: Corpus, out: np.ndarray | None = None,
+                  ) -> np.ndarray:
     """Per-document log emission under each behaviour, shape (T, Z), from the
-    word mixture logs ``log_mix`` (num_words, Z).
+    word mixture logs ``log_mix`` (num_words, Z), written into ``out`` (T, Z)
+    where given: its rows may lie any whole number of floats apart.
 
     Entry (t, z) sums the log mixture probability of every token of
     document t given behaviour z: ``B^T log_mix`` for the doc-term matrix
-    ``B``.  A token with zero mixture probability contributes -inf; it is
-    propagated, not clamped.
+    ``B``, one entry per token, in the order and with the bytes of a scipy
+    CSR product.  A token with zero mixture probability contributes -inf; it
+    is propagated, not clamped.  ``doc_sums`` of ``_kernels.c`` runs, or its
+    copy :func:`_doc_sums_in_python`; it reads without bounds checks, so the
+    arrays are checked first (ValueError).
     """
-    return corpus.doc_term.T @ log_mix
+    T, Z = len(corpus), _columns_of(log_mix, corpus.spec.num_words, "log_mix")
+    out = np.empty((T, Z)) if out is None else out
+    # An empty array's strides are 0.
+    stride, step = out.strides if out.ndim == 2 and out.size else (8 * Z, 8)
+    if not (out.dtype == np.float64 and out.shape == (T, Z) and out.flags.writeable
+            and (T < 2 or stride % 8 == 0) and (Z < 2 or step == 8)):
+        raise ValueError(f"out must be a writeable float64 array of shape {(T, Z)} with "
+                         "contiguous rows")
+    _kernels.bind("doc_sums", _doc_sums_in_python, T, Z, stride // 8, corpus.offsets,
+                  corpus.tokens, log_mix, out)()
+    return out
+
+
+def _word_sums(corpus: Corpus, rows: np.ndarray) -> np.ndarray:
+    """``B rows`` (num_words, C) for the doc-term matrix ``B`` of ``corpus``
+    and per-document ``rows`` (T, C), with the bytes of a scipy CSC product:
+    ``word_sums`` of ``_kernels.c``, or its copy :func:`_word_sums_in_python`."""
+    C = _columns_of(rows, len(corpus), "rows")
+    out = np.zeros((corpus.spec.num_words, C))
+    _kernels.bind("word_sums", _word_sums_in_python, len(corpus), C, corpus.offsets,
+                  corpus.tokens, rows, out)()
+    return out
+
+
+def _columns_of(table: np.ndarray, num_rows: int, name: str) -> int:
+    """The column count of ``table``, which a token-sum kernel reads by
+    address: ValueError unless it is a C-contiguous float64 array of
+    ``num_rows`` rows."""
+    if not (isinstance(table, np.ndarray) and table.ndim == 2 and len(table) == num_rows
+            and table.dtype == np.float64 and table.flags.c_contiguous):
+        raise ValueError(f"{name} must be a C-contiguous float64 array of {num_rows} rows")
+    return table.shape[1]
+
+
+def _token_docs(num_docs: int, offsets: np.ndarray) -> np.ndarray:
+    """The document of each token of the first ``num_docs`` documents."""
+    return np.repeat(np.arange(num_docs), np.diff(offsets[:num_docs + 1]))
+
+
+def _doc_sums_in_python(num_docs, num_cols, stride, offsets, words, table, out):
+    """The copy of ``doc_sums`` in ``_kernels.c``: one ``bincount`` per
+    column, which adds each document's entries in corpus order from 0.0,
+    into the rows of ``out`` that lie ``stride`` floats apart from its
+    first."""
+    doc = _token_docs(num_docs, offsets)
+    rows = np.lib.stride_tricks.as_strided(out, (num_docs, num_cols),
+                                           (stride * out.itemsize, out.itemsize))
+    # One gather of the tokens' rows, column by column.
+    for c, weights in enumerate(np.take(table.T, words[:len(doc)], axis=1)):
+        rows[:, c] = np.bincount(doc, weights=weights, minlength=num_docs)
+
+
+def _word_sums_in_python(num_docs, num_cols, offsets, words, rows, out):
+    """The copy of ``word_sums`` in ``_kernels.c``: one ``bincount`` per
+    column, which adds the tokens' rows into their words' in corpus order
+    from 0.0."""
+    doc = _token_docs(num_docs, offsets)
+    for c in range(num_cols):
+        out[:, c] = np.bincount(words[:len(doc)], weights=rows[doc, c], minlength=len(out))
 
 
 def forward(loge: np.ndarray, start: np.ndarray, xi: np.ndarray, pi: np.ndarray,
@@ -177,7 +243,7 @@ def _counts(params: ModelParams, corpus: Corpus, mix: np.ndarray, gamma: np.ndar
             n_zz: np.ndarray) -> SufficientCounts:
     """The four expected count arrays from the behaviour posteriors ``gamma``
     (T, Z) and the summed pair posteriors ``n_zz``."""
-    c = np.divide(corpus.doc_term @ gamma, mix, out=np.zeros_like(mix), where=mix > 0)
+    c = np.divide(_word_sums(corpus, gamma), mix, out=np.zeros_like(mix), where=mix > 0)
     return SufficientCounts(n_xy=params.phi * (c @ params.theta.T),
                             n_yz=params.theta * (params.phi.T @ c),
                             n_zz=n_zz, n_z1=gamma[:1].sum(axis=0))

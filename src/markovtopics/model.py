@@ -8,7 +8,6 @@ Serialized model files record this orientation explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -198,8 +197,10 @@ class Corpus:
     spec: ModelSpec
 
     def __post_init__(self):
-        tokens = np.asarray(self.tokens, dtype=np.int64)
-        offsets = np.asarray(self.offsets, dtype=np.int64)
+        # C-contiguous, copied where given a strided view: the kernels read
+        # them by address.  (np.ascontiguousarray would make a scalar 1-d.)
+        tokens = np.asarray(self.tokens, dtype=np.int64, order="C")
+        offsets = np.asarray(self.offsets, dtype=np.int64, order="C")
         if (offsets.ndim != 1 or not offsets.size or offsets[0] != 0
                 or offsets[-1] != len(tokens) or np.any(np.diff(offsets) < 0)):
             raise ValueError("offsets must rise from 0 to the number of tokens")
@@ -220,18 +221,6 @@ class Corpus:
     @property
     def num_tokens(self) -> int:
         return int(self.offsets[-1])
-
-    @cached_property
-    def doc_term(self) -> scipy.sparse.csc_matrix:
-        """Sparse (num_words, T) word counts per document, built once: the
-        transpose of the CSR matrix over ``offsets`` and ``tokens``, one entry
-        per token.  Tokens are exchangeable, so a fit sees the corpus only through it."""
-        # Imported here: scipy.sparse takes about 0.19 s to import, which
-        # generate, featurize and eval never need.
-        import scipy.sparse
-
-        return scipy.sparse.csr_matrix((np.ones(len(self.tokens)), self.tokens, self.offsets),
-                                       shape=(len(self), self.spec.num_words)).T
 
 
 def corpus_from_lists(word_lists, spec: ModelSpec) -> Corpus:

@@ -183,11 +183,10 @@ def write_corpus(path, corpus: Corpus) -> None:
         raise DataError("the corpus holds no documents; a corpus file must hold at least one")
     if not lengths.all():  # its line would be blank
         raise DataError(f"document {np.argmin(lengths) + 1} is empty; a corpus file cannot hold it")
-    offsets, tokens = np.ascontiguousarray(corpus.offsets), np.ascontiguousarray(corpus.tokens)
     # Each id has at most the digits of num_words - 1, and a space or a newline.
-    out = np.empty(len(tokens) * (len(str(corpus.spec.num_words - 1)) + 1), dtype=np.uint8)
-    size = _kernels.bind("format_corpus", _corpus_text_in_python, len(lengths), offsets,
-                         tokens, out)()
+    out = np.empty(corpus.num_tokens * (len(str(corpus.spec.num_words - 1)) + 1), dtype=np.uint8)
+    size = _kernels.bind("format_corpus", _corpus_text_in_python, len(lengths), corpus.offsets,
+                         corpus.tokens, out)()
     Path(path).write_bytes(out[:size])
 
 

@@ -268,6 +268,25 @@ class TestColdCommands:
             assert done.returncode == 0 and done.stdout.split("\n")[-2] == "0", done.stderr
         assert (tmp_path / "g.txt").exists() and (tmp_path / "c.txt").exists()
 
+    def test_em_train_plugin_score_and_localise_never_import_scipy(self, tmp_path):
+        # The E-step and the scorer sum the corpus's tokens in the kernels,
+        # with no sparse matrix; only VB and Gibbs import scipy.special.
+        corpus = str(tmp_path / "g.txt")
+        model = str(tmp_path / "em.json")
+        assert main(["generate", "--num-words", "16", "--num-topics", "2", "--num-behaviours",
+                     "2", "--docs", "8", "--doc-length", "10", "--out-corpus", corpus]) == 0
+        train = ["train", "--corpus", corpus, "--num-words", "16", "--num-topics", "2",
+                 "--num-behaviours", "2", "--algo", "em", "--iterations", "4", "--out", model]
+        score = ["score", "--model", model, "--corpus", corpus, "--train-corpus", corpus,
+                 "--mode", "plugin", "--out", str(tmp_path / "s.jsonl")]
+        localise = ["localise", "--model", model, "--corpus", corpus, "--train-corpus", corpus,
+                    "--frame-w", "16", "--frame-h", "16", "--top-n", "2",
+                    "--out", str(tmp_path / "l.jsonl")]
+        for argv in (train, score, localise):
+            done = run_python(["-c", _SCIPY_MODULES, *argv])
+            assert done.returncode == 0 and done.stdout.split("\n")[-2] == "0", done.stderr
+        assert (tmp_path / "s.jsonl").exists() and (tmp_path / "l.jsonl").exists()
+
 
 class TestWithoutCompiler:
     def test_every_command_writes_the_same_bytes(self, tmp_path, monkeypatch, capsys):

@@ -3,7 +3,8 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import scipy.sparse
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -92,8 +93,24 @@ def _doc_term_cases(draw):
                           draw(st.none() | st.integers(0, spec.num_words - 1)))
 
 
-class TestDocTermMatrix:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def _doc_term(corpus):
+    """The corpus's (T, num_words) doc-term matrix as scipy's CSR matrix over
+    ``offsets`` and ``tokens``, one entry per token."""
+    return scipy.sparse.csr_matrix((np.ones(corpus.num_tokens), corpus.tokens, corpus.offsets),
+                                   shape=(len(corpus), corpus.spec.num_words))
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTokenSums(Implementations):
+    """The two products with a corpus's doc-term matrix B: ``B^T log_mix`` by
+    ``doc_sums`` in ``inference.emission_logs`` and ``B gamma`` by
+    ``word_sums`` in ``inference._word_sums``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     @given(_doc_term_cases())
     @example(_doc_term_case([[0, 0], [], [0]], ModelSpec(1, 1, 2), 0, None))
     @example(_doc_term_case([[0, 0, 0], [0]], ModelSpec(1, 2, 1), 1, 0))
@@ -102,13 +119,10 @@ class TestDocTermMatrix:
     def test_matches_dense_forms(self, case):
         params, corpus, gamma = case
         X, T, Z = len(params.phi), len(corpus), len(params.pi)
-        dense = np.array([np.bincount(doc, minlength=X) for doc in corpus]).reshape(T, X).T
-        assert corpus.doc_term.shape == (X, T)
-        assert np.array_equal(corpus.doc_term.toarray(), dense)
-        # The flat corpus is the matrix's CSR form: one entry per token, in
-        # corpus order, so nothing was sorted or merged.
-        assert np.array_equal(corpus.doc_term.T.indptr, corpus.offsets)
-        assert np.array_equal(corpus.doc_term.T.indices, corpus.tokens)
+        dense = np.array([np.bincount(doc, minlength=X) for doc in corpus]).reshape(T, X)
+        # On identity tables the two sums are the count matrix and its transpose.
+        assert np.array_equal(inference.emission_logs(np.eye(X), corpus), dense)
+        assert np.array_equal(inference._word_sums(corpus, np.eye(T)), dense.T)
 
         log_mix = inference.word_mixture_logs(params)
         loge = inference.emission_logs(log_mix, corpus)
@@ -119,14 +133,58 @@ class TestDocTermMatrix:
         np.testing.assert_allclose(
             loge, np.array([log_mix[doc].sum(axis=0) for doc in corpus]).reshape(T, Z),
             rtol=1e-12, atol=0)
+        # The bytes of scipy's sparse products over one entry per token.
+        assert _same_bytes(loge, _doc_term(corpus) @ log_mix)
+        assert _same_bytes(inference._word_sums(corpus, gamma), _doc_term(corpus).T @ gamma)
 
         if T:  # ``_counts`` reads the first document's posterior
             counts = inference._counts(params, corpus, mix, gamma, np.eye(Z))
-            c = np.divide(dense @ gamma, mix, out=np.zeros((X, Z)), where=mix > 0)
+            c = np.divide(dense.T @ gamma, mix, out=np.zeros((X, Z)), where=mix > 0)
             np.testing.assert_allclose(counts.n_xy, params.phi * (c @ params.theta.T),
                                        rtol=1e-12, atol=0)
             np.testing.assert_allclose(counts.n_yz, params.theta * (params.phi.T @ c),
                                        rtol=1e-12, atol=0)
+
+    def test_strided_output_rows(self):
+        # anomaly._filter writes each sample's emission logs into loge[:, s].
+        params, corpus, _ = _doc_term_case([[1, 2, 1], [], [0, 1], [2]], ModelSpec(3, 2, 2), 4, 1)
+        log_mix = inference.word_mixture_logs(params)
+        loge = np.full((4, 3, 2), 7.0)
+        for s in range(3):
+            assert inference.emission_logs(log_mix, corpus, loge[:, s]).base is loge
+        for s in range(3):
+            assert _same_bytes(loge[:, s].copy(), inference.emission_logs(log_mix, corpus))
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda a: a[:-1].copy(), id="fewer-rows"),
+        pytest.param(lambda a: np.vstack([a, a[:1]]), id="more-rows"),
+        pytest.param(lambda a: a.astype(np.float32), id="float32"),
+        pytest.param(np.asfortranarray, id="fortran"),
+        pytest.param(lambda a: np.repeat(a, 2, axis=1)[:, ::2], id="strided"),
+        pytest.param(lambda a: a[:, 0].copy(), id="one-dimensional"),
+    ])
+    @pytest.mark.parametrize("product", ["emission_logs", "word_sums"])
+    def test_rejects_a_table_before_any_read(self, product, change):
+        # The kernels read the table by address with no bounds checks.
+        spec = ModelSpec(3, 2, 2)
+        corpus = corpus_from_lists([[1, 2, 1], [0, 2]], spec)
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            if product == "emission_logs":
+                inference.emission_logs(change(np.full((3, 2), -1.0)), corpus)
+            else:
+                inference._word_sums(corpus, change(np.full((2, 2), 0.5)))
+
+    @pytest.mark.parametrize("out", [
+        pytest.param(np.empty((2, 3)), id="wrong-shape"),
+        pytest.param(np.empty((2, 2), np.float32), id="float32"),
+        pytest.param(np.empty((2, 4))[:, ::2], id="strided-columns"),
+        pytest.param(np.broadcast_to(np.empty(2), (2, 2)), id="read-only"),
+        pytest.param(np.empty(4), id="one-dimensional"),
+    ])
+    def test_rejects_an_output_before_any_write(self, out):
+        corpus = corpus_from_lists([[1, 2, 1], [0, 2]], ModelSpec(3, 2, 2))
+        with pytest.raises(ValueError, match="out must be"):
+            inference.emission_logs(np.full((3, 2), -1.0), corpus, out)
 
 
 class TestForwardBackward:

@@ -1,6 +1,8 @@
 import inspect
 import os
+import shutil
 import stat
+import subprocess
 import tempfile
 
 import numpy as np
@@ -19,6 +21,8 @@ from conftest import c_parameters, run_python, without_kernels
     pytest.param("parse_events", serialize._events_in_python, id="parse_events"),
     pytest.param("format_corpus", serialize._corpus_text_in_python, id="format_corpus"),
     pytest.param("sample_chain", generate._chain_in_python, id="sample_chain"),
+    pytest.param("doc_sums", inference._doc_sums_in_python, id="doc_sums"),
+    pytest.param("word_sums", inference._word_sums_in_python, id="word_sums"),
 ])
 def test_kernel_and_python_copy_take_one_argument_list(name, copy):
     # An argument added to the C function, its argument types or its Python
@@ -51,6 +55,22 @@ def counted(args, **kwargs):
 subprocess.run = counted
 assert _kernels.load() is not None
 print(len(builds))
+"""
+
+
+#: Loads the kernels in a fresh process and prints how many processes it
+#: started.
+_COUNT_PROCESSES = """
+import subprocess
+from markovtopics import _kernels
+started = []
+class Counted(subprocess.Popen):
+    def __init__(self, args, *rest, **kwargs):
+        started.append(args)
+        super().__init__(args, *rest, **kwargs)
+subprocess.Popen = Counted
+assert _kernels.load() is not None
+print(len(started))
 """
 
 
@@ -111,7 +131,44 @@ class TestCache:
         monkeypatch.setattr(_kernels, "_SOURCE", changed)
         _kernels.load.cache_clear()
         assert _kernels.load() is not None
-        assert len(self._cached(tmp_path)) == 2 and first in self._cached(tmp_path)
+        # The new build removes the old one.
+        [second] = self._cached(tmp_path)
+        assert second != first
+
+    def test_build_removes_only_the_builds_it_would_load(self, tmp_path):
+        # Another key's build that the loader would trust goes; a file of
+        # another name, or one that group or others can write, stays.
+        directory = tmp_path / "home" / "markovtopics"
+        directory.mkdir(parents=True, mode=0o700)
+        stale, shared = (directory / f"_kernels-{c * 64}.so" for c in "ab")
+        other = directory / "_kernels-a.so"
+        for path, mode in ((stale, 0o700), (shared, 0o720), (other, 0o700)):
+            path.write_bytes(b"old")
+            path.chmod(mode)
+        assert _kernels.load() is not None
+        [built] = set(self._cached(tmp_path)) - {shared, other}
+        assert built.name.startswith("_kernels-") and not stale.exists()
+
+    def test_warm_load_in_a_fresh_process_starts_no_process(self, tmp_path):
+        # The key names the compiler by its binary, not by running it.
+        run = run_python(["-c", _COUNT_PROCESSES], XDG_CACHE_HOME=str(tmp_path / "home"))
+        assert run.returncode == 0 and int(run.stdout) >= 1, run.stderr
+        run = run_python(["-c", _COUNT_PROCESSES], XDG_CACHE_HOME=str(tmp_path / "home"))
+        assert run.returncode == 0 and int(run.stdout) == 0, run.stderr
+
+    def test_compiler_that_resolves_to_no_file_is_keyed_by_its_version(self, monkeypatch):
+        # A first word that is no file on PATH (a shell alias, say) cannot
+        # be named by its binary; its --version output names it.
+        runs, run = [], subprocess.run
+
+        def recorded(args, **kwargs):
+            runs.append(args)
+            return run(args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", recorded)
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        assert _kernels.load() is not None
+        assert sum("--version" in args for args in runs) == 1
 
     def test_unusable_cache_path_falls_back_to_a_temporary_build(self, tmp_path):
         # Permission bits do not stop root, but no one can make a directory

@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from markovtopics import anomaly, em, gibbs, serialize, vb
 from markovtopics import (
     Corpus,
     Hyperparams,
@@ -193,12 +194,6 @@ class TestCorpus:
         c = corpus_from_lists([[0, 1], [1]], ModelSpec(2, 1, 1))
         assert c.num_tokens == 3 and len(c) == 2
 
-    def test_doc_term_counts_words_per_document(self):
-        c = corpus_from_lists([[0, 2, 0], [1], [2, 2]], ModelSpec(4, 1, 1))
-        assert np.array_equal(c.doc_term.toarray(),
-                              [[2, 0, 0], [0, 1, 0], [1, 0, 2], [0, 0, 0]])
-        assert c.doc_term is c.doc_term
-
     def test_flat_tokens_and_offsets(self):
         c = corpus_from_lists([[0, 2, 0], [], [1], [2, 2]], ModelSpec(4, 1, 1))
         assert np.array_equal(c.tokens, [0, 2, 0, 1, 2, 2])
@@ -207,7 +202,31 @@ class TestCorpus:
         assert c.num_tokens == 6
         empty = corpus_from_lists([], ModelSpec(4, 1, 1))
         assert len(empty.tokens) == 0 and np.array_equal(empty.offsets, [0])
-        assert empty.doc_term.shape == (4, 0)
+
+    def test_strided_views_fit_and_score_as_contiguous_copies(self, tmp_path):
+        # The kernels read tokens and offsets by address: a corpus holds
+        # C-contiguous copies of strided views.
+        spec = ModelSpec(6, 2, 2)
+        rng = np.random.default_rng(3)
+        dense = corpus_from_lists([rng.integers(0, 6, n) for n in (5, 1, 7, 4, 6, 3)], spec)
+        wide_tokens, wide_offsets = (np.stack([a, -a], axis=1) for a in (dense.tokens,
+                                                                        dense.offsets))
+        strided = Corpus(wide_tokens[:, 0], wide_offsets[:, 0], spec)
+        assert strided.tokens.flags.c_contiguous and strided.offsets.flags.c_contiguous
+        hyper = make_prior("H+1", spec)
+
+        def outputs(corpus, name):
+            params, _ = em.em_fit(corpus, hyper, spec, seed=1, max_iters=4)
+            _, vb_params, _ = vb.vb_fit(corpus, hyper, spec, seed=1, max_iters=4)
+            samples, gs_params = gibbs.gs_fit(corpus, hyper, spec, 1, burn_in=3, num_samples=2,
+                                              spacing=2)
+            log_liks, _ = anomaly.score(anomaly.init_state([params, vb_params]), corpus)
+            serialize.write_corpus(tmp_path / name, corpus)
+            return [*_columns(params), *_columns(vb_params), *_columns(gs_params),
+                    *_columns(samples[-1]), log_liks, (tmp_path / name).read_bytes()]
+
+        for a, b in zip(outputs(strided, "strided.txt"), outputs(dense, "dense.txt")):
+            assert a == b if isinstance(a, bytes) else a.tobytes() == b.tobytes()
 
 
 class TestHyperparams:
